@@ -47,8 +47,6 @@ class ExperimentConfig:
     scan_points: int = 200
     output_dir: Path = Path(".")
     seed_note: str = ""
-    jobs: int = 1
-    precision: str = "double"
     config_hash: str = ""
 
 
@@ -179,8 +177,7 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
 
 
 def _settings(cfg: ExperimentConfig) -> SolverSettings:
-    return SolverSettings(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                          precision=cfg.precision)
+    return SolverSettings(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
 
 
 def _solution_fieldnames(k: int) -> list:
@@ -216,7 +213,6 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
         "seed_note": cfg.seed_note,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
-        "precision": cfg.precision,
         "wall_time_s": wall,
         "started_at": started_at,
     }
@@ -325,12 +321,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path,
                         help="experiment config (required except for bessel)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget (families are continuation-sequential)")
-    parser.add_argument("--precision", choices=("double", "extended"),
-                        default="double",
-                        help="accepted and recorded; the log-radius "
-                             "integration does not depend on it")
     parser.add_argument("--k", type=int, default=None,
                         help="bessel: number of eigenpairs to print")
     args = parser.parse_args(argv)
@@ -343,10 +333,6 @@ def main(argv=None) -> int:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config", field="config")
             cfg = parse_config(args.config, args.command)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}", field="jobs")
-        cfg.jobs = args.jobs
-        cfg.precision = args.precision
         if args.k is not None:
             if args.k < 1:
                 raise ConfigError(f"--k must be >= 1, got {args.k}", field="k")

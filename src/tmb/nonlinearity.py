@@ -3,11 +3,8 @@
 The growth is doubly exponential in the amplitudes of interest, so every
 operation here budgets the exponent before exponentiating.  `scaled_lambda_f`
 additionally folds the eigenparameter into the exponent so that a tiny
-lambda cancels a huge exp(t^2) *before* any exp() call.
-
-All functions are pure; the optional ``precision="extended"`` argument
-routes the evaluation through mpmath with a wider exponent budget (used
-only near the binary64 budget; binary64 covers the regimes of interest).
+lambda cancels a huge exp(t^2) *before* any exp() call.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -20,19 +17,6 @@ from .quadrature import adaptive_quadrature
 
 # Exponent budget for binary64 work (safety margin below log(DBL_MAX) ~ 709.78).
 OVERFLOW_BUDGET = 700.0
-
-# Budget for the extended backend: the *result* must still fit in a float.
-EXTENDED_BUDGET = 709.7
-
-_EXTENDED_DPS = 50
-
-
-def _budget(precision: str) -> float:
-    if precision == "double":
-        return OVERFLOW_BUDGET
-    if precision == "extended":
-        return EXTENDED_BUDGET
-    raise ValueError(f"unknown precision {precision!r} (expected 'double' or 'extended')")
 
 
 @dataclass(frozen=True)
@@ -75,7 +59,7 @@ def exponent(t: float, p: ProblemParams) -> float:
     return t * t + p.alpha * abs(t) ** p.beta
 
 
-def nonlinearity_f(t: float, p: ProblemParams, precision: str = "double") -> float:
+def nonlinearity_f(t: float, p: ProblemParams) -> float:
     """t * exp(t^2 + alpha*|t|^beta); odd in t.
 
     Raises OverflowBudgetError when t^2 + alpha|t|^beta + ln|t| exceeds the
@@ -86,17 +70,12 @@ def nonlinearity_f(t: float, p: ProblemParams, precision: str = "double") -> flo
     at = abs(t)
     expo = t * t + p.alpha * at ** p.beta
     total = expo + math.log(at)
-    if total > _budget(precision):
+    if total > OVERFLOW_BUDGET:
         raise OverflowBudgetError(total)
-    if precision == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            return float(mp.mpf(t) * mp.e ** mp.mpf(expo))
     return t * math.exp(expo)
 
 
-def nonlinearity_f_prime(t: float, p: ProblemParams, precision: str = "double") -> float:
+def nonlinearity_f_prime(t: float, p: ProblemParams) -> float:
     """d/dt of nonlinearity_f: exp(t^2+alpha|t|^beta) * (1 + 2t^2 + alpha*beta*|t|^beta).
 
     Even in t, continuous at t=0 with value 1.
@@ -107,23 +86,18 @@ def nonlinearity_f_prime(t: float, p: ProblemParams, precision: str = "double") 
     pow_term = p.alpha * at ** p.beta
     expo = t * t + pow_term
     total = expo + math.log(at)
-    if total > _budget(precision):
+    if total > OVERFLOW_BUDGET:
         raise OverflowBudgetError(total)
     poly = 1.0 + 2.0 * t * t + p.beta * pow_term
     # The polynomial factor can push the result past the budget even when
     # the f-budget check passes (large alpha, |t| < 1).
     final = expo + math.log(poly)
-    if final > _budget(precision):
+    if final > OVERFLOW_BUDGET:
         raise OverflowBudgetError(final)
-    if precision == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            return float(mp.e ** mp.mpf(expo) * mp.mpf(poly))
     return math.exp(expo) * poly
 
 
-def scaled_lambda_f(t: float, p: ProblemParams, precision: str = "double") -> float:
+def scaled_lambda_f(t: float, p: ProblemParams) -> float:
     """lambda * nonlinearity_f(t), evaluated as sign(t)*exp(ln|t| + t^2 + alpha|t|^beta + ln lambda).
 
     Representable in regimes where the naive product lambda*f(t) overflows
@@ -133,15 +107,10 @@ def scaled_lambda_f(t: float, p: ProblemParams, precision: str = "double") -> fl
         return 0.0
     at = abs(t)
     combined = math.log(at) + t * t + p.alpha * at ** p.beta + p.log_lambda
-    if combined > _budget(precision):
+    if combined > OVERFLOW_BUDGET:
         raise OverflowBudgetError(combined)
     if combined < -745.0:
         return math.copysign(0.0, t)
-    if precision == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            return float(mp.sign(t) * mp.e ** mp.mpf(combined))
     return math.copysign(math.exp(combined), t)
 
 
@@ -151,8 +120,7 @@ def log_abs_lambda_f(t: float, p: ProblemParams) -> float:
     return math.log(at) + t * t + p.alpha * at ** p.beta + p.log_lambda
 
 
-def primitive_F(t: float, p: ProblemParams, precision: str = "double",
-                rel_tol: float = 1e-10) -> float:
+def primitive_F(t: float, p: ProblemParams, rel_tol: float = 1e-10) -> float:
     """Integral of s*exp(s^2 + alpha*s^beta) over s in [0, |t|]; even in t.
 
     Adaptive quadrature to relative tolerance 1e-10 (bisection, max depth 40).
@@ -164,15 +132,8 @@ def primitive_F(t: float, p: ProblemParams, precision: str = "double",
         raise ValueError(f"t must be finite, got {t!r}")
     # Budget the integrand peak (at s = |t|), same form as nonlinearity_f.
     total = at * at + p.alpha * at ** p.beta + math.log(at)
-    if total > _budget(precision):
+    if total > OVERFLOW_BUDGET:
         raise OverflowBudgetError(total)
-    if precision == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            val = mp.quad(lambda s: s * mp.e ** (s * s + p.alpha * abs(s) ** p.beta),
-                          [0, at])
-            return float(val)
 
     alpha, beta = p.alpha, p.beta
 

@@ -141,19 +141,12 @@ def at_radius(radius: float) -> StopAtRadius:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Integration tolerances and caps.
-
-    step_cap and precision are accepted for compatibility and no longer
-    change the integration: the log-radius form needs neither a step cap
-    nor a wider exponent range.
-    """
+    """Integration tolerances and caps."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_radius: float = 1e6
     max_steps: int = 2_000_000
-    step_cap: bool = True
-    precision: str = "double"
 
 
 def _slope(ru: float, r: float) -> float:
@@ -437,9 +430,6 @@ class Trajectory:
             raise ValueError(f"negative radius {r!r}")
         t = math.log(r) if r > 0.0 else -math.inf
         return _r_form(self.eval_log(t), r)
-
-    def eval_component(self, r: float, i: int) -> float:
-        return self.eval(r)[i]
 
     def u(self, r: float) -> float:
         return self.eval(r)[0]

@@ -73,14 +73,6 @@ class TestNonlinearityF:
             nonlinearity_f(27.0, P11)
         assert exc.value.exponent > OVERFLOW_BUDGET
 
-    def test_extended_backend_widens_budget(self):
-        # exponent ~705.8: past the double budget, inside the extended one
-        t = 26.01
-        with pytest.raises(OverflowBudgetError):
-            nonlinearity_f(t, P11)
-        val = nonlinearity_f(t, P11, precision="extended")
-        assert math.isfinite(val) and val > 1e300
-
 
 class TestDerivative:
     def test_at_zero(self):

@@ -6,6 +6,7 @@ import pytest
 
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
+from tmb import shooting
 from tmb.ode import SolverSettings, first_integral_residual
 from tmb.shooting import (
     amplitude_budget,
@@ -62,6 +63,26 @@ class TestNodalSolution:
         assert len(sols) >= 1
         assert sols[0].amplitude < 1e-1
         assert sols[0].peak_values[0] == sols[0].amplitude
+
+    def test_scan_noise_bracket_dropped(self, monkeypatch):
+        # at scan tolerance lambda(s) - target changes sign on this bracket
+        # near Lambda_1, but at full tolerance there is no root in it: the
+        # full-tolerance secant stalls and the bracket is dropped without
+        # re-evaluating its ends (the real root is found by
+        # test_bifurcation_from_first_eigenvalue)
+        full = SolverSettings()
+        calls = []
+
+        def counting(s, k, p0, settings=None):
+            if settings is full:
+                calls.append(s)
+            return solve_unit_lambda(s, k, p0, settings)
+
+        monkeypatch.setattr(shooting, "solve_unit_lambda", counting)
+        traj = shooting._polish_bracket(0, L1 * (1 - 1e-4), P12, 1e-6,
+                                        1.43736615134483e-6, full)
+        assert traj is None
+        assert len(calls) <= 4
 
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
@@ -137,16 +158,11 @@ class TestAmplitudeBudget:
         with pytest.raises(ZeroNotReachedError):
             solve_unit_lambda(30.0, 0, P12, SolverSettings(max_steps=20))
 
-    def test_extended_precision_widens_amplitude_wall(self):
+    def test_lambda_past_former_amplitude_wall(self):
         # past the former binary64 wall (s = 25.1) at default settings;
         # the concentration law puts lambda(25.52) near 7.6e-12
         lam = lambda_of_s(25.52, 0, P12)
         assert 0.0 < lam < 1e-10
-        # precision="extended" is accepted and changes nothing but the
-        # tolerances given with it
-        ext = SolverSettings(precision="extended", rel_tol=1e-8,
-                             abs_tol=1e-10, step_cap=False)
-        assert lambda_of_s(25.52, 0, P12, ext) == pytest.approx(lam, rel=1e-6)
 
 
 class TestDeepAmplitudes:
