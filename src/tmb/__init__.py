@@ -7,7 +7,6 @@ from .nonlinearity import (
     OVERFLOW_BUDGET,
     ProblemParams,
     nonlinearity_f,
-    nonlinearity_f_prime,
     primitive_F,
     scaled_lambda_f,
 )
@@ -15,10 +14,7 @@ from .ode import (
     RadialState,
     SolverSettings,
     Trajectory,
-    after_n_zeros,
-    at_radius,
     integrate_radial,
-    refine_zero,
 )
 from .bessel import Eigenpair, eigenpairs, j0, j0_zero
 from .shooting import RadialSolution, lambda_of_s, nodal_solution, solve_unit_lambda
@@ -54,16 +50,12 @@ __all__ = [
     "OVERFLOW_BUDGET",
     "ProblemParams",
     "nonlinearity_f",
-    "nonlinearity_f_prime",
     "primitive_F",
     "scaled_lambda_f",
     "RadialState",
     "SolverSettings",
     "Trajectory",
-    "after_n_zeros",
-    "at_radius",
     "integrate_radial",
-    "refine_zero",
     "Eigenpair",
     "eigenpairs",
     "j0",

@@ -47,17 +47,6 @@ class ProblemParams:
                 f"log_lambda={self.log_lambda!r} inconsistent with lambda={self.lam!r}"
             )
 
-    def with_lambda(self, lam: float) -> "ProblemParams":
-        """Same (alpha, beta) with a different eigenparameter."""
-        return ProblemParams(self.alpha, self.beta, lam)
-
-
-def exponent(t: float, p: ProblemParams) -> float:
-    """t^2 + alpha*|t|^beta.  Defined as 0 at t=0 (no 0^(beta-1) is evaluated)."""
-    if t == 0.0:
-        return 0.0
-    return t * t + p.alpha * abs(t) ** p.beta
-
 
 def nonlinearity_f(t: float, p: ProblemParams) -> float:
     """t * exp(t^2 + alpha*|t|^beta); odd in t.
@@ -73,28 +62,6 @@ def nonlinearity_f(t: float, p: ProblemParams) -> float:
     if total > OVERFLOW_BUDGET:
         raise OverflowBudgetError(total)
     return t * math.exp(expo)
-
-
-def nonlinearity_f_prime(t: float, p: ProblemParams) -> float:
-    """d/dt of nonlinearity_f: exp(t^2+alpha|t|^beta) * (1 + 2t^2 + alpha*beta*|t|^beta).
-
-    Even in t, continuous at t=0 with value 1.
-    """
-    if t == 0.0:
-        return 1.0
-    at = abs(t)
-    pow_term = p.alpha * at ** p.beta
-    expo = t * t + pow_term
-    total = expo + math.log(at)
-    if total > OVERFLOW_BUDGET:
-        raise OverflowBudgetError(total)
-    poly = 1.0 + 2.0 * t * t + p.beta * pow_term
-    # The polynomial factor can push the result past the budget even when
-    # the f-budget check passes (large alpha, |t| < 1).
-    final = expo + math.log(poly)
-    if final > OVERFLOW_BUDGET:
-        raise OverflowBudgetError(final)
-    return math.exp(expo) * poly
 
 
 def scaled_lambda_f(t: float, p: ProblemParams) -> float:

@@ -1,6 +1,7 @@
 """Adaptive integration of the radial equation -u'' - u'/r = lambda*f(u)
-from the origin, in the log radius t = ln r, with dense output, event
-detection, and augmented quadrature states for the energy integrals.
+from the origin to the n-th zero of u, in the log radius t = ln r, with
+dense output, event detection, and augmented quadrature states for the
+energy integrals.
 
 In t the equation reads
 
@@ -115,28 +116,6 @@ _LOG_R_START_MAX = math.log(_R_START_MAX)
 _E_CLIP = 300.0
 _LOG_MAX = 709.0      # exp() of more overflows binary64
 _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
-
-
-@dataclass(frozen=True)
-class StopAfterZeros:
-    n: int
-
-
-@dataclass(frozen=True)
-class StopAtRadius:
-    radius: float
-
-
-def after_n_zeros(n: int) -> StopAfterZeros:
-    if n < 1:
-        raise ValueError("need at least one zero to stop on")
-    return StopAfterZeros(n)
-
-
-def at_radius(radius: float) -> StopAtRadius:
-    if not (radius > 0.0):
-        raise ValueError("stop radius must be positive")
-    return StopAtRadius(radius)
 
 
 @dataclass(frozen=True)
@@ -342,20 +321,20 @@ class Trajectory:
     """Dense radial trajectory with detected zeros and interior peaks.
 
     By log radius t = ln r (finite at every amplitude):
-      log_zeros: list of (t, r*u') with strictly increasing t;
+      log_zeros: list of (t, r*u') with strictly increasing t, ending at
+        the zero the integration stopped on;
       log_peaks: list of (t, |u|) at interior critical points (the origin
         peak u(0) = amplitude is not included);
-      t_start, t_end: first step and stop;
+      t_start: the first step;
       u_log, ru_log, eval_log, state_log, source_log: dense evaluation.
     By radius, for moderate radii (radii below ~1e-308 round to 0.0 and
     the slopes there to +-inf):
-      zeros (r, u'), peaks (r, |u|), r_start, end_radius, steps (accepted
-      steps with r0, h, y0, y1), u, du, eval, state_at, states.
+      zeros (r, u'), peaks (r, |u|), r_start, steps (accepted steps with
+      r0, h, y0, y1), u, du, eval, state_at.
     """
 
     def __init__(self, params: ProblemParams, amplitude: float, t_start: float,
                  r_start: float, steps: list, log_zeros: list, log_peaks: list,
-                 t_end: float, end_radius: float | None = None,
                  shift: float = 0.0):
         self.params = params
         self.initial_amplitude = amplitude
@@ -365,11 +344,8 @@ class Trajectory:
         self._shift = shift
         self.log_zeros = log_zeros
         self.log_peaks = log_peaks
-        self.t_end = t_end
-        self.end_radius = math.exp(t_end) if end_radius is None else end_radius
         self._starts = [st.t0 - shift for st in steps]
         self._rsteps = None
-        self._r0s = None
 
     # -- by log radius ---------------------------------------------------
 
@@ -459,35 +435,9 @@ class Trajectory:
                 ta, tb = st.t0 - self._shift, st.t1 - self._shift
                 ra, rb = math.exp(ta), math.exp(tb)
                 out.append(_RStep(ra, rb - ra, _r_form(st.start(), ra),
-                                  _r_form(st.end(), rb), st))
+                                  _r_form(st.end(), rb)))
             self._rsteps = out
         return self._rsteps
-
-    def _locate(self, r):
-        if r < self.r_start:
-            return None
-        steps = self.steps
-        if self._r0s is None:
-            self._r0s = [st.r0 for st in steps]
-        idx = bisect_right(self._r0s, r) - 1
-        return steps[max(idx, 0)]
-
-    @property
-    def states(self):
-        """RadialState at every accepted step endpoint (plus the start)."""
-        p = self.params
-        out = []
-        for k, st in enumerate(self.steps):
-            if k == 0:
-                out.append(RadialState(st.r0, st.y0, p))
-            out.append(RadialState(st.r0 + st.h, st.y1, p))
-        return out
-
-    @property
-    def end_state(self) -> RadialState:
-        return RadialState(self.end_radius,
-                           _r_form(self.eval_log(self.t_end), self.end_radius),
-                           self.params)
 
     def shifted(self, dt: float, params: ProblemParams) -> "Trajectory":
         """Dilated trajectory x -> u(exp(dt)*x), valid for the given params.
@@ -496,25 +446,23 @@ class Trajectory:
         channels are dilation invariants.
         """
         t_start = self.t_start - dt
-        t_end = self.t_end - dt
         return Trajectory(params, self.initial_amplitude, t_start,
                           math.exp(t_start), self._steps,
                           [(t - dt, ru) for t, ru in self.log_zeros],
                           [(t - dt, a) for t, a in self.log_peaks],
-                          t_end, shift=self._shift + dt)
+                          shift=self._shift + dt)
 
 
 class _RStep:
     """An accepted step seen by radius."""
 
-    __slots__ = ("r0", "h", "y0", "y1", "step")
+    __slots__ = ("r0", "h", "y0", "y1")
 
-    def __init__(self, r0, h, y0, y1, step):
+    def __init__(self, r0, h, y0, y1):
         self.r0 = r0
         self.h = h
         self.y0 = y0
         self.y1 = y1
-        self.step = step
 
 
 def _two_sum(a, b):
@@ -550,9 +498,8 @@ def _line_search(f, lo, hi, iters=200):
     return hi
 
 
-def _march(rhs, x, y, h, scale, x_end, t_of, on_step):
-    """Dormand-Prince steps from (x, y) until on_step(step) returns True or
-    x reaches x_end (the last step lands on it exactly).
+def _march(rhs, x, y, h, scale, t_of, on_step):
+    """Dormand-Prince steps from (x, y) until on_step(step) returns True.
 
     scale(x, y, x1, y1) gives the error scale of each component for a trial
     step; the step is accepted when every local error estimate is within it.
@@ -560,17 +507,14 @@ def _march(rhs, x, y, h, scale, x_end, t_of, on_step):
     discarded and retaken to end on x_land (unless the error test rejects
     that retake).
 
-    Returns (last accepted step, next step size, reached x_end).
+    Returns (last accepted step, next step size).
     """
     rng = _RANGE
     k1 = rhs(x, y)
     x_land = None
     while True:
-        last = x_end is not None and x + h >= x_end
         if x_land is not None:
             h = x_land - x
-        elif last:
-            h = x_end - x
         elif h <= _MIN_STEP * max(1.0, abs(x)):
             raise StiffnessError(math.exp(t_of(x)), h)
 
@@ -584,7 +528,7 @@ def _march(rhs, x, y, h, scale, x_end, t_of, on_step):
         ke = rhs(x + _C4 * h, tuple(
             y[j] + h * (_A51 * ka[j] + _A52 * kb[j] + _A53 * kc[j] + _A54 * kd[j])
             for j in rng))
-        x1 = x_land if x_land is not None else x_end if last else x + h
+        x1 = x_land if x_land is not None else x + h
         kf = rhs(x1, tuple(
             y[j] + h * (_A61 * ka[j] + _A62 * kb[j] + _A63 * kc[j]
                         + _A64 * kd[j] + _A65 * ke[j]) for j in rng))
@@ -620,27 +564,26 @@ def _march(rhs, x, y, h, scale, x_end, t_of, on_step):
                 h *= 5.0
             else:
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
-            if stop or last:
-                return step, h, last
+            if stop:
+                return step, h
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
             x_land = None  # a rejected retake falls back to plain stepping
 
 
-def integrate_radial(s: float, p: ProblemParams, stop,
+def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                      settings: SolverSettings | None = None) -> Trajectory:
-    """Integrate from u(0) = s > 0 until the stop rule fires.
+    """Integrate from u(0) = s > 0 to the n_zeros-th zero of u.
 
-    stop is a StopAfterZeros or StopAtRadius.  Raises ZeroNotReachedError
-    if the radius cap or the step budget is hit first, and StiffnessError
-    if the step collapses.
+    Raises ZeroNotReachedError if the radius cap or the step budget is hit
+    first, and StiffnessError if the step collapses.
     """
     if not (s > 0.0):
         raise ValueError(f"amplitude must be positive, got {s!r}")
+    if n_zeros < 1:
+        raise ValueError("need at least one zero to stop on")
     if settings is None:
         settings = SolverSettings()
-    if not isinstance(stop, (StopAfterZeros, StopAtRadius)):
-        raise TypeError(f"unsupported stop rule {stop!r}")
 
     alpha, beta, loglam = p.alpha, p.beta, p.log_lambda
     rel, atol = settings.rel_tol, settings.abs_tol
@@ -661,13 +604,6 @@ def integrate_radial(s: float, p: ProblemParams, stop,
     K = 2.0 * s + 1.0 / s + alpha * beta * sb / s
     frame = _Frame(s, K, t0, E0, alpha, beta)
 
-    want_zeros = stop.n if isinstance(stop, StopAfterZeros) else None
-    t_stop = None
-    if isinstance(stop, StopAtRadius):
-        t_stop = math.log(stop.radius)
-        if t_stop <= t0:
-            raise ValueError(f"stop radius {stop.radius!r} at or inside the "
-                             f"start radius {r_start!r}")
     t_max = math.log(settings.max_radius)
     n_accept = [0]
     zeros: list = []
@@ -746,14 +682,8 @@ def integrate_radial(s: float, p: ProblemParams, stop,
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
                      for j in _RANGE)
 
-    step, h, reached = _march(rhs_bubble, 0.0, frame.head(0.0), 0.1, scale_bubble,
-                              None if t_stop is None else t_stop - t0,
-                              lambda tau: t0 + tau, on_bubble_step)
-
-    if reached:
-        return Trajectory(p, s, t0, r_start, steps, zeros, peaks, t_stop,
-                          end_radius=stop.radius)
-
+    step, h = _march(rhs_bubble, 0.0, frame.head(0.0), 0.1, scale_bubble,
+                     lambda tau: t0 + tau, on_bubble_step)
     t_hand = t0 + step.x1
     y = frame.state(step.x1, step.y1)
     h = min(h, 1.0)
@@ -799,12 +729,10 @@ def integrate_radial(s: float, p: ProblemParams, stop,
             while not awake_on_line(t_z + dt):
                 dt *= 2.0
             t_b = _line_search(awake_on_line, t_z, t_z + dt)
-        if t_stop is not None:
-            t_b = min(t_b, t_stop)
         if t_z < t_b:
             check_radius(t_z)
             zeros.append((t_z, -sigma))
-            if want_zeros is not None and len(zeros) >= want_zeros:
+            if len(zeros) >= n_zeros:
                 t_b = t_z
         y_b = line(t_b)
         zero = (0.0,) * _NCOMP
@@ -812,11 +740,8 @@ def integrate_radial(s: float, p: ProblemParams, stop,
                            (y, tuple(b - a for a, b in zip(y, y_b)), zero, zero,
                             zero), None))
         check_caps(t_b)
-        if t_b == t_stop:
-            return Trajectory(p, s, t0, r_start, steps, zeros, peaks, t_stop,
-                              end_radius=stop.radius)
-        if want_zeros is not None and len(zeros) >= want_zeros:
-            return Trajectory(p, s, t0, r_start, steps, zeros, peaks, t_z)
+        if len(zeros) >= n_zeros:
+            return Trajectory(p, s, t0, r_start, steps, zeros, peaks)
         t_hand, y = t_b, y_b
 
     # ---- stretch 3: absolute t -----------------------------------------------
@@ -831,8 +756,6 @@ def integrate_radial(s: float, p: ProblemParams, stop,
             g = math.copysign(exp(e if e < _E_CLIP else _E_CLIP), u)
         return (ut, -g, ut * ut, u * g, g * ut, g)
 
-    end = [None]
-
     def on_plain_step(step):
         y0, y1 = step.y0, step.y1
         events = []
@@ -840,7 +763,7 @@ def integrate_radial(s: float, p: ProblemParams, stop,
             th = _dense_root(step, 0, 0.0, 1.0)
             tz = step.x0 + th * step.h
             events.append((tz, 0, step.dense(tz)[1]))
-            if want_zeros is not None and len(zeros) + 1 == want_zeros:
+            if len(zeros) + 1 == n_zeros:
                 # the stop zero: retake a long step to end just past it,
                 # so that the trajectory does not run on far beyond it
                 land = tz + _LAND_MARGIN * (tz - step.x0)
@@ -856,8 +779,7 @@ def integrate_radial(s: float, p: ProblemParams, stop,
             check_radius(tx)
             if kind == 0:
                 zeros.append((tx, aux))
-                if want_zeros is not None and len(zeros) >= want_zeros:
-                    end[0] = tx
+                if len(zeros) >= n_zeros:
                     return True
             else:
                 peaks.append((tx, aux))
@@ -885,40 +807,8 @@ def integrate_radial(s: float, p: ProblemParams, stop,
                 atol + rel * max(abs(y[4]), abs(y1[4])),
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
-    step, h, reached = _march(rhs_plain, t_hand, y, h, scale_plain,
-                              t_stop, lambda t: t, on_plain_step)
-    if reached:
-        return Trajectory(p, s, t0, r_start, steps, zeros, peaks, t_stop,
-                          end_radius=stop.radius)
-    return Trajectory(p, s, t0, r_start, steps, zeros, peaks, end[0])
-
-
-def refine_zero(traj: Trajectory, bracket: tuple) -> tuple:
-    """Polish a sign change of u inside one accepted step.
-
-    Returns (radius, slope) from the dense interpolant.  Raises
-    NoSignChangeError when u has the same sign at both bracket ends.
-    """
-    r_lo, r_hi = bracket
-    if not (traj.r_start <= r_lo < r_hi):
-        raise ValueError(f"bad bracket {bracket!r}")
-    view = traj._locate(r_lo)
-    if view is None or r_hi > view.r0 + view.h * (1.0 + 1e-12):
-        raise ValueError("bracket must lie within one accepted step")
-    u_lo, u_hi = traj.u(r_lo), traj.u(r_hi)
-    if u_lo * u_hi > 0.0:
-        raise NoSignChangeError(f"u({r_lo!r})={u_lo!r} and u({r_hi!r})={u_hi!r} "
-                                "have the same sign")
-    st = view.step  # a sign change lies past the bubble frame: x = t
-    shift = traj._shift
-
-    def theta(r):
-        return min(1.0, max(0.0, (math.log(r) + shift - st.x0) / st.h))
-
-    th = _dense_root(st, 0, theta(r_lo), theta(r_hi))
-    tz = st.x0 + th * st.h
-    rz = math.exp(tz - shift)
-    return rz, st.dense(tz)[1] / rz
+    _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t, on_plain_step)
+    return Trajectory(p, s, t0, r_start, steps, zeros, peaks)
 
 
 def first_integral_residual(traj: Trajectory) -> float:

@@ -10,7 +10,6 @@ from tmb.nonlinearity import (
     OVERFLOW_BUDGET,
     ProblemParams,
     nonlinearity_f,
-    nonlinearity_f_prime,
     primitive_F,
     scaled_lambda_f,
 )
@@ -72,29 +71,6 @@ class TestNonlinearityF:
         with pytest.raises(OverflowBudgetError) as exc:
             nonlinearity_f(27.0, P11)
         assert exc.value.exponent > OVERFLOW_BUDGET
-
-
-class TestDerivative:
-    def test_at_zero(self):
-        assert nonlinearity_f_prime(0.0, P11) == 1.0
-
-    def test_unit_value(self):
-        assert nonlinearity_f_prime(1.0, P11) == pytest.approx(4 * math.e ** 2,
-                                                               rel=1e-14)
-
-    @pytest.mark.parametrize("t", [0.3, 1.7])
-    def test_even(self, t):
-        p = ProblemParams(alpha=0.7, beta=1.4, lam=1.0)
-        assert nonlinearity_f_prime(-t, p) == nonlinearity_f_prime(t, p)
-
-    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.5, 1.5), (2.0, 0.7)])
-    def test_matches_central_difference(self, alpha, beta):
-        p = ProblemParams(alpha=alpha, beta=beta, lam=1.0)
-        for j in range(1, 21):
-            t = 0.15 * j
-            h = 1e-6 * max(1.0, t)
-            fd = (nonlinearity_f(t + h, p) - nonlinearity_f(t - h, p)) / (2 * h)
-            assert fd == pytest.approx(nonlinearity_f_prime(t, p), rel=5e-9)
 
 
 class TestScaledLambdaF:

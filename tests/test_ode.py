@@ -4,16 +4,9 @@ import math
 
 import pytest
 
-from tmb.errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
+from tmb.errors import ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
-from tmb.ode import (
-    SolverSettings,
-    after_n_zeros,
-    at_radius,
-    first_integral_residual,
-    integrate_radial,
-    refine_zero,
-)
+from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
 
 from conftest import T1
 
@@ -22,12 +15,12 @@ P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
 
 @pytest.fixture(scope="module")
 def linear_traj():
-    return integrate_radial(1e-8, P12, after_n_zeros(1))
+    return integrate_radial(1e-8, P12, 1)
 
 
 @pytest.fixture(scope="module")
 def deep_traj():
-    return integrate_radial(13.5, P12, after_n_zeros(1))
+    return integrate_radial(13.5, P12, 1)
 
 
 class TestLinearization:
@@ -44,7 +37,7 @@ class TestLinearization:
         # absolute tolerance scaled to the tiny amplitude; the zero then
         # agrees with the linearization oracle far below the default wall
         stg = SolverSettings(rel_tol=1e-10, abs_tol=1e-20)
-        traj = integrate_radial(1e-8, P12, after_n_zeros(1), stg)
+        traj = integrate_radial(1e-8, P12, 1, stg)
         assert traj.zeros[0][0] == pytest.approx(T1, abs=1e-6)
 
     def test_slope_at_first_zero_negative(self, linear_traj):
@@ -54,7 +47,7 @@ class TestLinearization:
 class TestFirstIntegral:
     @pytest.mark.parametrize("s", [1e-8, 0.5, 5.0])
     def test_zero_flux_identity(self, s):
-        traj = integrate_radial(s, P12, after_n_zeros(1))
+        traj = integrate_radial(s, P12, 1)
         assert first_integral_residual(traj) <= 1e-8
 
     def test_deep_zero_flux(self, deep_traj):
@@ -63,20 +56,21 @@ class TestFirstIntegral:
     def test_energy_consistency_at_stop_radius(self):
         # r u'(r) = -int_0^r lambda f(u) s ds before the first zero,
         # checked against the separately integrated source channel
-        traj = integrate_radial(0.5, P12, at_radius(1.2))
-        st = traj.end_state
+        traj = integrate_radial(0.5, P12, 1)
+        assert 1.2 < traj.zeros[0][0]
+        st = traj.state_at(1.2)
         assert st.r == 1.2
         assert abs(st.r * st.du + st.e_source) <= 1e-8
 
 
 class TestEvents:
     def test_zeros_strictly_increase(self):
-        traj = integrate_radial(5.0, P12, after_n_zeros(3))
+        traj = integrate_radial(5.0, P12, 3)
         radii = [r for r, _ in traj.zeros]
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
     def test_zero_peak_interleaving(self):
-        traj = integrate_radial(5.0, P12, after_n_zeros(3))
+        traj = integrate_radial(5.0, P12, 3)
         zeros = [r for r, _ in traj.zeros]
         peaks = [r for r, _ in traj.peaks]
         # exactly one interior peak strictly between consecutive zeros
@@ -85,37 +79,15 @@ class TestEvents:
             assert len(inside) == 1
 
     def test_zero_value_small_on_interpolant(self):
-        traj = integrate_radial(2.0, P12, after_n_zeros(2))
+        traj = integrate_radial(2.0, P12, 2)
         for rz, slope in traj.zeros:
             assert abs(traj.u(rz)) <= 1e-12 * traj.initial_amplitude
             assert slope != 0.0
 
     def test_peak_derivative_vanishes(self):
-        traj = integrate_radial(5.0, P12, after_n_zeros(2))
+        traj = integrate_radial(5.0, P12, 2)
         rp, absu = traj.peaks[0]
         assert abs(traj.du(rp)) <= 1e-6 * absu / rp
-
-
-class TestRefineZero:
-    def test_agrees_with_event(self, linear_traj):
-        rz, slope = linear_traj.zeros[0]
-        st = linear_traj._locate(rz)
-        r2, s2 = refine_zero(linear_traj, (st.r0, st.r0 + st.h))
-        assert r2 == pytest.approx(rz, abs=1e-13 * max(1.0, rz))
-        assert s2 == pytest.approx(slope, rel=1e-10)
-
-    def test_symmetric_bracket_returns_root(self, linear_traj):
-        rz, _ = linear_traj.zeros[0]
-        st = linear_traj._locate(rz)
-        pad = min(rz - st.r0, st.r0 + st.h - rz) * 0.9
-        r2, _ = refine_zero(linear_traj, (rz - pad, rz + pad))
-        assert r2 == pytest.approx(rz, abs=1e-13 * max(1.0, rz))
-
-    def test_no_sign_change_raises(self, linear_traj):
-        st = linear_traj.steps[0]
-        with pytest.raises(NoSignChangeError):
-            refine_zero(linear_traj,
-                        (st.r0 + 0.1 * st.h, st.r0 + 0.2 * st.h))
 
 
 class TestSelfConvergence:
@@ -123,8 +95,8 @@ class TestSelfConvergence:
     def test_halving_tolerances(self, s):
         base = SolverSettings(rel_tol=1e-10, abs_tol=1e-12)
         half = SolverSettings(rel_tol=5e-11, abs_tol=5e-13)
-        z1 = integrate_radial(s, P12, after_n_zeros(1), base).zeros[0][0]
-        z2 = integrate_radial(s, P12, after_n_zeros(1), half).zeros[0][0]
+        z1 = integrate_radial(s, P12, 1, base).zeros[0][0]
+        z2 = integrate_radial(s, P12, 1, half).zeros[0][0]
         assert abs(z2 - z1) < 10.0 * (1e-10 * z1 + 1e-12)
 
     def test_halving_deep(self):
@@ -132,8 +104,8 @@ class TestSelfConvergence:
         # shift stays within the step-count-scaled tolerance
         base = SolverSettings(rel_tol=1e-10, abs_tol=1e-12)
         half = SolverSettings(rel_tol=5e-11, abs_tol=5e-13)
-        t1 = integrate_radial(13.5, P12, after_n_zeros(1), base)
-        t2 = integrate_radial(13.5, P12, after_n_zeros(1), half)
+        t1 = integrate_radial(13.5, P12, 1, base)
+        t2 = integrate_radial(13.5, P12, 1, half)
         z1, z2 = t1.zeros[0][0], t2.zeros[0][0]
         budget = 10.0 * 1e-10 * z1 * math.sqrt(len(t1.steps))
         assert abs(z2 - z1) < budget
@@ -141,11 +113,12 @@ class TestSelfConvergence:
 
 class TestAugmentedChannels:
     def test_channels_nondecreasing(self, deep_traj):
-        states = deep_traj.states
-        for a, b in zip(states, states[1:]):
-            assert b.e_dirichlet >= a.e_dirichlet
-            assert b.e_nehari >= a.e_nehari
-            assert b.e_source >= a.e_source
+        # (e_dir, e_neh, e_src) at every accepted step end, plus the start
+        ends = [deep_traj.steps[0].y0] + [st.y1 for st in deep_traj.steps]
+        for a, b in zip(ends, ends[1:]):
+            assert b[2] >= a[2]
+            assert b[3] >= a[3]
+            assert b[5] >= a[5]
 
     def test_potential_recovered_from_flux(self, deep_traj):
         # at the zero the boundary term vanishes; e_potential ~ -flux/2
@@ -162,24 +135,24 @@ class TestAugmentedChannels:
 
 
 class TestStopsAndErrors:
-    def test_at_radius_lands_exactly(self):
-        traj = integrate_radial(0.5, P12, at_radius(1.5))
-        assert traj.end_radius == 1.5
-
     def test_zero_not_reached_on_radius_cap(self):
         stg = SolverSettings(max_radius=2.0)
         p_small = ProblemParams(1.0, 1.2, 1e-10)
         with pytest.raises(ZeroNotReachedError) as exc:
-            integrate_radial(1e-3, p_small, after_n_zeros(1), stg)
+            integrate_radial(1e-3, p_small, 1, stg)
         assert exc.value.zeros_found == 0
 
     def test_invalid_amplitude(self):
         with pytest.raises(ValueError):
-            integrate_radial(-1.0, P12, after_n_zeros(1))
+            integrate_radial(-1.0, P12, 1)
+
+    def test_needs_a_zero_to_stop_on(self):
+        with pytest.raises(ValueError):
+            integrate_radial(1.0, P12, 0)
 
     def test_adaptive_series_start(self):
         # the start radius tracks the bubble scale, not a fixed constant
-        shallow = integrate_radial(1e-8, P12, after_n_zeros(1))
-        deep = integrate_radial(13.5, P12, after_n_zeros(1))
+        shallow = integrate_radial(1e-8, P12, 1)
+        deep = integrate_radial(13.5, P12, 1)
         assert shallow.r_start == 1e-6
         assert deep.r_start < 1e-40

@@ -69,13 +69,13 @@ class TestNodalSolution:
         # near Lambda_1, but at full tolerance there is no root in it: the
         # full-tolerance secant stalls and the bracket is dropped without
         # re-evaluating its ends (the real root is found by
-        # test_bifurcation_from_first_eigenvalue)
+        # test_bifurcation_from_first_eigenvalue).  The coarse secant runs
+        # to its cap here: 2 end evaluations + 12 iterations at scan tolerance
         full = SolverSettings()
-        calls = []
+        calls, scan_calls = [], []
 
         def counting(s, k, p0, settings=None):
-            if settings is full:
-                calls.append(s)
+            (calls if settings is full else scan_calls).append(s)
             return solve_unit_lambda(s, k, p0, settings)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", counting)
@@ -83,6 +83,7 @@ class TestNodalSolution:
                                         1.43736615134483e-6, full)
         assert traj is None
         assert len(calls) <= 4
+        assert len(scan_calls) <= 14
 
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
