@@ -27,7 +27,7 @@ from .errors import (
 )
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
-from .shooting import nodal_solution
+from .shooting import LogRadii, nodal_solution
 
 SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
@@ -64,17 +64,23 @@ class FamilySpec:
 
 
 @dataclass(frozen=True)
-class MemberRecord:
-    """Summary of one solved family member (plus the solution itself)."""
+class MemberRecord(LogRadii):
+    """Summary of one solved family member (plus the solution itself).
+
+    Radii are stored as in RadialSolution: log_nodal_radii, log_peak_radii
+    (-inf for the origin) and boundary_ru = r_i*u'(r_i), finite where the
+    radii underflow; nodal_radii, peak_radii, boundary_slopes and
+    log_abs_slopes are derived from them.
+    """
 
     index: int
     lam: float
     beta: float
     amplitude: float
-    nodal_radii: tuple
-    peak_radii: tuple
+    log_nodal_radii: tuple
+    log_peak_radii: tuple
     peak_values: tuple
-    boundary_slopes: tuple
+    boundary_ru: tuple
     dirichlet: tuple
     nehari: tuple
     potential: tuple
@@ -86,23 +92,12 @@ class MemberRecord:
     bubbles: tuple  # BubbleDiagnostics or None, one per domain
     branch_count: int
     solution: object = field(repr=False)
-    # ln r_i, ln rho_i (-inf for the origin) and ln|u'(r_i)|: finite where
-    # the radii underflow; derived from the radii when left out
-    log_nodal_radii: tuple | None = None
-    log_peak_radii: tuple | None = None
-    log_abs_slopes: tuple | None = None
 
-    def __post_init__(self):
-        def logs(values):
-            return tuple(math.log(abs(v)) if v != 0.0 else -math.inf
-                         for v in values)
-
-        if self.log_nodal_radii is None:
-            object.__setattr__(self, "log_nodal_radii", logs(self.nodal_radii))
-        if self.log_peak_radii is None:
-            object.__setattr__(self, "log_peak_radii", logs(self.peak_radii))
-        if self.log_abs_slopes is None:
-            object.__setattr__(self, "log_abs_slopes", logs(self.boundary_slopes))
+    @property
+    def log_abs_slopes(self) -> tuple:
+        """ln|u'(r_i)| = ln|r_i*u'(r_i)| - ln r_i."""
+        return tuple(math.log(abs(ru)) - t
+                     for ru, t in zip(self.boundary_ru, self.log_nodal_radii))
 
 
 @dataclass(frozen=True)
@@ -169,10 +164,10 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         lam=lam,
         beta=beta,
         amplitude=sol.amplitude,
-        nodal_radii=sol.nodal_radii,
-        peak_radii=sol.peak_radii,
+        log_nodal_radii=sol.log_nodal_radii,
+        log_peak_radii=sol.log_peak_radii,
         peak_values=sol.peak_values,
-        boundary_slopes=sol.boundary_slopes,
+        boundary_ru=sol.boundary_ru,
         dirichlet=tuple(d.dirichlet for d in domains),
         nehari=tuple(d.nehari for d in domains),
         potential=tuple(d.potential for d in domains),
@@ -184,10 +179,6 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         bubbles=tuple(bubbles),
         branch_count=branch_count,
         solution=sol,
-        log_nodal_radii=sol.log_nodal_radii,
-        log_peak_radii=sol.log_peak_radii,
-        log_abs_slopes=tuple(math.log(abs(ru)) - t for ru, t
-                             in zip(sol.boundary_ru, sol.log_nodal_radii)),
     )
 
 

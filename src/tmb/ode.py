@@ -49,9 +49,11 @@ Three stretches, each in the variables that keep it accurate:
    u by dE/du, so that later bubbles keep E, not just u, to rel_tol.
 
 After a large amplitude the radii underflow: the first bubble sits near
-r ~ exp(-s^2/2).  Trajectory is the one place that knows how radii are
-represented: it answers by log radius (u_log, ru_log, state_log,
-source_log) and, for moderate radii, by radius as before.
+r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
+Trajectory answers by log radius (u_log, ru_log, state_log, source_log).
+Radii and slopes are formed only where they are printed or read as radii,
+by radii() and slopes(); eval, u and du answer by radius for the windows
+that are defined in radius.
 
 Integrator: Dormand-Prince 5(4) with the classical quartic dense output.
 Events (zeros of u, interior critical points) are detected by sign change
@@ -109,8 +111,7 @@ _D1, _, _D3, _D4, _D5, _D6, _D7 = _D
 _E_START = -40.0      # exponent at the first step
 _E_QUIET = -60.0      # below this, after the bubble, the bubble frame hands over
 _HANDOFF_DROP = 0.5   # ... as it does once u < (1 - this) * s
-_R_START_MAX = 1e-6   # the first step never starts at a larger radius
-_LOG_R_START_MAX = math.log(_R_START_MAX)
+_LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger radius
 # Exponents above this only occur in trial stages the error test rejects;
 # clipping them keeps those stages finite.
 _E_CLIP = 300.0
@@ -133,6 +134,16 @@ def _slope(ru: float, r: float) -> float:
     if r > 0.0:
         return ru / r
     return math.copysign(math.inf, ru) if ru != 0.0 else 0.0
+
+
+def radii(log_radii) -> tuple:
+    """Radii from log radii (0.0 where a radius underflows)."""
+    return tuple(math.exp(t) for t in log_radii)
+
+
+def slopes(log_radii, rus) -> tuple:
+    """u'(r_i) from ln r_i and r_i*u'(r_i) (+-inf where r_i underflows)."""
+    return tuple(_slope(ru, math.exp(t)) for t, ru in zip(log_radii, rus))
 
 
 def _r_form(y, r):
@@ -318,47 +329,47 @@ def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
 
 
 class Trajectory:
-    """Dense radial trajectory with detected zeros and interior peaks.
+    """Dense radial trajectory with detected zeros and interior peaks, by
+    log radius t = ln r (finite at every amplitude).
 
-    By log radius t = ln r (finite at every amplitude):
       log_zeros: list of (t, r*u') with strictly increasing t, ending at
         the zero the integration stopped on;
       log_peaks: list of (t, |u|) at interior critical points (the origin
         peak u(0) = amplitude is not included);
       t_start: the first step;
+      steps: the accepted _Steps, in the log radius they were integrated
+        in (before any dilation by shifted); a first-bubble step carries
+        frame-local x and y, so read it through t0, t1, start() and end();
       u_log, ru_log, eval_log, state_log, source_log: dense evaluation.
-    By radius, for moderate radii (radii below ~1e-308 round to 0.0 and
-    the slopes there to +-inf):
-      zeros (r, u'), peaks (r, |u|), r_start, steps (accepted steps with
-      r0, h, y0, y1), u, du, eval, state_at.
+
+    eval, u and du answer by radius, for moderate radii (radii below
+    ~1e-308 round to 0.0 and the slopes there to +-inf).
     """
 
     def __init__(self, params: ProblemParams, amplitude: float, t_start: float,
-                 r_start: float, steps: list, log_zeros: list, log_peaks: list,
+                 steps: list, log_zeros: list, log_peaks: list,
                  shift: float = 0.0):
         self.params = params
         self.initial_amplitude = amplitude
         self.t_start = t_start
-        self.r_start = r_start
-        self._steps = steps  # internal log radius = external + shift
+        self.steps = steps  # internal log radius = external + shift
         self._shift = shift
         self.log_zeros = log_zeros
         self.log_peaks = log_peaks
         self._starts = [st.t0 - shift for st in steps]
-        self._rsteps = None
 
     # -- by log radius ---------------------------------------------------
 
     def _step_for(self, t):
         idx = bisect_right(self._starts, t) - 1
-        return self._steps[max(idx, 0)]
+        return self.steps[max(idx, 0)]
 
     def eval_log(self, t: float):
         """(u, r*u', e_dir, e_neh, q_flux, e_src) at log radius t."""
         if t < self.t_start:
             if t == -math.inf:
                 return (self.initial_amplitude, 0.0, 0.0, 0.0, 0.0, 0.0)
-            frame = self._steps[0].frame
+            frame = self.steps[0].frame
             tau = t + self._shift - frame.t0
             return frame.state(tau, frame.head(tau))
         return self._step_for(t).at(t + self._shift)
@@ -378,7 +389,7 @@ class Trajectory:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t."""
         ti = t + self._shift
         if t < self.t_start:
-            frame = self._steps[0].frame
+            frame = self.steps[0].frame
             return math.exp(frame.E0 + 2.0 * (ti - frame.t0))
         st = self._step_for(t)
         if st.frame is not None:  # u > 0 in the bubble frame
@@ -397,7 +408,7 @@ class Trajectory:
 
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
-        return self._starts + [self._steps[-1].t1 - self._shift]
+        return self._starts + [self.steps[-1].t1 - self._shift]
 
     # -- by radius -------------------------------------------------------
 
@@ -413,56 +424,17 @@ class Trajectory:
     def du(self, r: float) -> float:
         return self.eval(r)[1]
 
-    def state_at(self, r: float) -> RadialState:
-        return RadialState(r, self.eval(r), self.params)
-
-    @property
-    def zeros(self) -> list:
-        """(radius, u'(radius)) at each detected zero."""
-        return [(math.exp(t), _slope(ru, math.exp(t))) for t, ru in self.log_zeros]
-
-    @property
-    def peaks(self) -> list:
-        return [(math.exp(t), a) for t, a in self.log_peaks]
-
-    @property
-    def steps(self) -> list:
-        """Accepted steps by radius: r0, h (= r1 - r0), y0, y1 as
-        (u, u', e_dir, e_neh, q_flux, e_src)."""
-        if self._rsteps is None:
-            out = []
-            for st in self._steps:
-                ta, tb = st.t0 - self._shift, st.t1 - self._shift
-                ra, rb = math.exp(ta), math.exp(tb)
-                out.append(_RStep(ra, rb - ra, _r_form(st.start(), ra),
-                                  _r_form(st.end(), rb)))
-            self._rsteps = out
-        return self._rsteps
-
     def shifted(self, dt: float, params: ProblemParams) -> "Trajectory":
         """Dilated trajectory x -> u(exp(dt)*x), valid for the given params.
 
         Log radii move by -dt; u, r*u' and the lambda-weighted energy
         channels are dilation invariants.
         """
-        t_start = self.t_start - dt
-        return Trajectory(params, self.initial_amplitude, t_start,
-                          math.exp(t_start), self._steps,
+        return Trajectory(params, self.initial_amplitude, self.t_start - dt,
+                          self.steps,
                           [(t - dt, ru) for t, ru in self.log_zeros],
                           [(t - dt, a) for t, a in self.log_peaks],
                           shift=self._shift + dt)
-
-
-class _RStep:
-    """An accepted step seen by radius."""
-
-    __slots__ = ("r0", "h", "y0", "y1")
-
-    def __init__(self, r0, h, y0, y1):
-        self.r0 = r0
-        self.h = h
-        self.y0 = y0
-        self.y1 = y1
 
 
 def _two_sum(a, b):
@@ -593,10 +565,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     sq, sq_lo = _two_prod(s, s)
     rest = loglam + math.log(s) + alpha * sb
     t_e = 0.5 * (_E_START - rest - sq)
-    if t_e < _LOG_R_START_MAX:
-        t0, r_start = t_e, math.exp(t_e)
-    else:
-        t0, r_start = _LOG_R_START_MAX, _R_START_MAX
+    t0 = min(t_e, _LOG_R_START_MAX)
     # E0 = 2 t0 + s^2 + rest, with s^2 carried exactly: at large s the
     # first two terms cancel to within rest
     hi, lo = _two_sum(2.0 * t0, sq)
@@ -741,7 +710,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                             zero), None))
         check_caps(t_b)
         if len(zeros) >= n_zeros:
-            return Trajectory(p, s, t0, r_start, steps, zeros, peaks)
+            return Trajectory(p, s, t0, steps, zeros, peaks)
         t_hand, y = t_b, y_b
 
     # ---- stretch 3: absolute t -----------------------------------------------
@@ -808,13 +777,13 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
     _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t, on_plain_step)
-    return Trajectory(p, s, t0, r_start, steps, zeros, peaks)
+    return Trajectory(p, s, t0, steps, zeros, peaks)
 
 
 def first_integral_residual(traj: Trajectory) -> float:
     """max over accepted steps of |r*u'(r) + e_src(r)| (zero-flux identity)."""
     worst = 0.0
-    for st in traj._steps:
+    for st in traj.steps:
         y1 = st.end()
         res = abs(y1[1] + y1[5])
         if res > worst:

@@ -11,7 +11,7 @@ and a nodal solution with a prescribed lambda is a scalar root-find in s.
 lambda_of_s may be non-monotone, so the root-finder scans a log-spaced
 amplitude grid and polishes every bracket (all branches are returned).
 
-Radii are carried as log radii: past s ~ 38 the inner radii of a solution
+Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
 their logarithms stay finite.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import NoSolutionInRangeError, ZeroNotReachedError
 from .nonlinearity import OVERFLOW_BUDGET, ProblemParams
-from .ode import SolverSettings, Trajectory, integrate_radial
+from .ode import SolverSettings, Trajectory, integrate_radial, radii, slopes
 
 DEFAULT_SCAN_POINTS = 200
 DEFAULT_S_MIN = 1e-6
@@ -34,9 +34,6 @@ _BUDGET_MARGIN = 0.5
 # at s = 1e5, but 2e-9 at s = 1e6, past the 1e-10 tolerance the brackets
 # are polished to.
 S_MAX = 1e5
-
-# lambda(s) evaluations cached per (k, alpha, beta, ...) scan signature
-_scan_cache: dict = {}
 
 
 def scan_settings_from(settings: SolverSettings | None) -> SolverSettings:
@@ -73,52 +70,56 @@ def amplitude_budget(p: ProblemParams) -> float:
     return lo
 
 
-def _log_or_minus_inf(r: float) -> float:
-    return math.log(r) if r > 0.0 else -math.inf
+class LogRadii:
+    """Radii and slopes of a record that stores log_nodal_radii (ln r_i),
+    log_peak_radii (ln rho_i, -inf for the origin) and boundary_ru
+    (r_i*u'(r_i)).  The radii round to 0.0, and the slopes to +-inf, where
+    r_i underflows."""
+
+    @property
+    def nodal_radii(self) -> tuple:
+        return radii(self.log_nodal_radii)
+
+    @property
+    def peak_radii(self) -> tuple:
+        return radii(self.log_peak_radii)
+
+    @property
+    def boundary_slopes(self) -> tuple:
+        """u'(r_i) at each nodal radius."""
+        return slopes(self.log_nodal_radii, self.boundary_ru)
 
 
 @dataclass(frozen=True)
-class RadialSolution:
+class RadialSolution(LogRadii):
     """A validated nodal radial solution on the unit disk, u(0) > 0.
 
-    nodal_radii has k+1 entries ending at 1.0; peak_radii/peak_values carry
-    the origin peak first; boundary_slopes are u'(r_i) at each nodal radius.
-    The log_* fields carry ln r_i and ln rho_i (-inf for the origin), and
-    boundary_ru the values r_i*u'(r_i): these stay finite where r_i
-    underflows to 0.0 and u'(r_i) overflows.  Left out, they are derived
-    from the radii.
+    log_nodal_radii has k+1 entries ending at ln 1 = 0; log_peak_radii and
+    peak_values carry the origin peak first (ln rho_1 = -inf); boundary_ru
+    holds r_i*u'(r_i) at each nodal radius.  These stay finite where r_i
+    underflows; nodal_radii, peak_radii and boundary_slopes are derived
+    from them.
     """
 
     params: ProblemParams
     k: int
     amplitude: float
     trajectory: Trajectory
-    nodal_radii: tuple
-    peak_radii: tuple
+    log_nodal_radii: tuple
+    log_peak_radii: tuple
     peak_values: tuple
-    boundary_slopes: tuple
-    log_nodal_radii: tuple | None = None
-    log_peak_radii: tuple | None = None
-    boundary_ru: tuple | None = None
+    boundary_ru: tuple
 
     def __post_init__(self):
-        if len(self.nodal_radii) != self.k + 1:
+        if len(self.log_nodal_radii) != self.k + 1 \
+                or len(self.boundary_ru) != self.k + 1:
             raise ValueError("nodal radius count does not match the nodal class")
-        if len(self.peak_radii) != self.k + 1 or len(self.peak_values) != self.k + 1:
+        if len(self.log_peak_radii) != self.k + 1 or len(self.peak_values) != self.k + 1:
             raise ValueError("peaks must interleave zeros (one per domain)")
-        if abs(self.nodal_radii[-1] - 1.0) > 1e-12:
+        if abs(math.exp(self.log_nodal_radii[-1]) - 1.0) > 1e-12:
             raise ValueError("outermost zero must sit on the unit boundary")
         if self.peak_values[0] != self.amplitude:
             raise ValueError("first peak must be the central amplitude")
-        if self.log_nodal_radii is None:
-            object.__setattr__(self, "log_nodal_radii", tuple(
-                _log_or_minus_inf(r) for r in self.nodal_radii))
-        if self.log_peak_radii is None:
-            object.__setattr__(self, "log_peak_radii", tuple(
-                _log_or_minus_inf(r) for r in self.peak_radii))
-        if self.boundary_ru is None:
-            object.__setattr__(self, "boundary_ru", tuple(
-                r * sl for r, sl in zip(self.nodal_radii, self.boundary_slopes)))
 
     def domain_sign(self, i: int) -> int:
         """Sign of u on the i-th domain (1-based); u(0) > 0."""
@@ -139,7 +140,7 @@ def solve_unit_lambda(s: float, k: int, p0: ProblemParams,
     if not (s > 0.0):
         raise ValueError(f"amplitude must be positive, got {s!r}")
     traj = integrate_radial(s, p0, k + 1, settings)
-    return [r for r, _ in traj.zeros], traj
+    return list(radii(t for t, _ in traj.log_zeros)), traj
 
 
 def lambda_of_s(s: float, k: int, p0: ProblemParams,
@@ -161,18 +162,14 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     if len(interior) != k:
         raise ZeroNotReachedError(
             f"expected {k} interior peak(s), detected {len(interior)}")
-    zeros = scaled.zeros[:k + 1]
     return RadialSolution(
         params=params,
         k=k,
         amplitude=traj.initial_amplitude,
         trajectory=scaled,
-        nodal_radii=tuple(r for r, _ in zeros),
-        peak_radii=(0.0,) + tuple(math.exp(t) for t, _ in interior),
-        peak_values=(traj.initial_amplitude,) + tuple(a for _, a in interior),
-        boundary_slopes=tuple(sl for _, sl in zeros),
         log_nodal_radii=log_radii,
         log_peak_radii=(-math.inf,) + tuple(t for t, _ in interior),
+        peak_values=(traj.initial_amplitude,) + tuple(a for _, a in interior),
         boundary_ru=tuple(ru for _, ru in scaled.log_zeros[:k + 1]),
     )
 
@@ -184,44 +181,24 @@ def _lambda_or_none(s, k, p0, settings):
         return None
 
 
-def _scan_curve(k: int, p0: ProblemParams, s_max: float, n_points: int,
-                settings: SolverSettings):
-    """lambda_of_s on a log grid from DEFAULT_S_MIN to s_max, with None
-    marking failed evaluations.
-
-    The lists are cached and shared: _extend_scan appends to them.
+def _scan(k: int, p0: ProblemParams, target: float, n_points: int,
+          settings: SolverSettings):
+    """lambda_of_s on a log grid of n_points from DEFAULT_S_MIN to
+    amplitude_budget(p0), continued at the same ratio while lambda is above
+    the target and still falling, up to S_MAX.  Returns (grid, values),
+    with None marking failed evaluations.
     """
-    key = (k, p0.alpha, p0.beta, round(math.log(s_max), 12), n_points)
-    hit = _scan_cache.get(key)
-    if hit is not None:
-        return hit
+    s_max = amplitude_budget(p0)
     ratio = (s_max / DEFAULT_S_MIN) ** (1.0 / (n_points - 1))
     grid = [DEFAULT_S_MIN * ratio ** i for i in range(n_points)]
     grid[-1] = s_max
     values = [_lambda_or_none(s, k, p0, settings) for s in grid]
-    _scan_cache[key] = (grid, values)
+    ratio = grid[-1] / grid[-2]
+    while values[-2] is not None and values[-1] is not None \
+            and target < values[-1] < values[-2] and grid[-1] < S_MAX:
+        grid.append(min(grid[-1] * ratio, S_MAX))
+        values.append(_lambda_or_none(grid[-1], k, p0, settings))
     return grid, values
-
-
-def _extend_scan(k, p0, grid, values, n_points, target, settings) -> int:
-    """Continue the scan past the base grid at the same ratio while lambda
-    is above the target and still falling, up to S_MAX.
-
-    Extends the cached lists in place when it needs new points; returns
-    how many points of them this target uses.
-    """
-    ratio = grid[n_points - 1] / grid[n_points - 2]
-    n = n_points
-    while True:
-        v_prev, v_last = values[n - 2], values[n - 1]
-        if v_prev is None or v_last is None or not (target < v_last < v_prev) \
-                or grid[n - 1] >= S_MAX:
-            return n
-        if n == len(grid):
-            s_next = min(grid[-1] * ratio, S_MAX)
-            grid.append(s_next)
-            values.append(_lambda_or_none(s_next, k, p0, settings))
-        n += 1
 
 
 def _secant_stage(feval, xa, fa, xb, fb, tol, max_iter):
@@ -305,8 +282,9 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
 
     Scans lambda_of_s at scan tolerance on a log-spaced amplitude grid
     from DEFAULT_S_MIN to amplitude_budget(p) (the end of the former
-    binary64 window); past its end the scan continues at the same ratio while lambda_of_s is
-    above the target and still falling, up to S_MAX.  Every sign change of
+    binary64 window), continued at the same ratio while lambda_of_s is
+    above the target and still falling, up to S_MAX; every scan is made
+    afresh, nothing is kept between calls.  Every sign change of
     lambda_of_s - target_lambda is polished in two phases: a safeguarded
     secant at scan tolerance to 2e-5 in ln(lambda), then a secant at the
     given settings, seeded by the coarse slope, until ln(lambda) matches
@@ -334,10 +312,8 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
         if sol is not None:
             return [sol]
 
-    s_max = amplitude_budget(p0)
-    grid, values = _scan_curve(k, p0, s_max, scan_points, coarse)
-    n = _extend_scan(k, p0, grid, values, scan_points, target_lambda, coarse)
-    valid = [(s, v) for s, v in zip(grid[:n], values[:n]) if v is not None]
+    grid, values = _scan(k, p0, target_lambda, scan_points, coarse)
+    valid = [(s, v) for s, v in zip(grid, values) if v is not None]
     brackets = []
     for (s1, v1), (s2, v2) in zip(valid, valid[1:]):
         if (v1 - target_lambda) * (v2 - target_lambda) <= 0.0:
@@ -345,7 +321,7 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     lams = [v for _, v in valid]
     if not lams:
         raise NoSolutionInRangeError(target_lambda, math.nan, math.nan,
-                                     DEFAULT_S_MIN, grid[n - 1])
+                                     DEFAULT_S_MIN, grid[-1])
     solutions = []
     for s_lo, s_hi in brackets:
         traj = _polish_bracket(k, target_lambda, p0, s_lo, s_hi, full)
@@ -353,7 +329,7 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
             solutions.append(_build_solution(traj, k, p0))
     if not solutions:
         raise NoSolutionInRangeError(target_lambda, min(lams), max(lams),
-                                     DEFAULT_S_MIN, grid[n - 1])
+                                     DEFAULT_S_MIN, grid[-1])
     solutions.sort(key=lambda sol: sol.amplitude)
     return solutions
 

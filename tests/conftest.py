@@ -9,7 +9,8 @@ from tmb.families import FamilySpec, run_family
 
 SESSION_T0 = time.time()
 
-# one scan resolution everywhere so the lambda(s) curve cache is shared
+# one coarse scan resolution everywhere: each scan costs SCAN_POINTS
+# lambda(s) evaluations
 SCAN_POINTS = 48
 
 L1 = 5.783185962946785   # first radial Dirichlet eigenvalue of the disk

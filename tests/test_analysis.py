@@ -37,7 +37,7 @@ class TestDecompose:
 
     def test_telescoping(self, sol_k1):
         doms = decompose(sol_k1)
-        end = sol_k1.trajectory.state_at(sol_k1.nodal_radii[-1])
+        end = sol_k1.trajectory.state_log(sol_k1.log_nodal_radii[-1])
         total = sum(d.dirichlet for d in doms)
         assert abs(total - end.e_dirichlet) <= 1e-12 * end.e_dirichlet
 
@@ -75,7 +75,7 @@ class TestPeakIdentity:
         mu = 1.01 * sol.peak_values[0]
         r1 = sol.nodal_radii[0]
         n = 4000
-        lo, hi = math.log(traj.r_start), math.log(r1)
+        lo, hi = traj.t_start, math.log(r1)
         hstep = (hi - lo) / n
 
         def g(tau):
@@ -101,9 +101,8 @@ class TestBoundaryFlux:
     def test_exact_first_integral(self, sol_deep, sol_k1):
         for sol in (sol_deep, sol_k1):
             for i in range(1, sol.k + 2):
-                r_i = sol.nodal_radii[i - 1]
-                st = sol.trajectory.state_at(r_i)
-                assert abs(r_i * st.du + st.e_source) <= 1e-8
+                st = sol.trajectory.state_log(sol.log_nodal_radii[i - 1])
+                assert abs(st.r * st.du + st.e_source) <= 1e-8
 
     def test_near_linear_regime(self):
         # u ~ mu * J0(t1 r): flux = mu^2 * t1 * |J0'(t1)|
@@ -128,8 +127,8 @@ class TestNehariResidual:
         with pytest.raises(ValueError):
             RadialSolution(params=sol_mid.params, k=0, amplitude=0.0,
                            trajectory=sol_mid.trajectory,
-                           nodal_radii=(1.0,), peak_radii=(0.0,),
-                           peak_values=(1.0,), boundary_slopes=(-1.0,))
+                           log_nodal_radii=(0.0,), log_peak_radii=(-math.inf,),
+                           peak_values=(1.0,), boundary_ru=(-1.0,))
 
 
 class TestSturmBound:

@@ -25,23 +25,23 @@ def deep_traj():
 
 class TestLinearization:
     def test_first_zero_is_bessel(self, linear_traj):
-        assert linear_traj.zeros[0][0] == pytest.approx(T1, abs=1e-4)
+        assert math.exp(linear_traj.log_zeros[0][0]) == pytest.approx(T1, abs=1e-4)
 
     def test_monotone_decay_before_first_zero(self, linear_traj):
-        z1 = linear_traj.zeros[0][0]
+        t_z1 = linear_traj.log_zeros[0][0]
         for st in linear_traj.steps:
-            if st.r0 + st.h < z1:
-                assert st.y1[1] < 0.0  # u' < 0 on the positive cap
+            if st.t1 < t_z1:
+                assert st.end()[1] < 0.0  # r*u' < 0 on the positive cap
 
     def test_refined_zero_tight_tolerances(self):
         # absolute tolerance scaled to the tiny amplitude; the zero then
         # agrees with the linearization oracle far below the default wall
         stg = SolverSettings(rel_tol=1e-10, abs_tol=1e-20)
         traj = integrate_radial(1e-8, P12, 1, stg)
-        assert traj.zeros[0][0] == pytest.approx(T1, abs=1e-6)
+        assert math.exp(traj.log_zeros[0][0]) == pytest.approx(T1, abs=1e-6)
 
     def test_slope_at_first_zero_negative(self, linear_traj):
-        assert linear_traj.zeros[0][1] < 0.0
+        assert linear_traj.log_zeros[0][1] < 0.0  # r*u', same sign as u'
 
 
 class TestFirstIntegral:
@@ -57,8 +57,8 @@ class TestFirstIntegral:
         # r u'(r) = -int_0^r lambda f(u) s ds before the first zero,
         # checked against the separately integrated source channel
         traj = integrate_radial(0.5, P12, 1)
-        assert 1.2 < traj.zeros[0][0]
-        st = traj.state_at(1.2)
+        assert 1.2 < math.exp(traj.log_zeros[0][0])
+        st = traj.state_log(math.log(1.2))
         assert st.r == 1.2
         assert abs(st.r * st.du + st.e_source) <= 1e-8
 
@@ -66,13 +66,13 @@ class TestFirstIntegral:
 class TestEvents:
     def test_zeros_strictly_increase(self):
         traj = integrate_radial(5.0, P12, 3)
-        radii = [r for r, _ in traj.zeros]
+        radii = [math.exp(t) for t, _ in traj.log_zeros]
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
     def test_zero_peak_interleaving(self):
         traj = integrate_radial(5.0, P12, 3)
-        zeros = [r for r, _ in traj.zeros]
-        peaks = [r for r, _ in traj.peaks]
+        zeros = [math.exp(t) for t, _ in traj.log_zeros]
+        peaks = [math.exp(t) for t, _ in traj.log_peaks]
         # exactly one interior peak strictly between consecutive zeros
         for za, zb in zip(zeros, zeros[1:]):
             inside = [p for p in peaks if za < p < zb]
@@ -80,13 +80,14 @@ class TestEvents:
 
     def test_zero_value_small_on_interpolant(self):
         traj = integrate_radial(2.0, P12, 2)
-        for rz, slope in traj.zeros:
-            assert abs(traj.u(rz)) <= 1e-12 * traj.initial_amplitude
-            assert slope != 0.0
+        for tz, ru in traj.log_zeros:
+            assert abs(traj.u(math.exp(tz))) <= 1e-12 * traj.initial_amplitude
+            assert ru != 0.0  # r*u' at the zero: the slope does not vanish
 
     def test_peak_derivative_vanishes(self):
         traj = integrate_radial(5.0, P12, 2)
-        rp, absu = traj.peaks[0]
+        tp, absu = traj.log_peaks[0]
+        rp = math.exp(tp)
         assert abs(traj.du(rp)) <= 1e-6 * absu / rp
 
 
@@ -95,8 +96,8 @@ class TestSelfConvergence:
     def test_halving_tolerances(self, s):
         base = SolverSettings(rel_tol=1e-10, abs_tol=1e-12)
         half = SolverSettings(rel_tol=5e-11, abs_tol=5e-13)
-        z1 = integrate_radial(s, P12, 1, base).zeros[0][0]
-        z2 = integrate_radial(s, P12, 1, half).zeros[0][0]
+        z1 = math.exp(integrate_radial(s, P12, 1, base).log_zeros[0][0])
+        z2 = math.exp(integrate_radial(s, P12, 1, half).log_zeros[0][0])
         assert abs(z2 - z1) < 10.0 * (1e-10 * z1 + 1e-12)
 
     def test_halving_deep(self):
@@ -106,7 +107,7 @@ class TestSelfConvergence:
         half = SolverSettings(rel_tol=5e-11, abs_tol=5e-13)
         t1 = integrate_radial(13.5, P12, 1, base)
         t2 = integrate_radial(13.5, P12, 1, half)
-        z1, z2 = t1.zeros[0][0], t2.zeros[0][0]
+        z1, z2 = math.exp(t1.log_zeros[0][0]), math.exp(t2.log_zeros[0][0])
         budget = 10.0 * 1e-10 * z1 * math.sqrt(len(t1.steps))
         assert abs(z2 - z1) < budget
 
@@ -122,15 +123,14 @@ class TestAugmentedChannels:
 
     def test_potential_recovered_from_flux(self, deep_traj):
         # at the zero the boundary term vanishes; e_potential ~ -flux/2
-        rz = deep_traj.zeros[0][0]
-        st = deep_traj.state_at(rz)
+        st = deep_traj.state_log(deep_traj.log_zeros[0][0])
         assert st.e_potential == pytest.approx(-st.pot_flux / 2.0, rel=1e-9)
         assert st.e_potential > 0.0
 
     def test_dense_matches_endpoint(self, deep_traj):
         st = deep_traj.steps[len(deep_traj.steps) // 2]
-        y = deep_traj.eval(st.r0 + st.h)
-        for a, b in zip(y, st.y1):
+        y = deep_traj.eval_log(st.t1)
+        for a, b in zip(y, st.end()):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
@@ -154,5 +154,5 @@ class TestStopsAndErrors:
         # the start radius tracks the bubble scale, not a fixed constant
         shallow = integrate_radial(1e-8, P12, 1)
         deep = integrate_radial(13.5, P12, 1)
-        assert shallow.r_start == 1e-6
-        assert deep.r_start < 1e-40
+        assert shallow.t_start == math.log(1e-6)
+        assert deep.t_start < math.log(1e-40)

@@ -182,3 +182,19 @@ class TestDeepAmplitudes:
 
     def test_lambda_rerun_identical(self):
         assert lambda_of_s(3e4, 1, self.P13) == lambda_of_s(3e4, 1, self.P13)
+
+    def test_underflowed_radius_kept_as_log(self):
+        # r_1 ~ exp(-880) underflows binary64: the radius reads 0.0 and the
+        # slope there -inf, and the CSV writer prints them as 0 and -inf,
+        # while the stored log radius stays finite
+        from tmb.cli import _fmt
+        from tmb.ode import integrate_radial
+
+        traj = integrate_radial(700.0, self.P13, 2)
+        sol = shooting._build_solution(traj, 1, self.P13)
+        assert sol.nodal_radii[0] == 0.0
+        assert sol.peak_radii[0] == 0.0
+        assert sol.boundary_slopes[0] == -math.inf
+        assert sol.log_nodal_radii[0] == pytest.approx(-879.5, abs=0.1)
+        assert _fmt(sol.nodal_radii[0]) == "0"
+        assert _fmt(sol.boundary_slopes[0]) == "-inf"
