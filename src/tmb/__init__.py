@@ -6,9 +6,7 @@ on the unit disk.
 from .nonlinearity import (
     OVERFLOW_BUDGET,
     ProblemParams,
-    nonlinearity_f,
     primitive_F,
-    scaled_lambda_f,
 )
 from .ode import (
     RadialState,
@@ -31,8 +29,8 @@ from .analysis import (
 from .bubbles import (
     BubbleDiagnostics,
     derivative_bound_check,
-    gamma_scale,
     liouville_reference,
+    log_gamma_scale,
     rescale_profile,
 )
 from .families import (
@@ -49,9 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "OVERFLOW_BUDGET",
     "ProblemParams",
-    "nonlinearity_f",
     "primitive_F",
-    "scaled_lambda_f",
     "RadialState",
     "SolverSettings",
     "Trajectory",
@@ -74,8 +70,8 @@ __all__ = [
     "sturm_bound_check",
     "BubbleDiagnostics",
     "derivative_bound_check",
-    "gamma_scale",
     "liouville_reference",
+    "log_gamma_scale",
     "rescale_profile",
     "FamilySpec",
     "FormulaReport",

@@ -114,8 +114,7 @@ def _log_weighted_integral(sol: RadialSolution, t_lo: float, t_hi: float,
     bounds = traj.log_step_bounds()
     stride = -(-len(bounds) // _MAX_SEED_INTERVALS)
     val = adaptive_quadrature(lambda t: traj.source_log(t) * weight(t), lo, t_hi,
-                              rel_tol=1e-9, max_depth=40,
-                              breakpoints=bounds[::stride])
+                              rel_tol=1e-9, breakpoints=bounds[::stride])
     if t_lo < traj.t_start:
         # analytic head before the first step, where the source is
         # exp(E_start + 2(t - t_start)):  int_-inf^ts e^(2(t-ts)) w(t) dt
@@ -192,7 +191,6 @@ def sturm_bound_check(sol: RadialSolution) -> tuple:
     bounds = [1.0 / (1.0 - t) for t in traj.log_step_bounds() if ln_lo < t < 0.0]
     stride = -(-len(bounds) // _MAX_SEED_INTERVALS) if bounds else 1
     seeds = sorted(set(bounds[::stride] + [a + j * (b - a) / 8 for j in range(1, 8)]))
-    integral = adaptive_quadrature(q, a, b, rel_tol=1e-8, max_depth=40,
-                                   breakpoints=seeds)
+    integral = adaptive_quadrature(q, a, b, rel_tol=1e-8, breakpoints=seeds)
     bound = 0.5 * math.sqrt((b - a) * integral) + 1.0
     return bound, zero_count < bound

@@ -6,14 +6,16 @@ Hankel expansion bottoms out near 1e-8 in binary64, which would break the
 1e-13 accuracy contract, so that branch is delegated to scipy's j0
 (Cephes rational asymptotics of the same Hankel type).  Zero finding is a
 McMahon seed polished by safeguarded Newton on this j0.
+
+scipy is imported only inside those x > 8 branches: the solver never
+calls Bessel, so `import tmb` does not load it.  It stays the runtime
+dependency of `tmb bessel` and of the eigenpairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import scipy.special as _sp
 
 _SERIES_CUTOFF = 8.0
 MAX_EIGENPAIR_INDEX = 20
@@ -43,7 +45,9 @@ def j0(r: float) -> float:
             total += term
             if abs(term) < 1e-18 * (1.0 + abs(total)) or j > 80:
                 return total
-    return float(_sp.j0(x))
+    import scipy.special  # only past the series cutoff: keeps `import tmb` light
+
+    return float(scipy.special.j0(x))
 
 
 def j0_prime(r: float) -> float:
@@ -63,7 +67,9 @@ def j0_prime(r: float) -> float:
                 break
         val = -0.5 * x * total
     else:
-        val = -float(_sp.j1(x))
+        import scipy.special
+
+        val = -float(scipy.special.j1(x))
     return val if r >= 0.0 else -val
 
 

@@ -12,6 +12,12 @@ with first-order correction phi/mu^(2-beta),
 This module builds the rescaled samples z_n, measures the deviation from
 z, fits the correction coefficient, and verifies the two-sided monotone
 derivative bounds that hold for every rescaled solution.
+
+The scale gamma and the peak radius rho underflow binary64 once mu is
+past ~38, so both are carried as logarithms: the window point
+ln(gamma*r + rho) is ln gamma + ln r on the first domain and
+ln rho + log1p(r*gamma/rho) on the others, and the trajectory is read
+by log radius there.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OverflowBudgetError, WindowTooLargeError
+from .errors import WindowTooLargeError
 from .nonlinearity import ProblemParams
 from .shooting import RadialSolution
 
@@ -36,7 +42,7 @@ class BubbleDiagnostics:
 
     domain_index: int
     mu: float
-    gamma: float
+    log_gamma: float
     rho_over_gamma: float
     samples: tuple             # (r, z_n(r)) pairs on the requested grid
     sup_deviation: float       # max over the window of |z_n - z|
@@ -44,19 +50,30 @@ class BubbleDiagnostics:
     predicted_coefficient: float  # 1/mu^(2-beta)
 
     @property
+    def gamma(self) -> float:
+        """The blow-up scale (0.0 where it underflows; log_gamma stays finite)."""
+        return math.exp(self.log_gamma)
+
+    @property
     def coefficient_ratio(self) -> float:
         return self.corr_coefficient / self.predicted_coefficient
 
 
-def gamma_scale(mu: float, p: ProblemParams) -> float:
-    """gamma = (2*lambda*mu*f(mu))^(-1/2), computed in log space."""
+def log_gamma_scale(mu: float, p: ProblemParams) -> float:
+    """ln gamma, gamma = (2*lambda*mu*f(mu))^(-1/2); finite at every mu > 0."""
     if not (mu > 0.0):
         raise ValueError(f"peak value must be positive, got {mu!r}")
-    log_arg = (math.log(2.0) + p.log_lambda + 2.0 * math.log(mu)
-               + mu * mu + p.alpha * mu ** p.beta)
-    if log_arg > 2.0 * 709.0:
-        raise OverflowBudgetError(log_arg)
-    return math.exp(-0.5 * log_arg)
+    return -0.5 * (math.log(2.0) + p.log_lambda + 2.0 * math.log(mu)
+                   + mu * mu + p.alpha * mu ** p.beta)
+
+
+def _window_point(log_gamma: float, log_rho: float, rr: float) -> float:
+    """ln(gamma*rr + rho): the log radius the rescaled radius rr maps to
+    (-inf at or below the origin)."""
+    if log_rho == -math.inf:  # origin peak, rho = 0
+        return log_gamma + math.log(rr) if rr > 0.0 else -math.inf
+    x = rr * math.exp(log_gamma - log_rho)
+    return log_rho + math.log1p(x) if x > -1.0 else -math.inf
 
 
 def liouville_reference(r: float, beta_star: float, alpha: float) -> tuple:
@@ -76,34 +93,39 @@ def default_profile_grid(n: int = 61) -> tuple:
 def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics:
     """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on the grid.
 
-    The grid may contain negative entries for i >= 2 (inward window); it
-    must stay inside the nodal domain, else WindowTooLargeError.
+    Every radius is handled as a log radius, so the window is placed at
+    any depth.  The grid may contain negative entries for i >= 2 (inward
+    window); it must stay inside the nodal domain, else WindowTooLargeError.
     """
     if not (1 <= i <= sol.k + 1):
         raise ValueError(f"domain index {i} out of range 1..{sol.k + 1}")
     if grid is None:
         grid = default_profile_grid()
     mu = sol.peak_values[i - 1]
-    rho = sol.peak_radii[i - 1]
-    gamma = gamma_scale(mu, sol.params)
-    r_outer = sol.nodal_radii[i - 1]
-    r_inner = 0.0 if i == 1 else sol.nodal_radii[i - 2]
+    log_rho = sol.log_peak_radii[i - 1]
+    log_gamma = log_gamma_scale(mu, sol.params)
+    log_outer = sol.log_nodal_radii[i - 1]
+
+    def t_of(rr):
+        return _window_point(log_gamma, log_rho, rr)
+
     lo, hi = min(grid), max(grid)
-    if gamma * hi + rho >= r_outer:
+    t_hi = t_of(hi)
+    if t_hi >= log_outer:
         raise WindowTooLargeError(
-            f"window reaches {gamma * hi + rho!r}, outside domain "
-            f"(..., {r_outer!r})")
-    inner_edge = gamma * lo + rho
-    if inner_edge < r_inner or (i >= 2 and inner_edge <= r_inner):
+            f"window reaches log radius {t_hi!r}, outside domain "
+            f"(..., {log_outer!r})")
+    if (lo < 0.0) if i == 1 else (t_of(lo) <= sol.log_nodal_radii[i - 2]):
         raise WindowTooLargeError(
-            f"window reaches {inner_edge!r}, inside inner radius {r_inner!r}")
+            f"window reaches rescaled radius {lo!r}, inside the inner edge "
+            f"of domain {i}")
     traj = sol.trajectory
     sign = sol.domain_sign(i)
 
     def z_n(rr):
         if rr == 0.0:
             return 0.0  # definition evaluated at the peak
-        return 2.0 * mu * (sign * traj.u(gamma * rr + rho) - mu)
+        return 2.0 * mu * (sign * traj.u_log(t_of(rr)) - mu)
 
     samples = tuple((rr, z_n(rr)) for rr in grid)
     sup_dev = max(abs(zv - liouville_reference(rr, sol.params.beta,
@@ -116,7 +138,7 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
     den = 0.0
     for j in range(FIT_POINTS):
         rr = flo + j * fstep
-        if gamma * rr + rho >= r_outer:
+        if t_of(rr) >= log_outer:
             break
         zv = z_n(rr)
         zr, ph = liouville_reference(rr, sol.params.beta, sol.params.alpha)
@@ -126,8 +148,8 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
     return BubbleDiagnostics(
         domain_index=i,
         mu=mu,
-        gamma=gamma,
-        rho_over_gamma=rho / gamma,
+        log_gamma=log_gamma,
+        rho_over_gamma=math.exp(log_rho - log_gamma),
         samples=samples,
         sup_deviation=sup_dev,
         corr_coefficient=corr,
@@ -140,26 +162,26 @@ def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
     """Two-sided monotone bound on the rescaled derivative.
 
     For r >= 0:  0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
-    mirrored for r < 0 when the window extends inward (i >= 2).
-    `slack` absorbs interpolation roundoff.
+    mirrored for r < 0 when the window extends inward (i >= 2).  z_n' is
+    read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and is 0
+    at the origin peak.  `slack` absorbs interpolation roundoff.
     """
     mu = diag.mu
-    gamma = diag.gamma
-    rho = sol.peak_radii[i - 1]
+    log_rho = sol.log_peak_radii[i - 1]
     m = diag.rho_over_gamma
     sign = sol.domain_sign(i)
     traj = sol.trajectory
     for rr, _ in diag.samples:
-        zp = 2.0 * mu * gamma * sign * traj.du(gamma * rr + rho)
+        denom = rr + m
+        if rr < 0.0 and denom <= 0.0:
+            continue  # outside the transform's validity
+        ru = traj.ru_log(_window_point(diag.log_gamma, log_rho, rr))
+        zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
         if rr >= 0.0:
-            denom = rr + m
             bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
             if not (-slack <= -zp <= bound + slack):
                 return False
         else:
-            denom = rr + m
-            if denom <= 0.0:
-                continue  # outside the transform's validity
             bound = -(0.5 * rr * rr + m * rr) / denom
             if not (-slack <= zp <= bound + slack):
                 return False

@@ -8,18 +8,12 @@ class TmbError(Exception):
 class OverflowBudgetError(TmbError, OverflowError):
     """An exponent exceeded the working-precision overflow budget.
 
-    Carries the offending exponent (and the radius reached, when raised
-    from inside an integration).
+    Carries the offending exponent.
     """
 
-    def __init__(self, exponent, radius=None, message=None):
+    def __init__(self, exponent):
         self.exponent = exponent
-        self.radius = radius
-        if message is None:
-            message = f"exponent {exponent:.3f} exceeds the overflow budget"
-            if radius is not None:
-                message += f" (at radius {radius!r})"
-        super().__init__(message)
+        super().__init__(f"exponent {exponent:.3f} exceeds the overflow budget")
 
 
 class QuadratureFailureError(TmbError, RuntimeError):

@@ -21,7 +21,6 @@ from .bubbles import rescale_profile
 from .errors import (
     FamilyEmptyError,
     NoSolutionInRangeError,
-    OverflowBudgetError,
     WindowTooLargeError,
     ZeroNotReachedError,
 )
@@ -157,7 +156,7 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
     for i in range(1, sol.k + 2):
         try:
             bubbles.append(rescale_profile(sol, i))
-        except (WindowTooLargeError, OverflowBudgetError):
+        except WindowTooLargeError:
             bubbles.append(None)
     return MemberRecord(
         index=index,
@@ -195,8 +194,7 @@ def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
         try:
             sols = nodal_solution(spec.k, lam, p, settings=settings,
                                   scan_points=scan_points, seed_amplitude=seed)
-        except (OverflowBudgetError, ZeroNotReachedError,
-                NoSolutionInRangeError) as exc:
+        except (ZeroNotReachedError, NoSolutionInRangeError) as exc:
             failures.append(FailedMember(n, lam, beta, f"{type(exc).__name__}: {exc}"))
             continue
         # follow the largest-amplitude branch (the concentrating one)

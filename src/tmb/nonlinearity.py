@@ -1,10 +1,10 @@
-"""Overflow-safe evaluation of the nonlinearity t*exp(t^2 + alpha*|t|^beta).
+"""Problem parameters and the primitive F of the nonlinearity
+f(t) = t*exp(t^2 + alpha*|t|^beta).
 
-The growth is doubly exponential in the amplitudes of interest, so every
-operation here budgets the exponent before exponentiating.  `scaled_lambda_f`
-additionally folds the eigenparameter into the exponent so that a tiny
-lambda cancels a huge exp(t^2) *before* any exp() call.  All functions
-are pure.
+The integrator evaluates lambda*f(u) itself, as one exponent in the log
+radius (see ode), so f has no standalone form here.  F is evaluated by
+quadrature in binary64 and budgets its exponent before integrating: it is
+the only place OverflowBudgetError is raised.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -48,45 +48,6 @@ class ProblemParams:
             )
 
 
-def nonlinearity_f(t: float, p: ProblemParams) -> float:
-    """t * exp(t^2 + alpha*|t|^beta); odd in t.
-
-    Raises OverflowBudgetError when t^2 + alpha|t|^beta + ln|t| exceeds the
-    budget; callers in that regime must use scaled_lambda_f instead.
-    """
-    if t == 0.0:
-        return 0.0
-    at = abs(t)
-    expo = t * t + p.alpha * at ** p.beta
-    total = expo + math.log(at)
-    if total > OVERFLOW_BUDGET:
-        raise OverflowBudgetError(total)
-    return t * math.exp(expo)
-
-
-def scaled_lambda_f(t: float, p: ProblemParams) -> float:
-    """lambda * nonlinearity_f(t), evaluated as sign(t)*exp(ln|t| + t^2 + alpha|t|^beta + ln lambda).
-
-    Representable in regimes where the naive product lambda*f(t) overflows
-    (tiny lambda against huge exp(t^2)) or underflows.
-    """
-    if t == 0.0:
-        return 0.0
-    at = abs(t)
-    combined = math.log(at) + t * t + p.alpha * at ** p.beta + p.log_lambda
-    if combined > OVERFLOW_BUDGET:
-        raise OverflowBudgetError(combined)
-    if combined < -745.0:
-        return math.copysign(0.0, t)
-    return math.copysign(math.exp(combined), t)
-
-
-def log_abs_lambda_f(t: float, p: ProblemParams) -> float:
-    """ln(lambda*|f(t)|) without exponentiating; t must be nonzero."""
-    at = abs(t)
-    return math.log(at) + t * t + p.alpha * at ** p.beta + p.log_lambda
-
-
 def primitive_F(t: float, p: ProblemParams, rel_tol: float = 1e-10) -> float:
     """Integral of s*exp(s^2 + alpha*s^beta) over s in [0, |t|]; even in t.
 
@@ -97,7 +58,7 @@ def primitive_F(t: float, p: ProblemParams, rel_tol: float = 1e-10) -> float:
     at = abs(t)
     if not math.isfinite(at):
         raise ValueError(f"t must be finite, got {t!r}")
-    # Budget the integrand peak (at s = |t|), same form as nonlinearity_f.
+    # Budget the integrand peak, at s = |t|.
     total = at * at + p.alpha * at ** p.beta + math.log(at)
     if total > OVERFLOW_BUDGET:
         raise OverflowBudgetError(total)

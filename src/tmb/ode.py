@@ -50,10 +50,9 @@ Three stretches, each in the variables that keep it accurate:
 
 After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
-Trajectory answers by log radius (u_log, ru_log, state_log, source_log).
-Radii and slopes are formed only where they are printed or read as radii,
-by radii() and slopes(); eval, u and du answer by radius for the windows
-that are defined in radius.
+Trajectory answers only by log radius (u_log, ru_log, state_log,
+source_log).  Radii and slopes are formed only where they are printed,
+by radii() and slopes().
 
 Integrator: Dormand-Prince 5(4) with the classical quartic dense output.
 Events (zeros of u, interior critical points) are detected by sign change
@@ -146,27 +145,22 @@ def slopes(log_radii, rus) -> tuple:
     return tuple(_slope(ru, math.exp(t)) for t, ru in zip(log_radii, rus))
 
 
-def _r_form(y, r):
-    """Log-radius state -> (u, u', e_dir, e_neh, q_flux, e_src) at radius r."""
-    return (y[0], _slope(y[1], r), y[2], y[3], y[4], y[5])
-
-
 class RadialState:
-    """Solution value, derivative, and running energy integrals at one radius.
+    """Solution value, r*u', and running energy integrals at log radius t.
 
-    In the deep regime r may underflow to 0.0 and du overflow to +-inf
-    (Trajectory.ru_log gives r*u' by log radius).  e_potential (the running
-    lambda * int F(u) s ds) is recovered lazily from the flux channel: it
-    needs one primitive evaluation unless u is small at this radius.
+    t and ru stay finite in the deep regime, where r underflows to 0.0 and
+    u' overflows to +-inf.  e_potential (the running lambda * int F(u) s ds)
+    is recovered lazily from the flux channel: it needs one primitive
+    evaluation unless u is small at this radius.
     """
 
-    __slots__ = ("r", "u", "du", "e_dirichlet", "e_nehari", "e_source",
+    __slots__ = ("t", "u", "ru", "e_dirichlet", "e_nehari", "e_source",
                  "pot_flux", "_params", "_e_pot")
 
-    def __init__(self, r, y, params):
-        self.r = r
+    def __init__(self, t, y, params):
+        self.t = t
         self.u = y[0]
-        self.du = y[1]
+        self.ru = y[1]
         self.e_dirichlet = y[2]
         self.e_nehari = y[3]
         self.pot_flux = y[4]
@@ -185,11 +179,12 @@ class RadialState:
                     1.0 + 2.0 * p.alpha * au ** p.beta / (p.beta + 2.0))
             else:
                 F = primitive_F(self.u, p)
-            self._e_pot = 0.5 * (p.lam * F * self.r * self.r - self.pot_flux)
+            self._e_pot = 0.5 * (F * math.exp(p.log_lambda + 2.0 * self.t)
+                                 - self.pot_flux)
         return self._e_pot
 
     def __repr__(self):
-        return (f"RadialState(r={self.r!r}, u={self.u!r}, du={self.du!r}, "
+        return (f"RadialState(t={self.t!r}, u={self.u!r}, ru={self.ru!r}, "
                 f"e_dirichlet={self.e_dirichlet!r})")
 
 
@@ -340,10 +335,8 @@ class Trajectory:
       steps: the accepted _Steps, in the log radius they were integrated
         in (before any dilation by shifted); a first-bubble step carries
         frame-local x and y, so read it through t0, t1, start() and end();
-      u_log, ru_log, eval_log, state_log, source_log: dense evaluation.
-
-    eval, u and du answer by radius, for moderate radii (radii below
-    ~1e-308 round to 0.0 and the slopes there to +-inf).
+      u_log, ru_log, eval_log, state_log, source_log: dense evaluation,
+        by log radius only.
     """
 
     def __init__(self, params: ProblemParams, amplitude: float, t_start: float,
@@ -357,8 +350,6 @@ class Trajectory:
         self.log_zeros = log_zeros
         self.log_peaks = log_peaks
         self._starts = [st.t0 - shift for st in steps]
-
-    # -- by log radius ---------------------------------------------------
 
     def _step_for(self, t):
         idx = bisect_right(self._starts, t) - 1
@@ -382,8 +373,7 @@ class Trajectory:
         return self.eval_log(t)[1]
 
     def state_log(self, t: float) -> RadialState:
-        r = math.exp(t)
-        return RadialState(r, _r_form(self.eval_log(t), r), self.params)
+        return RadialState(t, self.eval_log(t), self.params)
 
     def source_log(self, t: float) -> float:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t."""
@@ -409,20 +399,6 @@ class Trajectory:
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
         return self._starts + [self.steps[-1].t1 - self._shift]
-
-    # -- by radius -------------------------------------------------------
-
-    def eval(self, r: float):
-        if r < 0.0:
-            raise ValueError(f"negative radius {r!r}")
-        t = math.log(r) if r > 0.0 else -math.inf
-        return _r_form(self.eval_log(t), r)
-
-    def u(self, r: float) -> float:
-        return self.eval(r)[0]
-
-    def du(self, r: float) -> float:
-        return self.eval(r)[1]
 
     def shifted(self, dt: float, params: ProblemParams) -> "Trajectory":
         """Dilated trajectory x -> u(exp(dt)*x), valid for the given params.

@@ -11,6 +11,8 @@ import heapq
 
 from .errors import QuadratureFailureError
 
+MAX_INTERVALS = 4000  # interval budget of one adaptive_quadrature call
+
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.  Standard QUADPACK values.
 _XGK = (
@@ -62,31 +64,21 @@ def _gk15(f, a: float, b: float):
 
 
 def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
-                        abs_tol: float = 0.0, max_depth: int = 40,
-                        max_intervals: int = 4000,
-                        initial_intervals: int = 1,
-                        breakpoints=None) -> float:
+                        max_depth: int = 40, breakpoints=None) -> float:
     """Integrate f over [a, b] to the requested tolerance.
 
-    `initial_intervals` seeds the refinement with a uniform partition;
-    needed when the integrand is a narrow bump a single 15-point rule
-    would step over (its error estimate would vanish spuriously).
-    `breakpoints` (increasing) seeds it with the given partition instead;
-    the points outside (a, b) are ignored.
+    `breakpoints` (increasing) seeds the refinement with the given
+    partition; the points outside (a, b) are ignored.  A seed is needed
+    when the integrand is a narrow bump a single 15-point rule would step
+    over (its error estimate would vanish spuriously).
 
     Raises QuadratureFailureError when bisection depth or the interval
-    budget is exhausted before `sum(errors) <= max(abs_tol, rel_tol*|I|)`.
+    budget is exhausted before `sum(errors) <= rel_tol*|I|`.
     """
     if a == b:
         return 0.0
     # heap entries: (-error, tie, depth, a, b, value, error)
-    if breakpoints is not None:
-        edges = [a] + [x for x in breakpoints if a < x < b] + [b]
-    else:
-        n0 = max(1, min(initial_intervals, max_intervals // 2))
-        width = (b - a) / n0
-        edges = [a + i * width for i in range(n0)] + [b]
-    n0 = len(edges) - 1
+    edges = [a] + [x for x in breakpoints or () if a < x < b] + [b]
     tie = 0
     heap = []
     total = 0.0
@@ -98,17 +90,17 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
         total += val
         total_err += err
     heapq.heapify(heap)
-    n_intervals = n0
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    n_intervals = len(edges) - 1
+    while total_err > rel_tol * abs(total):
         neg_err, _, depth, ia, ib, ival, ierr = heapq.heappop(heap)
         if depth >= max_depth:
             raise QuadratureFailureError(
                 f"bisection depth {max_depth} exhausted on [{ia!r}, {ib!r}] "
                 f"(error estimate {ierr:.3e}, total {total!r})"
             )
-        if n_intervals >= max_intervals:
+        if n_intervals >= MAX_INTERVALS:
             raise QuadratureFailureError(
-                f"interval budget {max_intervals} exhausted (error {total_err:.3e})"
+                f"interval budget {MAX_INTERVALS} exhausted (error {total_err:.3e})"
             )
         mid = 0.5 * (ia + ib)
         if mid <= ia or mid >= ib:

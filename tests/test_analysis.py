@@ -13,7 +13,7 @@ from tmb.analysis import (
     sturm_bound_check,
 )
 from tmb.bessel import j0_prime, j0_zero
-from tmb.nonlinearity import ProblemParams, scaled_lambda_f
+from tmb.nonlinearity import ProblemParams
 from tmb.shooting import RadialSolution, nodal_solution
 
 from conftest import SCAN_POINTS
@@ -78,9 +78,13 @@ class TestPeakIdentity:
         lo, hi = traj.t_start, math.log(r1)
         hstep = (hi - lo) / n
 
+        p = sol.params
+
         def g(tau):
-            r = math.exp(tau)
-            return scaled_lambda_f(1.01 * traj.u(r), sol.params) * r * r * (hi - tau)
+            # lambda*f(u)*r^2 at the scaled u, as one exponent
+            u = 1.01 * traj.u_log(tau)
+            return (p.lam * u * math.exp(u * u + p.alpha * abs(u) ** p.beta + 2.0 * tau)
+                    * (hi - tau))
 
         acc = g(lo) + g(hi)
         for j in range(1, n):
@@ -102,7 +106,7 @@ class TestBoundaryFlux:
         for sol in (sol_deep, sol_k1):
             for i in range(1, sol.k + 2):
                 st = sol.trajectory.state_log(sol.log_nodal_radii[i - 1])
-                assert abs(st.r * st.du + st.e_source) <= 1e-8
+                assert abs(st.ru + st.e_source) <= 1e-8
 
     def test_near_linear_regime(self):
         # u ~ mu * J0(t1 r): flux = mu^2 * t1 * |J0'(t1)|

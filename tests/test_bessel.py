@@ -1,10 +1,15 @@
 """J_0, its zeros, and the disk eigenpairs, against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import tmb
 from tmb.bessel import Eigenpair, eigenfunction, eigenpairs, j0, j0_prime, j0_zero
 
 T1 = 2.404825557695773
@@ -136,3 +141,16 @@ class TestEigenfunctions:
             d2 = (eigenfunction(k, r + h) - 2 * phi
                   + eigenfunction(k, r - h)) / (h * h)
             assert abs(d2 + d1 / r + ep.lambda_k * phi) <= 1e-6 * (1 + ep.lambda_k)
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the x > 8 branches of j0/j0_prime, which the
+    # solver never reaches: importing the package must not pay for it
+    env = dict(os.environ)
+    src = str(Path(tmb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, tmb, tmb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

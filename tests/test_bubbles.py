@@ -7,13 +7,16 @@ import pytest
 from tmb.bubbles import (
     default_profile_grid,
     derivative_bound_check,
-    gamma_scale,
     liouville_reference,
+    log_gamma_scale,
     rescale_profile,
 )
 from tmb.errors import WindowTooLargeError
-from tmb.nonlinearity import ProblemParams, log_abs_lambda_f
+from tmb.families import FamilySpec, run_family
+from tmb.nonlinearity import ProblemParams
 from tmb.quadrature import adaptive_quadrature
+
+from conftest import SCAN_POINTS
 
 GAMMA_5_1E3 = 1.3680367662340201e-06  # exp(-(ln2 + ln 1e-3 + 2 ln 5 + 30)/2)
 
@@ -21,25 +24,30 @@ GAMMA_5_1E3 = 1.3680367662340201e-06  # exp(-(ln2 + ln 1e-3 + 2 ln 5 + 30)/2)
 class TestGammaScale:
     def test_frozen_value(self):
         p = ProblemParams(1.0, 1.0, 1e-3)
-        assert gamma_scale(5.0, p) == pytest.approx(GAMMA_5_1E3, rel=1e-12)
+        assert math.exp(log_gamma_scale(5.0, p)) == pytest.approx(GAMMA_5_1E3,
+                                                                  rel=1e-12)
 
     @pytest.mark.parametrize("mu", [0.5, 3.0, 10.0, 20.0])
     def test_defining_identity_in_logs(self, mu):
         # 2*lambda*mu*f(mu)*gamma^2 = 1, assembled in log space
         p = ProblemParams(1.0, 1.2, 1e-4)
-        g = gamma_scale(mu, p)
-        total = (math.log(2.0) + math.log(mu) + log_abs_lambda_f(mu, p)
-                 + 2.0 * math.log(g))
+        log_lambda_f = math.log(mu) + mu * mu + p.alpha * mu ** p.beta + p.log_lambda
+        total = (math.log(2.0) + math.log(mu) + log_lambda_f
+                 + 2.0 * log_gamma_scale(mu, p))
         assert abs(total) <= 1e-12 * max(1.0, mu * mu)
 
     def test_strictly_decreasing_in_mu(self):
         p = ProblemParams(1.0, 1.2, 1e-3)
-        vals = [gamma_scale(0.5 * j, p) for j in range(1, 40)]
+        vals = [log_gamma_scale(0.5 * j, p) for j in range(1, 40)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            gamma_scale(0.0, ProblemParams(1.0, 1.0, 1.0))
+            log_gamma_scale(0.0, ProblemParams(1.0, 1.0, 1.0))
+
+    def test_finite_where_gamma_underflows(self):
+        # gamma itself is ~exp(-5e7) here
+        assert math.isfinite(log_gamma_scale(1e4, ProblemParams(1.0, 1.2, 1e-3)))
 
 
 class TestLiouvilleReference:
@@ -90,6 +98,11 @@ class TestRescaleProfile:
         with pytest.raises(WindowTooLargeError):
             rescale_profile(sol_mid, 1, grid=big)
 
+    def test_negative_window_on_first_domain(self, sol_mid):
+        # the first domain's window starts at the origin peak
+        with pytest.raises(WindowTooLargeError):
+            rescale_profile(sol_mid, 1, grid=(-0.1, 0.0, 1.0))
+
     def test_default_grid(self):
         grid = default_profile_grid()
         assert len(grid) == 61
@@ -125,3 +138,40 @@ class TestDerivativeBound:
         # -z'(r) = 4r/(8+r^2) <= r/2 for the limit profile itself
         for r in (0.1, 1.0, 3.0, 10.0):
             assert 4.0 * r / (8.0 + r * r) <= 0.5 * r + 1e-15
+
+
+def _family_records(k, beta, lams):
+    spec = FamilySpec(k=k, alpha=1.0, lambda_schedule=lams,
+                      beta_schedule=(beta,) * len(lams))
+    return run_family(spec, scan_points=SCAN_POINTS).records
+
+
+class TestDeepRegime:
+    """The limit profile where it is sharpest: criterion 4's shape on
+    bubbles whose gamma underflows binary64."""
+
+    def test_k0_profile_converges(self):
+        # peaks from ~45 to ~490
+        recs = _family_records(0, 1.2, (1e-20, 1e-50, 1e-100, 1e-200, 1e-300))
+        assert len(recs) == 5
+        diags = [rec.bubbles[0] for rec in recs]
+        assert all(d is not None for d in diags)
+        sups = [d.sup_deviation for d in diags]
+        assert all(b < a for a, b in zip(sups, sups[1:]))
+        devs = [abs(d.coefficient_ratio - 1.0) for d in diags]
+        assert max(devs) <= 0.10
+        assert devs[-1] < devs[0]
+        for rec, d in zip(recs, diags):
+            assert derivative_bound_check(d, rec.solution, 1)
+
+    def test_two_bubble_inner_profile_converges(self):
+        # the two_bubble_deep schedule: inner peaks from ~7e2 to ~4e4
+        recs = _family_records(1, 1.3, (0.1, 0.01, 0.001, 0.0001))
+        assert len(recs) == 4
+        diags = [rec.bubbles[0] for rec in recs]
+        assert all(d is not None for d in diags)
+        sups = [d.sup_deviation for d in diags]
+        assert all(b < a for a, b in zip(sups, sups[1:]))
+        assert all(abs(d.coefficient_ratio - 1.0) <= 0.10 for d in diags)
+        for rec, d in zip(recs, diags):
+            assert derivative_bound_check(d, rec.solution, 1)

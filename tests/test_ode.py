@@ -59,8 +59,8 @@ class TestFirstIntegral:
         traj = integrate_radial(0.5, P12, 1)
         assert 1.2 < math.exp(traj.log_zeros[0][0])
         st = traj.state_log(math.log(1.2))
-        assert st.r == 1.2
-        assert abs(st.r * st.du + st.e_source) <= 1e-8
+        assert st.t == math.log(1.2)
+        assert abs(st.ru + st.e_source) <= 1e-8
 
 
 class TestEvents:
@@ -81,14 +81,13 @@ class TestEvents:
     def test_zero_value_small_on_interpolant(self):
         traj = integrate_radial(2.0, P12, 2)
         for tz, ru in traj.log_zeros:
-            assert abs(traj.u(math.exp(tz))) <= 1e-12 * traj.initial_amplitude
+            assert abs(traj.u_log(tz)) <= 1e-12 * traj.initial_amplitude
             assert ru != 0.0  # r*u' at the zero: the slope does not vanish
 
     def test_peak_derivative_vanishes(self):
         traj = integrate_radial(5.0, P12, 2)
         tp, absu = traj.log_peaks[0]
-        rp = math.exp(tp)
-        assert abs(traj.du(rp)) <= 1e-6 * absu / rp
+        assert abs(traj.ru_log(tp)) <= 1e-6 * absu
 
 
 class TestSelfConvergence:

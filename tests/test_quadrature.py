@@ -35,7 +35,8 @@ def test_sharp_peak_resolved():
     # the peak visible to the error estimator, after which refinement
     # localizes it
     val = adaptive_quadrature(lambda x: math.exp(-((x - 0.3) / 1e-3) ** 2),
-                              0.0, 1.0, rel_tol=1e-10, initial_intervals=32)
+                              0.0, 1.0, rel_tol=1e-10,
+                              breakpoints=[j / 32 for j in range(1, 32)])
     assert val == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-8)
 
 

@@ -100,7 +100,7 @@ class TestNodalSolution:
         assert sol_mid.boundary_slopes[0] < 0.0
         # maximum at the origin for the one-domain class
         traj = sol_mid.trajectory
-        assert all(abs(traj.u(j / 40.0)) <= sol_mid.amplitude * (1 + 1e-12)
+        assert all(abs(traj.u_log(math.log(j / 40.0))) <= sol_mid.amplitude * (1 + 1e-12)
                    for j in range(1, 40))
 
     def test_dilation_preserves_first_integral(self, sol_mid):
@@ -110,15 +110,19 @@ class TestNodalSolution:
         # -u'' - u'/r = lambda f(u) on the unit ball; u'' is differenced
         # from the derivative channel (second differences of the dense
         # interpolant amplify its error past the tiny right-hand side)
-        from tmb.nonlinearity import scaled_lambda_f
-
         traj = sol_mid.trajectory
+        p = sol_mid.params
+
+        def du(r):
+            return traj.ru_log(math.log(r)) / r
+
         h = 1e-4
         for r in (0.3, 0.55, 0.8):
-            d1 = traj.du(r)
-            d2 = (traj.du(r + h) - traj.du(r - h)) / (2 * h)
+            d1 = du(r)
+            d2 = (du(r + h) - du(r - h)) / (2 * h)
             lhs = -d2 - d1 / r
-            rhs = scaled_lambda_f(traj.u(r), sol_mid.params)
+            u = traj.u_log(math.log(r))
+            rhs = p.lam * u * math.exp(u * u + p.alpha * abs(u) ** p.beta)
             # -u'' and u'/r nearly cancel in the tail: measure the
             # residual against the dominant term
             scale = max(abs(d2), abs(d1 / r), abs(rhs))
@@ -132,8 +136,8 @@ class TestNodalSolution:
         # sign alternation: positive cap, negative annulus
         traj = sol_k1.trajectory
         r1 = sol_k1.nodal_radii[0]
-        assert traj.u(0.5 * r1) > 0.0
-        assert traj.u(sol_k1.peak_radii[1]) < 0.0
+        assert traj.u_log(math.log(0.5 * r1)) > 0.0
+        assert traj.u_log(sol_k1.log_peak_radii[1]) < 0.0
 
     def test_continuation_matches_fresh_scan(self):
         fresh = nodal_solution(0, 3e-3, P12, scan_points=SCAN_POINTS)[0]
