@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bessel import eigenpairs
+from .bessel import MAX_EIGENPAIR_INDEX, eigenpairs
 from .bubbles import liouville_reference
 from .errors import ConfigError, FamilyEmptyError, TmbError
 from .families import FamilySpec, run_family, verify_formulas
@@ -237,7 +237,11 @@ def run(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "bessel":
-        pairs = eigenpairs(cfg.k if cfg.k >= 1 else 3)
+        n = cfg.k if cfg.k >= 1 else 3
+        if n > MAX_EIGENPAIR_INDEX:
+            raise ConfigError(
+                f"bessel k must be <= {MAX_EIGENPAIR_INDEX}, got {n}", field="k")
+        pairs = eigenpairs(n)
         rows = [{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
                  "config_hash": cfg.config_hash} for ep in pairs]
         for ep in pairs:

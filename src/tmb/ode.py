@@ -116,16 +116,17 @@ _LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger rad
 _E_CLIP = 300.0
 _LOG_MAX = 709.0      # exp() of more overflows binary64
 _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
+# Runaway caps: an integration that passes either raises ZeroNotReachedError.
+MAX_RADIUS = 1e6
+MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Integration tolerances and caps."""
+    """Integration tolerances."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_radius: float = 1e6
-    max_steps: int = 2_000_000
 
 
 def _slope(ru: float, r: float) -> float:
@@ -234,11 +235,6 @@ class _Step:
             return self.y1
         return self.frame.state(self.x1, self.y1)
 
-    def start(self):
-        if self.frame is None:
-            return self.y0
-        return self.frame.state(self.x0, self.y0)
-
 
 class _Frame:
     """Constants of the first-bubble frame (see the module docstring)."""
@@ -334,7 +330,7 @@ class Trajectory:
       t_start: the first step;
       steps: the accepted _Steps, in the log radius they were integrated
         in (before any dilation by shifted); a first-bubble step carries
-        frame-local x and y, so read it through t0, t1, start() and end();
+        frame-local x and y, so read it through t0, t1 and end();
       u_log, ru_log, eval_log, state_log, source_log: dense evaluation,
         by log radius only.
     """
@@ -549,7 +545,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     K = 2.0 * s + 1.0 / s + alpha * beta * sb / s
     frame = _Frame(s, K, t0, E0, alpha, beta)
 
-    t_max = math.log(settings.max_radius)
+    t_max = math.log(MAX_RADIUS)
     n_accept = [0]
     zeros: list = []
     peaks: list = []
@@ -558,7 +554,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def check_radius(t1):
         if t1 > t_max:
             raise ZeroNotReachedError(
-                f"radius cap {settings.max_radius!r} reached with "
+                f"radius cap {MAX_RADIUS!r} reached with "
                 f"{len(zeros)} zero(s) found",
                 zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)),
             )
@@ -566,9 +562,9 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def check_caps(t1):
         n_accept[0] += 1
         check_radius(t1)
-        if n_accept[0] > settings.max_steps:
+        if n_accept[0] > MAX_STEPS:
             raise ZeroNotReachedError(
-                f"step budget {settings.max_steps} exhausted at radius "
+                f"step budget {MAX_STEPS} exhausted at radius "
                 f"{math.exp(min(t1, _LOG_MAX))!r}",
                 zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)),
             )

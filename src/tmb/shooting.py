@@ -36,11 +36,8 @@ _BUDGET_MARGIN = 0.5
 S_MAX = 1e5
 
 
-def scan_settings_from(settings: SolverSettings | None) -> SolverSettings:
-    """Relaxed-tolerance settings used only to bracket sign changes."""
-    base = settings or SolverSettings()
-    return SolverSettings(rel_tol=1e-6, abs_tol=1e-9, max_radius=base.max_radius,
-                          max_steps=base.max_steps)
+# Relaxed tolerances used only to bracket sign changes.
+SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
 
 
 def amplitude_budget(p: ProblemParams) -> float:
@@ -181,23 +178,22 @@ def _lambda_or_none(s, k, p0, settings):
         return None
 
 
-def _scan(k: int, p0: ProblemParams, target: float, n_points: int,
-          settings: SolverSettings):
-    """lambda_of_s on a log grid of n_points from DEFAULT_S_MIN to
-    amplitude_budget(p0), continued at the same ratio while lambda is above
-    the target and still falling, up to S_MAX.  Returns (grid, values),
-    with None marking failed evaluations.
+def _scan(k: int, p0: ProblemParams, target: float, n_points: int):
+    """lambda_of_s at SCAN_SETTINGS on a log grid of n_points from
+    DEFAULT_S_MIN to amplitude_budget(p0), continued at the same ratio while
+    lambda is above the target and still falling, up to S_MAX.  Returns
+    (grid, values), with None marking failed evaluations.
     """
     s_max = amplitude_budget(p0)
     ratio = (s_max / DEFAULT_S_MIN) ** (1.0 / (n_points - 1))
     grid = [DEFAULT_S_MIN * ratio ** i for i in range(n_points)]
     grid[-1] = s_max
-    values = [_lambda_or_none(s, k, p0, settings) for s in grid]
+    values = [_lambda_or_none(s, k, p0, SCAN_SETTINGS) for s in grid]
     ratio = grid[-1] / grid[-2]
     while values[-2] is not None and values[-1] is not None \
             and target < values[-1] < values[-2] and grid[-1] < S_MAX:
         grid.append(min(grid[-1] * ratio, S_MAX))
-        values.append(_lambda_or_none(grid[-1], k, p0, settings))
+        values.append(_lambda_or_none(grid[-1], k, p0, SCAN_SETTINGS))
     return grid, values
 
 
@@ -234,14 +230,13 @@ def _polish_bracket(k: int, target: float, p0: ProblemParams,
     secant does not converge (a scan-noise bracket, not a root).
     """
     lt = math.log(target)
-    coarse = scan_settings_from(settings)
 
     def feval(x, stg):
         _, traj = solve_unit_lambda(math.exp(x), k, p0, stg)
         return 2.0 * traj.log_zeros[k][0] - lt, traj
 
     def feval_coarse(x):
-        return feval(x, coarse)[0]
+        return feval(x, SCAN_SETTINGS)[0]
 
     x_lo, x_hi = math.log(s_lo), math.log(s_hi)
     f_lo, f_hi = feval_coarse(x_lo), feval_coarse(x_hi)
@@ -304,15 +299,14 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     if k < 0:
         raise ValueError(f"nodal class must be nonnegative, got {k!r}")
     full = settings or SolverSettings()
-    coarse = scan_settings_from(full)
     p0 = ProblemParams(p.alpha, p.beta, 1.0)
 
     if seed_amplitude is not None:
-        sol = _continuation_solve(k, target_lambda, p0, seed_amplitude, full, coarse)
+        sol = _continuation_solve(k, target_lambda, p0, seed_amplitude, full)
         if sol is not None:
             return [sol]
 
-    grid, values = _scan(k, p0, target_lambda, scan_points, coarse)
+    grid, values = _scan(k, p0, target_lambda, scan_points)
     valid = [(s, v) for s, v in zip(grid, values) if v is not None]
     brackets = []
     for (s1, v1), (s2, v2) in zip(valid, valid[1:]):
@@ -334,7 +328,7 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     return solutions
 
 
-def _continuation_solve(k, target, p0, seed, full, coarse):
+def _continuation_solve(k, target, p0, seed, full):
     """Bracket around a previous member's amplitude; None if it fails.
 
     The bracket grows only while lambda keeps moving toward the target,
@@ -342,7 +336,7 @@ def _continuation_solve(k, target, p0, seed, full, coarse):
     point to a distant one (the scan would not reach that one either).
     """
     def lam_at(s):
-        return _lambda_or_none(s, k, p0, coarse)
+        return _lambda_or_none(s, k, p0, SCAN_SETTINGS)
 
     lo, hi = seed / 1.3, min(seed * 1.3, S_MAX)
     v_lo, v_hi = lam_at(lo), lam_at(hi)

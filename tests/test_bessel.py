@@ -70,6 +70,14 @@ class TestJ0:
         assert j0_prime(r) == pytest.approx(ref, abs=1e-13)
         assert j0_prime(-r) == -j0_prime(r)
 
+    def test_dense_against_mpmath(self):
+        # every 0.1 on [0, 70] (past t_20 ~ 62), plus the x < 1e-8 short form
+        xs = [j * 0.1 for j in range(701)] + [1e-300, 1e-20]
+        with mp.workdps(30):
+            for x in xs:
+                assert abs(j0(x) - float(mp.besselj(0, x))) <= 1e-15, x
+                assert abs(j0_prime(x) + float(mp.besselj(1, x))) <= 1e-15, x
+
 
 class TestZeros:
     def test_first_zero_vs_series_bisection(self):
@@ -81,6 +89,12 @@ class TestZeros:
         assert j0_zero(2).t_k == pytest.approx(bisect_series_zero(5.0, 6.0),
                                                abs=1e-12)
         assert j0_zero(2).t_k == pytest.approx(T2, abs=1e-12)
+
+    def test_zeros_to_binary64(self):
+        with mp.workdps(30):
+            for k in range(1, 21):
+                ref = float(mp.besseljzero(0, k))
+                assert abs(j0_zero(k).t_k - ref) <= 1e-15 * ref, k
 
     def test_first_eigenvalue(self):
         assert j0_zero(1).lambda_k == pytest.approx(LAMBDA1, abs=1e-11)
@@ -144,13 +158,14 @@ class TestEigenfunctions:
 
 
 def test_import_does_not_load_scipy():
-    # scipy serves only the x > 8 branches of j0/j0_prime, which the
-    # solver never reaches: importing the package must not pay for it
+    # the package needs only the standard library: importing it and
+    # computing the eigenpairs and J_0 at large x load no scipy or numpy
     env = dict(os.environ)
     src = str(Path(tmb.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, tmb, tmb.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, tmb, tmb.cli; tmb.eigenpairs(20); tmb.j0(50.0); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -100,6 +100,15 @@ class TestCommands:
         assert ts == sorted(ts)
         assert ts[0] == pytest.approx(2.404825557695773, abs=1e-10)
 
+    def test_bessel_k_above_cap_exits_2(self, tmp_path, capsys):
+        # k = 25 is past MAX_EIGENPAIR_INDEX = 20, from the flag and from a config
+        assert main(["bessel", "--k", "25", "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        cfg = _write(tmp_path, "[problem]\nk = 25\n")
+        assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field: k" in err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 2.5\n")
         code = main(["solve", "--config", str(path), "--out", str(tmp_path)])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tmb import ode
 from tmb.errors import ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
@@ -134,11 +135,11 @@ class TestAugmentedChannels:
 
 
 class TestStopsAndErrors:
-    def test_zero_not_reached_on_radius_cap(self):
-        stg = SolverSettings(max_radius=2.0)
+    def test_zero_not_reached_on_radius_cap(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_RADIUS", 2.0)
         p_small = ProblemParams(1.0, 1.2, 1e-10)
         with pytest.raises(ZeroNotReachedError) as exc:
-            integrate_radial(1e-3, p_small, 1, stg)
+            integrate_radial(1e-3, p_small, 1)
         assert exc.value.zeros_found == 0
 
     def test_invalid_amplitude(self):

@@ -6,7 +6,7 @@ import pytest
 
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
-from tmb import shooting
+from tmb import ode, shooting
 from tmb.ode import SolverSettings, first_integral_residual
 from tmb.shooting import (
     amplitude_budget,
@@ -151,17 +151,21 @@ class TestAmplitudeBudget:
         val = math.log(s) + s * s + s ** 1.2
         assert val == pytest.approx(699.5, abs=1e-5)
 
-    def test_overflow_translated(self):
+    def test_overflow_translated(self, monkeypatch):
         # no overflow wall in log radius: s = 30 reaches its zero ...
         zeros, traj = solve_unit_lambda(30.0, 0, P12)
         assert len(zeros) == 1
         # ... and a run stopped by its own caps still reports the zero as
         # not reached
         z = math.exp(traj.log_zeros[0][0])
-        with pytest.raises(ZeroNotReachedError):
-            solve_unit_lambda(30.0, 0, P12, SolverSettings(max_radius=0.5 * z))
-        with pytest.raises(ZeroNotReachedError):
-            solve_unit_lambda(30.0, 0, P12, SolverSettings(max_steps=20))
+        with monkeypatch.context() as m:
+            m.setattr(ode, "MAX_RADIUS", 0.5 * z)
+            with pytest.raises(ZeroNotReachedError):
+                solve_unit_lambda(30.0, 0, P12)
+        with monkeypatch.context() as m:
+            m.setattr(ode, "MAX_STEPS", 20)
+            with pytest.raises(ZeroNotReachedError):
+                solve_unit_lambda(30.0, 0, P12)
 
     def test_lambda_past_former_amplitude_wall(self):
         # past the former binary64 wall (s = 25.1) at default settings;
