@@ -17,6 +17,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from . import __version__
 from .bessel import MAX_EIGENPAIR_INDEX, eigenpairs
 from .bubbles import liouville_reference
 from .errors import ConfigError, FamilyEmptyError, TmbError
-from .families import FamilySpec, run_family, verify_formulas
+from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .shooting import nodal_solution
@@ -86,8 +87,10 @@ def _get(cp, section, key, conv, default=None, required=False, path=""):
 
 
 def _floats(raw: str) -> tuple:
-    parts = raw.replace(",", " ").split()
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in raw.replace(",", " ").split())
+    if not all(map(math.isfinite, values)):
+        raise ValueError("every value must be finite")
+    return values
 
 
 def parse_config(path: Path, command: str) -> ExperimentConfig:
@@ -114,15 +117,15 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     if cfg.k < 0:
         raise ConfigError(f"k must be nonnegative, got {cfg.k}", field="k",
                           location=f"{loc}[problem]")
-    if not (cfg.alpha > 0.0):
-        raise ConfigError(f"alpha must be positive, got {cfg.alpha}",
+    if not (0.0 < cfg.alpha < math.inf):
+        raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}",
                           field="alpha", location=f"{loc}[problem]")
     if not (0.0 < cfg.beta < 2.0):
         raise ConfigError(
             f"beta must lie in the open interval (0, 2), got {cfg.beta}",
             field="beta", location=f"{loc}[problem]")
-    if cfg.lam is not None and not (cfg.lam > 0.0):
-        raise ConfigError(f"lambda must be positive, got {cfg.lam}",
+    if cfg.lam is not None and not (0.0 < cfg.lam < math.inf):
+        raise ConfigError(f"lambda must be positive and finite, got {cfg.lam}",
                           field="lambda", location=f"{loc}[problem]")
 
     if cp.has_section("family"):
@@ -164,8 +167,8 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
                            default=cfg.abs_tol, path=loc)
         cfg.scan_points = _get(cp, "tolerances", "scan_points", int,
                                default=cfg.scan_points, path=loc)
-        if cfg.rel_tol <= 0.0 or cfg.abs_tol <= 0.0:
-            raise ConfigError("tolerances must be positive",
+        if not (0.0 < cfg.rel_tol < math.inf and 0.0 < cfg.abs_tol < math.inf):
+            raise ConfigError("tolerances must be positive and finite",
                               field="rel_tol/abs_tol",
                               location=f"{loc}[tolerances]")
         if cfg.scan_points < 2:
@@ -222,11 +225,6 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
         fh.write("\n")
 
 
-def _family_records(cfg: ExperimentConfig):
-    return run_family(cfg.family, settings=_settings(cfg),
-                      scan_points=cfg.scan_points)
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute a parsed config; returns the process exit status."""
     out = Path(cfg.output_dir)
@@ -253,8 +251,6 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.command == "solve":
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
-        from .families import _summarize
-
         p = ProblemParams(cfg.alpha, cfg.beta, cfg.lam)
         sols = nodal_solution(cfg.k, cfg.lam, p, settings=_settings(cfg),
                               scan_points=cfg.scan_points)
@@ -270,7 +266,8 @@ def run(cfg: ExperimentConfig) -> int:
     # family-driven commands
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    exp = _family_records(cfg)
+    exp = run_family(cfg.family, settings=_settings(cfg),
+                     scan_points=cfg.scan_points)
     if exp.failures:
         status = 1
         extra["failures"] = [

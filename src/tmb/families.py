@@ -49,14 +49,14 @@ class FamilySpec:
             raise ValueError("lambda and beta schedules must have equal length")
         if len(ls) < 4:
             raise ValueError("schedules need at least 4 members")
-        if any(l <= 0.0 for l in ls):
-            raise ValueError("every lambda_n must be positive")
+        if not all(0.0 < l < math.inf for l in ls):
+            raise ValueError("every lambda_n must be positive and finite")
         if any(not (0.0 < b < 2.0) for b in bs):
             raise ValueError("every beta_n must lie in (0, 2)")
         if self.k < 0:
             raise ValueError("nodal class must be nonnegative")
-        if not (self.alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
 
     def __len__(self):
         return len(self.lambda_schedule)
@@ -64,7 +64,7 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class MemberRecord(LogRadii):
-    """Summary of one solved family member (plus the solution itself).
+    """Summary of one solved family member.
 
     Radii are stored as in RadialSolution: log_nodal_radii, log_peak_radii
     (-inf for the origin) and boundary_ru = r_i*u'(r_i), finite where the
@@ -90,7 +90,6 @@ class MemberRecord(LogRadii):
     boundary_fluxes: tuple
     bubbles: tuple  # BubbleDiagnostics or None, one per domain
     branch_count: int
-    solution: object = field(repr=False)
 
     @property
     def log_abs_slopes(self) -> tuple:
@@ -177,7 +176,6 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         boundary_fluxes=fluxes,
         bubbles=tuple(bubbles),
         branch_count=branch_count,
-        solution=sol,
     )
 
 
@@ -185,7 +183,11 @@ def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
                scan_points: int = 200) -> SequenceExperiment:
     """Solve every schedule member, seeding each solve with the previous
     amplitude.  Failed members are recorded, not fatal; FamilyEmptyError
-    only when nothing solves."""
+    only when nothing solves.  Records are summaries, so a run holds at
+    most one member's trajectories; to get a member's solution back,
+    re-solve it with the run's settings (same root to polish tolerance):
+    nodal_solution(k, rec.lam, ProblemParams(alpha, rec.beta, rec.lam),
+    seed_amplitude=rec.amplitude)."""
     records = []
     failures = []
     seed = None
@@ -198,9 +200,9 @@ def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
             failures.append(FailedMember(n, lam, beta, f"{type(exc).__name__}: {exc}"))
             continue
         # follow the largest-amplitude branch (the concentrating one)
-        sol = sols[-1]
-        records.append(_summarize(n, lam, beta, sol, len(sols)))
-        seed = sol.amplitude
+        records.append(_summarize(n, lam, beta, sols[-1], len(sols)))
+        del sols  # no branch stays alive while the next member is solved
+        seed = records[-1].amplitude
     if not records:
         raise FamilyEmptyError(
             f"all {len(spec)} members failed; first failure: "

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from tmb import ProblemParams
-from tmb.families import FamilySpec, run_family
+from tmb import ProblemParams, families
+from tmb.families import FamilySpec
 
 SESSION_T0 = time.time()
 
@@ -18,6 +18,23 @@ T1 = 2.404825557695773
 T2 = 5.520078110286311
 
 
+def run_family_keeping_solutions(spec, **kwargs):
+    """(run_family(spec, **kwargs), the solution each record summarises, in
+    record order).  Records keep no solution; this catches each one on its
+    way into the summary, so nothing is solved twice."""
+    solutions = []
+    summarize = families._summarize
+
+    def keep(index, lam, beta, sol, branch_count):
+        solutions.append(sol)
+        return summarize(index, lam, beta, sol, branch_count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_summarize", keep)
+        exp = families.run_family(spec, **kwargs)
+    return exp, solutions
+
+
 @pytest.fixture(scope="session")
 def p12():
     return ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
@@ -26,13 +43,15 @@ def p12():
 @pytest.fixture(scope="session")
 def reference_family():
     """k=0, alpha=1, beta=1.2, lambda = 1e-2..1e-6 (the blow-up family used
-    by the profile/energy/concentration acceptance checks)."""
+    by the profile/energy/concentration acceptance checks); exp.solutions
+    holds each record's solution."""
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
     t0 = time.time()
-    exp = run_family(spec, scan_points=SCAN_POINTS)
+    exp, solutions = run_family_keeping_solutions(spec, scan_points=SCAN_POINTS)
     exp.wall_time = time.time() - t0
+    exp.solutions = solutions
     assert len(exp.records) == 5, "reference family must solve completely"
     return exp
 
@@ -40,13 +59,13 @@ def reference_family():
 @pytest.fixture(scope="session")
 def sol_mid(reference_family):
     """k=0, lambda=1e-3 member (moderate peak ~6.3)."""
-    return reference_family.records[1].solution
+    return reference_family.solutions[1]
 
 
 @pytest.fixture(scope="session")
 def sol_deep(reference_family):
     """k=0, lambda=1e-6 member (peak ~13.4)."""
-    return reference_family.records[-1].solution
+    return reference_family.solutions[-1]
 
 
 @pytest.fixture(scope="session")

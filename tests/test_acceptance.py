@@ -145,11 +145,11 @@ def test_criterion_4_liouville_profile(reference_family):
     t0 = time.time()
     sups = []
     bounds_ok = True
-    for rec in reference_family.records:
+    for rec, sol in zip(reference_family.records, reference_family.solutions):
         diag = rec.bubbles[0]
         sups.append(max(abs(zv - liouville_reference(rr, rec.beta, 1.0)[0])
                         for rr, zv in diag.samples if rr <= 4.0))
-        bounds_ok &= derivative_bound_check(diag, rec.solution, 1)
+        bounds_ok &= derivative_bound_check(diag, sol, 1)
     decreasing = all(b < a for a, b in zip(sups, sups[1:]))
     last = reference_family.records[-1].bubbles[0]
     ratio = last.coefficient_ratio

@@ -116,6 +116,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "beta" in err and "(0, 2)" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ("lambda_schedule = 0.5 0.125", "lambda_schedule = 0.5 nan"),
+        ("lambda_schedule = 0.5 0.125 0.03125 0.0078125",
+         "lambda_geometric = 0.5 0.25 nan"),
+        ("scan_points = 48", "scan_points = 48\nrel_tol = nan"),
+        ("scan_points = 48", "scan_points = 48\nrel_tol = inf"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, old, new):
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(old, new))
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_verify_writes_reports(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)
         out = tmp_path / "run1"

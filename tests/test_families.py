@@ -1,9 +1,11 @@
 """Family orchestration, Aitken acceleration, and the formula registry."""
 
+import gc
 import math
 
 import pytest
 
+from tmb import families
 from tmb.errors import FamilyEmptyError
 from tmb.families import (
     FamilySpec,
@@ -12,6 +14,7 @@ from tmb.families import (
     run_family,
     verify_formulas,
 )
+from tmb.ode import Trajectory
 
 from conftest import SCAN_POINTS
 
@@ -34,6 +37,13 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec(k=0, alpha=1.0, lambda_schedule=(0.1,) * 4,
                        beta_schedule=(1.2, 1.2, 2.3, 1.2))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FamilySpec(k=0, alpha=1.0, lambda_schedule=(0.1, bad, 0.1, 0.1),
+                           beta_schedule=(1.2,) * 4)
+            with pytest.raises(ValueError):
+                FamilySpec(k=0, alpha=bad, lambda_schedule=(0.1,) * 4,
+                           beta_schedule=(1.2,) * 4)
 
 
 class TestEstimateLimit:
@@ -104,6 +114,31 @@ class TestRunFamily:
             run_family(spec, scan_points=SCAN_POINTS)
 
 
+def test_no_trajectory_outlives_its_member(monkeypatch):
+    # records are summaries: while member n is solved, and after the
+    # run, no earlier member's trajectories are alive
+    def live():
+        gc.collect()
+        return sum(isinstance(o, Trajectory) for o in gc.get_objects())
+
+    base = live()
+    counts = []
+    solve = families.nodal_solution
+
+    def counting(*args, **kwargs):
+        counts.append(live() - base)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(families, "nodal_solution", counting)
+    spec = FamilySpec(k=0, alpha=1.0,
+                      lambda_schedule=(1e-2, 1e-3, 1e-4, 1e-5),
+                      beta_schedule=(1.2,) * 4)
+    exp = run_family(spec, scan_points=SCAN_POINTS)
+    assert len(exp.records) == 4
+    assert counts == [0, 0, 0, 0]
+    assert live() - base == 0
+
+
 class TestVerifyFormulas:
     def test_k0_applicability_gating(self, reference_family):
         reports = verify_formulas(reference_family)
@@ -154,7 +189,7 @@ def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
         full_dirichlet=2 * math.pi * 1.8 * k1, functional=5.0,
         nehari_residual=1e-11, identity_residual_max=1e-11,
         boundary_fluxes=(1.9,) * k1, bubbles=(None,) * k1,
-        branch_count=1, solution=None)
+        branch_count=1)
 
 
 class TestRegistryTargets:
