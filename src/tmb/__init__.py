@@ -1,83 +1,45 @@
 """Radial nodal solutions and blow-up diagnostics for the critical
 exponential-nonlinearity problem -u'' - u'/r = lambda*u*exp(u^2 + alpha*|u|^beta)
 on the unit disk.
+
+The namespace is lazy (PEP 562): `import tmb` loads no submodule, and the
+first use of an exported name imports only the module that defines it.
+`tmb.lambda_of_s` thus needs errors, nonlinearity, quadrature, ode and
+shooting, but not the family, diagnostics or Bessel code.
 """
 
-from .nonlinearity import (
-    OVERFLOW_BUDGET,
-    ProblemParams,
-    primitive_F,
-)
-from .ode import (
-    RadialState,
-    SolverSettings,
-    Trajectory,
-    integrate_radial,
-)
-from .bessel import Eigenpair, eigenpairs, j0, j0_zero
-from .shooting import RadialSolution, lambda_of_s, nodal_solution, solve_unit_lambda
-from .analysis import (
-    EnergyReport,
-    NodalDomain,
-    boundary_flux,
-    decompose,
-    energy_report,
-    identity_residual,
-    nehari_residual,
-    sturm_bound_check,
-)
-from .bubbles import (
-    BubbleDiagnostics,
-    derivative_bound_check,
-    liouville_reference,
-    log_gamma_scale,
-    rescale_profile,
-)
-from .families import (
-    FamilySpec,
-    FormulaReport,
-    SequenceExperiment,
-    estimate_limit,
-    run_family,
-    verify_formulas,
-)
+import importlib
+
+_EXPORTS = {
+    "nonlinearity": ("OVERFLOW_BUDGET", "ProblemParams", "primitive_F"),
+    "ode": ("RadialState", "SolverSettings", "Trajectory", "integrate_radial"),
+    "bessel": ("Eigenpair", "eigenpairs", "j0", "j0_zero"),
+    "shooting": ("RadialSolution", "lambda_of_s", "nodal_solution",
+                 "solve_unit_lambda"),
+    "analysis": ("EnergyReport", "NodalDomain", "boundary_flux", "decompose",
+                 "energy_report", "identity_residual", "nehari_residual",
+                 "sturm_bound_check"),
+    "bubbles": ("BubbleDiagnostics", "derivative_bound_check",
+                "liouville_reference", "log_gamma_scale", "rescale_profile"),
+    "families": ("FamilySpec", "FormulaReport", "SequenceExperiment",
+                 "estimate_limit", "run_family", "verify_formulas"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OVERFLOW_BUDGET",
-    "ProblemParams",
-    "primitive_F",
-    "RadialState",
-    "SolverSettings",
-    "Trajectory",
-    "integrate_radial",
-    "Eigenpair",
-    "eigenpairs",
-    "j0",
-    "j0_zero",
-    "RadialSolution",
-    "lambda_of_s",
-    "nodal_solution",
-    "solve_unit_lambda",
-    "EnergyReport",
-    "NodalDomain",
-    "boundary_flux",
-    "decompose",
-    "energy_report",
-    "identity_residual",
-    "nehari_residual",
-    "sturm_bound_check",
-    "BubbleDiagnostics",
-    "derivative_bound_check",
-    "liouville_reference",
-    "log_gamma_scale",
-    "rescale_profile",
-    "FamilySpec",
-    "FormulaReport",
-    "SequenceExperiment",
-    "estimate_limit",
-    "run_family",
-    "verify_formulas",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

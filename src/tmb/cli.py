@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bessel import MAX_EIGENPAIR_INDEX, eigenpairs
 from .bubbles import liouville_reference
 from .errors import ConfigError, FamilyEmptyError, TmbError
 from .families import FamilySpec, _summarize, run_family, verify_formulas
@@ -60,16 +59,18 @@ def _fmt(x) -> str:
 def emit_csv(records: list, path: Path, fieldnames: list) -> None:
     """Write RFC-4180 CSV; floats at 17 significant digits; row order kept.
 
-    Raises ValueError on an empty record set (no file is created).
+    Every row is formatted before the file is opened, so an empty record
+    set (ValueError) or a record missing a field (KeyError) leaves any
+    existing file untouched.
     """
     if not records:
         raise ValueError("refusing to write an empty CSV")
+    rows = [[_fmt(rec[name]) for name in fieldnames] for rec in records]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for rec in records:
-            writer.writerow([_fmt(rec[name]) for name in fieldnames])
+        writer.writerows(rows)
 
 
 def _get(cp, section, key, conv, default=None, required=False, path=""):
@@ -91,6 +92,33 @@ def _floats(raw: str) -> tuple:
     if not all(map(math.isfinite, values)):
         raise ValueError("every value must be finite")
     return values
+
+
+_LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
+
+
+def _geometric(raw: str) -> tuple:
+    """`start ratio count` -> (start * ratio**n for n < count).
+
+    count must be a whole number >= 1.  The last member and the power
+    ratio**(count - 1) it is built from must be positive finite floats;
+    both are checked in log space, so a huge count fails before the
+    schedule is built.
+    """
+    values = _floats(raw)
+    if len(values) != 3:
+        raise ValueError("expected start ratio count")
+    start, ratio, count = values
+    if count < 1 or count != math.floor(count):
+        raise ValueError(f"count must be a whole number >= 1, got {count}")
+    if start <= 0.0 or ratio <= 0.0:
+        raise ValueError("start and ratio must be positive")
+    lo, hi = _LOG_FLOAT_RANGE
+    log_power = (count - 1) * math.log(ratio)
+    if not (lo <= log_power < hi and lo <= math.log(start) + log_power < hi):
+        raise ValueError(f"the last member start * ratio**{count - 1:.0f} "
+                         "is not a positive finite float")
+    return tuple(start * ratio ** n for n in range(int(count)))
 
 
 def parse_config(path: Path, command: str) -> ExperimentConfig:
@@ -131,14 +159,13 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     if cp.has_section("family"):
         lam_sched = _get(cp, "family", "lambda_schedule", _floats, path=loc)
         if lam_sched is None:
-            geo = _get(cp, "family", "lambda_geometric", _floats, path=loc)
-            if geo is None or len(geo) != 3:
-                raise ConfigError(
-                    "family needs lambda_schedule or lambda_geometric "
-                    "= start ratio count", field="lambda_schedule",
-                    location=f"{loc}[family]")
-            start, ratio, count = geo
-            lam_sched = tuple(start * ratio ** n for n in range(int(count)))
+            lam_sched = _get(cp, "family", "lambda_geometric", _geometric,
+                             path=loc)
+        if lam_sched is None:
+            raise ConfigError(
+                "family needs lambda_schedule or lambda_geometric "
+                "= start ratio count", field="lambda_schedule",
+                location=f"{loc}[family]")
         beta_sched = _get(cp, "family", "beta_schedule", _floats, path=loc)
         if beta_sched is None:
             bconst = _get(cp, "family", "beta_constant", float, path=loc)
@@ -235,6 +262,7 @@ def run(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "bessel":
+        from .bessel import MAX_EIGENPAIR_INDEX, eigenpairs
         n = cfg.k if cfg.k >= 1 else 3
         if n > MAX_EIGENPAIR_INDEX:
             raise ConfigError(
@@ -335,6 +363,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.command} requires --config", field="config")
             cfg = parse_config(args.config, args.command)
         if args.k is not None:
+            if args.command != "bessel":
+                raise ConfigError(f"--k applies to bessel only; {args.command} "
+                                  "reads k from the config's [problem] section",
+                                  field="k")
             if args.k < 1:
                 raise ConfigError(f"--k must be >= 1, got {args.k}", field="k")
             cfg.k = args.k

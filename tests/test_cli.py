@@ -60,6 +60,24 @@ class TestParseConfig:
         assert sched[0] == 0.01
         assert sched[1] == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("geo, why", [
+        ("1e-2 0.1 4.9", "whole number"),   # int() used to give 4 members
+        ("1e-2 0.1", "start ratio count"),
+        ("1e-2 0.1 0", "whole number"),
+        ("1e-2 -0.1 5", "positive"),
+        # the last member underflows: rejected in log space before the
+        # million-member schedule is built
+        ("1e-2 0.1 1e6", "last member"),
+        ("1e-300 1e10 50", "last member"),  # ratio**49 overflows a float
+    ])
+    def test_bad_geometric_schedule_names_field(self, tmp_path, geo, why):
+        path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
+                                f"[family]\nlambda_geometric = {geo}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path, "sweep")
+        assert exc.value.field == "lambda_geometric"
+        assert why in str(exc.value)
+
     def test_syntax_error_reports_location(self, tmp_path):
         path = _write(tmp_path, "problem]\nk = 0\n")
         with pytest.raises(ConfigError):
@@ -81,6 +99,14 @@ class TestEmitCsv:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["v"]) for r in rows] == vals
+
+    def test_missing_field_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        emit_csv([{"a": 1.0, "b": 2.0}], path, ["a", "b"])
+        before = path.read_bytes()
+        with pytest.raises(KeyError):
+            emit_csv([{"a": 3.0, "b": 4.0}, {"a": 5.0}], path, ["a", "b"])
+        assert path.read_bytes() == before
 
     def test_empty_rejected_no_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -108,6 +134,19 @@ class TestCommands:
         assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "field: k" in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "profile", "verify"])
+    def test_k_flag_outside_bessel_exits_2(self, tmp_path, capsys, command):
+        # --k used to overwrite cfg.k but not cfg.family.k, so a family run
+        # solved every member and then failed on a missing CSV field
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace("[problem]",
+                                                    "[problem]\nlambda = 0.5"))
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--k", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field: k" in err
+        assert not out.exists()
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 2.5\n")
