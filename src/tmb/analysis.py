@@ -16,15 +16,15 @@ throughout: the inner radii of a deep solution underflow binary64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .quadrature import adaptive_quadrature
+from .records import record
 from .shooting import RadialSolution
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@record
 class NodalDomain:
     """One sign region of a nodal solution with its peak and energies."""
 
@@ -40,7 +40,7 @@ class NodalDomain:
     outer_slope: float
 
 
-@dataclass(frozen=True)
+@record
 class EnergyReport:
     """Full-disk energies: full_dirichlet = int_B |grad u|^2."""
 

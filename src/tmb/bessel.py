@@ -15,12 +15,13 @@ Standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import record
 
 MAX_EIGENPAIR_INDEX = 20
 
 
-@dataclass(frozen=True)
+@record
 class Eigenpair:
     """k-th radial Dirichlet eigenpair of the disk: lambda_k = t_k^2."""
 

@@ -23,10 +23,10 @@ by log radius there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import WindowTooLargeError
 from .nonlinearity import ProblemParams
+from .records import record
 from .shooting import RadialSolution
 
 PROFILE_WINDOW = 6.0
@@ -36,7 +36,7 @@ _LN64 = math.log(64.0)
 _LN8 = math.log(8.0)
 
 
-@dataclass(frozen=True)
+@record
 class BubbleDiagnostics:
     """Rescaled profile samples and correction fit for one domain."""
 

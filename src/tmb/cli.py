@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -29,12 +27,23 @@ from .errors import ConfigError, FamilyEmptyError, TmbError
 from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
+from .records import record
 from .shooting import nodal_solution
+
+# The interpreter's own SHA-256 (3.12+: _sha2, 3.10-3.11: _sha256), so that
+# hashing a config loads no OpenSSL; hashlib only where neither was built.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 COMMANDS = ("solve", "sweep", "profile", "verify", "bessel")
 
 
-@dataclass
+@record(frozen=False)
 class ExperimentConfig:
     command: str
     k: int = 0
@@ -73,6 +82,11 @@ def emit_csv(records: list, path: Path, fieldnames: list) -> None:
         writer.writerows(rows)
 
 
+def _config_hash(data: bytes) -> str:
+    """The first 12 hex digits of the SHA-256 of data."""
+    return _sha256(data).hexdigest()[:12]
+
+
 def _get(cp, section, key, conv, default=None, required=False, path=""):
     if not cp.has_option(section, key):
         if required:
@@ -95,15 +109,18 @@ def _floats(raw: str) -> tuple:
 
 
 _LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
+# Most members a lambda_geometric schedule may have: at ~0.1 s of solving
+# per member, 1,000 members take minutes, and more is a typo, not a family.
+MAX_GEOMETRIC_COUNT = 1000
 
 
 def _geometric(raw: str) -> tuple:
     """`start ratio count` -> (start * ratio**n for n < count).
 
-    count must be a whole number >= 1.  The last member and the power
-    ratio**(count - 1) it is built from must be positive finite floats;
-    both are checked in log space, so a huge count fails before the
-    schedule is built.
+    count must be a whole number in [1, MAX_GEOMETRIC_COUNT] and ratio
+    must not be 1.  The last member and the power ratio**(count - 1) it is
+    built from must be positive finite floats, checked in log space.  All
+    checks run before the schedule is built.
     """
     values = _floats(raw)
     if len(values) != 3:
@@ -113,11 +130,16 @@ def _geometric(raw: str) -> tuple:
         raise ValueError(f"count must be a whole number >= 1, got {count}")
     if start <= 0.0 or ratio <= 0.0:
         raise ValueError("start and ratio must be positive")
+    if ratio == 1.0:
+        raise ValueError("ratio must not be 1: every member would be start")
     lo, hi = _LOG_FLOAT_RANGE
     log_power = (count - 1) * math.log(ratio)
     if not (lo <= log_power < hi and lo <= math.log(start) + log_power < hi):
         raise ValueError(f"the last member start * ratio**{count - 1:.0f} "
                          "is not a positive finite float")
+    if count > MAX_GEOMETRIC_COUNT:
+        raise ValueError(f"count must be at most {MAX_GEOMETRIC_COUNT}, "
+                         f"got {count:.0f}")
     return tuple(start * ratio ** n for n in range(int(count)))
 
 
@@ -134,7 +156,7 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
         raise ConfigError(f"config syntax error: {exc}", location=str(path)) from exc
 
     cfg = ExperimentConfig(command=command)
-    cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:12]
+    cfg.config_hash = _config_hash(text.encode())
     loc = str(path)
 
     if cp.has_section("problem"):
@@ -357,7 +379,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "bessel" and args.config is None:
             cfg = ExperimentConfig(command="bessel")
-            cfg.config_hash = hashlib.sha256(b"bessel-cli").hexdigest()[:12]
+            cfg.config_hash = _config_hash(b"bessel-cli")
         else:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config", field="config")

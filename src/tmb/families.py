@@ -13,7 +13,6 @@ precision targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .analysis import boundary_flux, decompose, energy_report, identity_residual, \
     nehari_residual
@@ -26,12 +25,13 @@ from .errors import (
 )
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
+from .records import record
 from .shooting import LogRadii, nodal_solution
 
 SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """A (lambda_n, beta_n) schedule for one nodal class."""
 
@@ -62,7 +62,7 @@ class FamilySpec:
         return len(self.lambda_schedule)
 
 
-@dataclass(frozen=True)
+@record
 class MemberRecord(LogRadii):
     """Summary of one solved family member.
 
@@ -98,7 +98,7 @@ class MemberRecord(LogRadii):
                      for ru, t in zip(self.boundary_ru, self.log_nodal_radii))
 
 
-@dataclass(frozen=True)
+@record
 class FailedMember:
     index: int
     lam: float
@@ -106,15 +106,15 @@ class FailedMember:
     reason: str
 
 
-@dataclass
+@record(frozen=False)
 class SequenceExperiment:
     spec: FamilySpec
     records: list          # MemberRecord, successful members in order
     failures: list         # FailedMember
-    formula_reports: list = field(default_factory=list)
+    formula_reports: list | tuple = ()  # FormulaReport, set by verify_formulas
 
 
-@dataclass(frozen=True)
+@record
 class FormulaReport:
     formula_id: str
     applicable: bool

@@ -10,16 +10,16 @@ the only place OverflowBudgetError is raised.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import OverflowBudgetError
 from .quadrature import adaptive_quadrature
+from .records import record
 
 # Exponent budget for binary64 work (safety margin below log(DBL_MAX) ~ 709.78).
 OVERFLOW_BUDGET = 700.0
 
 
-@dataclass(frozen=True)
+@record
 class ProblemParams:
     """The triple (alpha, beta, lambda) defining the equation.
 
@@ -30,7 +30,7 @@ class ProblemParams:
     alpha: float
     beta: float
     lam: float
-    log_lambda: float = field(default=None)  # type: ignore[assignment]
+    log_lambda: float | None = None
 
     def __post_init__(self):
         if not (self.alpha > 0.0):

@@ -63,10 +63,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
 from .nonlinearity import ProblemParams, primitive_F
+from .records import record
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -121,7 +121,7 @@ MAX_RADIUS = 1e6
 MAX_STEPS = 2_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SolverSettings:
     """Integration tolerances."""
 

@@ -19,11 +19,11 @@ their logarithms stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NoSolutionInRangeError, ZeroNotReachedError
 from .nonlinearity import OVERFLOW_BUDGET, ProblemParams
 from .ode import SolverSettings, Trajectory, integrate_radial, radii, slopes
+from .records import record
 
 DEFAULT_SCAN_POINTS = 200
 DEFAULT_S_MIN = 1e-6
@@ -87,7 +87,7 @@ class LogRadii:
         return slopes(self.log_nodal_radii, self.boundary_ru)
 
 
-@dataclass(frozen=True)
+@record
 class RadialSolution(LogRadii):
     """A validated nodal radial solution on the unit disk, u(0) > 0.
 

@@ -1,6 +1,7 @@
 """Config parsing, CSV contracts, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -42,7 +43,9 @@ class TestParseConfig:
         assert cfg.family.lambda_schedule == (0.5, 0.125, 0.03125, 0.0078125)
         assert cfg.family.beta_schedule == (1.0,) * 4
         assert cfg.scan_points == 48
-        assert len(cfg.config_hash) == 12
+        # the hash bytes are part of every CSV row: SHA-256 of the text
+        assert cfg.config_hash == hashlib.sha256(
+            CHEAP_VERIFY.encode()).hexdigest()[:12]
 
     def test_beta_out_of_range_names_field(self, tmp_path):
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 2.5\n")
@@ -69,6 +72,10 @@ class TestParseConfig:
         # million-member schedule is built
         ("1e-2 0.1 1e6", "last member"),
         ("1e-300 1e10 50", "last member"),  # ratio**49 overflows a float
+        # a ratio of 1, or so near 1 that the last member stays finite:
+        # still rejected before a million members are built
+        ("0.01 1 1e6", "ratio must not be 1"),
+        ("0.01 0.9999999 1e6", "at most 1000"),
     ])
     def test_bad_geometric_schedule_names_field(self, tmp_path, geo, why):
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
@@ -125,6 +132,9 @@ class TestCommands:
         ts = [float(l.split("t_k=")[1].split()[0]) for l in lines]
         assert ts == sorted(ts)
         assert ts[0] == pytest.approx(2.404825557695773, abs=1e-10)
+        with open(tmp_path / "bessel.csv", newline="") as fh:
+            hashes = {row["config_hash"] for row in csv.DictReader(fh)}
+        assert hashes == {hashlib.sha256(b"bessel-cli").hexdigest()[:12]}
 
     def test_bessel_k_above_cap_exits_2(self, tmp_path, capsys):
         # k = 25 is past MAX_EIGENPAIR_INDEX = 20, from the flag and from a config

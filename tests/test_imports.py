@@ -37,13 +37,23 @@ def test_import_loads_no_submodule():
 def test_lambda_of_s_loads_only_the_integrator():
     assert _loaded_after("import tmb; tmb.lambda_of_s") == {
         "tmb.errors", "tmb.nonlinearity", "tmb.quadrature", "tmb.ode",
-        "tmb.shooting"}
+        "tmb.records", "tmb.shooting"}
 
 
 def test_cli_loads_everything_but_bessel():
     loaded = _loaded_after("import tmb.cli")
     assert "tmb.bessel" not in loaded
     assert {"tmb.families", "tmb.analysis", "tmb.bubbles"} <= loaded
+
+
+def test_no_module_loads_openssl_or_dataclasses():
+    # compared with a snapshot taken just before the import, because site
+    # may preload modules; cli and bessel together import every tmb module
+    added = set(_run("import json, sys\nbefore = set(sys.modules)\n"
+                     "import tmb.cli, tmb.bessel\n"
+                     "print(json.dumps(sorted(set(sys.modules) - before)))"))
+    assert "tmb.bessel" in added
+    assert not {"_hashlib", "dataclasses"} & added
 
 
 def test_exports_are_their_home_objects():
