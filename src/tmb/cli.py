@@ -112,6 +112,10 @@ _LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
 # Most members a lambda_geometric schedule may have: at ~0.1 s of solving
 # per member, 1,000 members take minutes, and more is a typo, not a family.
 MAX_GEOMETRIC_COUNT = 1000
+# Most amplitudes a scan may probe: each is one integration, a scan runs
+# for every member that continuation does not reach, the default is 200,
+# and more than this is a typo, not a finer scan.
+MAX_SCAN_POINTS = 10000
 
 
 def _geometric(raw: str) -> tuple:
@@ -220,9 +224,11 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
             raise ConfigError("tolerances must be positive and finite",
                               field="rel_tol/abs_tol",
                               location=f"{loc}[tolerances]")
-        if cfg.scan_points < 2:
-            raise ConfigError("scan_points must be at least 2",
-                              field="scan_points", location=f"{loc}[tolerances]")
+        if not (2 <= cfg.scan_points <= MAX_SCAN_POINTS):
+            raise ConfigError(
+                f"scan_points must lie in [2, {MAX_SCAN_POINTS}], "
+                f"got {cfg.scan_points}",
+                field="scan_points", location=f"{loc}[tolerances]")
     if cp.has_section("output"):
         cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
     return cfg

@@ -24,7 +24,8 @@ class ProblemParams:
     """The triple (alpha, beta, lambda) defining the equation.
 
     alpha > 0 is the perturbation strength, beta in (0, 2) the perturbation
-    exponent, lam > 0 the eigenparameter.  log_lambda caches ln(lam).
+    exponent, lam > 0 the eigenparameter; alpha and lam are finite.
+    log_lambda caches ln(lam).
     """
 
     alpha: float
@@ -33,12 +34,12 @@ class ProblemParams:
     log_lambda: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (0.0 < self.beta < 2.0):
             raise ValueError(f"beta must lie in (0, 2), got {self.beta!r}")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lambda must be positive, got {self.lam!r}")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam!r}")
         log_lam = math.log(self.lam)
         if self.log_lambda is None:
             object.__setattr__(self, "log_lambda", log_lam)

@@ -38,6 +38,8 @@ S_MAX = 1e5
 
 # Relaxed tolerances used only to bracket sign changes.
 SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
+# A polished root matches the target to this much in ln(lambda).
+POLISH_TOL = 1e-10
 
 
 def amplitude_budget(p: ProblemParams) -> float:
@@ -171,30 +173,39 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     )
 
 
-def _lambda_or_none(s, k, p0, settings):
+def _residual(x, k, lt, p0, settings):
+    """(ln lambda - lt, trajectory) of the integration from amplitude exp(x)."""
+    _, traj = solve_unit_lambda(math.exp(x), k, p0, settings)
+    return 2.0 * traj.log_zeros[k][0] - lt, traj
+
+
+def _probe(k: int, lt: float, p0: ProblemParams, s: float):
+    """(ln s, ln lambda - lt) at SCAN_SETTINGS, integrated at exp(ln s) as
+    the polish would; None when the (k+1)-th zero is not reached."""
+    x = math.log(s)
     try:
-        return lambda_of_s(s, k, p0, settings)
+        return x, _residual(x, k, lt, p0, SCAN_SETTINGS)[0]
     except ZeroNotReachedError:
         return None
 
 
-def _scan(k: int, p0: ProblemParams, target: float, n_points: int):
-    """lambda_of_s at SCAN_SETTINGS on a log grid of n_points from
-    DEFAULT_S_MIN to amplitude_budget(p0), continued at the same ratio while
-    lambda is above the target and still falling, up to S_MAX.  Returns
-    (grid, values), with None marking failed evaluations.
+def _scan(k: int, p0: ProblemParams, lt: float, n_points: int):
+    """Probes on a log grid of n_points from DEFAULT_S_MIN to
+    amplitude_budget(p0), continued at the same ratio while lambda is above
+    the target and still falling, up to S_MAX.  Returns (last amplitude,
+    probes), with None marking failed probes.
     """
     s_max = amplitude_budget(p0)
     ratio = (s_max / DEFAULT_S_MIN) ** (1.0 / (n_points - 1))
     grid = [DEFAULT_S_MIN * ratio ** i for i in range(n_points)]
     grid[-1] = s_max
-    values = [_lambda_or_none(s, k, p0, SCAN_SETTINGS) for s in grid]
+    probes = [_probe(k, lt, p0, s) for s in grid]
     ratio = grid[-1] / grid[-2]
-    while values[-2] is not None and values[-1] is not None \
-            and target < values[-1] < values[-2] and grid[-1] < S_MAX:
+    while probes[-2] is not None and probes[-1] is not None \
+            and 0.0 < probes[-1][1] < probes[-2][1] and grid[-1] < S_MAX:
         grid.append(min(grid[-1] * ratio, S_MAX))
-        values.append(_lambda_or_none(grid[-1], k, p0, SCAN_SETTINGS))
-    return grid, values
+        probes.append(_probe(k, lt, p0, grid[-1]))
+    return grid[-1], probes
 
 
 def _secant_stage(feval, xa, fa, xb, fb, tol, max_iter):
@@ -217,31 +228,21 @@ def _secant_stage(feval, xa, fa, xb, fb, tol, max_iter):
     return best_x, (xa, fa, xb, fb)
 
 
-def _polish_bracket(k: int, target: float, p0: ProblemParams,
-                    s_lo: float, s_hi: float,
-                    settings: SolverSettings | None,
-                    rel_tol_lambda: float = 1e-10):
-    """Two-phase secant in (ln s, ln lambda) space.
+def _polish_bracket(k: int, lt: float, p0: ProblemParams, lo, hi,
+                    settings: SolverSettings | None):
+    """Two-phase secant in (ln s, ln lambda - lt) space, started from the
+    probes lo and hi of a sign change (see _probe).
 
     A safeguarded secant at scan tolerance shrinks the bracket cheaply;
     a plain secant at full tolerance, seeded by its slope, finishes.
     Returns the trajectory of the converged full-tolerance evaluation, or
-    None when the ends do not bracket at scan tolerance or the final
-    secant does not converge (a scan-noise bracket, not a root).
+    None when the final secant does not converge (a scan-noise bracket,
+    not a root).
     """
-    lt = math.log(target)
-
-    def feval(x, stg):
-        _, traj = solve_unit_lambda(math.exp(x), k, p0, stg)
-        return 2.0 * traj.log_zeros[k][0] - lt, traj
-
     def feval_coarse(x):
-        return feval(x, SCAN_SETTINGS)[0]
+        return _residual(x, k, lt, p0, SCAN_SETTINGS)[0]
 
-    x_lo, x_hi = math.log(s_lo), math.log(s_hi)
-    f_lo, f_hi = feval_coarse(x_lo), feval_coarse(x_hi)
-    if f_lo * f_hi > 0.0:
-        return None
+    (x_lo, f_lo), (x_hi, f_hi) = lo, hi
     # phase 1: coarse secant down to ~10x the scan noise floor.  The cap is
     # measured: converging stages took at most 11 iterations over the 23
     # polishes of the five presets and at most 10 over the test suite's 88;
@@ -255,8 +256,8 @@ def _polish_bracket(k: int, target: float, p0: ProblemParams,
     x_min, x_max = min(x_lo, x_hi), max(x_lo, x_hi)
     x, xp, fp = xc, None, None
     for _ in range(14):
-        f, traj = feval(x, settings)
-        if abs(f) <= rel_tol_lambda:
+        f, traj = _residual(x, k, lt, p0, settings)
+        if abs(f) <= POLISH_TOL:
             return traj
         if xp is None:
             x_next = x - f / slope if slope != 0.0 else 0.5 * (xa + xb)
@@ -275,88 +276,85 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
                    seed_amplitude: float | None = None) -> list[RadialSolution]:
     """All k-nodal solutions with the prescribed eigenvalue found by the scan.
 
-    Scans lambda_of_s at scan tolerance on a log-spaced amplitude grid
-    from DEFAULT_S_MIN to amplitude_budget(p) (the end of the former
-    binary64 window), continued at the same ratio while lambda_of_s is
-    above the target and still falling, up to S_MAX; every scan is made
-    afresh, nothing is kept between calls.  Every sign change of
-    lambda_of_s - target_lambda is polished in two phases: a safeguarded
-    secant at scan tolerance to 2e-5 in ln(lambda), then a secant at the
-    given settings, seeded by the coarse slope, until ln(lambda) matches
-    to 1e-10 (at most 14 full-tolerance integrations).  A bracket whose
-    full-tolerance secant does not converge is dropped as scan noise.
-    Measured at default settings: the polish residual is at most 4.4e-12
-    in ln(lambda) on the reference_family and weak_limit_preset presets,
-    and for s <= 18 the achieved lambda is within 1.3e-10 (relative) of
-    the independent benchmark oracle.  With seed_amplitude (continuation
-    within a family) a local bracket around the seed is tried first and the
-    scan is skipped when it succeeds.
+    Scans lambda_of_s at scan tolerance on a log grid of scan_points >= 2
+    amplitudes from DEFAULT_S_MIN to amplitude_budget(p), continued at the
+    same ratio while lambda_of_s is above the target and still falling, up
+    to S_MAX; every scan is made afresh, nothing is kept between calls.
+    Every sign change of lambda_of_s - target_lambda is polished in two
+    phases from the two ends the scan measured (they are not integrated
+    again): a safeguarded secant at scan tolerance to 2e-5 in ln(lambda),
+    then a secant at the given settings, seeded by the coarse slope, until
+    ln(lambda) matches to POLISH_TOL (at most 14 full-tolerance
+    integrations).  A bracket whose full-tolerance secant does not converge
+    is dropped as scan noise.  Measured at default settings: the polish
+    residual is at most 4.4e-12 in ln(lambda) on the reference_family and
+    weak_limit_preset presets, and for s <= 18 the achieved lambda is
+    within 1.3e-10 (relative) of the independent benchmark oracle.  With a
+    positive, finite seed_amplitude (continuation within a family) a local
+    bracket around the seed is measured and polished first, skipping the scan.
 
     Raises NoSolutionInRangeError when no bracket exists on the scan.
     """
-    if not (target_lambda > 0.0):
-        raise ValueError(f"target lambda must be positive, got {target_lambda!r}")
+    if not (0.0 < target_lambda < math.inf):
+        raise ValueError(
+            f"target lambda must be positive and finite, got {target_lambda!r}")
     if k < 0:
         raise ValueError(f"nodal class must be nonnegative, got {k!r}")
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be at least 2, got {scan_points!r}")
+    if not (seed_amplitude is None or 0.0 < seed_amplitude < math.inf):
+        raise ValueError(f"seed must be positive and finite, got {seed_amplitude!r}")
     full = settings or SolverSettings()
     p0 = ProblemParams(p.alpha, p.beta, 1.0)
+    lt = math.log(target_lambda)
 
     if seed_amplitude is not None:
-        sol = _continuation_solve(k, target_lambda, p0, seed_amplitude, full)
+        sol = _continuation_solve(k, lt, p0, seed_amplitude, full)
         if sol is not None:
             return [sol]
 
-    grid, values = _scan(k, p0, target_lambda, scan_points)
-    valid = [(s, v) for s, v in zip(grid, values) if v is not None]
-    brackets = []
-    for (s1, v1), (s2, v2) in zip(valid, valid[1:]):
-        if (v1 - target_lambda) * (v2 - target_lambda) <= 0.0:
-            brackets.append((s1, s2))
-    lams = [v for _, v in valid]
-    if not lams:
+    s_end, probes = _scan(k, p0, lt, scan_points)
+    valid = [pr for pr in probes if pr is not None]
+    if not valid:
         raise NoSolutionInRangeError(target_lambda, math.nan, math.nan,
-                                     DEFAULT_S_MIN, grid[-1])
+                                     DEFAULT_S_MIN, s_end)
     solutions = []
-    for s_lo, s_hi in brackets:
-        traj = _polish_bracket(k, target_lambda, p0, s_lo, s_hi, full)
-        if traj is not None:
-            solutions.append(_build_solution(traj, k, p0))
+    for lo, hi in zip(valid, valid[1:]):
+        if lo[1] * hi[1] <= 0.0:
+            traj = _polish_bracket(k, lt, p0, lo, hi, full)
+            if traj is not None:
+                solutions.append(_build_solution(traj, k, p0))
     if not solutions:
+        lams = [math.exp(lt + f) for _, f in valid]
         raise NoSolutionInRangeError(target_lambda, min(lams), max(lams),
-                                     DEFAULT_S_MIN, grid[-1])
+                                     DEFAULT_S_MIN, s_end)
     solutions.sort(key=lambda sol: sol.amplitude)
     return solutions
 
 
-def _continuation_solve(k, target, p0, seed, full):
+def _continuation_solve(k, lt, p0, seed, full):
     """Bracket around a previous member's amplitude; None if it fails.
 
     The bracket grows only while lambda keeps moving toward the target,
     so that it follows the seed's branch and does not jump past a turning
     point to a distant one (the scan would not reach that one either).
     """
-    def lam_at(s):
-        return _lambda_or_none(s, k, p0, SCAN_SETTINGS)
-
-    lo, hi = seed / 1.3, min(seed * 1.3, S_MAX)
-    v_lo, v_hi = lam_at(lo), lam_at(hi)
+    s_lo, s_hi = seed / 1.3, min(seed * 1.3, S_MAX)
+    lo, hi = _probe(k, lt, p0, s_lo), _probe(k, lt, p0, s_hi)
     for _ in range(14):
-        if v_lo is not None and v_hi is not None and \
-                (v_lo - target) * (v_hi - target) <= 0.0:
-            traj = _polish_bracket(k, target, p0, lo, hi, full)
-            if traj is None:
-                return None
-            return _build_solution(traj, k, p0)
+        if lo is not None and hi is not None and lo[1] * hi[1] <= 0.0:
+            traj = _polish_bracket(k, lt, p0, lo, hi, full)
+            return None if traj is None else _build_solution(traj, k, p0)
         # lambda decreases with amplitude along the branches of interest
-        if v_lo is not None and v_lo < target:
-            lo /= 1.6
-            v_prev, v_lo = v_lo, lam_at(lo)
-            if v_lo is None or v_lo <= v_prev:
+        if lo is not None and lo[1] < 0.0:
+            s_lo /= 1.6
+            prev, lo = lo, _probe(k, lt, p0, s_lo)
+            if lo is None or lo[1] <= prev[1]:
                 return None
-        elif v_hi is not None and v_hi > target and hi < S_MAX:
-            hi = min(hi * 1.6, S_MAX)
-            v_prev, v_hi = v_hi, lam_at(hi)
-            if v_hi is None or v_hi >= v_prev:
+        elif hi is not None and hi[1] > 0.0 and s_hi < S_MAX:
+            s_hi = min(s_hi * 1.6, S_MAX)
+            prev, hi = hi, _probe(k, lt, p0, s_hi)
+            if hi is None or hi[1] >= prev[1]:
                 return None
         else:
             return None

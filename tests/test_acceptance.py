@@ -18,10 +18,10 @@ from tmb import ProblemParams
 from tmb.analysis import identity_residual, nehari_residual, sturm_bound_check
 from tmb.bessel import j0_zero
 from tmb.bubbles import derivative_bound_check, liouville_reference
-from tmb.cli import main as cli_main
+from tmb.cli import main as cli_main, parse_config
 from tmb.errors import FamilyEmptyError, NoSolutionInRangeError
 from tmb.families import FamilySpec, estimate_limit, run_family, verify_formulas
-from tmb.ode import first_integral_residual
+from tmb.ode import SolverSettings, first_integral_residual
 from tmb.shooting import lambda_of_s, nodal_solution
 
 from conftest import L1, SCAN_POINTS, SESSION_T0, T1, T2
@@ -215,6 +215,55 @@ def test_criterion_7_full_energy_expansion(reference_family):
               f"tolerance 0.20; Aitken would give {extrap:.4f}, "
               f"rel {rel_extrap:.3f}); next-order log(mu) corrections "
               f"exceed 20% until lambda is far below 1e-6")
+    assert ok, _line(7, ok, detail)
+    _line(7, ok, detail)
+
+
+DEEP_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+               / "reference_family_deep.cfg")
+
+
+@pytest.fixture(scope="module")
+def deep_reference_family():
+    """configs/reference_family_deep.cfg (k=0, alpha=1, beta=1.2, lambda =
+    1e-2 .. 1e-300), solved once as `tmb verify` solves it."""
+    cfg = parse_config(DEEP_CONFIG, "verify")
+    exp = run_family(cfg.family, SolverSettings(cfg.rel_tol, cfg.abs_tol),
+                     scan_points=cfg.scan_points)
+    assert len(exp.records) == len(cfg.family.lambda_schedule), \
+        "deep reference family must solve completely"
+    return exp
+
+
+def test_criterion_6_deep_concentration_and_flux(deep_reference_family):
+    # criterion 6's laws and tolerances, where the family reaches them
+    recs = deep_reference_family.records
+    seq = [math.log(1.0 / rec.lam) / rec.peak_values[0] ** rec.beta
+           for rec in recs]
+    _, extrap = estimate_limit(seq)
+    rel = abs(extrap - 0.4) / 0.4
+    fluxes = [rec.boundary_fluxes[0] for rec in recs]
+    trending = all(b > a for a, b in zip(fluxes, fluxes[1:]))
+    ok = rel <= 0.05 and 1.9 <= fluxes[-1] <= 2.1 and trending
+    detail = (f"deep family: Aitken[log(1/lam)/mu^b] = {extrap:.4f} vs 0.4 "
+              f"(rel {rel:.4f}, tolerance 0.05); mu|u'(1)| last "
+              f"{fluxes[-1]:.4f} vs [1.9,2.1], trending up {trending}")
+    assert ok, _line(6, ok, detail)
+    _line(6, ok, detail)
+
+
+def test_criterion_7_deep_full_energy_expansion(deep_reference_family):
+    # criterion 7's law and tolerance, where the family reaches them
+    recs = deep_reference_family.records
+    alpha, beta = deep_reference_family.spec.alpha, recs[-1].beta
+    target = (2.0 * math.pi * alpha ** (2.0 / beta) * beta
+              * (1.0 - beta / 2.0) ** ((2.0 - beta) / beta))
+    last = ((4.0 * math.pi - recs[-1].full_dirichlet)
+            * math.log(1.0 / recs[-1].lam) ** ((2.0 - beta) / beta))
+    rel = abs(last - target) / target
+    ok = rel <= 0.20
+    detail = (f"deep family: deficit*(log 1/lam)^((2-b)/b) at largest member "
+              f"{last:.4f} vs {target:.4f} (rel {rel:.4f}, tolerance 0.20)")
     assert ok, _line(7, ok, detail)
     _line(7, ok, detail)
 

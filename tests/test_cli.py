@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tmb.cli import emit_csv, main, parse_config
+from tmb import shooting
+from tmb.cli import MAX_SCAN_POINTS, emit_csv, main, parse_config
 from tmb.errors import ConfigError
 
 CHEAP_VERIFY = """\
@@ -177,6 +178,21 @@ class TestCommands:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1, MAX_SCAN_POINTS + 1])
+    def test_scan_points_out_of_range_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, count):
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(
+            "scan_points = 48", f"scan_points = {count}"))
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field: scan_points" in err
+        assert calls == []
+        assert not out.exists()
 
     def test_verify_writes_reports(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tmb import families
+from tmb import families, shooting
 from tmb.errors import FamilyEmptyError
 from tmb.families import (
     FamilySpec,
@@ -112,6 +112,17 @@ class TestRunFamily:
                           beta_schedule=(1.2,) * 4)
         with pytest.raises(FamilyEmptyError):
             run_family(spec, scan_points=SCAN_POINTS)
+
+    def test_short_scan_rejected_before_integrating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kwargs: calls.append(args))
+        spec = FamilySpec(k=0, alpha=1.0,
+                          lambda_schedule=(1e-2, 1e-3, 1e-4, 1e-5),
+                          beta_schedule=(1.2,) * 4)
+        with pytest.raises(ValueError, match="scan_points"):
+            run_family(spec, scan_points=1)
+        assert calls == []
 
 
 def test_no_trajectory_outlives_its_member(monkeypatch):

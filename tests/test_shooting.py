@@ -67,10 +67,14 @@ class TestNodalSolution:
     def test_scan_noise_bracket_dropped(self, monkeypatch):
         # at scan tolerance lambda(s) - target changes sign on this bracket
         # near Lambda_1, but at full tolerance there is no root in it: the
-        # full-tolerance secant stalls and the bracket is dropped without
-        # re-evaluating its ends (the real root is found by
-        # test_bifurcation_from_first_eigenvalue).  The coarse secant runs
-        # to its cap here: 2 end evaluations + 12 iterations at scan tolerance
+        # full-tolerance secant stalls and the bracket is dropped (the real
+        # root is found by test_bifurcation_from_first_eigenvalue).  The
+        # polish starts from the probed ends and its coarse secant runs to
+        # its cap here: 12 iterations at scan tolerance
+        lt = math.log(L1 * (1 - 1e-4))
+        lo = shooting._probe(0, lt, P12, 1e-6)
+        hi = shooting._probe(0, lt, P12, 1.43736615134483e-6)
+        assert lo[1] * hi[1] <= 0.0
         full = SolverSettings()
         calls, scan_calls = [], []
 
@@ -79,11 +83,54 @@ class TestNodalSolution:
             return solve_unit_lambda(s, k, p0, settings)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", counting)
-        traj = shooting._polish_bracket(0, L1 * (1 - 1e-4), P12, 1e-6,
-                                        1.43736615134483e-6, full)
+        traj = shooting._polish_bracket(0, lt, P12, lo, hi, full)
         assert traj is None
         assert len(calls) <= 4
-        assert len(scan_calls) <= 14
+        assert len(scan_calls) <= 12
+
+    def test_each_amplitude_integrated_once(self, monkeypatch):
+        # the scan and the continuation hand the polish the ends they
+        # measured, so no solve integrates one amplitude twice at one
+        # tolerance
+        seen = []
+
+        def recording(s, k, p0, settings=None):
+            seen.append((settings, s))
+            return solve_unit_lambda(s, k, p0, settings)
+
+        def assert_distinct():
+            by_settings = {}
+            for settings, s in seen:
+                by_settings.setdefault(settings, []).append(s)
+            for amps in by_settings.values():
+                amps.sort()
+                assert all(b - a > 1e-15 * b for a, b in zip(amps, amps[1:]))
+            seen.clear()
+
+        monkeypatch.setattr(shooting, "solve_unit_lambda", recording)
+        fresh = nodal_solution(0, 3e-3, P12, scan_points=SCAN_POINTS)[0]
+        assert_distinct()
+        nodal_solution(0, 3e-3, P12, seed_amplitude=fresh.amplitude * 1.1)
+        assert_distinct()
+
+    @pytest.mark.parametrize("target, kwargs, message", [
+        (1e-3, {"scan_points": 1}, "scan_points"),
+        (1e-3, {"scan_points": 0}, "scan_points"),
+        (1e-3, {"scan_points": 1, "seed_amplitude": 6.0}, "scan_points"),
+        (1e-3, {"seed_amplitude": math.inf}, "seed"),
+        (1e-3, {"seed_amplitude": math.nan}, "seed"),
+        (1e-3, {"seed_amplitude": 0.0}, "seed"),
+        (1e-3, {"seed_amplitude": -1.0}, "seed"),
+        (math.inf, {}, "target"),
+    ])
+    def test_invalid_search_rejected_before_integrating(
+            self, monkeypatch, target, kwargs, message):
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            nodal_solution(0, target, P12, **kwargs)
+        assert calls == []
 
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
