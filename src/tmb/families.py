@@ -185,7 +185,7 @@ def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
     amplitude.  Failed members are recorded, not fatal; FamilyEmptyError
     only when nothing solves.  Records are summaries, so a run holds at
     most one member's trajectories; to get a member's solution back,
-    re-solve it with the run's settings (same root to polish tolerance):
+    re-solve it with the run's settings (three integrations, same root):
     nodal_solution(k, rec.lam, ProblemParams(alpha, rec.beta, rec.lam),
     seed_amplitude=rec.amplitude)."""
     records = []

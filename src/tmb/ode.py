@@ -202,7 +202,7 @@ class _Step:
         self.x1 = x1
         self.y0 = y0
         self.y1 = y1
-        self.rcont = rcont  # 5 tuples of _NCOMP floats
+        self.rcont = rcont  # 5 tuples of _NCOMP floats (+2 with the channel)
         self.frame = frame
 
     @property
@@ -332,12 +332,13 @@ class Trajectory:
         in (before any dilation by shifted); a first-bubble step carries
         frame-local x and y, so read it through t0, t1 and end();
       u_log, ru_log, eval_log, state_log, source_log: dense evaluation,
-        by log radius only.
+        by log radius only;
+      log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel).
     """
 
     def __init__(self, params: ProblemParams, amplitude: float, t_start: float,
                  steps: list, log_zeros: list, log_peaks: list,
-                 shift: float = 0.0):
+                 shift: float = 0.0, log_slope: float | None = None):
         self.params = params
         self.initial_amplitude = amplitude
         self.t_start = t_start
@@ -346,6 +347,7 @@ class Trajectory:
         self.log_zeros = log_zeros
         self.log_peaks = log_peaks
         self._starts = [st.t0 - shift for st in steps]
+        self.log_slope = log_slope
 
     def _step_for(self, t):
         idx = bisect_right(self._starts, t) - 1
@@ -445,15 +447,15 @@ def _line_search(f, lo, hi, iters=200):
 def _march(rhs, x, y, h, scale, t_of, on_step):
     """Dormand-Prince steps from (x, y) until on_step(step) returns True.
 
-    scale(x, y, x1, y1) gives the error scale of each component for a trial
-    step; the step is accepted when every local error estimate is within it.
+    scale(x, y, x1, y1) gives the error scale of the first _NCOMP components
+    (no others are tested) for a trial step, accepted when all are met.
     on_step may also return a number x_land < step.x1: the step is then
     discarded and retaken to end on x_land (unless the error test rejects
     that retake).
 
     Returns (last accepted step, next step size).
     """
-    rng = _RANGE
+    rng = tuple(range(len(y)))
     k1 = rhs(x, y)
     x_land = None
     while True:
@@ -483,7 +485,7 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
 
         err = 0.0
         sc = scale(x, y, x1, y1)
-        for j in rng:
+        for j in _RANGE:
             e = h * (_E1 * ka[j] + _E3 * kc[j] + _E4 * kd[j]
                      + _E5 * ke[j] + _E6 * kf[j] + _E7 * kg[j])
             q = abs(e) / sc[j]
@@ -516,9 +518,14 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
 
 
 def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
-                     settings: SolverSettings | None = None) -> Trajectory:
+                     settings: SolverSettings | None = None,
+                     sensitivity: bool = False) -> Trajectory:
     """Integrate from u(0) = s > 0 to the n_zeros-th zero of u.
 
+    sensitivity=True adds a channel of two states, never error tested (steps
+    and zeros stay bit-identical), that carries d/ds: (V, V') = d(D, D')/ds
+    at fixed tau in the frame, the closed-form t_z' across the flight and
+    (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
     Raises ZeroNotReachedError if the radius cap or the step budget is hit
     first, and StiffnessError if the step collapses.
     """
@@ -544,6 +551,12 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     E0 = (hi + rest) + (lo + sq_lo)
     K = 2.0 * s + 1.0 / s + alpha * beta * sb / s
     frame = _Frame(s, K, t0, E0, alpha, beta)
+    # for the channel: kp = K'/K, phi_s = (ln K + E0)', t0_s = t0' (-K/2
+    # unless t0 is pinned) and tk_s = t0' + (sK)'/4, its s^2/2 terms cancelled
+    kp = (2.0 - 1.0 / sq + alpha * beta * (beta - 1.0) * sb / sq) / K
+    sk_s = 4.0 * s + alpha * beta * beta * sb / s  # (sK)'
+    phi_s, t0_s, tk_s = (kp + K, 0.0, 0.25 * sk_s) if t_e > _LOG_R_START_MAX else (
+        kp, -0.5 * K, 0.25 * alpha * beta * (beta - 2.0) * sb / s - 0.5 / s)
 
     t_max = math.log(MAX_RADIUS)
     n_accept = [0]
@@ -598,6 +611,22 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return (y[1], -8.0 * q * omq * expm1(dr if dr < _E_CLIP else _E_CLIP),
                 ut * ut, (s + d) * g, g * ut, g)
 
+    def rhs_bubble_channel(tau, y):
+        # V'' = d/ds (Z_L'' expm1(D + R)) at fixed tau, where
+        # d/ds Z_L'' = Z_L'' (1 - 2q) phi_s and Z_L'' expm1(D + R) = base[1]
+        base = rhs_bubble(tau, y)
+        z_l, q, omq = frame.liouville(tau)
+        d = (z_l + y[0]) * inv_k
+        x = max(d * inv_s, -0.99)
+        lx = log1p(x)
+        d_s = (y[6] - 2.0 * q * phi_s) * inv_k - d * kp
+        x_s = (d_s - x) * inv_s
+        v_r = (y[6] + 2.0 * d * d_s  # V + R_s
+               + (beta * asb * expm1((beta - 1.0) * lx) - x / (1.0 + x)) * x_s
+               + beta * asb * inv_s * (expm1(beta * lx) - beta * x))
+        return base + (y[7],
+                       base[1] * ((omq - q) * phi_s + v_r) - 8.0 * q * omq * v_r)
+
     # D and D' enter u = s + Z/K through 1/K; past the bubble D' also sets
     # the slope over the flight of length ~s^2/2, and the zero at its end
     # moves by ~s^2/8 times the error of D'.  These absolute tolerances
@@ -623,11 +652,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
                      for j in _RANGE)
 
-    step, h = _march(rhs_bubble, 0.0, frame.head(0.0), 0.1, scale_bubble,
-                     lambda tau: t0 + tau, on_bubble_step)
-    t_hand = t0 + step.x1
-    y = frame.state(step.x1, step.y1)
-    h = min(h, 1.0)
+    step, h = _march(rhs_bubble_channel if sensitivity else rhs_bubble, 0.0,
+                     frame.head(0.0) + ((0.0, 0.0) if sensitivity else ()), 0.1,
+                     scale_bubble, lambda tau: t0 + tau, on_bubble_step)
+    t_hand, h, yf = t0 + step.x1, min(h, 1.0), step.y1
+    y = frame.state(step.x1, yf)
+    z_l, q, omq = frame.liouville(step.x1)
+    if sensitivity:  # (w, w_t) from u = s + (Z_L + D)/K at tau = t - t0
+        zh_s, c_s = yf[6] - 2.0 * q * phi_s, yf[7] - 4.0 * q * omq * phi_s
+        kut = yf[1] - 4.0 * q  # K u_t
+        y += (1.0 + (zh_s - t0_s * kut - (z_l + yf[0]) * kp) * inv_k,
+              (c_s - kut * kp - t0_s * (rhs_bubble(step.x1, yf)[1] - 8.0 * q * omq))
+              * inv_k)
 
     # ---- stretch 2: free flight while E < E_QUIET ---------------------------
     if quiet[0]:
@@ -636,15 +672,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         # formed with the s^2/2 cancelled exactly, and the flight is not
         # stepped through: stepping a span of s^2/2 in t would cost about
         # s^2*2^-53 in t_z.
-        z_l, _, omq = frame.liouville(step.x1)
-        z_h = z_l + step.y1[0]
-        c = 4.0 * omq + step.y1[1]  # Z' = -(4 - c) after the bubble
+        z_h = z_l + yf[0]
+        c = 4.0 * omq + yf[1]  # Z' = -(4 - c) after the bubble
         sigma = (4.0 - c) * inv_k
         sk, sk_lo = _two_prod(s, K)  # u = 0 where Z = -s*K
         head, head_lo = _two_sum(t0, 0.25 * sk)
         t_z = head + (head_lo + 0.25 * sk_lo + step.x1 + 0.25 * z_h
                       + (z_h + sk) * c / (4.0 * (4.0 - c)))
         u_h, e_dir_h = y[0], y[2]
+        if sensitivity:  # t_z'
+            tz_s = (tk_s + 0.25 * zh_s + (zh_s + sk_s) * c / (4.0 * (4.0 - c))
+                    + (z_h + sk) * c_s / ((4.0 - c) * (4.0 - c)))
+            sigma_s = -(c_s * inv_k + sigma * kp)
 
         def line(t):
             u = sigma * (t_z - t)
@@ -675,14 +714,16 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             zeros.append((t_z, -sigma))
             if len(zeros) >= n_zeros:
                 t_b = t_z
-        y_b = line(t_b)
-        zero = (0.0,) * _NCOMP
+        y_b = line(t_b) + ((sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
+                           if sensitivity else ())
+        zero = (0.0,) * len(y_b)
         steps.append(_Step(t_hand, t_b - t_hand, t_b, y, y_b,
                            (y, tuple(b - a for a, b in zip(y, y_b)), zero, zero,
                             zero), None))
         check_caps(t_b)
         if len(zeros) >= n_zeros:
-            return Trajectory(p, s, t0, steps, zeros, peaks)
+            return Trajectory(p, s, t0, steps, zeros, peaks,
+                              log_slope=2.0 * s * tz_s if sensitivity else None)
         t_hand, y = t_b, y_b
 
     # ---- stretch 3: absolute t -----------------------------------------------
@@ -696,6 +737,13 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             e = 2.0 * t + loglam + math.log(au) + u * u + alpha * au ** beta
             g = math.copysign(exp(e if e < _E_CLIP else _E_CLIP), u)
         return (ut, -g, ut * ut, u * g, g * ut, g)
+
+    def rhs_plain_channel(t, y):
+        # w_tt = -w d/du(sign(u) e^E) = -w e^E (1/|u| + 2|u| + ab|u|^(b-1))
+        base, u = rhs_plain(t, y), y[0]
+        dg = base[5] / u * (1.0 + 2.0 * u * u + alpha * beta * abs(u) ** beta) \
+            if u != 0.0 else exp(2.0 * t + loglam)
+        return base + (y[7], -dg * y[6])
 
     def on_plain_step(step):
         y0, y1 = step.y0, step.y1
@@ -748,8 +796,15 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 atol + rel * max(abs(y[4]), abs(y1[4])),
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
-    _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t, on_plain_step)
-    return Trajectory(p, s, t0, steps, zeros, peaks)
+    step, _ = _march(rhs_plain_channel if sensitivity else rhs_plain, t_hand, y,
+                     h, scale_plain, lambda t: t, on_plain_step)
+    if not sensitivity:
+        return Trajectory(p, s, t0, steps, zeros, peaks)
+    t_n, ru_n = zeros[-1]  # w(t_n) on the dense output
+    th = (t_n - step.x0) / step.h
+    c1, c2, c3, c4, c5 = (c[_NCOMP] for c in step.rcont)
+    w = c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
+    return Trajectory(p, s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
 
 
 def first_integral_residual(traj: Trajectory) -> float:

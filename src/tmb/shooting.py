@@ -9,7 +9,8 @@ boundary while lambda transforms as lambda*z^2.  The achieved eigenvalue is
 
 and a nodal solution with a prescribed lambda is a scalar root-find in s.
 lambda_of_s may be non-monotone, so the root-finder scans a log-spaced
-amplitude grid and polishes every bracket (all branches are returned).
+amplitude grid and polishes every bracket by Newton, with slopes from the
+integrator's sensitivity channel (all branches are returned).
 
 Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
@@ -35,11 +36,14 @@ _BUDGET_MARGIN = 0.5
 # are polished to.
 S_MAX = 1e5
 
-
-# Relaxed tolerances used only to bracket sign changes.
+# Relaxed tolerances of the scan and of Newton's first steps.
 SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
 # A polished root matches the target to this much in ln(lambda).
 POLISH_TOL = 1e-10
+# _newton's switch residual, largest step in ln(s) and integration cap.
+_SWITCH_TOL = 1e-5
+_TRUST = 0.5
+_MAX_NEWTON = 12
 
 
 def amplitude_budget(p: ProblemParams) -> float:
@@ -126,33 +130,35 @@ class RadialSolution(LogRadii):
 
 
 def solve_unit_lambda(s: float, k: int, p0: ProblemParams,
-                      settings: SolverSettings | None = None):
+                      settings: SolverSettings | None = None,
+                      sensitivity: bool = False):
     """Integrate at lambda=1 from amplitude s to the (k+1)-th zero.
 
     Returns (zeros, trajectory); zeros is the list of the first k+1 zero
     radii (0.0 where a radius underflows; trajectory.log_zeros has their
-    logarithms).  Raises ZeroNotReachedError if the radius cap or the step
-    budget interferes.
+    logarithms); with sensitivity, trajectory.log_slope = d ln(lambda)/d ln(s).
+    Every integration of the shooting layer passes here.  Raises
+    ZeroNotReachedError if the radius cap or the step budget interferes.
     """
     if p0.lam != 1.0:
         raise ValueError("solve_unit_lambda shoots at lambda = 1")
-    if not (s > 0.0):
-        raise ValueError(f"amplitude must be positive, got {s!r}")
-    traj = integrate_radial(s, p0, k + 1, settings)
+    traj = integrate_radial(s, p0, k + 1, settings, sensitivity=sensitivity)
     return list(radii(t for t, _ in traj.log_zeros)), traj
 
 
 def lambda_of_s(s: float, k: int, p0: ProblemParams,
                 settings: SolverSettings | None = None) -> float:
-    """The unique lambda for which u(z_{k+1} * .) lies in the k-nodal class."""
+    """The unique lambda for which u(z_{k+1} * .) lies in the k-nodal class.
+
+    This is exp(2 t_{k+1}), so it underflows to 0.0 once ln(lambda) < -745:
+    k=0, beta=1.2, s=1e3 gives t_1 = -802.9.  ln(lambda) itself stays
+    finite: 2 * solve_unit_lambda(s, k, p0, settings)[1].log_zeros[k][0].
+    """
     _, traj = solve_unit_lambda(s, k, p0, settings)
     return math.exp(2.0 * traj.log_zeros[k][0])
 
 
 def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSolution:
-    if len(traj.log_zeros) < k + 1:
-        raise ZeroNotReachedError(
-            f"trajectory carries {len(traj.log_zeros)} zero(s), need {k + 1}")
     t_z = traj.log_zeros[k][0]
     params = ProblemParams(p0.alpha, p0.beta, math.exp(2.0 * t_z))
     scaled = traj.shifted(t_z, params)
@@ -173,20 +179,15 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     )
 
 
-def _residual(x, k, lt, p0, settings):
-    """(ln lambda - lt, trajectory) of the integration from amplitude exp(x)."""
-    _, traj = solve_unit_lambda(math.exp(x), k, p0, settings)
-    return 2.0 * traj.log_zeros[k][0] - lt, traj
-
-
 def _probe(k: int, lt: float, p0: ProblemParams, s: float):
-    """(ln s, ln lambda - lt) at SCAN_SETTINGS, integrated at exp(ln s) as
-    the polish would; None when the (k+1)-th zero is not reached."""
+    """(ln s, ln lambda - lt) at SCAN_SETTINGS, integrated at exp(ln s);
+    None when the (k+1)-th zero is not reached."""
     x = math.log(s)
     try:
-        return x, _residual(x, k, lt, p0, SCAN_SETTINGS)[0]
+        _, traj = solve_unit_lambda(math.exp(x), k, p0, SCAN_SETTINGS)
     except ZeroNotReachedError:
         return None
+    return x, 2.0 * traj.log_zeros[k][0] - lt
 
 
 def _scan(k: int, p0: ProblemParams, lt: float, n_points: int):
@@ -208,65 +209,38 @@ def _scan(k: int, p0: ProblemParams, lt: float, n_points: int):
     return grid[-1], probes
 
 
-def _secant_stage(feval, xa, fa, xb, fb, tol, max_iter):
-    """Safeguarded secant on a bracket; returns (x_best, (xa, fa, xb, fb))."""
-    best_x, best_f = (xb, fb) if abs(fb) < abs(fa) else (xa, fa)
-    for _ in range(max_iter):
-        x = xb - fb * (xb - xa) / (fb - fa)
-        width = abs(xb - xa)
-        if not (min(xa, xb) < x < max(xa, xb)):
-            x = 0.5 * (xa + xb)
-        f = feval(x)
-        if abs(f) < abs(best_f):
-            best_x, best_f = x, f
-        if abs(f) <= tol or width < 1e-15:
-            break
-        if fa * f < 0.0:
-            xb, fb = x, f
-        else:
-            xa, fa = x, f
-    return best_x, (xa, fa, xb, fb)
-
-
-def _polish_bracket(k: int, lt: float, p0: ProblemParams, lo, hi,
-                    settings: SolverSettings | None):
-    """Two-phase secant in (ln s, ln lambda - lt) space, started from the
-    probes lo and hi of a sign change (see _probe).
-
-    A safeguarded secant at scan tolerance shrinks the bracket cheaply;
-    a plain secant at full tolerance, seeded by its slope, finishes.
-    Returns the trajectory of the converged full-tolerance evaluation, or
-    None when the final secant does not converge (a scan-noise bracket,
-    not a root).
-    """
-    def feval_coarse(x):
-        return _residual(x, k, lt, p0, SCAN_SETTINGS)[0]
-
-    (x_lo, f_lo), (x_hi, f_hi) = lo, hi
-    # phase 1: coarse secant down to ~10x the scan noise floor.  The cap is
-    # measured: converging stages took at most 11 iterations over the 23
-    # polishes of the five presets and at most 10 over the test suite's 88;
-    # only scan-noise brackets near Lambda_1 reach it, and phase 2 drops them.
-    xc, (xa, fa, xb, fb) = _secant_stage(feval_coarse, x_lo, f_lo, x_hi, f_hi,
-                                         2e-5, 12)
-    # phase 2: plain secant at full tolerance, seeded by the coarse slope;
-    # the full-tolerance root sits within the scan-noise offset of xc, so
-    # a bracket-style safeguard would pin the iterates to the wrong side
-    slope = (fb - fa) / (xb - xa) if xb != xa else 1.0
-    x_min, x_max = min(x_lo, x_hi), max(x_lo, x_hi)
-    x, xp, fp = xc, None, None
-    for _ in range(14):
-        f, traj = _residual(x, k, lt, p0, settings)
-        if abs(f) <= POLISH_TOL:
-            return traj
-        if xp is None:
-            x_next = x - f / slope if slope != 0.0 else 0.5 * (xa + xb)
-        elif f == fp:
+def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
+            x: float, lo: float, hi: float, f_lo: float | None = None):
+    """Newton on f(x) = ln lambda(exp x) - lt from x in [lo, hi], with the
+    sensitivity channel's slope: at SCAN_SETTINGS until |f| <= _SWITCH_TOL,
+    then at `settings` until |f| <= POLISH_TOL.  Given f_lo = f(lo), [lo, hi]
+    is a scan bracket: at SCAN_SETTINGS each iterate shrinks it, and a step
+    that would leave it bisects it instead.  None when an iterate leaves
+    [lo, hi] or misses the (k+1)-th zero, after _MAX_NEWTON integrations,
+    or (unbracketed) when |f| stops falling or the slope changes sign at a
+    turning point."""
+    tol, f_last, slope_last, a, b = SCAN_SETTINGS, math.inf, 0.0, lo, hi
+    for _ in range(_MAX_NEWTON):
+        try:
+            _, traj = solve_unit_lambda(math.exp(x), k, p0, tol, sensitivity=True)
+        except ZeroNotReachedError:
             return None
-        else:
-            x_next = x - f * (x - xp) / (f - fp)
-        xp, fp = x, f
-        x = min(max(x_next, x_min), x_max)
+        f, slope = 2.0 * traj.log_zeros[k][0] - lt, traj.log_slope
+        if tol is settings and abs(f) <= POLISH_TOL:
+            return traj
+        bracketed = f_lo is not None and tol is not settings
+        if bracketed:
+            a, b = (x, b) if f * f_lo > 0.0 else (a, x)
+        elif not abs(f) < f_last or not slope * slope_last >= 0.0 or slope == 0.0:
+            return None
+        f_last, slope_last = abs(f), slope
+        if tol is not settings and f_last <= _SWITCH_TOL:
+            tol, f_last, bracketed = settings, math.inf, False
+        x -= max(-_TRUST, min(_TRUST, f / slope if slope != 0.0 else math.inf))
+        if bracketed and not a < x < b:
+            x = 0.5 * (a + b)
+        if not lo <= x <= hi:
+            return None
     return None
 
 
@@ -280,18 +254,15 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     amplitudes from DEFAULT_S_MIN to amplitude_budget(p), continued at the
     same ratio while lambda_of_s is above the target and still falling, up
     to S_MAX; every scan is made afresh, nothing is kept between calls.
-    Every sign change of lambda_of_s - target_lambda is polished in two
-    phases from the two ends the scan measured (they are not integrated
-    again): a safeguarded secant at scan tolerance to 2e-5 in ln(lambda),
-    then a secant at the given settings, seeded by the coarse slope, until
-    ln(lambda) matches to POLISH_TOL (at most 14 full-tolerance
-    integrations).  A bracket whose full-tolerance secant does not converge
-    is dropped as scan noise.  Measured at default settings: the polish
-    residual is at most 4.4e-12 in ln(lambda) on the reference_family and
-    weak_limit_preset presets, and for s <= 18 the achieved lambda is
-    within 1.3e-10 (relative) of the independent benchmark oracle.  With a
-    positive, finite seed_amplitude (continuation within a family) a local
-    bracket around the seed is measured and polished first, skipping the scan.
+    _newton polishes every sign change of lambda_of_s - target_lambda from
+    the secant point of its two probes until ln(lambda) matches to
+    POLISH_TOL; a bracket it gives up on is dropped as scan noise.
+    Measured at default settings: polish residual <= 3.8e-13 in ln(lambda)
+    on the reference_family and weak_limit_preset presets; for s <= 18 the
+    lambda achieved is within 1.3e-10 (relative) of the benchmark oracle.
+    A positive, finite seed_amplitude (continuation within a family) starts
+    _newton at the seed instead; the scan runs only if it gives up, as at a
+    turning point.  Started at a root it found before, it integrates thrice.
 
     Raises NoSolutionInRangeError when no bracket exists on the scan.
     """
@@ -309,9 +280,10 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     lt = math.log(target_lambda)
 
     if seed_amplitude is not None:
-        sol = _continuation_solve(k, lt, p0, seed_amplitude, full)
-        if sol is not None:
-            return [sol]
+        traj = _newton(k, lt, p0, full, math.log(seed_amplitude),
+                       math.log(DEFAULT_S_MIN), math.log(S_MAX))
+        if traj is not None:
+            return [_build_solution(traj, k, p0)]
 
     s_end, probes = _scan(k, p0, lt, scan_points)
     valid = [pr for pr in probes if pr is not None]
@@ -319,9 +291,10 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
         raise NoSolutionInRangeError(target_lambda, math.nan, math.nan,
                                      DEFAULT_S_MIN, s_end)
     solutions = []
-    for lo, hi in zip(valid, valid[1:]):
-        if lo[1] * hi[1] <= 0.0:
-            traj = _polish_bracket(k, lt, p0, lo, hi, full)
+    for (xa, fa), (xb, fb) in zip(valid, valid[1:]):
+        if fa * fb < 0.0 or fb == 0.0:  # a probe on target ends one bracket
+            x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
+            traj = _newton(k, lt, p0, full, x, xa, xb, fa)
             if traj is not None:
                 solutions.append(_build_solution(traj, k, p0))
     if not solutions:
@@ -330,32 +303,3 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
                                      DEFAULT_S_MIN, s_end)
     solutions.sort(key=lambda sol: sol.amplitude)
     return solutions
-
-
-def _continuation_solve(k, lt, p0, seed, full):
-    """Bracket around a previous member's amplitude; None if it fails.
-
-    The bracket grows only while lambda keeps moving toward the target,
-    so that it follows the seed's branch and does not jump past a turning
-    point to a distant one (the scan would not reach that one either).
-    """
-    s_lo, s_hi = seed / 1.3, min(seed * 1.3, S_MAX)
-    lo, hi = _probe(k, lt, p0, s_lo), _probe(k, lt, p0, s_hi)
-    for _ in range(14):
-        if lo is not None and hi is not None and lo[1] * hi[1] <= 0.0:
-            traj = _polish_bracket(k, lt, p0, lo, hi, full)
-            return None if traj is None else _build_solution(traj, k, p0)
-        # lambda decreases with amplitude along the branches of interest
-        if lo is not None and lo[1] < 0.0:
-            s_lo /= 1.6
-            prev, lo = lo, _probe(k, lt, p0, s_lo)
-            if lo is None or lo[1] <= prev[1]:
-                return None
-        elif hi is not None and hi[1] > 0.0 and s_hi < S_MAX:
-            s_hi = min(s_hi * 1.6, S_MAX)
-            prev, hi = hi, _probe(k, lt, p0, s_hi)
-            if hi is None or hi[1] >= prev[1]:
-                return None
-        else:
-            return None
-    return None

@@ -134,6 +134,45 @@ class TestAugmentedChannels:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
+class TestSensitivityChannel:
+    """The channel behind Newton shooting: it moves no step, and its
+    d ln(lambda)/d ln(s) at the stop zero matches a centred difference."""
+
+    FINE = SolverSettings(rel_tol=1e-12, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_channel_moves_no_step(self, k):
+        p = ProblemParams(alpha=1.0, beta=1.3, lam=1.0)
+        for s in (0.3, 5.0, 24.0, 700.0, 3e4):
+            plain = integrate_radial(s, p, k + 1)
+            carried = integrate_radial(s, p, k + 1, sensitivity=True)
+            assert carried.log_zeros == plain.log_zeros
+            assert carried.log_peaks == plain.log_peaks
+            assert len(carried.steps) == len(plain.steps)
+            assert plain.log_slope is None
+
+    @pytest.mark.parametrize("k, beta, s, rel", [
+        (0, 1.0, 5.0, 1e-6),
+        (1, 0.5, 2.0, 1e-6),   # the kink of |u|^beta at the first zero
+        (1, 1.3, 24.0, 1e-6),
+        (2, 1.8, 100.0, 1e-6),
+        (0, 1.3, 1e3, 1e-4),   # stop zero in the closed-form flight
+        (1, 1.3, 1e4, 1e-4),   # flight, landing, then absolute t
+    ])
+    def test_slope_matches_centred_difference(self, k, beta, s, rel):
+        p = ProblemParams(alpha=1.0, beta=beta, lam=1.0)
+
+        def log_lambda(x):
+            traj = integrate_radial(math.exp(x), p, k + 1, self.FINE)
+            return 2.0 * traj.log_zeros[k][0]
+
+        x, h = math.log(s), 1e-3
+        cd = [(log_lambda(x + d) - log_lambda(x - d)) / (2.0 * d) for d in (h, h / 2)]
+        ref = (4.0 * cd[1] - cd[0]) / 3.0  # Richardson: O(h^4)
+        slope = integrate_radial(s, p, k + 1, self.FINE, sensitivity=True).log_slope
+        assert slope == pytest.approx(ref, rel=rel)
+
+
 class TestStopsAndErrors:
     def test_zero_not_reached_on_radius_cap(self, monkeypatch):
         monkeypatch.setattr(ode, "MAX_RADIUS", 2.0)

@@ -47,6 +47,13 @@ class TestLambdaOfS:
         lam = lambda_of_s(1e-6, 1, P12)
         assert lam == pytest.approx(T2 * T2, rel=1e-2)
 
+    def test_underflow_keeps_log_lambda(self):
+        # ln(lambda) = 2 t_1 = -1605.9 lies below ln(5e-324) = -744.4: the
+        # eigenvalue reads 0.0, while its logarithm stays on the trajectory
+        assert lambda_of_s(1e3, 0, P12) == 0.0
+        _, traj = solve_unit_lambda(1e3, 0, P12)
+        assert 2.0 * traj.log_zeros[0][0] == pytest.approx(-1605.86, abs=0.01)
+
     def test_large_amplitude_trend(self):
         vals = [lambda_of_s(s, 0, P12) for s in (10.0, 12.25, 15.0)]
         assert vals[-1] < 1e-2
@@ -67,36 +74,54 @@ class TestNodalSolution:
     def test_scan_noise_bracket_dropped(self, monkeypatch):
         # at scan tolerance lambda(s) - target changes sign on this bracket
         # near Lambda_1, but at full tolerance there is no root in it: the
-        # full-tolerance secant stalls and the bracket is dropped (the real
-        # root is found by test_bifurcation_from_first_eigenvalue).  The
-        # polish starts from the probed ends and its coarse secant runs to
-        # its cap here: 12 iterations at scan tolerance
+        # real root lies at a larger amplitude (it is found by
+        # test_bifurcation_from_first_eigenvalue).  Newton starts at the
+        # secant point of the probed ends, where lambda(s) is nearly flat:
+        # its steps leave the bracket, two bisections reach the scan's
+        # noise, and the first full-tolerance step leaves the bracket too.
+        # Three integrations at scan tolerance, none at full tolerance
         lt = math.log(L1 * (1 - 1e-4))
-        lo = shooting._probe(0, lt, P12, 1e-6)
-        hi = shooting._probe(0, lt, P12, 1.43736615134483e-6)
-        assert lo[1] * hi[1] <= 0.0
+        xa, fa = shooting._probe(0, lt, P12, 1e-6)
+        xb, fb = shooting._probe(0, lt, P12, 1.43736615134483e-6)
+        assert fa * fb <= 0.0
         full = SolverSettings()
         calls, scan_calls = [], []
 
-        def counting(s, k, p0, settings=None):
+        def counting(s, p0, n_zeros, settings=None, sensitivity=False):
             (calls if settings is full else scan_calls).append(s)
-            return solve_unit_lambda(s, k, p0, settings)
+            return ode.integrate_radial(s, p0, n_zeros, settings, sensitivity)
 
-        monkeypatch.setattr(shooting, "solve_unit_lambda", counting)
-        traj = shooting._polish_bracket(0, lt, P12, lo, hi, full)
-        assert traj is None
-        assert len(calls) <= 4
-        assert len(scan_calls) <= 12
+        monkeypatch.setattr(shooting, "integrate_radial", counting)
+        x = xb - fb * (xb - xa) / (fb - fa)
+        assert shooting._newton(0, lt, P12, full, x, xa, xb, fa) is None
+        assert len(calls) == 0
+        assert len(scan_calls) <= 3
+
+    @pytest.mark.parametrize("beta, target, roots", [
+        (1.01, 3.198, (13.4675, 20.4115)),
+        (1.0, 3.2245, (12.1990, 17.4101)),
+    ])
+    def test_both_roots_beside_turning_point(self, beta, target, roots):
+        # lambda_1(s) turns between the two roots: on the 48-point scan one
+        # probe (s ~ 18 at beta = 1.01, s ~ 12.5 at beta = 1) lies below the
+        # target and its neighbours above it, so each bracket holds one
+        # root on a curved branch.  A tangent step from the secant point
+        # leaves its bracket; bisecting instead keeps both roots
+        sols = nodal_solution(1, target, ProblemParams(1.0, beta, target),
+                              scan_points=SCAN_POINTS)
+        assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
+        for sol in sols:
+            assert sol.params.lam == pytest.approx(target, rel=1e-9)
 
     def test_each_amplitude_integrated_once(self, monkeypatch):
-        # the scan and the continuation hand the polish the ends they
-        # measured, so no solve integrates one amplitude twice at one
-        # tolerance
+        # the scan hands Newton the secant point of the ends it measured,
+        # so no solve integrates one amplitude twice at one tolerance; the
+        # probes and Newton's iterates all pass solve_unit_lambda
         seen = []
 
-        def recording(s, k, p0, settings=None):
+        def recording(s, k, p0, settings=None, sensitivity=False):
             seen.append((settings, s))
-            return solve_unit_lambda(s, k, p0, settings)
+            return solve_unit_lambda(s, k, p0, settings, sensitivity)
 
         def assert_distinct():
             by_settings = {}
@@ -112,6 +137,48 @@ class TestNodalSolution:
         assert_distinct()
         nodal_solution(0, 3e-3, P12, seed_amplitude=fresh.amplitude * 1.1)
         assert_distinct()
+
+    def test_resolve_from_record(self, reference_family, monkeypatch):
+        # the recipe for getting a member's solution back: Newton starts at
+        # the record's amplitude, one step at scan tolerance and two at
+        # full tolerance return it to within the polish of its root
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return ode.integrate_radial(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "integrate_radial", counting)
+        for rec in reference_family.records:
+            calls.clear()
+            sols = nodal_solution(0, rec.lam, ProblemParams(1.0, rec.beta, rec.lam),
+                                  seed_amplitude=rec.amplitude)
+            assert len(sols) == 1
+            assert len(calls) <= 3
+            assert sols[0].amplitude == pytest.approx(rec.amplitude, rel=1e-12)
+
+    def test_seed_hands_over_at_turning_point(self, monkeypatch):
+        # weak_limit_preset's last member: lambda_1(s) at beta = 1.03 has
+        # its minimum 3.127 near s = 24, above the target 3.1.  From the
+        # previous member's amplitude the first Newton step crosses that
+        # turning point, the slope changes sign and Newton gives up; the
+        # scan then finds no bracket (the next root lies near s = 1197)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return ode.integrate_radial(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "integrate_radial", counting)
+        p0 = ProblemParams(alpha=1.0, beta=1.03, lam=1.0)
+        x = math.log(17.938064623588)
+        lo, hi = math.log(shooting.DEFAULT_S_MIN), math.log(shooting.S_MAX)
+        newton = shooting._newton(1, math.log(3.1), p0, SolverSettings(), x, lo, hi)
+        assert newton is None
+        assert len(calls) == 2 and 24.5 < calls[1] < 30.0
+        with pytest.raises(NoSolutionInRangeError):
+            nodal_solution(1, 3.1, ProblemParams(1.0, 1.03, 3.1),
+                           scan_points=SCAN_POINTS, seed_amplitude=17.938064623588)
 
     @pytest.mark.parametrize("target, kwargs, message", [
         (1e-3, {"scan_points": 1}, "scan_points"),
