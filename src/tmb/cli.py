@@ -28,7 +28,7 @@ from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import nodal_solution
+from .shooting import DEFAULT_SCAN_POINTS, nodal_solution
 
 # The interpreter's own SHA-256 (3.12+: _sha2, 3.10-3.11: _sha256), so that
 # hashing a config loads no OpenSSL; hashlib only where neither was built.
@@ -53,7 +53,7 @@ class ExperimentConfig:
     family: FamilySpec | None = None
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    scan_points: int = 200
+    scan_points: int = DEFAULT_SCAN_POINTS
     output_dir: Path = Path(".")
     seed_note: str = ""
     config_hash: str = ""
@@ -113,8 +113,8 @@ _LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
 # per member, 1,000 members take minutes, and more is a typo, not a family.
 MAX_GEOMETRIC_COUNT = 1000
 # Most amplitudes a scan may probe: each is one integration, a scan runs
-# for every member that continuation does not reach, the default is 200,
-# and more than this is a typo, not a finer scan.
+# for every member that continuation does not reach, the default is
+# DEFAULT_SCAN_POINTS, and more than this is a typo, not a finer scan.
 MAX_SCAN_POINTS = 10000
 
 
@@ -362,6 +362,9 @@ def run(cfg: ExperimentConfig) -> int:
             emit_csv(rrows, out / "formula_reports.csv",
                      ["formula_id", "applicable", "raw_last", "extrapolated",
                       "target", "rel_error", "slow_rate_flag", "config_hash"])
+            # why a formula is inapplicable, or what an applicable one
+            # assumed: free text, so it stays out of the CSV
+            extra["formula_notes"] = {rep.formula_id: rep.note for rep in reports}
         else:
             status = 1
             extra["verify_skipped"] = "fewer than 3 successful members"

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 
-from .analysis import boundary_flux, decompose, energy_report, identity_residual, \
-    nehari_residual
+from .analysis import boundary_flux, energy_report, identity_residual, nehari_residual
+# not called here (energy_report hands back the domains), but bound for the
+# benchmark, whose tracer wraps tmb.families.decompose
+from .analysis import decompose  # noqa: F401
 from .bubbles import rescale_profile
 from .errors import (
     FamilyEmptyError,
@@ -26,7 +28,7 @@ from .errors import (
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import LogRadii, nodal_solution
+from .shooting import DEFAULT_SCAN_POINTS, LogRadii, nodal_solution
 
 SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
@@ -147,8 +149,8 @@ def estimate_limit(sequence) -> tuple:
 
 
 def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
-    domains = decompose(sol)
     report = energy_report(sol)
+    domains = report.per_domain
     idres = max(identity_residual(sol, i) for i in range(1, sol.k + 2))
     fluxes = tuple(boundary_flux(sol, i) for i in range(1, sol.k + 2))
     bubbles = []
@@ -180,7 +182,7 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
 
 
 def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
-               scan_points: int = 200) -> SequenceExperiment:
+               scan_points: int = DEFAULT_SCAN_POINTS) -> SequenceExperiment:
     """Solve every schedule member, seeding each solve with the previous
     amplitude.  Failed members are recorded, not fatal; FamilyEmptyError
     only when nothing solves.  Records are summaries, so a run holds at
@@ -233,24 +235,20 @@ def classify_records(records, k) -> tuple:
     return n == k + 1, n
 
 
-def _report(fid, seq, target, slow=False, note="") -> FormulaReport:
-    last, extrap = estimate_limit(seq)
-    rel = abs(extrap - target) / abs(target) if target not in (None, 0.0) \
-        and not math.isnan(target) else math.nan
-    return FormulaReport(formula_id=fid, applicable=True,
-                         raw_values=tuple(seq), raw_last=last,
-                         extrapolated=extrap,
-                         target=target if target is not None else math.nan,
-                         rel_error=rel, slow_rate=slow, note=note)
-
-
-def _inapplicable(fid, note="") -> FormulaReport:
-    return FormulaReport(formula_id=fid, applicable=False, note=note)
+def _slope_gate(records, i):
+    """None when ln|u'(r_i)| > 0 on every member, else the reason."""
+    if all(rec.log_abs_slopes[i - 1] > 0.0 for rec in records):
+        return None
+    return "boundary slope not yet in the log regime"
 
 
 def verify_formulas(exp: SequenceExperiment) -> list:
     """One report per asymptotic formula, gated on k, the beta regime, and
-    whether the family blows up everywhere or keeps a finite tail."""
+    whether the family blows up everywhere or keeps a finite tail.
+
+    The formula ids and their order depend on k alone: a formula whose
+    regime the family is not in is reported inapplicable, with the reason
+    as its note."""
     records = exp.records
     if len(records) < 3:
         raise ValueError("formula verification needs at least 3 successful members")
@@ -267,197 +265,148 @@ def verify_formulas(exp: SequenceExperiment) -> list:
 
     reports = []
 
+    def emit(fid, gate, term, target, slow=False, note="", aitken=True):
+        """Report formula fid: inapplicable with the reason gate, or, when
+        gate is None, the sequence term(ln(1/lambda_n), beta_n, record_n)
+        against target(); term and target are evaluated only then.
+        aitken=False reports the final term as the limit."""
+        if gate is not None:
+            rep = FormulaReport(formula_id=fid, applicable=False, note=gate)
+        else:
+            seq = [term(L, b, rec) for L, b, rec in zip(log_inv_lam, beta_seq, records)]
+            last, extrap = estimate_limit(seq) if aitken else (seq[-1], seq[-1])
+            tgt = target()
+            rel = abs(extrap - tgt) / abs(tgt) if tgt != 0.0 \
+                and not math.isnan(tgt) else math.nan
+            rep = FormulaReport(formula_id=fid, applicable=True,
+                                raw_values=tuple(seq), raw_last=last,
+                                extrapolated=extrap, target=tgt, rel_error=rel,
+                                slow_rate=slow, note=note)
+        reports.append(rep)
+        return rep
+
     def mu(rec, i):
         return rec.peak_values[i - 1]
 
     # ---- full-concentration formulas ----------------------------------
-    if all_blow:
-        reports.append(_report(
-            "aaa1",
-            [L / mu(rec, k + 1) ** b for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-            half_fac))
-        reports.append(_report(
-            "aa44",
-            [L ** (1.0 / b) * abs(rec.boundary_slopes[-1])
-             for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-            2.0 * half_fac ** (1.0 / beta_star)))
-        for i in range(1, k + 1):
-            j = k - i + 1
-            reports.append(_report(
-                f"aa1[{i}]",
-                [L / mu(rec, i) ** (b * (b - 1.0) ** j)
-                 for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
-                             / (2.0 - beta_star)),
-                slow=slow))
-            reports.append(_report(
-                f"aa2[{i}]",
-                [L / (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j)
-                 for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                2.0 ** ((beta_star - 1.0) ** j)
-                * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
-                               / (2.0 - beta_star)),
-                slow=slow))
-            if all(rec.log_abs_slopes[i - 1] > 0.0 for rec in records):
-                reports.append(_report(
-                    f"aa4[{i}]",
-                    [L / rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j)
-                     for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                    2.0 ** ((beta_star - 1.0) ** j)
-                    * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
-                                   / (2.0 - beta_star)),
-                    slow=slow))
-            else:
-                reports.append(_inapplicable(
-                    f"aa4[{i}]", "boundary slope not yet in the log regime"))
-        for i in range(2, k + 1):
-            j = k - i + 1
-            reports.append(_report(
-                f"aa3[{i}]",
-                [L / (-rec.log_peak_radii[i - 1]) ** (b * (b - 1.0) ** j / 2.0)
-                 for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                2.0 ** (beta_star * (beta_star - 1.0) ** j / 2.0)
-                * half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
-                               / (2.0 - beta_star)),
-                slow=slow))
-        # interior-peak dichotomy for the outermost bubble
-        if k >= 1:
-            couple_ok = all(b != 1.0 and L > 1.0 for b, L in zip(beta_seq, log_inv_lam))
-            if couple_ok:
-                L_seq = [math.log(L) / ((b - 1.0) * L ** (2.0 / b))
-                         for L, b in zip(log_inv_lam, beta_seq)]
-                _, L_lim = estimate_limit(L_seq)
-                reports.append(FormulaReport(
-                    formula_id="ab11", applicable=True, raw_values=tuple(L_seq),
-                    raw_last=L_seq[-1], extrapolated=L_lim, target=math.nan,
-                    rel_error=math.nan, slow_rate=slow,
-                    note="empirical coupling constant; user-prescribed schedules"))
-                rho_last = [rec.log_peak_radii[k] for rec in records]
-                if all(-math.inf < t < 0.0 for t in rho_last):
-                    reports.append(_report(
-                        "ab1",
-                        [L / (-rec.log_peak_radii[k]) ** (b / 2.0)
-                         for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                        2.0 ** (beta_star / 2.0) * half_fac
-                        * (1.0 + L_lim * half_fac ** (2.0 / beta_star))
-                        ** (-beta_star / 2.0),
-                        slow=slow,
-                        note=f"uses empirical L={L_lim:.4g}"))
-                    if abs(L_lim) > 10.0:
-                        reports.append(_report(
-                            "ab2",
-                            [math.log(L) / ((b - 1.0)
-                                            * -rec.log_peak_radii[k])
-                             for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-                            2.0, slow=slow,
-                            note="divergent-coupling branch"))
-                    else:
-                        reports.append(_inapplicable(
-                            "ab2", f"empirical L={L_lim:.4g} does not diverge"))
-                else:
-                    reports.append(_inapplicable("ab1", "outermost peak at the origin"))
-                    reports.append(_inapplicable("ab2", "outermost peak at the origin"))
-            else:
-                reports.append(_inapplicable("ab11", "needs beta_n != 1 and lambda_n < 1/e"))
-                reports.append(_inapplicable("ab1", "no coupling constant available"))
-                reports.append(_inapplicable("ab2", "no coupling constant available"))
-        reports.append(_report(
-            "full_energy",
-            [(4.0 * math.pi * (k + 1) - rec.full_dirichlet)
-             * L ** ((2.0 - b) / b)
-             for L, b, rec in zip(log_inv_lam, beta_seq, records)],
-            2.0 * math.pi * alpha ** (2.0 / beta_star) * beta_star
-            * (1.0 - beta_star / 2.0) ** ((2.0 - beta_star) / beta_star)))
-    else:
-        for fid in ("aaa1", "aa44", "full_energy"):
-            reports.append(_inapplicable(fid, "family does not fully concentrate"))
-        for i in range(1, k + 1):
-            for stem in ("aa1", "aa2", "aa4"):
-                reports.append(_inapplicable(
-                    f"{stem}[{i}]", "family does not fully concentrate"))
-        for i in range(2, k + 1):
-            reports.append(_inapplicable(
-                f"aa3[{i}]", "family does not fully concentrate"))
-        if k >= 1:
-            for fid in ("ab11", "ab1", "ab2"):
-                reports.append(_inapplicable(
-                    fid, "family does not fully concentrate"))
+    full = None if all_blow else "family does not fully concentrate"
+    emit("aaa1", full,
+         lambda L, b, rec: L / mu(rec, k + 1) ** b,
+         lambda: half_fac)
+    emit("aa44", full,
+         lambda L, b, rec: L ** (1.0 / b) * abs(rec.boundary_slopes[-1]),
+         lambda: 2.0 * half_fac ** (1.0 / beta_star))
+    for i in range(1, k + 1):
+        j = k - i + 1
+        emit(f"aa1[{i}]", full,
+             lambda L, b, rec: L / mu(rec, i) ** (b * (b - 1.0) ** j),
+             lambda: half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
+                                  / (2.0 - beta_star)),
+             slow=slow)
+        emit(f"aa2[{i}]", full,
+             lambda L, b, rec: L / (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j),
+             lambda: 2.0 ** ((beta_star - 1.0) ** j)
+             * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
+                            / (2.0 - beta_star)),
+             slow=slow)
+        emit(f"aa4[{i}]", full or _slope_gate(records, i),
+             lambda L, b, rec: L / rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j),
+             lambda: 2.0 ** ((beta_star - 1.0) ** j)
+             * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
+                            / (2.0 - beta_star)),
+             slow=slow)
+    for i in range(2, k + 1):
+        j = k - i + 1
+        emit(f"aa3[{i}]", full,
+             lambda L, b, rec: L / (-rec.log_peak_radii[i - 1])
+             ** (b * (b - 1.0) ** j / 2.0),
+             lambda: 2.0 ** (beta_star * (beta_star - 1.0) ** j / 2.0)
+             * half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
+                            / (2.0 - beta_star)),
+             slow=slow)
+    # interior-peak dichotomy for the outermost bubble
+    if k >= 1:
+        couple_ok = all(b != 1.0 and L > 1.0 for b, L in zip(beta_seq, log_inv_lam))
+        coupling = emit(
+            "ab11", full or (None if couple_ok
+                             else "needs beta_n != 1 and lambda_n < 1/e"),
+            lambda L, b, rec: math.log(L) / ((b - 1.0) * L ** (2.0 / b)),
+            lambda: math.nan, slow=slow,
+            note="empirical coupling constant; user-prescribed schedules")
+        L_lim = coupling.extrapolated  # nan when ab11 is inapplicable
+        peak_gate = full or (None if coupling.applicable
+                             else "no coupling constant available") \
+            or (None if all(-math.inf < rec.log_peak_radii[k] < 0.0 for rec in records)
+                else "outermost peak at the origin")
+        emit("ab1", peak_gate,
+             lambda L, b, rec: L / (-rec.log_peak_radii[k]) ** (b / 2.0),
+             lambda: 2.0 ** (beta_star / 2.0) * half_fac
+             * (1.0 + L_lim * half_fac ** (2.0 / beta_star)) ** (-beta_star / 2.0),
+             slow=slow, note=f"uses empirical L={L_lim:.4g}")
+        emit("ab2", peak_gate or (None if abs(L_lim) > 10.0
+                                  else f"empirical L={L_lim:.4g} does not diverge"),
+             lambda L, b, rec: math.log(L) / ((b - 1.0) * -rec.log_peak_radii[k]),
+             lambda: 2.0, slow=slow, note="divergent-coupling branch")
+    emit("full_energy", full,
+         lambda L, b, rec: (4.0 * math.pi * (k + 1) - rec.full_dirichlet)
+         * L ** ((2.0 - b) / b),
+         lambda: 2.0 * math.pi * alpha ** (2.0 / beta_star) * beta_star
+         * (1.0 - beta_star / 2.0) ** ((2.0 - beta_star) / beta_star))
 
     # ---- finite-tail (weak-limit) formulas ------------------------------
-    if all_blow and k >= 1:
-        for fid in ("aa5", "aa6", "aa7", "aa9", "aa10", "aa8",
-                    "weak_limit_threshold"):
-            reports.append(_inapplicable(
-                fid, "family fully concentrates; no weak-limit tail"))
-    if not all_blow and n_prefix >= 1:
+    # domains 1..N concentrate and domain N+1 carries the weak limit
+    if k >= 1:
         N = n_prefix
-        mu_tail = mu(records[-1], N + 1)
+        tail = ("family fully concentrates; no weak-limit tail" if all_blow
+                else None if N >= 1 else "no domain concentrates")
+        mu_tail = math.nan if all_blow else mu(records[-1], N + 1)
         target = 2.0 * mu_tail / alpha
-        for i in range(1, N + 1):
+        note = "tail peak from last record"
+
+        def prefix_gate(i):
+            return tail if i <= N else f"domain {N + 1} does not concentrate"
+
+        for i in range(1, k + 1):
             j = N - i + 1
-            reports.append(_report(
-                f"aa5[{i}]",
-                [mu(rec, i) ** ((b - 1.0) ** j)
-                 for b, rec in zip(beta_seq, records)],
-                target, slow=True, note="tail peak from last record"))
-            reports.append(_report(
-                f"aa6[{i}]",
-                [(-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j)
-                 for b, rec in zip(beta_seq, records)],
-                target, slow=True, note="tail peak from last record"))
-            if all(rec.log_abs_slopes[i - 1] > 0.0 for rec in records):
-                reports.append(_report(
-                    f"aa7[{i}]",
-                    [rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j)
-                     for b, rec in zip(beta_seq, records)],
-                    target, slow=True, note="tail peak from last record"))
-        reports.append(_report(
-            "aa9",
-            [rec.peak_radii[N] ** (b - 1.0) for b, rec in zip(beta_seq, records)],
-            math.sqrt(alpha / (2.0 * mu_tail)),
-            slow=True, note="tail peak from last record"))
-        last = records[-1]
-        reports.append(_report(
-            "aa10",
-            [rec.boundary_slopes[N] for rec in records],
-            last.boundary_slopes[N],
-            slow=True,
-            note="target is the final member's first-integral value (weak-limit proxy)"))
-        for i in range(2, N + 1):
+            emit(f"aa5[{i}]", prefix_gate(i),
+                 lambda L, b, rec: mu(rec, i) ** ((b - 1.0) ** j),
+                 lambda: target, slow=True, note=note)
+            emit(f"aa6[{i}]", prefix_gate(i),
+                 lambda L, b, rec: (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j),
+                 lambda: target, slow=True, note=note)
+            emit(f"aa7[{i}]", prefix_gate(i) or _slope_gate(records, i),
+                 lambda L, b, rec: rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j),
+                 lambda: target, slow=True, note=note)
+        emit("aa9", tail,
+             lambda L, b, rec: rec.peak_radii[N] ** (b - 1.0),
+             lambda: math.sqrt(alpha / (2.0 * mu_tail)), slow=True, note=note)
+        emit("aa10", tail,
+             lambda L, b, rec: rec.boundary_slopes[N],
+             lambda: records[-1].boundary_slopes[N], slow=True,
+             note="target is the final member's first-integral value (weak-limit proxy)")
+        for i in range(2, k + 1):
             j = N - i + 1
-            reports.append(_report(
-                f"aa8[{i}]",
-                [(-rec.log_peak_radii[i - 1]) ** ((b - 1.0) ** j)
-                 for b, rec in zip(beta_seq, records)],
-                target * target, slow=True, note="tail peak from last record"))
+            emit(f"aa8[{i}]", prefix_gate(i),
+                 lambda L, b, rec: (-rec.log_peak_radii[i - 1]) ** ((b - 1.0) ** j),
+                 lambda: target * target, slow=True, note=note)
         # necessary amplitude condition at the concentration point
         meets = mu_tail >= alpha / 2.0
-        reports.append(FormulaReport(
-            formula_id="weak_limit_threshold", applicable=True,
-            raw_values=tuple(mu(rec, N + 1) for rec in records),
-            raw_last=mu_tail, extrapolated=mu_tail, target=alpha / 2.0,
-            rel_error=abs(mu_tail - alpha / 2.0) / (alpha / 2.0),
-            slow_rate=False,
-            note=f"(-1)^N u0(0) {'>=' if meets else '<'} alpha/2 "
-                 f"(qualitative report, N={N})"))
+        emit("weak_limit_threshold", tail,
+             lambda L, b, rec: mu(rec, N + 1),
+             lambda: alpha / 2.0, aitken=False,
+             note=f"(-1)^N u0(0) {'>=' if meets else '<'} alpha/2 "
+                  f"(qualitative report, N={N})")
 
     # ---- per-domain laws (any concentrating domain) ----------------------
     for i in range(1, k + 2):
-        if _blowing(records, i):
-            reports.append(_report(
-                f"bubble_energy[{i}]",
-                [(2.0 - rec.dirichlet[i - 1]) * mu(rec, i) ** (2.0 - b)
-                 / (alpha * b)
-                 for b, rec in zip(beta_seq, records)],
-                1.0))
-            reports.append(_report(
-                f"f4[{i}]",
-                [rec.boundary_fluxes[i - 1] for rec in records],
-                2.0))
-        else:
-            reports.append(_inapplicable(f"bubble_energy[{i}]",
-                                         "domain does not concentrate"))
-            reports.append(_inapplicable(f"f4[{i}]", "domain does not concentrate"))
+        gate = None if _blowing(records, i) else "domain does not concentrate"
+        emit(f"bubble_energy[{i}]", gate,
+             lambda L, b, rec: (2.0 - rec.dirichlet[i - 1]) * mu(rec, i) ** (2.0 - b)
+             / (alpha * b),
+             lambda: 1.0)
+        emit(f"f4[{i}]", gate,
+             lambda L, b, rec: rec.boundary_fluxes[i - 1],
+             lambda: 2.0)
 
     exp.formula_reports = reports
     return reports

@@ -210,6 +210,10 @@ class TestCommands:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["command"] == "verify"
         assert meta["config_hash"] == srows[0]["config_hash"]
+        # one note per reported formula, in the sidecar and not in the CSV
+        assert sorted(meta["formula_notes"]) == sorted(rows)
+        assert meta["formula_notes"]["aaa1"] == ""
+        assert "note" not in rows["aaa1"]
 
     def test_solution_header_contract(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)

@@ -245,6 +245,55 @@ class TestRegistryTargets:
         assert reports["ab1"].target == pytest.approx(expected_ab1, rel=1e-12)
 
 
+class TestRegistryIds:
+    """The formula ids depend on k alone: a gated formula is reported as
+    an inapplicable row, never left out."""
+
+    REGIMES = {  # per-peak growth factor per member -> (all_blow, N)
+        (1.6, 1.6, 1.6): (True, 3),
+        (1.6, 1.0, 1.0): (False, 1),
+        (1.0, 1.0, 1.0): (False, 0),
+    }
+
+    @staticmethod
+    def _k2_family(growth):
+        from tmb.families import SequenceExperiment
+
+        lams = (1e-2, 1e-3, 1e-4, 1e-5)
+        records = []
+        for n, lam in enumerate(lams):
+            grow = 1.6 ** n
+            mus = tuple(m * g ** n for m, g in zip((8.0, 4.0, 2.0), growth))
+            radii = (1e-4 / grow, 1e-2 / grow, 1.0)
+            rhos = (0.0, 3e-3 / grow, 0.2 / grow)
+            slopes = (-0.5, 0.5, -0.5)  # below the log regime
+            records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
+        spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
+                          beta_schedule=(1.3,) * 4)
+        return SequenceExperiment(spec=spec, records=records, failures=[])
+
+    def test_same_ids_in_every_regime(self):
+        ids = []
+        for growth, regime in self.REGIMES.items():
+            exp = self._k2_family(growth)
+            assert classify_records(exp.records, 2) == regime
+            ids.append([r.formula_id for r in verify_formulas(exp)])
+        assert ids[1] == ids[0]
+        assert ids[2] == ids[0]
+        assert len(set(ids[0])) == len(ids[0])
+        for fid in ("aa5[2]", "aa7[1]", "aa8[2]", "weak_limit_threshold", "f4[3]"):
+            assert fid in ids[0]
+
+    def test_slope_gate_keeps_the_row(self):
+        exp = self._k2_family((1.6, 1.0, 1.0))
+        reports = {r.formula_id: r for r in verify_formulas(exp)}
+        assert reports["aa5[1]"].applicable
+        assert reports["weak_limit_threshold"].applicable
+        assert not reports["aa7[1]"].applicable
+        assert reports["aa7[1]"].note == "boundary slope not yet in the log regime"
+        assert not reports["aa5[2]"].applicable
+
+
 class TestClassifier:
     def test_full_blowup(self, reference_family):
         all_blow, n = classify_records(reference_family.records, 0)
