@@ -51,8 +51,8 @@ class ExperimentConfig:
     beta: float = 1.0
     lam: float | None = None
     family: FamilySpec | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = SolverSettings.rel_tol
+    abs_tol: float = SolverSettings.abs_tol
     scan_points: int = DEFAULT_SCAN_POINTS
     output_dir: Path = Path(".")
     seed_note: str = ""

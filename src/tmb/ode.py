@@ -54,9 +54,15 @@ Trajectory answers only by log radius (u_log, ru_log, state_log,
 source_log).  Radii and slopes are formed only where they are printed,
 by radii() and slopes().
 
-Integrator: Dormand-Prince 5(4) with the classical quartic dense output.
-Events (zeros of u, interior critical points) are detected by sign change
-at step endpoints and polished on the dense interpolant.
+Integrator: DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and
+Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
+7th-order dense output built lazily: an accepted step keeps its stage
+slopes and spends the three extra stages on the interpolant only when it
+is first read (while shooting, the steps with a zero or a peak; for a
+solution's analysis, every step it reads).  Events (zeros of u, interior
+critical points) are detected by sign change at step endpoints and
+polished on the interpolant.  For beta < 1, alpha*|u|^beta is not smooth
+where u = 0, so a step that crosses a zero is retaken to end on it.
 """
 
 from __future__ import annotations
@@ -68,27 +74,79 @@ from .errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
 from .nonlinearity import ProblemParams, primitive_F
 from .records import record
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), each entry
+# the binary64 nearest to the published 30-digit value: the nodes of all 16
+# stages; rows 1-11 of _A make stages 2-12, row 12 holds the 8th-order
+# weights (the FSAL stage 13 is taken at the new point), rows 13-15 make
+# the dense output's three extra stages.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Dense-output weights (order-4 continuous extension).
+# Error rows: the 5th-order one, and the 3rd-order weights that stages 1, 9
+# and 12 take off the 8th-order ones.
+_ER = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_BHH = (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+# Dense output: rows 4-7 of the 7th-order interpolant, on all 16 stages.
 _D = (
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 
 _NCOMP = 6
@@ -97,15 +155,23 @@ _EPS = 2.220446049250313e-16
 _MIN_STEP = 4.0 * _EPS  # relative to max(1, |x|)
 _ULP64 = 64.0 * _EPS    # finest relative error scale the error test asks for
 
-# flattened tableau entries for the unrolled stage loop
-_A31, _A32 = _A[2]
-_A41, _A42, _A43 = _A[3]
-_A51, _A52, _A53, _A54 = _A[4]
-_A61, _A62, _A63, _A64, _A65 = _A[5]
-_A71, _, _A73, _A74, _A75, _A76 = _A[6]
-_C4 = _C[4]
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
-_D1, _, _D3, _D4, _D5, _D6, _D7 = _D
+# flattened tableau entries for the unrolled stage loops (zeros dropped)
+_, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11, _, _, _C14, _C15, _C16 = _C
+(_, (_A21,), (_A31, _A32), (_A41, _, _A43), (_A51, _, _A53, _A54),
+ (_A61, _, _, _A64, _A65), (_A71, _, _, _A74, _A75, _A76),
+ (_A81, _, _, _A84, _A85, _A86, _A87),
+ (_A91, _, _, _A94, _A95, _A96, _A97, _A98),
+ (_A101, _, _, _A104, _A105, _A106, _A107, _A108, _A109),
+ (_A111, _, _, _A114, _A115, _A116, _A117, _A118, _A119, _A1110),
+ (_A121, _, _, _A124, _A125, _A126, _A127, _A128, _A129, _A1210, _A1211),
+ (_B1, _, _, _, _, _B6, _B7, _B8, _B9, _B10, _B11, _B12),
+ (_A141, _, _, _, _, _, _A147, _A148, _A149, _A1410, _A1411, _A1412, _A1413),
+ (_A151, _, _, _, _, _A156, _A157, _A158, _, _, _A1511, _A1512, _A1513,
+  _A1514),
+ (_A161, _, _, _, _, _A166, _A167, _A168, _A169, _, _, _, _A1613, _A1614,
+  _A1615)) = _A
+_ER1, _, _, _, _, _ER6, _ER7, _ER8, _ER9, _ER10, _ER11, _ER12 = _ER
+_BHH1, _BHH9, _BHH12 = _BHH
 
 _E_START = -40.0      # exponent at the first step
 _E_QUIET = -60.0      # below this, after the bubble, the bubble frame hands over
@@ -123,10 +189,16 @@ MAX_STEPS = 2_000_000
 
 @record
 class SolverSettings:
-    """Integration tolerances."""
+    """Integration tolerances.
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    At the defaults ln(lambda) = 2 t_{k+1} agrees with a rel_tol=1e-13,
+    abs_tol=1e-15 solve to 3.7e-12 (k <= 2, alpha = 1, beta in {0.5, 1.3,
+    1.8}, s in {0.5, 5, 24}) and to 2.4e-13 (k in {1, 2}, alpha = 3,
+    beta = 0.3, s in [0.3, 5]): below the 1e-10 that roots are polished to.
+    """
+
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
 
 
 def _slope(ru: float, r: float) -> float:
@@ -190,20 +262,25 @@ class RadialState:
 
 
 class _Step:
-    """One accepted step in its own variable x, with dense-output
-    coefficients.  frame is the first-bubble _Frame (x = tau, y carries
-    D and D') or None (x = t, y is the log-radius state)."""
+    """One accepted step in its own variable x, with a lazy 7th-order dense
+    output.  frame is the first-bubble _Frame (x = tau, y carries D and D')
+    or None (x = t, y is the log-radius state).
 
-    __slots__ = ("x0", "h", "x1", "y0", "y1", "rcont", "frame")
+    A step keeps the stage slopes its interpolant needs; the first read of
+    `rows` spends three more right-hand sides on it and drops them."""
 
-    def __init__(self, x0, h, x1, y0, y1, rcont, frame):
+    __slots__ = ("x0", "h", "x1", "y0", "y1", "_rhs", "_ks", "_rows", "frame")
+
+    def __init__(self, x0, h, x1, y0, y1, rhs, ks, rows=None):
         self.x0 = x0
         self.h = h
         self.x1 = x1
         self.y0 = y0
         self.y1 = y1
-        self.rcont = rcont  # 5 tuples of _NCOMP floats (+2 with the channel)
-        self.frame = frame
+        self._rhs = rhs
+        self._ks = ks  # stages 1, 6-13 (13: f at the new point)
+        self._rows = rows
+        self.frame = None
 
     @property
     def t0(self) -> float:
@@ -213,14 +290,36 @@ class _Step:
     def t1(self) -> float:
         return self.x1 if self.frame is None else self.frame.t0 + self.x1
 
+    @property
+    def rows(self):
+        """The interpolant's 7 coefficient rows: y(x0 + th*h) = y0 +
+        th*(r0 + (1-th)*(r1 + th*(r2 + (1-th)*(r3 + th*(r4 + (1-th)*(r5 +
+        th*r6))))))."""
+        if self._rows is None:
+            self._rows = _dense_rows(self._rhs, self.x0, self.h, self.y0,
+                                     self.y1, self._ks)
+            self._rhs = self._ks = None
+        return self._rows
+
     def dense(self, x):
+        """The first _NCOMP components at x."""
+        r0, r1, r2, r3, r4, r5, r6 = self.rows
+        y0 = self.y0
         th = (x - self.x0) / self.h
-        c1, c2, c3, c4, c5 = self.rcont
         om = 1.0 - th
         return tuple(
-            c1[i] + th * (c2[i] + om * (c3[i] + th * (c4[i] + om * c5[i])))
+            y0[i] + th * (r0[i] + om * (r1[i] + th * (r2[i] + om * (
+                r3[i] + th * (r4[i] + om * (r5[i] + th * r6[i]))))))
             for i in _RANGE
         )
+
+    def value(self, x, i: int) -> float:
+        """Component i at x."""
+        r0, r1, r2, r3, r4, r5, r6 = self.rows
+        th = (x - self.x0) / self.h
+        om = 1.0 - th
+        return self.y0[i] + th * (r0[i] + om * (r1[i] + th * (r2[i] + om * (
+            r3[i] + th * (r4[i] + om * (r5[i] + th * r6[i]))))))
 
     def at(self, t):
         """Log-radius state at internal log radius t."""
@@ -234,6 +333,32 @@ class _Step:
         if self.frame is None:
             return self.y1
         return self.frame.state(self.x1, self.y1)
+
+
+def _dense_rows(rhs, x, h, y, y1, ks):
+    """Coefficient rows of the DOP853 dense output from a step's stages."""
+    k1, k6, k7, k8, k9, k10, k11, k12, k13 = ks
+    rng = range(len(y))
+    k14 = rhs(x + _C14 * h, [
+        y[j] + h * (_A141 * k1[j] + _A147 * k7[j] + _A148 * k8[j]
+                    + _A149 * k9[j] + _A1410 * k10[j] + _A1411 * k11[j]
+                    + _A1412 * k12[j] + _A1413 * k13[j]) for j in rng])
+    k15 = rhs(x + _C15 * h, [
+        y[j] + h * (_A151 * k1[j] + _A156 * k6[j] + _A157 * k7[j]
+                    + _A158 * k8[j] + _A1511 * k11[j] + _A1512 * k12[j]
+                    + _A1513 * k13[j] + _A1514 * k14[j]) for j in rng])
+    k16 = rhs(x + _C16 * h, [
+        y[j] + h * (_A161 * k1[j] + _A166 * k6[j] + _A167 * k7[j]
+                    + _A168 * k8[j] + _A169 * k9[j] + _A1613 * k13[j]
+                    + _A1614 * k14[j] + _A1615 * k15[j]) for j in rng])
+    dy = tuple(y1[j] - y[j] for j in rng)
+    bspl = tuple(h * k1[j] - dy[j] for j in rng)
+    return (dy, bspl, tuple(dy[j] - h * k13[j] - bspl[j] for j in rng)) + tuple(
+        tuple(h * (d1 * k1[j] + d6 * k6[j] + d7 * k7[j] + d8 * k8[j]
+                   + d9 * k9[j] + d10 * k10[j] + d11 * k11[j] + d12 * k12[j]
+                   + d13 * k13[j] + d14 * k14[j] + d15 * k15[j] + d16 * k16[j])
+              for j in rng)
+        for d1, _, _, _, _, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15, d16 in _D)
 
 
 class _Frame:
@@ -265,14 +390,15 @@ class _Frame:
         return (self.s + (z_l + y[0]) / self.K, (y[1] - 4.0 * q) / self.K,
                 y[2], y[3], y[4], y[5])
 
-    def exponent_at(self, tau, y):
-        """E at tau for the frame state y: E0 + 2 tau + Z_L + D + R, with R
-        the nonlinear remainder of E in d = u - s (rhs_bubble inlines this)."""
+    def exponent_at(self, tau, dev):
+        """E at tau for the deviation D = dev: E0 + 2 tau + Z_L + D + R, with
+        R the nonlinear remainder of E in d = u - s (rhs_bubble inlines
+        this)."""
         z_l, _, _ = self.liouville(tau)
-        d = (z_l + y[0]) / self.K
+        d = (z_l + dev) / self.K
         x = max(d / self.s, -0.99)
         lx = math.log1p(x)
-        return (self.E0 + 2.0 * tau + z_l + y[0] + (lx - x) + d * d
+        return (self.E0 + 2.0 * tau + z_l + dev + (lx - x) + d * d
                 + self.asb * (math.expm1(self.beta * lx) - self.beta * x))
 
     def head(self, tau):
@@ -285,9 +411,7 @@ class _Frame:
 def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
     """Root of dense component `comp` in theta in [lo, hi] (Illinois method)."""
     def g(th):
-        c1, c2, c3, c4, c5 = step.rcont
-        om = 1.0 - th
-        return c1[comp] + th * (c2[comp] + om * (c3[comp] + th * (c4[comp] + om * c5[comp])))
+        return step.value(step.x0 + th * step.h, comp)
 
     flo, fhi = g(lo), g(hi)
     if flo == 0.0:
@@ -304,7 +428,7 @@ def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
         if not (lo < th < hi):
             th = 0.5 * (lo + hi)
         fm = g(th)
-        if fm == 0.0 or (hi - lo) < 1e-16:
+        if fm == 0.0 or hi - lo < _EPS:  # theta to an ulp or two
             return th
         if flo * fm < 0.0:
             hi, fhi = th, fm
@@ -382,8 +506,9 @@ class Trajectory:
         st = self._step_for(t)
         if st.frame is not None:  # u > 0 in the bubble frame
             tau = ti - st.frame.t0
-            return math.exp(min(st.frame.exponent_at(tau, st.dense(tau)), _LOG_MAX))
-        u = st.dense(ti)[0]
+            return math.exp(min(st.frame.exponent_at(tau, st.value(tau, 0)),
+                                _LOG_MAX))
+        u = st.value(ti, 0)
         if u == 0.0:
             return 0.0
         p = self.params
@@ -445,13 +570,16 @@ def _line_search(f, lo, hi, iters=200):
 
 
 def _march(rhs, x, y, h, scale, t_of, on_step):
-    """Dormand-Prince steps from (x, y) until on_step(step) returns True.
+    """DOP853 steps from (x, y) until on_step(step) returns True.
 
     scale(x, y, x1, y1) gives the error scale of the first _NCOMP components
-    (no others are tested) for a trial step, accepted when all are met.
-    on_step may also return a number x_land < step.x1: the step is then
-    discarded and retaken to end on x_land (unless the error test rejects
-    that retake).
+    (no others are tested) for a trial step.  Each component's error is
+    Hairer's combined estimate err5^2/sqrt(err5^2 + 0.01 err3^2) from the
+    embedded 5th- and 3rd-order results; the step is accepted when all are
+    within their scale, and the next one is scaled by 0.9 err^(-1/8),
+    within [0.333, 6].  on_step may also return a number x_land < step.x1:
+    the step is then discarded and retaken to end on x_land (unless the
+    error test rejects that retake), and stepping goes on at its size.
 
     Returns (last accepted step, next step size).
     """
@@ -465,55 +593,75 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
             raise StiffnessError(math.exp(t_of(x)), h)
 
         # stages (unrolled linear combinations; this is the hot loop)
-        ka = k1
-        kb = rhs(x + 0.2 * h, tuple(y[j] + h * 0.2 * ka[j] for j in rng))
-        kc = rhs(x + 0.3 * h, tuple(
-            y[j] + h * (_A31 * ka[j] + _A32 * kb[j]) for j in rng))
-        kd = rhs(x + 0.8 * h, tuple(
-            y[j] + h * (_A41 * ka[j] + _A42 * kb[j] + _A43 * kc[j]) for j in rng))
-        ke = rhs(x + _C4 * h, tuple(
-            y[j] + h * (_A51 * ka[j] + _A52 * kb[j] + _A53 * kc[j] + _A54 * kd[j])
-            for j in rng))
+        k2 = rhs(x + _C2 * h, [y[j] + h * _A21 * k1[j] for j in rng])
+        k3 = rhs(x + _C3 * h, [
+            y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in rng])
+        k4 = rhs(x + _C4 * h, [
+            y[j] + h * (_A41 * k1[j] + _A43 * k3[j]) for j in rng])
+        k5 = rhs(x + _C5 * h, [
+            y[j] + h * (_A51 * k1[j] + _A53 * k3[j] + _A54 * k4[j]) for j in rng])
+        k6 = rhs(x + _C6 * h, [
+            y[j] + h * (_A61 * k1[j] + _A64 * k4[j] + _A65 * k5[j]) for j in rng])
+        k7 = rhs(x + _C7 * h, [
+            y[j] + h * (_A71 * k1[j] + _A74 * k4[j] + _A75 * k5[j] + _A76 * k6[j])
+            for j in rng])
+        k8 = rhs(x + _C8 * h, [
+            y[j] + h * (_A81 * k1[j] + _A84 * k4[j] + _A85 * k5[j] + _A86 * k6[j]
+                        + _A87 * k7[j]) for j in rng])
+        k9 = rhs(x + _C9 * h, [
+            y[j] + h * (_A91 * k1[j] + _A94 * k4[j] + _A95 * k5[j] + _A96 * k6[j]
+                        + _A97 * k7[j] + _A98 * k8[j]) for j in rng])
+        k10 = rhs(x + _C10 * h, [
+            y[j] + h * (_A101 * k1[j] + _A104 * k4[j] + _A105 * k5[j]
+                        + _A106 * k6[j] + _A107 * k7[j] + _A108 * k8[j]
+                        + _A109 * k9[j]) for j in rng])
+        k11 = rhs(x + _C11 * h, [
+            y[j] + h * (_A111 * k1[j] + _A114 * k4[j] + _A115 * k5[j]
+                        + _A116 * k6[j] + _A117 * k7[j] + _A118 * k8[j]
+                        + _A119 * k9[j] + _A1110 * k10[j]) for j in rng])
         x1 = x_land if x_land is not None else x + h
-        kf = rhs(x1, tuple(
-            y[j] + h * (_A61 * ka[j] + _A62 * kb[j] + _A63 * kc[j]
-                        + _A64 * kd[j] + _A65 * ke[j]) for j in rng))
-        y1 = tuple(
-            y[j] + h * (_A71 * ka[j] + _A73 * kc[j] + _A74 * kd[j]
-                        + _A75 * ke[j] + _A76 * kf[j]) for j in rng)
-        kg = rhs(x1, y1)  # FSAL stage
+        k12 = rhs(x1, [
+            y[j] + h * (_A121 * k1[j] + _A124 * k4[j] + _A125 * k5[j]
+                        + _A126 * k6[j] + _A127 * k7[j] + _A128 * k8[j]
+                        + _A129 * k9[j] + _A1210 * k10[j] + _A1211 * k11[j])
+            for j in rng])
+        bk = [_B1 * k1[j] + _B6 * k6[j] + _B7 * k7[j] + _B8 * k8[j]
+              + _B9 * k9[j] + _B10 * k10[j] + _B11 * k11[j] + _B12 * k12[j]
+              for j in rng]
+        y1 = tuple(y[j] + h * bk[j] for j in rng)
 
         err = 0.0
         sc = scale(x, y, x1, y1)
         for j in _RANGE:
-            e = h * (_E1 * ka[j] + _E3 * kc[j] + _E4 * kd[j]
-                     + _E5 * ke[j] + _E6 * kf[j] + _E7 * kg[j])
-            q = abs(e) / sc[j]
+            e5 = (_ER1 * k1[j] + _ER6 * k6[j] + _ER7 * k7[j] + _ER8 * k8[j]
+                  + _ER9 * k9[j] + _ER10 * k10[j] + _ER11 * k11[j]
+                  + _ER12 * k12[j])
+            if e5 == 0.0:
+                continue
+            e3 = bk[j] - _BHH1 * k1[j] - _BHH9 * k9[j] - _BHH12 * k12[j]
+            q = h * e5 * e5 / (math.sqrt(e5 * e5 + 0.01 * e3 * e3) * sc[j])
             if not q <= err:  # also catches NaN from a wild trial stage
                 err = q if q == q else math.inf
         if err <= 1.0:
-            ydiff = tuple(y1[j] - y[j] for j in rng)
-            bspl = tuple(h * ka[j] - ydiff[j] for j in rng)
-            rc4 = tuple(ydiff[j] - h * kg[j] - bspl[j] for j in rng)
-            rc5 = tuple(
-                h * (_D1 * ka[j] + _D3 * kc[j] + _D4 * kd[j]
-                     + _D5 * ke[j] + _D6 * kf[j] + _D7 * kg[j])
-                for j in rng
-            )
-            step = _Step(x, h, x1, y, y1, (y, ydiff, bspl, rc4, rc5), None)
+            k13 = rhs(x1, y1)  # FSAL stage
+            step = _Step(x, h, x1, y, y1, rhs,
+                         (k1, k6, k7, k8, k9, k10, k11, k12, k13))
             stop = on_step(step)
             if stop is not None and stop is not True and stop is not False:
-                x_land = stop  # retake this step to end on x_land
+                # retake this step to end on x_land, then go on at this h
+                x_land, h_on = stop, h
                 continue
-            x, y, k1 = x1, y1, kg
-            if err == 0.0:
-                h *= 5.0
+            x, y, k1 = x1, y1, k13
+            if x_land is not None:
+                h, x_land = h_on, None
+            elif err == 0.0:
+                h *= 6.0
             else:
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h *= min(6.0, max(0.333, 0.9 * err ** -0.125))
             if stop:
                 return step, h
         else:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.333, 0.9 * err ** -0.125)
             x_land = None  # a rejected retake falls back to plain stepping
 
 
@@ -641,7 +789,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         step.frame = frame
         steps.append(step)
         check_caps(t0 + step.x1)
-        e = frame.exponent_at(step.x1, step.y1)
+        e = frame.exponent_at(step.x1, step.y1[0])
         quiet[0] = e < min(_E_QUIET, last_e[0])
         if quiet[0] or frame.state(step.x1, step.y1)[0] < (1.0 - _HANDOFF_DROP) * s:
             return True
@@ -717,9 +865,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         y_b = line(t_b) + ((sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
                            if sensitivity else ())
         zero = (0.0,) * len(y_b)
-        steps.append(_Step(t_hand, t_b - t_hand, t_b, y, y_b,
-                           (y, tuple(b - a for a, b in zip(y, y_b)), zero, zero,
-                            zero), None))
+        steps.append(_Step(t_hand, t_b - t_hand, t_b, y, y_b, None, None,
+                           (tuple(b - a for a, b in zip(y, y_b)),) + (zero,) * 6))
         check_caps(t_b)
         if len(zeros) >= n_zeros:
             return Trajectory(p, s, t0, steps, zeros, peaks,
@@ -745,23 +892,31 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             if u != 0.0 else exp(2.0 * t + loglam)
         return base + (y[7], -dg * y[6])
 
+    kinked, landed = beta < 1.0, [None]
+
     def on_plain_step(step):
         y0, y1 = step.y0, step.y1
         events = []
         if (y0[0] > 0.0) != (y1[0] > 0.0) or y1[0] == 0.0:
             th = _dense_root(step, 0, 0.0, 1.0)
             tz = step.x0 + th * step.h
-            events.append((tz, 0, step.dense(tz)[1]))
+            events.append((tz, 0, step.value(tz, 1)))
             if len(zeros) + 1 == n_zeros:
                 # the stop zero: retake a long step to end just past it,
                 # so that the trajectory does not run on far beyond it
                 land = tz + _LAND_MARGIN * (tz - step.x0)
                 if step.x0 < tz and land < step.x1:
                     return land
+            elif kinked and step.x0 < tz and landed[0] not in (step.x0, step.x1):
+                # alpha*|u|^beta is not smooth at a zero for beta < 1: retake
+                # the step to end on it.  The retake, and the step after it,
+                # keep a zero that rounding left at their end or start
+                landed[0] = tz
+                return tz
         if y0[1] * y1[1] < 0.0:
             th = _dense_root(step, 1, 0.0, 1.0)
             tp = step.x0 + th * step.h
-            events.append((tp, 1, abs(step.dense(tp)[0])))
+            events.append((tp, 1, abs(step.value(tp, 0))))
         steps.append(step)
         events.sort()
         for tx, kind, aux in events:
@@ -801,9 +956,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     if not sensitivity:
         return Trajectory(p, s, t0, steps, zeros, peaks)
     t_n, ru_n = zeros[-1]  # w(t_n) on the dense output
-    th = (t_n - step.x0) / step.h
-    c1, c2, c3, c4, c5 = (c[_NCOMP] for c in step.rcont)
-    w = c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
+    w = step.value(t_n, _NCOMP)
     return Trajectory(p, s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
 
 

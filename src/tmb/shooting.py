@@ -257,9 +257,10 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
     _newton polishes every sign change of lambda_of_s - target_lambda from
     the secant point of its two probes until ln(lambda) matches to
     POLISH_TOL; a bracket it gives up on is dropped as scan noise.
-    Measured at default settings: polish residual <= 3.8e-13 in ln(lambda)
+    Measured at default settings: polish residual <= 1.1e-11 in ln(lambda)
     on the reference_family and weak_limit_preset presets; for s <= 18 the
-    lambda achieved is within 1.3e-10 (relative) of the benchmark oracle.
+    lambda achieved is within 2.0e-11 (relative) of the benchmark oracle,
+    whose own rtol 1e-12 and 1e-13 answers differ by up to 1.2e-10 there.
     A positive, finite seed_amplitude (continuation within a family) starts
     _newton at the seed instead; the scan runs only if it gives up, as at a
     turning point.  Started at a root it found before, it integrates thrice.

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from tmb import shooting
+from tmb import cli, shooting
 from tmb.cli import MAX_SCAN_POINTS, emit_csv, main, parse_config
 from tmb.errors import ConfigError
+from tmb.ode import SolverSettings
 
 CHEAP_VERIFY = """\
 [problem]
@@ -63,6 +64,13 @@ class TestParseConfig:
         assert len(sched) == 5
         assert sched[0] == 0.01
         assert sched[1] == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("tolerances", ["", "[tolerances]\nscan_points = 48\n"])
+    def test_default_tolerances_are_the_integrators(self, tmp_path, tolerances):
+        # a config that sets no tolerance runs at SolverSettings' defaults
+        path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
+                                + tolerances)
+        assert cli._settings(parse_config(path, "solve")) == SolverSettings()
 
     @pytest.mark.parametrize("geo, why", [
         ("1e-2 0.1 4.9", "whole number"),   # int() used to give 4 members

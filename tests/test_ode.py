@@ -1,4 +1,5 @@
-"""Radial integrator: linearization oracle, first integral, events, dense output."""
+"""Radial integrator: linearization oracle, first integral, events, dense
+output, the DOP853 kernel."""
 
 import math
 
@@ -8,6 +9,7 @@ from tmb import ode
 from tmb.errors import ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
+from tmb.shooting import POLISH_TOL
 
 from conftest import T1
 
@@ -110,6 +112,63 @@ class TestSelfConvergence:
         z1, z2 = math.exp(t1.log_zeros[0][0]), math.exp(t2.log_zeros[0][0])
         budget = 10.0 * 1e-10 * z1 * math.sqrt(len(t1.steps))
         assert abs(z2 - z1) < budget
+
+    @pytest.mark.parametrize("k, alpha, beta, s", [
+        (k, 1.0, beta, s) for k in (0, 1, 2) for beta in (0.5, 1.3, 1.8)
+        for s in (0.5, 5.0, 24.0)
+    ] + [
+        # the kink of alpha*|u|^beta at every zero for beta < 1
+        (k, 3.0, 0.3, s) for k in (1, 2) for s in (0.3, 1.0, 2.0, 3.0, 5.0)
+    ])
+    def test_defaults_meet_polish_tol(self, k, alpha, beta, s):
+        # ln(lambda) = 2 t_{k+1} at the default tolerances agrees with a
+        # 10x tighter solve to the tolerance roots are polished to
+        p = ProblemParams(alpha=alpha, beta=beta, lam=1.0)
+        fine = SolverSettings(rel_tol=1e-13, abs_tol=1e-15)
+        base = integrate_radial(s, p, k + 1).log_zeros[k][0]
+        ref = integrate_radial(s, p, k + 1, fine).log_zeros[k][0]
+        assert abs(2.0 * (base - ref)) <= POLISH_TOL
+
+
+class TestKernel:
+    """The DOP853 tableau and its lazy 7th-order dense output."""
+
+    def test_order_conditions(self):
+        # the 8th-order weights (row 12) integrate c^(q-1) exactly, q <= 8
+        b, c = ode._A[12], ode._C
+        assert len(c) == len(ode._A) == 16 and len(b) == 12
+        for q in range(1, 9):
+            total = sum(bi * ci ** (q - 1) for bi, ci in zip(b, c))
+            assert total == pytest.approx(1.0 / q, rel=1e-14, abs=1e-15)
+
+    def test_nodes_are_row_sums(self):
+        for row, ci in zip(ode._A, ode._C):
+            assert abs(sum(row) - ci) <= 4.0 * ode._EPS * sum(map(abs, row))
+
+    def test_error_rows_sum_to_zero(self):
+        # the 5th-order row, and 8th-order minus 3rd-order weights
+        assert abs(sum(ode._ER)) <= 4.0 * ode._EPS * sum(map(abs, ode._ER))
+        assert sum(ode._A[12]) - sum(ode._BHH) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("plain", [False, True])  # first-bubble frame or t
+    def test_interpolant_ends(self, plain):
+        # y0 and y1 at theta = 0 and 1, and dy/dtheta = h*f there (by a
+        # complex step: exact up to the rounding of the interpolant's
+        # coefficient rows, which reach ~500 h f); f at both ends are the
+        # step's first and FSAL stages, kept until the interpolant is read
+        traj = integrate_radial(5.0, P12, 2)
+        st = next(st for st in traj.steps
+                  if (st.frame is None) == plain and st._ks is not None)
+        f0, f1 = st._ks[0], st._ks[-1]
+        eps = 1e-30
+        for i in range(len(st.y0)):
+            # rounding of y0 + theta*(...) at theta = 1, in units of the terms
+            scale = abs(st.y0[i]) + abs(st.y1[i]) + abs(st.h * f0[i]) + abs(st.h * f1[i])
+            assert st.value(st.x0, i) == st.y0[i]
+            assert abs(st.value(st.x1, i) - st.y1[i]) <= 8.0 * ode._EPS * scale
+            for x, f in ((st.x0, f0), (st.x1, f1)):
+                slope = st.value(x + 1j * eps * st.h, i).imag / eps
+                assert abs(slope - st.h * f[i]) <= 1e-13 * scale
 
 
 class TestAugmentedChannels:

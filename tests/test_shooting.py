@@ -72,18 +72,22 @@ class TestNodalSolution:
         assert sols[0].peak_values[0] == sols[0].amplitude
 
     def test_scan_noise_bracket_dropped(self, monkeypatch):
-        # at scan tolerance lambda(s) - target changes sign on this bracket
-        # near Lambda_1, but at full tolerance there is no root in it: the
-        # real root lies at a larger amplitude (it is found by
-        # test_bifurcation_from_first_eigenvalue).  Newton starts at the
-        # secant point of the probed ends, where lambda(s) is nearly flat:
-        # its steps leave the bracket, two bisections reach the scan's
-        # noise, and the first full-tolerance step leaves the bracket too.
-        # Three integrations at scan tolerance, none at full tolerance
-        lt = math.log(L1 * (1 - 1e-4))
-        xa, fa = shooting._probe(0, lt, P12, 1e-6)
-        xb, fb = shooting._probe(0, lt, P12, 1.43736615134483e-6)
+        # at scan tolerance lambda(s) - target changes sign between these
+        # two probes of the 48-point scan near Lambda_1, but at full
+        # tolerance lambda(s) lies below the target at both ends: there is
+        # no root in the bracket, only scan noise (the real root lies at a
+        # smaller amplitude, near s = 2e-6).  Newton starts at the secant
+        # point of the probed ends, where lambda(s) is nearly flat: its one
+        # scan-tolerance iterate lies within the scan's noise of the target,
+        # and the first full-tolerance step leaves the bracket.  At most
+        # three integrations at scan tolerance, none at full tolerance
+        lt = math.log(L1 * (1 - 1e-7))
+        sa, sb = 2.9696293045402426e-6, 4.268444644387833e-6
+        xa, fa = shooting._probe(0, lt, P12, sa)
+        xb, fb = shooting._probe(0, lt, P12, sb)
         assert fa * fb <= 0.0
+        for s in (sa, sb):
+            assert 2.0 * solve_unit_lambda(s, 0, P12)[1].log_zeros[0][0] < lt
         full = SolverSettings()
         calls, scan_calls = [], []
 
