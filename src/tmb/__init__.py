@@ -14,8 +14,8 @@ _EXPORTS = {
     "nonlinearity": ("OVERFLOW_BUDGET", "ProblemParams", "primitive_F"),
     "ode": ("RadialState", "SolverSettings", "Trajectory", "integrate_radial"),
     "bessel": ("Eigenpair", "eigenpairs", "j0", "j0_zero"),
-    "shooting": ("RadialSolution", "lambda_of_s", "nodal_solution",
-                 "solve_unit_lambda"),
+    "shooting": ("RadialSolution", "Trace", "lambda_of_s", "nodal_solution",
+                 "solution_at", "solve_unit_lambda", "trace"),
     "analysis": ("EnergyReport", "NodalDomain", "boundary_flux", "decompose",
                  "energy_report", "identity_residual", "nehari_residual",
                  "sturm_bound_check"),

@@ -28,7 +28,7 @@ from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import DEFAULT_SCAN_POINTS, nodal_solution
+from .shooting import nodal_solution
 
 # The interpreter's own SHA-256 (3.12+: _sha2, 3.10-3.11: _sha256), so that
 # hashing a config loads no OpenSSL; hashlib only where neither was built.
@@ -53,7 +53,6 @@ class ExperimentConfig:
     family: FamilySpec | None = None
     rel_tol: float = SolverSettings.rel_tol
     abs_tol: float = SolverSettings.abs_tol
-    scan_points: int = DEFAULT_SCAN_POINTS
     output_dir: Path = Path(".")
     seed_note: str = ""
     config_hash: str = ""
@@ -87,11 +86,8 @@ def _config_hash(data: bytes) -> str:
     return _sha256(data).hexdigest()[:12]
 
 
-def _get(cp, section, key, conv, default=None, required=False, path=""):
+def _get(cp, section, key, conv, default=None, path=""):
     if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key '{key}'", field=key,
-                              location=f"{path}[{section}]")
         return default
     raw = cp.get(section, key)
     try:
@@ -112,10 +108,12 @@ _LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
 # Most members a lambda_geometric schedule may have: at ~0.1 s of solving
 # per member, 1,000 members take minutes, and more is a typo, not a family.
 MAX_GEOMETRIC_COUNT = 1000
-# Most amplitudes a scan may probe: each is one integration, a scan runs
-# for every member that continuation does not reach, the default is
-# DEFAULT_SCAN_POINTS, and more than this is a typo, not a finer scan.
-MAX_SCAN_POINTS = 10000
+# The sections of a config and the keys each may hold; anything else is a
+# typo that would otherwise run with a default.
+CONFIG_KEYS = {"problem": ("k", "alpha", "beta", "lambda"),
+               "family": ("lambda_schedule", "lambda_geometric", "beta_schedule",
+                          "beta_constant", "coupling_note"),
+               "tolerances": ("rel_tol", "abs_tol"), "output": ("seed_note",)}
 
 
 def _geometric(raw: str) -> tuple:
@@ -162,12 +160,16 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     cfg = ExperimentConfig(command=command)
     cfg.config_hash = _config_hash(text.encode())
     loc = str(path)
+    unknown = [f"[{s}]" for s in cp.sections() if s not in CONFIG_KEYS] + [
+        f"[{s}] {key}" for s in cp.sections() if s in CONFIG_KEYS
+        for key in cp.options(s) if key not in CONFIG_KEYS[s]]
+    if unknown:
+        raise ConfigError("unknown " + ", ".join(unknown), location=loc)
 
-    if cp.has_section("problem"):
-        cfg.k = _get(cp, "problem", "k", int, default=0, path=loc)
-        cfg.alpha = _get(cp, "problem", "alpha", float, default=1.0, path=loc)
-        cfg.beta = _get(cp, "problem", "beta", float, default=1.0, path=loc)
-        cfg.lam = _get(cp, "problem", "lambda", float, default=None, path=loc)
+    cfg.k = _get(cp, "problem", "k", int, default=0, path=loc)
+    cfg.alpha = _get(cp, "problem", "alpha", float, default=1.0, path=loc)
+    cfg.beta = _get(cp, "problem", "beta", float, default=1.0, path=loc)
+    cfg.lam = _get(cp, "problem", "lambda", float, default=None, path=loc)
     if cfg.k < 0:
         raise ConfigError(f"k must be nonnegative, got {cfg.k}", field="k",
                           location=f"{loc}[problem]")
@@ -194,9 +196,8 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
                 location=f"{loc}[family]")
         beta_sched = _get(cp, "family", "beta_schedule", _floats, path=loc)
         if beta_sched is None:
-            bconst = _get(cp, "family", "beta_constant", float, path=loc)
-            if bconst is None:
-                bconst = cfg.beta
+            bconst = _get(cp, "family", "beta_constant", float,
+                          default=cfg.beta, path=loc)
             beta_sched = tuple(bconst for _ in lam_sched)
         note = _get(cp, "family", "coupling_note", str, default="", path=loc)
         for b in beta_sched:
@@ -213,24 +214,12 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
             raise ConfigError(str(exc), field="family",
                               location=f"{loc}[family]") from exc
 
-    if cp.has_section("tolerances"):
-        cfg.rel_tol = _get(cp, "tolerances", "rel_tol", float,
-                           default=cfg.rel_tol, path=loc)
-        cfg.abs_tol = _get(cp, "tolerances", "abs_tol", float,
-                           default=cfg.abs_tol, path=loc)
-        cfg.scan_points = _get(cp, "tolerances", "scan_points", int,
-                               default=cfg.scan_points, path=loc)
-        if not (0.0 < cfg.rel_tol < math.inf and 0.0 < cfg.abs_tol < math.inf):
-            raise ConfigError("tolerances must be positive and finite",
-                              field="rel_tol/abs_tol",
-                              location=f"{loc}[tolerances]")
-        if not (2 <= cfg.scan_points <= MAX_SCAN_POINTS):
-            raise ConfigError(
-                f"scan_points must lie in [2, {MAX_SCAN_POINTS}], "
-                f"got {cfg.scan_points}",
-                field="scan_points", location=f"{loc}[tolerances]")
-    if cp.has_section("output"):
-        cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
+    cfg.rel_tol = _get(cp, "tolerances", "rel_tol", float, default=cfg.rel_tol, path=loc)
+    cfg.abs_tol = _get(cp, "tolerances", "abs_tol", float, default=cfg.abs_tol, path=loc)
+    if not (0.0 < cfg.rel_tol < math.inf and 0.0 < cfg.abs_tol < math.inf):
+        raise ConfigError("tolerances must be positive and finite",
+                          field="rel_tol/abs_tol", location=f"{loc}[tolerances]")
+    cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
     return cfg
 
 
@@ -249,32 +238,23 @@ def _solution_fieldnames(k: int) -> list:
 
 def _solution_row(n, rec, cfg) -> dict:
     row = {"n": n, "lambda": rec.lam, "beta": rec.beta, "k": len(rec.nodal_radii) - 1,
-           "amplitude": rec.amplitude, "config_hash": cfg.config_hash}
-    for i in range(1, len(rec.nodal_radii) + 1):
-        row[f"r_{i}"] = rec.nodal_radii[i - 1]
-        row[f"rho_{i}"] = rec.peak_radii[i - 1]
-        row[f"mu_{i}"] = rec.peak_values[i - 1]
-        row[f"du_at_r{i}"] = rec.boundary_slopes[i - 1]
-        row[f"dirichlet_{i}"] = rec.dirichlet[i - 1]
-    row["full_dirichlet"] = rec.full_dirichlet
-    row["functional"] = rec.functional
-    row["nehari_residual"] = rec.nehari_residual
-    row["identity_residual_max"] = rec.identity_residual_max
+           "amplitude": rec.amplitude, "full_dirichlet": rec.full_dirichlet,
+           "functional": rec.functional, "nehari_residual": rec.nehari_residual,
+           "identity_residual_max": rec.identity_residual_max,
+           "config_hash": cfg.config_hash}
+    for i, cells in enumerate(zip(rec.nodal_radii, rec.peak_radii, rec.peak_values,
+                                  rec.boundary_slopes, rec.dirichlet), start=1):
+        names = (f"r_{i}", f"rho_{i}", f"mu_{i}", f"du_at_r{i}", f"dirichlet_{i}")
+        row.update(zip(names, cells))
     return row
 
 
 def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
                     started_at: str, extra: dict) -> None:
-    meta = {
-        "command": cfg.command,
-        "config_hash": cfg.config_hash,
-        "seed_note": cfg.seed_note,
-        "package_version": __version__,
-        "python_version": sys.version.split()[0],
-        "wall_time_s": wall,
-        "started_at": started_at,
-    }
-    meta.update(extra)
+    meta = {"command": cfg.command, "config_hash": cfg.config_hash,
+            "seed_note": cfg.seed_note, "package_version": __version__,
+            "python_version": sys.version.split()[0], "wall_time_s": wall,
+            "started_at": started_at, **extra}
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -308,12 +288,9 @@ def run(cfg: ExperimentConfig) -> int:
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
         p = ProblemParams(cfg.alpha, cfg.beta, cfg.lam)
-        sols = nodal_solution(cfg.k, cfg.lam, p, settings=_settings(cfg),
-                              scan_points=cfg.scan_points)
-        rows = []
-        for n, sol in enumerate(sols):
-            rec = _summarize(n, sol.params.lam, cfg.beta, sol, len(sols))
-            rows.append(_solution_row(n, rec, cfg))
+        sols = nodal_solution(cfg.k, cfg.lam, p, settings=_settings(cfg))
+        rows = [_solution_row(n, _summarize(n, sol.params.lam, cfg.beta, sol, len(sols)),
+                              cfg) for n, sol in enumerate(sols)]
         emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
         extra["branches"] = len(sols)
         _write_metadata(cfg, out, time.time() - t0, started_at, extra)
@@ -322,14 +299,11 @@ def run(cfg: ExperimentConfig) -> int:
     # family-driven commands
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    exp = run_family(cfg.family, settings=_settings(cfg),
-                     scan_points=cfg.scan_points)
+    exp = run_family(cfg.family, settings=_settings(cfg))
     if exp.failures:
         status = 1
-        extra["failures"] = [
-            {"n": f.index, "lambda": f.lam, "beta": f.beta, "reason": f.reason}
-            for f in exp.failures
-        ]
+        extra["failures"] = [{"n": f.index, "lambda": f.lam, "beta": f.beta,
+                              "reason": f.reason} for f in exp.failures]
     rows = [_solution_row(rec.index, rec, cfg) for rec in exp.records]
     emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
 
@@ -349,16 +323,11 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.command == "verify":
         if len(exp.records) >= 3:
             reports = verify_formulas(exp)
-            rrows = [{
-                "formula_id": rep.formula_id,
-                "applicable": int(rep.applicable),
-                "raw_last": rep.raw_last,
-                "extrapolated": rep.extrapolated,
-                "target": rep.target,
-                "rel_error": rep.rel_error,
-                "slow_rate_flag": int(rep.slow_rate),
-                "config_hash": cfg.config_hash,
-            } for rep in reports]
+            rrows = [{"formula_id": rep.formula_id, "applicable": int(rep.applicable),
+                      "raw_last": rep.raw_last, "extrapolated": rep.extrapolated,
+                      "target": rep.target, "rel_error": rep.rel_error,
+                      "slow_rate_flag": int(rep.slow_rate),
+                      "config_hash": cfg.config_hash} for rep in reports]
             emit_csv(rrows, out / "formula_reports.csv",
                      ["formula_id", "applicable", "raw_last", "extrapolated",
                       "target", "rel_error", "slow_rate_flag", "config_hash"])
@@ -403,11 +372,6 @@ def main(argv=None) -> int:
             cfg.k = args.k
         if args.out is not None:
             cfg.output_dir = args.out
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ class ZeroNotReachedError(TmbError, RuntimeError):
 
 
 class NoSolutionInRangeError(TmbError, RuntimeError):
-    """The amplitude scan found no branch hitting the target eigenvalue."""
+    """No piece of the traced branch lambda_k(s) crosses the target eigenvalue."""
 
     def __init__(self, target, lam_min, lam_max, s_min, s_max):
         self.target = target

@@ -1,9 +1,9 @@
 """Parameter families and numerical verification of the asymptotic laws.
 
-run_family solves a (lambda_n, beta_n) schedule with amplitude
-continuation; verify_formulas turns the member records into one report
-per asymptotic formula: the raw sequence, its Aitken-accelerated limit,
-the predicted target, and the relative error.
+run_family solves a (lambda_n, beta_n) schedule on one trace of lambda_k(s)
+per distinct beta_n; verify_formulas turns the member records into one
+report per asymptotic formula: the raw sequence, its Aitken-accelerated
+limit, the predicted target, and the relative error.
 
 Formulas whose convergence rate involves powers of (beta-1) are tagged
 slow_rate: at double-precision desk scale they are trend checks, not
@@ -28,7 +28,7 @@ from .errors import (
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import DEFAULT_SCAN_POINTS, LogRadii, nodal_solution
+from .shooting import LogRadii, nodal_solution, trace
 
 SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
@@ -181,30 +181,29 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
     )
 
 
-def run_family(spec: FamilySpec, settings: SolverSettings | None = None,
-               scan_points: int = DEFAULT_SCAN_POINTS) -> SequenceExperiment:
-    """Solve every schedule member, seeding each solve with the previous
-    amplitude.  Failed members are recorded, not fatal; FamilyEmptyError
-    only when nothing solves.  Records are summaries, so a run holds at
-    most one member's trajectories; to get a member's solution back,
-    re-solve it with the run's settings (three integrations, same root):
-    nodal_solution(k, rec.lam, ProblemParams(alpha, rec.beta, rec.lam),
-    seed_amplitude=rec.amplitude)."""
-    records = []
-    failures = []
-    seed = None
-    for n, (lam, beta) in enumerate(zip(spec.lambda_schedule, spec.beta_schedule)):
+def run_family(spec: FamilySpec,
+               settings: SolverSettings | None = None) -> SequenceExperiment:
+    """Solve every schedule member on the trace of its branch: each distinct
+    beta_n is traced once, down to the lowest lambda_n it shares.  Failed
+    members are recorded, not fatal; FamilyEmptyError only when nothing
+    solves.  Records are summaries, so a run holds at most one member's
+    trajectories; one integration gives a member's solution back bit for
+    bit: solution_at(rec.amplitude, k, (alpha, rec.beta, rec.lam), settings)."""
+    records, failures = [], []
+    members = list(zip(spec.lambda_schedule, spec.beta_schedule))
+    traces = {beta: trace(spec.k, ProblemParams(
+        spec.alpha, beta, min(lam for lam, b in members if b == beta)))
+        for beta in dict.fromkeys(spec.beta_schedule)}
+    for n, (lam, beta) in enumerate(members):
         p = ProblemParams(spec.alpha, beta, lam)
         try:
-            sols = nodal_solution(spec.k, lam, p, settings=settings,
-                                  scan_points=scan_points, seed_amplitude=seed)
+            sols = nodal_solution(spec.k, lam, p, settings=settings, traced=traces[beta])
         except (ZeroNotReachedError, NoSolutionInRangeError) as exc:
             failures.append(FailedMember(n, lam, beta, f"{type(exc).__name__}: {exc}"))
             continue
         # follow the largest-amplitude branch (the concentrating one)
         records.append(_summarize(n, lam, beta, sols[-1], len(sols)))
         del sols  # no branch stays alive while the next member is solved
-        seed = records[-1].amplitude
     if not records:
         raise FamilyEmptyError(
             f"all {len(spec)} members failed; first failure: "

@@ -8,9 +8,10 @@ boundary while lambda transforms as lambda*z^2.  The achieved eigenvalue is
     lambda_of_s(s) = exp(2 t_{k+1}(s)),
 
 and a nodal solution with a prescribed lambda is a scalar root-find in s.
-lambda_of_s may be non-monotone, so the root-finder scans a log-spaced
-amplitude grid and polishes every bracket by Newton, with slopes from the
-integrator's sensitivity channel (all branches are returned).
+lambda_of_s may be non-monotone, so trace follows ln lambda against ln s
+once, with slopes from the integrator's sensitivity channel, and splits the
+curve at its folds; each monotone piece holds at most one root, which
+Newton polishes from the piece's bracket (all branches are returned).
 
 Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
@@ -20,13 +21,13 @@ their logarithms stay finite.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 
 from .errors import NoSolutionInRangeError, ZeroNotReachedError
 from .nonlinearity import OVERFLOW_BUDGET, ProblemParams
 from .ode import SolverSettings, Trajectory, integrate_radial, radii, slopes
 from .records import record
 
-DEFAULT_SCAN_POINTS = 200
 DEFAULT_S_MIN = 1e-6
 _BUDGET_MARGIN = 0.5
 # Amplitude ceiling of every search.  After the first bubble the
@@ -36,7 +37,9 @@ _BUDGET_MARGIN = 0.5
 # are polished to.
 S_MAX = 1e5
 
-# Relaxed tolerances of the scan and of Newton's first steps.
+# Relaxed tolerances of the trace and of Newton's first steps.  _scan_settings
+# scales abs_tol by min(1, s), the size of u: a fixed abs_tol left
+# ln(lambda) off by 4e-5 at s = 1e-6 (k=0, beta=1.2).
 SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
 # A polished root matches the target to this much in ln(lambda).
 POLISH_TOL = 1e-10
@@ -44,6 +47,12 @@ POLISH_TOL = 1e-10
 _SWITCH_TOL = 1e-5
 _TRUST = 0.5
 _MAX_NEWTON = 12
+# The trace's first step in ln(s), its bound on the cubic Hermite defect of
+# ln(lambda) per step relative to 1 + |ln(lambda)|, and the slope a fold
+# is located to (in at most _MAX_NEWTON integrations).
+_FIRST_STEP = 0.5
+_DEFECT = 0.02
+_FOLD_SLOPE = 1e-6
 
 
 def amplitude_budget(p: ProblemParams) -> float:
@@ -52,7 +61,7 @@ def amplitude_budget(p: ProblemParams) -> float:
 
     Solves ln(s) + s^2 + alpha*s^beta = OVERFLOW_BUDGET - margin by
     bisection.  The integrator no longer needs a budget; this amplitude
-    still ends the base grid of the lambda(s) scan (see nodal_solution).
+    still bounds the reach of a trace (see trace).
     """
     target = OVERFLOW_BUDGET - _BUDGET_MARGIN
 
@@ -62,14 +71,9 @@ def amplitude_budget(p: ProblemParams) -> float:
     lo, hi = 1.0, 40.0
     while g(hi) < 0.0:
         hi *= 2.0
-    for _ in range(200):
+    while not hi - lo < 1e-9 * hi:
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9 * hi:
-            break
+        lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
     return lo
 
 
@@ -179,65 +183,105 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     )
 
 
-def _probe(k: int, lt: float, p0: ProblemParams, s: float):
-    """(ln s, ln lambda - lt) at SCAN_SETTINGS, integrated at exp(ln s);
-    None when the (k+1)-th zero is not reached."""
-    x = math.log(s)
-    try:
-        _, traj = solve_unit_lambda(math.exp(x), k, p0, SCAN_SETTINGS)
-    except ZeroNotReachedError:
-        return None
-    return x, 2.0 * traj.log_zeros[k][0] - lt
+def _scan_settings(s: float) -> SolverSettings:
+    """SCAN_SETTINGS with abs_tol scaled by min(1, s)."""
+    return SolverSettings(SCAN_SETTINGS.rel_tol, SCAN_SETTINGS.abs_tol * min(1.0, s))
 
 
-def _scan(k: int, p0: ProblemParams, lt: float, n_points: int):
-    """Probes on a log grid of n_points from DEFAULT_S_MIN to
-    amplitude_budget(p0), continued at the same ratio while lambda is above
-    the target and still falling, up to S_MAX.  Returns (last amplitude,
-    probes), with None marking failed probes.
-    """
-    s_max = amplitude_budget(p0)
-    ratio = (s_max / DEFAULT_S_MIN) ** (1.0 / (n_points - 1))
-    grid = [DEFAULT_S_MIN * ratio ** i for i in range(n_points)]
-    grid[-1] = s_max
-    probes = [_probe(k, lt, p0, s) for s in grid]
-    ratio = grid[-1] / grid[-2]
-    while probes[-2] is not None and probes[-1] is not None \
-            and 0.0 < probes[-1][1] < probes[-2][1] and grid[-1] < S_MAX:
-        grid.append(min(grid[-1] * ratio, S_MAX))
-        probes.append(_probe(k, lt, p0, grid[-1]))
-    return grid[-1], probes
+def _node(k: int, p0: ProblemParams, x: float) -> tuple:
+    """(x, ln lambda, d ln lambda/d ln s) at s = exp(x), at scan tolerance."""
+    s = math.exp(x)
+    _, traj = solve_unit_lambda(s, k, p0, _scan_settings(s), sensitivity=True)
+    return x, 2.0 * traj.log_zeros[k][0], traj.log_slope
+
+
+@record
+class Trace:
+    """lambda_k(s) as nodes (ln s, ln lambda, d ln lambda/d ln s) in ascending
+    ln s (see trace); folds indexes the nodes where the slope vanishes, and
+    the nodes between two folds form a monotone piece."""
+
+    k: int
+    params: ProblemParams  # params.lam: the lowest target the trace serves
+    nodes: tuple
+    folds: tuple
+
+
+def _fold(k: int, p0: ProblemParams, a: tuple, b: tuple) -> tuple:
+    """The node between nodes a and b (slopes of opposite sign) where the
+    slope vanishes: secant steps on the slope, kept in the bracket by bisection."""
+    lo, hi, prev = a, b, a
+    for _ in range(_MAX_NEWTON):
+        x = b[0] - b[2] * (b[0] - prev[0]) / (b[2] - prev[2] or math.nan)
+        prev, b = b, _node(k, p0, x if lo[0] < x < hi[0] else 0.5 * (lo[0] + hi[0]))
+        if abs(b[2]) <= _FOLD_SLOPE:
+            break
+        lo, hi = (b, hi) if b[2] * lo[2] > 0.0 else (lo, b)
+    return b
+
+
+def trace(k: int, p: ProblemParams) -> Trace:
+    """lambda_k(s) for p.alpha and p.beta at scan tolerance, with the
+    sensitivity channel, in adaptive steps of x = ln s: a step is accepted
+    when the cubic coefficient of the Hermite interpolant of its two nodes
+    is below _DEFECT * (1 + |ln lambda|), which also sizes the next step.
+    A fold where the slope changes sign across a step is located and
+    inserted as a node.  The trace runs from DEFAULT_S_MIN to
+    amplitude_budget(p), further only while lambda is above p.lam (the
+    lowest target it serves) and still falling, never past S_MAX; it ends
+    early at an amplitude whose (k+1)-th zero is not reached."""
+    p0 = ProblemParams(p.alpha, p.beta, 1.0)
+    x_budget, x_max = math.log(amplitude_budget(p0)), math.log(S_MAX)
+    nodes, folds, rejected = [], [], {}
+    x, h = math.log(DEFAULT_S_MIN), _FIRST_STEP
+    with suppress(ZeroNotReachedError):
+        while True:
+            node = rejected.pop(x, None) or _node(k, p0, x)
+            if nodes:
+                (x0, y0, d0), (_, y1, d1) = nodes[-1], node
+                defect = abs((d0 + d1) * (x - x0) - 2.0 * (y1 - y0)) + 1e-300
+                tol = _DEFECT * (1.0 + min(abs(y0), abs(y1)))
+                h = (x - x0) * max(0.2, min(4.0, 0.9 * (tol / defect) ** (1.0 / 3.0)))
+                if defect > tol:  # kept for a later step to the same end
+                    rejected[x], x = node, x0 + h
+                    continue
+                if d0 * d1 < 0.0:
+                    nodes.append(_fold(k, p0, nodes[-1], node))
+                    folds.append(len(nodes) - 1)
+            nodes.append(node)
+            if x >= x_max or x >= x_budget and not (
+                    node[1] > p.log_lambda and node[2] < 0.0):
+                break
+            x = min(x + h, x_budget if x < x_budget else x_max)
+    return Trace(k, p, tuple(nodes), tuple(folds))
 
 
 def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
-            x: float, lo: float, hi: float, f_lo: float | None = None):
-    """Newton on f(x) = ln lambda(exp x) - lt from x in [lo, hi], with the
-    sensitivity channel's slope: at SCAN_SETTINGS until |f| <= _SWITCH_TOL,
-    then at `settings` until |f| <= POLISH_TOL.  Given f_lo = f(lo), [lo, hi]
-    is a scan bracket: at SCAN_SETTINGS each iterate shrinks it, and a step
-    that would leave it bisects it instead.  None when an iterate leaves
-    [lo, hi] or misses the (k+1)-th zero, after _MAX_NEWTON integrations,
-    or (unbracketed) when |f| stops falling or the slope changes sign at a
-    turning point."""
-    tol, f_last, slope_last, a, b = SCAN_SETTINGS, math.inf, 0.0, lo, hi
+            x: float, lo: float, hi: float, f_lo: float):
+    """Newton on f(x) = ln lambda(exp x) - lt from x in the bracket [lo, hi],
+    f(lo) = f_lo, with the sensitivity channel's slope: at scan tolerance,
+    bisecting the shrinking bracket where a step would leave it, until
+    |f| <= _SWITCH_TOL; then at `settings` until |f| <= POLISH_TOL.  The
+    bracket lies on one monotone piece of a trace, so an iterate that stays
+    in [lo, hi] can only be drawn to its root.  None when an iterate leaves
+    [lo, hi] (the bracket held scan noise, not a root) or misses the
+    (k+1)-th zero, or after _MAX_NEWTON integrations."""
+    scan, a, b = True, lo, hi
     for _ in range(_MAX_NEWTON):
+        s = math.exp(x)
         try:
-            _, traj = solve_unit_lambda(math.exp(x), k, p0, tol, sensitivity=True)
+            _, traj = solve_unit_lambda(s, k, p0, _scan_settings(s) if scan
+                                        else settings, sensitivity=True)
         except ZeroNotReachedError:
             return None
         f, slope = 2.0 * traj.log_zeros[k][0] - lt, traj.log_slope
-        if tol is settings and abs(f) <= POLISH_TOL:
+        if not scan and abs(f) <= POLISH_TOL:
             return traj
-        bracketed = f_lo is not None and tol is not settings
-        if bracketed:
+        if scan:
             a, b = (x, b) if f * f_lo > 0.0 else (a, x)
-        elif not abs(f) < f_last or not slope * slope_last >= 0.0 or slope == 0.0:
-            return None
-        f_last, slope_last = abs(f), slope
-        if tol is not settings and f_last <= _SWITCH_TOL:
-            tol, f_last, bracketed = settings, math.inf, False
         x -= max(-_TRUST, min(_TRUST, f / slope if slope != 0.0 else math.inf))
-        if bracketed and not a < x < b:
+        scan = scan and abs(f) > _SWITCH_TOL
+        if scan and not a < x < b:
             x = 0.5 * (a + b)
         if not lo <= x <= hi:
             return None
@@ -246,61 +290,50 @@ def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
 
 def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
                    settings: SolverSettings | None = None,
-                   scan_points: int = DEFAULT_SCAN_POINTS,
-                   seed_amplitude: float | None = None) -> list[RadialSolution]:
-    """All k-nodal solutions with the prescribed eigenvalue found by the scan.
-
-    Scans lambda_of_s at scan tolerance on a log grid of scan_points >= 2
-    amplitudes from DEFAULT_S_MIN to amplitude_budget(p), continued at the
-    same ratio while lambda_of_s is above the target and still falling, up
-    to S_MAX; every scan is made afresh, nothing is kept between calls.
-    _newton polishes every sign change of lambda_of_s - target_lambda from
-    the secant point of its two probes until ln(lambda) matches to
-    POLISH_TOL; a bracket it gives up on is dropped as scan noise.
-    Measured at default settings: polish residual <= 1.1e-11 in ln(lambda)
-    on the reference_family and weak_limit_preset presets; for s <= 18 the
-    lambda achieved is within 2.0e-11 (relative) of the benchmark oracle,
-    whose own rtol 1e-12 and 1e-13 answers differ by up to 1.2e-10 there.
-    A positive, finite seed_amplitude (continuation within a family) starts
-    _newton at the seed instead; the scan runs only if it gives up, as at a
-    turning point.  Started at a root it found before, it integrates thrice.
-
-    Raises NoSolutionInRangeError when no bracket exists on the scan.
+                   traced: Trace | None = None) -> list[RadialSolution]:
+    """All k-nodal solutions with the prescribed eigenvalue, in ascending
+    amplitude, on `traced`: by default trace(k, (alpha, beta, target_lambda));
+    a given trace must be of the same k, alpha and beta and serve a target
+    at most target_lambda.  On each monotone piece of the trace _newton
+    polishes the first sign change of ln lambda - ln target_lambda from the
+    secant point of its two nodes, until ln(lambda) matches to POLISH_TOL; a
+    bracket it gives up on is dropped as scan noise.  Raises
+    NoSolutionInRangeError when no piece crosses the target.
     """
     if not (0.0 < target_lambda < math.inf):
         raise ValueError(
             f"target lambda must be positive and finite, got {target_lambda!r}")
     if k < 0:
         raise ValueError(f"nodal class must be nonnegative, got {k!r}")
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be at least 2, got {scan_points!r}")
-    if not (seed_amplitude is None or 0.0 < seed_amplitude < math.inf):
-        raise ValueError(f"seed must be positive and finite, got {seed_amplitude!r}")
+    if traced is not None and not (traced.params.lam <= target_lambda and (
+            traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
+        raise ValueError("the trace is of another branch or stops above the target")
     full = settings or SolverSettings()
     p0 = ProblemParams(p.alpha, p.beta, 1.0)
     lt = math.log(target_lambda)
-
-    if seed_amplitude is not None:
-        traj = _newton(k, lt, p0, full, math.log(seed_amplitude),
-                       math.log(DEFAULT_S_MIN), math.log(S_MAX))
-        if traj is not None:
-            return [_build_solution(traj, k, p0)]
-
-    s_end, probes = _scan(k, p0, lt, scan_points)
-    valid = [pr for pr in probes if pr is not None]
-    if not valid:
-        raise NoSolutionInRangeError(target_lambda, math.nan, math.nan,
-                                     DEFAULT_S_MIN, s_end)
+    tr = traced or trace(k, ProblemParams(p.alpha, p.beta, target_lambda))
+    nodes, ends = tr.nodes, (0, *tr.folds, len(tr.nodes) - 1)
     solutions = []
-    for (xa, fa), (xb, fb) in zip(valid, valid[1:]):
-        if fa * fb < 0.0 or fb == 0.0:  # a probe on target ends one bracket
-            x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
-            traj = _newton(k, lt, p0, full, x, xa, xb, fa)
-            if traj is not None:
-                solutions.append(_build_solution(traj, k, p0))
+    for i, j in zip(ends, ends[1:]):
+        for (xa, ya, _), (xb, yb, _) in zip(nodes[i:j], nodes[i + 1:j + 1]):
+            fa, fb = ya - lt, yb - lt
+            if fa * fb < 0.0 or fb == 0.0:  # a node on target ends one bracket
+                x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
+                traj = _newton(k, lt, p0, full, x, xa, xb, fa)
+                if traj is not None:
+                    solutions.append(_build_solution(traj, k, p0))
+                break
     if not solutions:
-        lams = [math.exp(lt + f) for _, f in valid]
-        raise NoSolutionInRangeError(target_lambda, min(lams), max(lams),
-                                     DEFAULT_S_MIN, s_end)
-    solutions.sort(key=lambda sol: sol.amplitude)
+        lams = [math.exp(y) for _, y, _ in nodes] or [math.nan]
+        raise NoSolutionInRangeError(target_lambda, min(lams), max(lams), DEFAULT_S_MIN,
+                                     math.exp(nodes[-1][0]) if nodes else DEFAULT_S_MIN)
     return solutions
+
+
+def solution_at(s: float, k: int, p: ProblemParams,
+                settings: SolverSettings | None = None) -> RadialSolution:
+    """The k-nodal solution of amplitude s for p.alpha and p.beta, from one
+    integration at `settings`: at the amplitude of a solution nodal_solution
+    returned with these settings, that solution bit for bit."""
+    p0 = ProblemParams(p.alpha, p.beta, 1.0)
+    return _build_solution(solve_unit_lambda(s, k, p0, settings)[1], k, p0)

@@ -9,10 +9,6 @@ from tmb.families import FamilySpec
 
 SESSION_T0 = time.time()
 
-# one coarse scan resolution everywhere: each scan costs SCAN_POINTS
-# lambda(s) evaluations
-SCAN_POINTS = 48
-
 L1 = 5.783185962946785   # first radial Dirichlet eigenvalue of the disk
 T1 = 2.404825557695773
 T2 = 5.520078110286311
@@ -49,7 +45,7 @@ def reference_family():
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
     t0 = time.time()
-    exp, solutions = run_family_keeping_solutions(spec, scan_points=SCAN_POINTS)
+    exp, solutions = run_family_keeping_solutions(spec)
     exp.wall_time = time.time() - t0
     exp.solutions = solutions
     assert len(exp.records) == 5, "reference family must solve completely"
@@ -74,5 +70,5 @@ def sol_k1():
     from tmb.shooting import nodal_solution
 
     p = ProblemParams(alpha=1.0, beta=1.3, lam=3.0)
-    sols = nodal_solution(1, 3.0, p, scan_points=SCAN_POINTS)
+    sols = nodal_solution(1, 3.0, p)
     return sols[-1]

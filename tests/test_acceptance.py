@@ -22,9 +22,9 @@ from tmb.cli import main as cli_main, parse_config
 from tmb.errors import FamilyEmptyError, NoSolutionInRangeError
 from tmb.families import FamilySpec, estimate_limit, run_family, verify_formulas
 from tmb.ode import SolverSettings, first_integral_residual
-from tmb.shooting import lambda_of_s, nodal_solution
+from tmb.shooting import lambda_of_s, nodal_solution, trace
 
-from conftest import L1, SCAN_POINTS, SESSION_T0, T1, T2
+from conftest import L1, SESSION_T0, T1, T2
 
 
 def _line(n, ok, detail):
@@ -103,18 +103,15 @@ def test_criterion_3_exact_identities():
     skipped = []
     suites = ([(0, b) for b in (1.0, 1.2, 1.5)] + [(1, b) for b in (1.0, 1.2)])
     for k, beta in suites:
-        seed = None
+        branch = trace(k, ProblemParams(1.0, beta, min(REFERENCE_LAMBDAS)))
         for lam in REFERENCE_LAMBDAS:
             p = ProblemParams(1.0, beta, lam)
             try:
-                sols = nodal_solution(k, lam, p, scan_points=SCAN_POINTS,
-                                      seed_amplitude=seed)
+                sols = nodal_solution(k, lam, p, traced=branch)
             except NoSolutionInRangeError as exc:
                 skipped.append((k, beta, lam, exc.lam_range))
                 continue
-            sol = sols[-1]
-            seed = sol.amplitude
-            accepted.append(sol)
+            accepted.append(sols[-1])
     failures = []
     for sol in accepted:
         if nehari_residual(sol) > 1e-8:
@@ -228,8 +225,7 @@ def deep_reference_family():
     """configs/reference_family_deep.cfg (k=0, alpha=1, beta=1.2, lambda =
     1e-2 .. 1e-300), solved once as `tmb verify` solves it."""
     cfg = parse_config(DEEP_CONFIG, "verify")
-    exp = run_family(cfg.family, SolverSettings(cfg.rel_tol, cfg.abs_tol),
-                     scan_points=cfg.scan_points)
+    exp = run_family(cfg.family, SolverSettings(cfg.rel_tol, cfg.abs_tol))
     assert len(exp.records) == len(cfg.family.lambda_schedule), \
         "deep reference family must solve completely"
     return exp
@@ -273,7 +269,7 @@ def test_criterion_8_two_bubble_structure():
                       lambda_schedule=tuple(10.0 ** -n for n in range(1, 5)),
                       beta_schedule=(1.3,) * 4)
     try:
-        exp = run_family(spec, scan_points=SCAN_POINTS)
+        exp = run_family(spec)
     except FamilyEmptyError as exc:
         ok = False
         detail = (f"family is empty: {exc}. The k=1 shooting curve at "
@@ -305,7 +301,7 @@ def test_criterion_9_weak_limit_preset():
     spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=(3.1,) * 7,
                       beta_schedule=(1.3, 1.2, 1.12, 1.08, 1.05, 1.04, 1.03),
                       coupling_note="beta down to 1 at fixed lambda")
-    exp = run_family(spec, scan_points=SCAN_POINTS)
+    exp = run_family(spec)
     reports = verify_formulas(exp)
     threshold = [r for r in reports
                  if r.formula_id == "weak_limit_threshold" and r.applicable]
@@ -328,9 +324,6 @@ beta = 1.2
 
 [family]
 lambda_geometric = 0.01 0.1 5
-
-[tolerances]
-scan_points = 48
 
 [output]
 seed_note = acceptance determinism run

@@ -16,7 +16,6 @@ from tmb.bessel import j0_prime, j0_zero
 from tmb.nonlinearity import ProblemParams
 from tmb.shooting import RadialSolution, nodal_solution
 
-from conftest import SCAN_POINTS
 
 P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
 
@@ -112,8 +111,7 @@ class TestBoundaryFlux:
         # u ~ mu * J0(t1 r): flux = mu^2 * t1 * |J0'(t1)|
         from conftest import L1
 
-        sols = nodal_solution(0, L1 * (1.0 - 1e-4), P12,
-                              scan_points=SCAN_POINTS)
+        sols = nodal_solution(0, L1 * (1.0 - 1e-4), P12)
         sol = sols[0]
         mu = sol.peak_values[0]
         t1 = j0_zero(1).t_k
@@ -143,7 +141,7 @@ class TestSturmBound:
 
     def test_holds_beta_one(self):
         p = ProblemParams(1.0, 1.0, 1.0)
-        sol = nodal_solution(1, 4.0, p, scan_points=SCAN_POINTS)[-1]
+        sol = nodal_solution(1, 4.0, p)[-1]
         bound, holds = sturm_bound_check(sol)
         assert holds and bound > 1.0
 

@@ -16,7 +16,7 @@ from tmb.families import FamilySpec
 from tmb.nonlinearity import ProblemParams
 from tmb.quadrature import adaptive_quadrature
 
-from conftest import SCAN_POINTS, run_family_keeping_solutions
+from conftest import run_family_keeping_solutions
 
 GAMMA_5_1E3 = 1.3680367662340201e-06  # exp(-(ln2 + ln 1e-3 + 2 ln 5 + 30)/2)
 
@@ -144,7 +144,7 @@ def _family_records(k, beta, lams):
     """(records, the solution each record summarises)."""
     spec = FamilySpec(k=k, alpha=1.0, lambda_schedule=lams,
                       beta_schedule=(beta,) * len(lams))
-    exp, solutions = run_family_keeping_solutions(spec, scan_points=SCAN_POINTS)
+    exp, solutions = run_family_keeping_solutions(spec)
     return exp.records, solutions
 
 

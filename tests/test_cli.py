@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tmb import cli, shooting
-from tmb.cli import MAX_SCAN_POINTS, emit_csv, main, parse_config
+from tmb.cli import emit_csv, main, parse_config
 from tmb.errors import ConfigError
 from tmb.ode import SolverSettings
 
@@ -24,7 +24,7 @@ lambda_schedule = 0.5 0.125 0.03125 0.0078125
 beta_constant = 1.0
 
 [tolerances]
-scan_points = 48
+rel_tol = 1e-12
 
 [output]
 seed_note = cheap verify family
@@ -44,7 +44,7 @@ class TestParseConfig:
         assert cfg.family is not None
         assert cfg.family.lambda_schedule == (0.5, 0.125, 0.03125, 0.0078125)
         assert cfg.family.beta_schedule == (1.0,) * 4
-        assert cfg.scan_points == 48
+        assert cfg.rel_tol == 1e-12
         # the hash bytes are part of every CSV row: SHA-256 of the text
         assert cfg.config_hash == hashlib.sha256(
             CHEAP_VERIFY.encode()).hexdigest()[:12]
@@ -65,7 +65,7 @@ class TestParseConfig:
         assert sched[0] == 0.01
         assert sched[1] == pytest.approx(1e-3)
 
-    @pytest.mark.parametrize("tolerances", ["", "[tolerances]\nscan_points = 48\n"])
+    @pytest.mark.parametrize("tolerances", ["", "[tolerances]\n"])
     def test_default_tolerances_are_the_integrators(self, tmp_path, tolerances):
         # a config that sets no tolerance runs at SolverSettings' defaults
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
@@ -178,8 +178,8 @@ class TestCommands:
         ("lambda_schedule = 0.5 0.125", "lambda_schedule = 0.5 nan"),
         ("lambda_schedule = 0.5 0.125 0.03125 0.0078125",
          "lambda_geometric = 0.5 0.25 nan"),
-        ("scan_points = 48", "scan_points = 48\nrel_tol = nan"),
-        ("scan_points = 48", "scan_points = 48\nrel_tol = inf"),
+        ("rel_tol = 1e-12", "rel_tol = nan"),
+        ("rel_tol = 1e-12", "rel_tol = inf"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, old, new):
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(old, new))
@@ -187,18 +187,41 @@ class TestCommands:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", [1, MAX_SCAN_POINTS + 1])
+    @pytest.mark.parametrize("old, new, names", [
+        # a misspelt key or section used to run silently on the defaults
+        ("rel_tol = 1e-12", "rel_tl = 1e-3", "[tolerances] rel_tl"),
+        ("[output]", "[outptu]", "[outptu]"),
+        ("rel_tol = 1e-12", "rel_tl = 1e-3\n[outptu]", "[outptu], [tolerances] rel_tl"),
+        # scan_points is no key: the trace has no grid to size
+        ("rel_tol = 1e-12", "scan_points = 48", "[tolerances] scan_points"),
+    ])
+    def test_unknown_key_or_section_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, old, new, names):
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(old, new))
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown {names} | at: {cfg}" in err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1, 10001])
     def test_scan_points_out_of_range_exits_2(self, tmp_path, capsys,
                                               monkeypatch, count):
+        # the counts that the old [2, 10000] range refused are still refused,
+        # now because no scan_points key exists at any value
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kwargs: calls.append(args))
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(
-            "scan_points = 48", f"scan_points = {count}"))
+            "rel_tol = 1e-12", f"rel_tol = 1e-12\nscan_points = {count}"))
         out = tmp_path / "x"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "field: scan_points" in err
+        assert f"config error: unknown [tolerances] scan_points | at: {cfg}" in err
         assert calls == []
         assert not out.exists()
 
@@ -264,8 +287,7 @@ class TestCommands:
         assert header == "r,z_n,z_exact,phi,config_hash"
 
     def test_solve_single_target(self, tmp_path):
-        text = ("[problem]\nk = 0\nalpha = 1.0\nbeta = 1.0\nlambda = 0.5\n"
-                "[tolerances]\nscan_points = 48\n")
+        text = "[problem]\nk = 0\nalpha = 1.0\nbeta = 1.0\nlambda = 0.5\n"
         cfg = _write(tmp_path, text, "single.cfg")
         out = tmp_path / "single"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0

@@ -2,6 +2,7 @@
 
 import gc
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,10 @@ from tmb.families import (
     run_family,
     verify_formulas,
 )
+from tmb.cli import parse_config
 from tmb.ode import Trajectory
 
-from conftest import SCAN_POINTS
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestFamilySpec:
@@ -80,7 +82,7 @@ def cheap_family():
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=(0.5, 0.125, 0.03125, 0.0078125),
                       beta_schedule=(1.0,) * 4)
-    return run_family(spec, scan_points=SCAN_POINTS)
+    return run_family(spec)
 
 
 class TestRunFamily:
@@ -91,7 +93,7 @@ class TestRunFamily:
 
     def test_determinism(self, cheap_family):
         spec = cheap_family.spec
-        rerun = run_family(spec, scan_points=SCAN_POINTS)
+        rerun = run_family(spec)
         for a, b in zip(cheap_family.records, rerun.records):
             assert a.amplitude == b.amplitude
             assert a.full_dirichlet == b.full_dirichlet
@@ -102,7 +104,7 @@ class TestRunFamily:
         spec = FamilySpec(k=0, alpha=1.0,
                           lambda_schedule=(0.5, 7.0, 0.25, 0.125),
                           beta_schedule=(1.2,) * 4)
-        exp = run_family(spec, scan_points=SCAN_POINTS)
+        exp = run_family(spec)
         assert len(exp.records) == 3
         assert len(exp.failures) == 1
         assert exp.failures[0].lam == 7.0
@@ -111,18 +113,27 @@ class TestRunFamily:
         spec = FamilySpec(k=0, alpha=1.0, lambda_schedule=(7.0, 8.0, 9.0, 10.0),
                           beta_schedule=(1.2,) * 4)
         with pytest.raises(FamilyEmptyError):
-            run_family(spec, scan_points=SCAN_POINTS)
+            run_family(spec)
 
-    def test_short_scan_rejected_before_integrating(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(shooting, "integrate_radial",
-                            lambda *args, **kwargs: calls.append(args))
-        spec = FamilySpec(k=0, alpha=1.0,
-                          lambda_schedule=(1e-2, 1e-3, 1e-4, 1e-5),
-                          beta_schedule=(1.2,) * 4)
-        with pytest.raises(ValueError, match="scan_points"):
-            run_family(spec, scan_points=1)
-        assert calls == []
+    @pytest.mark.parametrize("preset, betas", [
+        ("reference_family", 1), ("weak_limit_preset", 7)])
+    def test_one_trace_per_branch(self, monkeypatch, preset, betas):
+        # every member of a branch is solved on the one trace of its beta;
+        # the weak preset's beta falls member by member
+        traces = []
+
+        def counting(k, p):
+            traces.append(shooting.trace(k, p))
+            return traces[-1]
+
+        monkeypatch.setattr(families, "trace", counting)
+        spec = parse_config(CONFIGS / f"{preset}.cfg", "verify").family
+        exp = run_family(spec)
+        assert len(traces) == betas
+        assert len(exp.records) + len(exp.failures) == len(spec)
+        # each trace serves the lowest lambda_n on its branch
+        assert sorted(tr.params.beta for tr in traces) == sorted(set(spec.beta_schedule))
+        assert all(tr.params.lam == min(spec.lambda_schedule) for tr in traces)
 
 
 def test_no_trajectory_outlives_its_member(monkeypatch):
@@ -144,7 +155,7 @@ def test_no_trajectory_outlives_its_member(monkeypatch):
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=(1e-2, 1e-3, 1e-4, 1e-5),
                       beta_schedule=(1.2,) * 4)
-    exp = run_family(spec, scan_points=SCAN_POINTS)
+    exp = run_family(spec)
     assert len(exp.records) == 4
     assert counts == [0, 0, 0, 0]
     assert live() - base == 0
@@ -309,7 +320,7 @@ class TestClassifier:
         spec = FamilySpec(k=0, alpha=1.0,
                           lambda_schedule=(5.0, 5.2, 5.4, 5.6),
                           beta_schedule=(1.2,) * 4)
-        exp = run_family(spec, scan_points=SCAN_POINTS)
+        exp = run_family(spec)
         all_blow, n = classify_records(exp.records, 0)
         assert not all_blow and n == 0
         reports = verify_formulas(exp)

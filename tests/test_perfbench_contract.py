@@ -29,10 +29,10 @@ def test_ode_attrs_count_steps():
 
 
 def test_newton_integrations_classified(monkeypatch):
-    # the polish carries the sensitivity channel through the traced name
-    # tmb.shooting.integrate_radial, with its settings where _ode_attrs
-    # reads them, so ode.calls_full and ode.calls_scan still sort every
-    # integration by tolerance
+    # the trace and the polish carry the sensitivity channel through the
+    # traced name tmb.shooting.integrate_radial, with their settings where
+    # _ode_attrs reads them, so ode.calls_full and ode.calls_scan still sort
+    # every integration by tolerance
     from tmb import shooting
     from tmb.ode import SolverSettings
 
@@ -47,8 +47,8 @@ def test_newton_integrations_classified(monkeypatch):
     monkeypatch.setattr(shooting, "integrate_radial", recording)
     full = SolverSettings()
     p = ProblemParams(alpha=1.0, beta=1.2, lam=1e-3)
-    shooting.nodal_solution(0, 1e-3, p, settings=full, seed_amplitude=6.0)
-    assert seen and all(channel for channel, _ in seen)  # no scan was needed
+    shooting.nodal_solution(0, 1e-3, p, settings=full)
+    assert seen and all(channel for channel, _ in seen)
     assert {attrs["rel_tol"] for _, attrs in seen} == {
         shooting.SCAN_SETTINGS.rel_tol, full.rel_tol}
     assert all(attrs["steps"] > 0 for _, attrs in seen)

@@ -5,17 +5,21 @@ import math
 import pytest
 
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
+from tmb.families import _summarize
 from tmb.nonlinearity import ProblemParams
 from tmb import ode, shooting
 from tmb.ode import SolverSettings, first_integral_residual
 from tmb.shooting import (
+    Trace,
     amplitude_budget,
     lambda_of_s,
     nodal_solution,
+    solution_at,
     solve_unit_lambda,
+    trace,
 )
 
-from conftest import L1, SCAN_POINTS, T1, T2
+from conftest import L1, T1, T2
 
 P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
 
@@ -66,28 +70,24 @@ class TestNodalSolution:
         assert lam == pytest.approx(1e-3, rel=1e-10)
 
     def test_bifurcation_from_first_eigenvalue(self):
-        sols = nodal_solution(0, L1 * (1 - 1e-4), P12, scan_points=SCAN_POINTS)
+        sols = nodal_solution(0, L1 * (1 - 1e-4), P12)
         assert len(sols) >= 1
         assert sols[0].amplitude < 1e-1
         assert sols[0].peak_values[0] == sols[0].amplitude
 
     def test_scan_noise_bracket_dropped(self, monkeypatch):
-        # at scan tolerance lambda(s) - target changes sign between these
-        # two probes of the 48-point scan near Lambda_1, but at full
-        # tolerance lambda(s) lies below the target at both ends: there is
-        # no root in the bracket, only scan noise (the real root lies at a
-        # smaller amplitude, near s = 2e-6).  Newton starts at the secant
-        # point of the probed ends, where lambda(s) is nearly flat: its one
-        # scan-tolerance iterate lies within the scan's noise of the target,
-        # and the first full-tolerance step leaves the bracket.  At most
-        # three integrations at scan tolerance, none at full tolerance
+        # near Lambda_1 lambda(s) is nearly flat, and at a fixed scan abs_tol
+        # two nodes there could differ in sign by noise alone.  Here lambda(s)
+        # lies below the target at both ends of the bracket (the real root
+        # lies at a smaller amplitude, near s = 2e-6), while its lower end
+        # is handed over as lying above it.  Newton's one scan-tolerance
+        # iterate lies within the noise of the target, and the first
+        # full-tolerance step leaves the bracket: no root is returned, after
+        # at most three integrations at scan tolerance and none at full
         lt = math.log(L1 * (1 - 1e-7))
-        sa, sb = 2.9696293045402426e-6, 4.268444644387833e-6
-        xa, fa = shooting._probe(0, lt, P12, sa)
-        xb, fb = shooting._probe(0, lt, P12, sb)
-        assert fa * fb <= 0.0
-        for s in (sa, sb):
-            assert 2.0 * solve_unit_lambda(s, 0, P12)[1].log_zeros[0][0] < lt
+        xa, xb = math.log(2.9696293045402426e-6), math.log(4.268444644387833e-6)
+        for x in (xa, xb):
+            assert 2.0 * solve_unit_lambda(math.exp(x), 0, P12)[1].log_zeros[0][0] < lt
         full = SolverSettings()
         calls, scan_calls = [], []
 
@@ -96,56 +96,73 @@ class TestNodalSolution:
             return ode.integrate_radial(s, p0, n_zeros, settings, sensitivity)
 
         monkeypatch.setattr(shooting, "integrate_radial", counting)
-        x = xb - fb * (xb - xa) / (fb - fa)
-        assert shooting._newton(0, lt, P12, full, x, xa, xb, fa) is None
+        assert shooting._newton(0, lt, P12, full, 0.5 * (xa + xb), xa, xb, 1e-9) is None
         assert len(calls) == 0
         assert len(scan_calls) <= 3
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-2])
+    def test_scan_tolerance_follows_amplitude(self, s):
+        # u is of size s, so the scan's abs_tol scales with min(1, s): a
+        # fixed 1e-9 left ln(lambda) off by 4.1e-5 at s = 1e-6
+        full = 2.0 * solve_unit_lambda(s, 0, P12)[1].log_zeros[0][0]
+        _, traj = solve_unit_lambda(s, 0, P12, shooting._scan_settings(s))
+        assert abs(2.0 * traj.log_zeros[0][0] - full) <= 1e-7
+
+    @pytest.mark.parametrize("beta, fold, target, roots", [
+        (1.0, (14.44996, 3.220884), 3.220884 * (1 + 1e-4), (13.7155, 15.2468)),
+        (0.5, (3.98903, 3.256929), 3.256929 * (1 + 1e-3), (3.8566, 4.1339)),
+    ])
+    def test_roots_beside_fold(self, beta, fold, target, roots):
+        # lambda_1(s) has its minimum just below the target: both roots lie
+        # within one step of a coarse grid, which sees no sign change there.
+        # The trace locates the fold and brackets one root on either side
+        p = ProblemParams(1.0, beta, target)
+        tr = trace(1, p)
+        assert len(tr.folds) == 1
+        x, y, slope = tr.nodes[tr.folds[0]]
+        assert abs(slope) <= shooting._FOLD_SLOPE
+        assert math.exp(x) == pytest.approx(fold[0], rel=1e-4)
+        assert math.exp(y) == pytest.approx(fold[1], rel=1e-6)
+        sols = nodal_solution(1, target, p, traced=tr)
+        assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
+        for sol in sols:
+            assert sol.params.lam == pytest.approx(target, rel=1e-9)
 
     @pytest.mark.parametrize("beta, target, roots", [
         (1.01, 3.198, (13.4675, 20.4115)),
         (1.0, 3.2245, (12.1990, 17.4101)),
     ])
     def test_both_roots_beside_turning_point(self, beta, target, roots):
-        # lambda_1(s) turns between the two roots: on the 48-point scan one
-        # probe (s ~ 18 at beta = 1.01, s ~ 12.5 at beta = 1) lies below the
-        # target and its neighbours above it, so each bracket holds one
-        # root on a curved branch.  A tangent step from the secant point
-        # leaves its bracket; bisecting instead keeps both roots
-        sols = nodal_solution(1, target, ProblemParams(1.0, beta, target),
-                              scan_points=SCAN_POINTS)
+        # lambda_1(s) turns between the two roots, so each monotone piece
+        # of the trace holds one root on a curved branch.  A tangent step
+        # from the secant point may leave its bracket; bisecting instead
+        # keeps both roots
+        sols = nodal_solution(1, target, ProblemParams(1.0, beta, target))
         assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
         for sol in sols:
             assert sol.params.lam == pytest.approx(target, rel=1e-9)
 
     def test_each_amplitude_integrated_once(self, monkeypatch):
-        # the scan hands Newton the secant point of the ends it measured,
+        # the trace hands Newton the secant point of the nodes it measured,
         # so no solve integrates one amplitude twice at one tolerance; the
-        # probes and Newton's iterates all pass solve_unit_lambda
-        seen = []
+        # nodes and Newton's iterates all pass solve_unit_lambda
+        seen = {}
 
         def recording(s, k, p0, settings=None, sensitivity=False):
-            seen.append((settings, s))
+            seen.setdefault(settings.rel_tol, []).append(s)
             return solve_unit_lambda(s, k, p0, settings, sensitivity)
 
-        def assert_distinct():
-            by_settings = {}
-            for settings, s in seen:
-                by_settings.setdefault(settings, []).append(s)
-            for amps in by_settings.values():
-                amps.sort()
-                assert all(b - a > 1e-15 * b for a, b in zip(amps, amps[1:]))
-            seen.clear()
-
         monkeypatch.setattr(shooting, "solve_unit_lambda", recording)
-        fresh = nodal_solution(0, 3e-3, P12, scan_points=SCAN_POINTS)[0]
-        assert_distinct()
-        nodal_solution(0, 3e-3, P12, seed_amplitude=fresh.amplitude * 1.1)
-        assert_distinct()
+        nodal_solution(1, 3.2245, ProblemParams(1.0, 1.0, 3.2245))
+        assert len(seen) == 2
+        for amps in seen.values():
+            amps.sort()
+            assert all(b - a > 1e-15 * b for a, b in zip(amps, amps[1:]))
 
     def test_resolve_from_record(self, reference_family, monkeypatch):
-        # the recipe for getting a member's solution back: Newton starts at
-        # the record's amplitude, one step at scan tolerance and two at
-        # full tolerance return it to within the polish of its root
+        # the recipe for getting a member's solution back: one integration
+        # at the record's amplitude and the run's settings gives back the
+        # member's trajectory bit for bit, and so its record
         calls = []
 
         def counting(*args, **kwargs):
@@ -155,43 +172,54 @@ class TestNodalSolution:
         monkeypatch.setattr(shooting, "integrate_radial", counting)
         for rec in reference_family.records:
             calls.clear()
-            sols = nodal_solution(0, rec.lam, ProblemParams(1.0, rec.beta, rec.lam),
-                                  seed_amplitude=rec.amplitude)
-            assert len(sols) == 1
-            assert len(calls) <= 3
-            assert sols[0].amplitude == pytest.approx(rec.amplitude, rel=1e-12)
+            sol = solution_at(rec.amplitude, 0, ProblemParams(1.0, rec.beta, rec.lam))
+            assert calls == [rec.amplitude]
+            assert _summarize(rec.index, rec.lam, rec.beta, sol, rec.branch_count) == rec
 
-    def test_seed_hands_over_at_turning_point(self, monkeypatch):
+    def test_reach_ends_at_budget_past_a_fold(self):
         # weak_limit_preset's last member: lambda_1(s) at beta = 1.03 has
-        # its minimum 3.127 near s = 24, above the target 3.1.  From the
-        # previous member's amplitude the first Newton step crosses that
-        # turning point, the slope changes sign and Newton gives up; the
-        # scan then finds no bracket (the next root lies near s = 1197)
-        calls = []
+        # its minimum 3.1268 near s = 24.15, above the target 3.1, and
+        # rises at the amplitude budget, where the trace stops.  The next
+        # root, near s = 1197, lies beyond the trace's reach
+        p = ProblemParams(1.0, 1.03, 3.1)
+        tr = trace(1, p)
+        assert len(tr.folds) == 1
+        x, y, _ = tr.nodes[tr.folds[0]]
+        assert math.exp(x) == pytest.approx(24.15182, rel=1e-4)
+        assert math.exp(y) == pytest.approx(3.126802, rel=1e-6)
+        assert math.exp(tr.nodes[-1][0]) == pytest.approx(amplitude_budget(p), rel=1e-12)
+        assert tr.nodes[-1][2] > 0.0
+        with pytest.raises(NoSolutionInRangeError) as exc:
+            nodal_solution(1, 3.1, p, traced=tr)
+        assert exc.value.lam_range[0] == pytest.approx(3.126802, rel=1e-6)
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return ode.integrate_radial(*args, **kwargs)
+    def test_reach_extends_while_falling_above_target(self):
+        # the k=0 branch at beta = 1.2 falls below 1e-300 past the budget:
+        # the trace goes on exactly until it passes the lowest target
+        p = ProblemParams(1.0, 1.2, 1e-300)
+        tr = trace(0, p)
+        assert math.exp(tr.nodes[-1][0]) > 2.0 * amplitude_budget(p)
+        assert tr.nodes[-1][1] < p.log_lambda < tr.nodes[-2][1]
+        assert all(slope < 0.0 for _, _, slope in tr.nodes) and tr.folds == ()
 
-        monkeypatch.setattr(shooting, "integrate_radial", counting)
-        p0 = ProblemParams(alpha=1.0, beta=1.03, lam=1.0)
-        x = math.log(17.938064623588)
-        lo, hi = math.log(shooting.DEFAULT_S_MIN), math.log(shooting.S_MAX)
-        newton = shooting._newton(1, math.log(3.1), p0, SolverSettings(), x, lo, hi)
-        assert newton is None
-        assert len(calls) == 2 and 24.5 < calls[1] < 30.0
-        with pytest.raises(NoSolutionInRangeError):
-            nodal_solution(1, 3.1, ProblemParams(1.0, 1.03, 3.1),
-                           scan_points=SCAN_POINTS, seed_amplitude=17.938064623588)
+    def test_shared_trace_matches_own_trace(self):
+        # a trace down to a lower target (as run_family shares one along a
+        # branch) repeats the nodes of the target's own trace up to the
+        # budget, so the root is the same to the last bit
+        own = nodal_solution(0, 3e-3, P12)[0]
+        shared = nodal_solution(0, 3e-3, P12, traced=trace(0, ProblemParams(1.0, 1.2, 1e-300)))
+        assert [sol.amplitude for sol in shared] == [own.amplitude]
 
     @pytest.mark.parametrize("target, kwargs, message", [
-        (1e-3, {"scan_points": 1}, "scan_points"),
-        (1e-3, {"scan_points": 0}, "scan_points"),
-        (1e-3, {"scan_points": 1, "seed_amplitude": 6.0}, "scan_points"),
-        (1e-3, {"seed_amplitude": math.inf}, "seed"),
-        (1e-3, {"seed_amplitude": math.nan}, "seed"),
-        (1e-3, {"seed_amplitude": 0.0}, "seed"),
-        (1e-3, {"seed_amplitude": -1.0}, "seed"),
+        (1e-3, {"k": -1}, "nodal class"),
+        # a trace of another k, beta or alpha, or one that stops above the
+        # target
+        (1e-3, {"traced": Trace(1, ProblemParams(1.0, 1.2, 1e-3), (), ())}, "trace"),
+        (1e-3, {"traced": Trace(0, ProblemParams(1.0, 1.3, 1e-3), (), ())}, "trace"),
+        (1e-3, {"traced": Trace(0, ProblemParams(3.0, 1.2, 1e-3), (), ())}, "trace"),
+        (1e-3, {"traced": Trace(0, ProblemParams(1.0, 1.2, 1e-2), (), ())}, "trace"),
+        (math.nan, {}, "target"),
+        (0.0, {}, "target"),
         (math.inf, {}, "target"),
     ])
     def test_invalid_search_rejected_before_integrating(
@@ -200,16 +228,16 @@ class TestNodalSolution:
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kw: calls.append(args))
         with pytest.raises(ValueError, match=message):
-            nodal_solution(0, target, P12, **kwargs)
+            nodal_solution(**{"k": 0, "target_lambda": target, "p": P12, **kwargs})
         assert calls == []
 
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
         # Lambda_1 = 5.78 (small targets such as 1e-15 are now reached)
         with pytest.raises(NoSolutionInRangeError) as exc:
-            nodal_solution(0, 7.0, P12, scan_points=SCAN_POINTS)
+            nodal_solution(0, 7.0, P12)
         lo, hi = exc.value.lam_range
-        assert 0.0 < lo < hi < 7.0  # diagnostic carries the scanned lambda range
+        assert 0.0 < lo < hi < 7.0  # diagnostic carries the traced lambda range
 
     def test_solution_structure(self, sol_mid):
         assert sol_mid.k == 0
@@ -256,11 +284,6 @@ class TestNodalSolution:
         r1 = sol_k1.nodal_radii[0]
         assert traj.u_log(math.log(0.5 * r1)) > 0.0
         assert traj.u_log(sol_k1.log_peak_radii[1]) < 0.0
-
-    def test_continuation_matches_fresh_scan(self):
-        fresh = nodal_solution(0, 3e-3, P12, scan_points=SCAN_POINTS)[0]
-        seeded = nodal_solution(0, 3e-3, P12, seed_amplitude=fresh.amplitude * 1.1)[0]
-        assert seeded.amplitude == pytest.approx(fresh.amplitude, rel=1e-8)
 
 
 class TestAmplitudeBudget:
