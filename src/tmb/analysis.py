@@ -131,8 +131,7 @@ def identity_residual(sol: RadialSolution, i: int) -> float:
     For i >= 2 the inner form (weight ln(r/r_{i-1}) on [r_{i-1}, rho_i])
     is checked too and the larger residual is returned.
     """
-    if not (1 <= i <= sol.k + 1):
-        raise ValueError(f"domain index {i} out of range 1..{sol.k + 1}")
+    sol.check_domain(i)
     mu = sol.peak_values[i - 1]
     t_rho = sol.log_peak_radii[i - 1]
     t_i = sol.log_nodal_radii[i - 1]
@@ -147,8 +146,7 @@ def identity_residual(sol: RadialSolution, i: int) -> float:
 
 def boundary_flux(sol: RadialSolution, i: int) -> float:
     """mu_i * r_i * |u'(r_i)| (tends to 2 on concentrating domains)."""
-    if not (1 <= i <= sol.k + 1):
-        raise ValueError(f"domain index {i} out of range 1..{sol.k + 1}")
+    sol.check_domain(i)
     return sol.peak_values[i - 1] * abs(sol.boundary_ru[i - 1])
 
 

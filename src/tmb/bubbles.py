@@ -97,8 +97,7 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
     any depth.  The grid may contain negative entries for i >= 2 (inward
     window); it must stay inside the nodal domain, else WindowTooLargeError.
     """
-    if not (1 <= i <= sol.k + 1):
-        raise ValueError(f"domain index {i} out of range 1..{sol.k + 1}")
+    sol.check_domain(i)
     if grid is None:
         grid = default_profile_grid()
     mu = sol.peak_values[i - 1]

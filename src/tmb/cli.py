@@ -6,6 +6,10 @@ significant digits plus a JSON metadata sidecar; timestamps live only in
 the sidecar so reruns are byte-identical.  Every CSV row carries the
 config hash for provenance joins.
 
+Each value is checked by the record that owns it: ProblemParams, FamilySpec,
+SolverSettings, and bessel.j0_zero for the eigenpair count; parse_config
+raises their ValueError as a ConfigError naming the section and key.
+
 Exit codes: 0 success, 1 any family-member failure (partial results are
 still written), 2 malformed config.
 """
@@ -51,8 +55,7 @@ class ExperimentConfig:
     beta: float = 1.0
     lam: float | None = None
     family: FamilySpec | None = None
-    rel_tol: float = SolverSettings.rel_tol
-    abs_tol: float = SolverSettings.abs_tol
+    settings: SolverSettings = SolverSettings()
     output_dir: Path = Path(".")
     seed_note: str = ""
     config_hash: str = ""
@@ -95,6 +98,17 @@ def _get(cp, section, key, conv, default=None, path=""):
     except ValueError as exc:
         raise ConfigError(f"cannot parse '{key}' = {raw!r}: {exc}", field=key,
                           location=f"{path}[{section}]") from exc
+
+
+def _build(cls, loc, section, *args, keys=None, **kwargs):
+    """cls(*args, **kwargs), a ValueError raised as a ConfigError whose field
+    is the message's first word (renamed by keys) in [section]."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        raise ConfigError(str(exc), field=(keys or {}).get(name, name),
+                          location=f"{loc}[{section}]") from exc
 
 
 def _floats(raw: str) -> tuple:
@@ -173,16 +187,9 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     if cfg.k < 0:
         raise ConfigError(f"k must be nonnegative, got {cfg.k}", field="k",
                           location=f"{loc}[problem]")
-    if not (0.0 < cfg.alpha < math.inf):
-        raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}",
-                          field="alpha", location=f"{loc}[problem]")
-    if not (0.0 < cfg.beta < 2.0):
-        raise ConfigError(
-            f"beta must lie in the open interval (0, 2), got {cfg.beta}",
-            field="beta", location=f"{loc}[problem]")
-    if cfg.lam is not None and not (0.0 < cfg.lam < math.inf):
-        raise ConfigError(f"lambda must be positive and finite, got {cfg.lam}",
-                          field="lambda", location=f"{loc}[problem]")
+    # lambda is optional (families set their own): 1.0 stands in for it
+    _build(ProblemParams, loc, "problem", cfg.alpha, cfg.beta,
+           1.0 if cfg.lam is None else cfg.lam)
 
     if cp.has_section("family"):
         lam_sched = _get(cp, "family", "lambda_schedule", _floats, path=loc)
@@ -200,31 +207,19 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
                           default=cfg.beta, path=loc)
             beta_sched = tuple(bconst for _ in lam_sched)
         note = _get(cp, "family", "coupling_note", str, default="", path=loc)
-        for b in beta_sched:
-            if not (0.0 < b < 2.0):
-                raise ConfigError(
-                    f"beta must lie in the open interval (0, 2), got {b}",
-                    field="beta_schedule", location=f"{loc}[family]")
-        try:
-            cfg.family = FamilySpec(k=cfg.k, alpha=cfg.alpha,
-                                    lambda_schedule=lam_sched,
-                                    beta_schedule=beta_sched,
-                                    coupling_note=note)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="family",
-                              location=f"{loc}[family]") from exc
+        lam_key = "lambda_schedule" if cp.has_option("family", "lambda_schedule") \
+            else "lambda_geometric"
+        beta_key = "beta_schedule" if cp.has_option("family", "beta_schedule") \
+            else "beta_constant"
+        cfg.family = _build(FamilySpec, loc, "family", cfg.k, cfg.alpha, lam_sched,
+                            beta_sched, note, keys={"lambda": lam_key, "beta": beta_key,
+                            "lambda_schedule": lam_key, "beta_schedule": beta_key})
 
-    cfg.rel_tol = _get(cp, "tolerances", "rel_tol", float, default=cfg.rel_tol, path=loc)
-    cfg.abs_tol = _get(cp, "tolerances", "abs_tol", float, default=cfg.abs_tol, path=loc)
-    if not (0.0 < cfg.rel_tol < math.inf and 0.0 < cfg.abs_tol < math.inf):
-        raise ConfigError("tolerances must be positive and finite",
-                          field="rel_tol/abs_tol", location=f"{loc}[tolerances]")
+    cfg.settings = _build(SolverSettings, loc, "tolerances", **{
+        key: _get(cp, "tolerances", key, float, default=getattr(SolverSettings, key),
+                  path=loc) for key in CONFIG_KEYS["tolerances"]})
     cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
     return cfg
-
-
-def _settings(cfg: ExperimentConfig) -> SolverSettings:
-    return SolverSettings(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
 
 
 def _solution_fieldnames(k: int) -> list:
@@ -270,12 +265,11 @@ def run(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "bessel":
-        from .bessel import MAX_EIGENPAIR_INDEX, eigenpairs
-        n = cfg.k if cfg.k >= 1 else 3
-        if n > MAX_EIGENPAIR_INDEX:
-            raise ConfigError(
-                f"bessel k must be <= {MAX_EIGENPAIR_INDEX}, got {n}", field="k")
-        pairs = eigenpairs(n)
+        from .bessel import eigenpairs
+        try:
+            pairs = eigenpairs(cfg.k if cfg.k >= 1 else 3)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="k") from exc
         rows = [{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
                  "config_hash": cfg.config_hash} for ep in pairs]
         for ep in pairs:
@@ -287,8 +281,8 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.command == "solve":
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
-        p = ProblemParams(cfg.alpha, cfg.beta, cfg.lam)
-        sols = nodal_solution(cfg.k, cfg.lam, p, settings=_settings(cfg))
+        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
+                              settings=cfg.settings)
         rows = [_solution_row(n, _summarize(n, sol.params.lam, cfg.beta, sol, len(sols)),
                               cfg) for n, sol in enumerate(sols)]
         emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
@@ -299,7 +293,7 @@ def run(cfg: ExperimentConfig) -> int:
     # family-driven commands
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    exp = run_family(cfg.family, settings=_settings(cfg))
+    exp = run_family(cfg.family, settings=cfg.settings)
     if exp.failures:
         status = 1
         extra["failures"] = [{"n": f.index, "lambda": f.lam, "beta": f.beta,

@@ -1,9 +1,11 @@
 """Parameter families and numerical verification of the asymptotic laws.
 
-run_family solves a (lambda_n, beta_n) schedule on one trace of lambda_k(s)
-per distinct beta_n; verify_formulas turns the member records into one
-report per asymptotic formula: the raw sequence, its Aitken-accelerated
-limit, the predicted target, and the relative error.
+FamilySpec checks a schedule's shape and k, and turns each member into
+the ProblemParams(alpha, beta_n, lambda_n) that checks its values.
+run_family solves those members on one trace of lambda_k(s) per distinct
+beta_n; verify_formulas turns the member records into one report per
+asymptotic formula: the raw sequence, its Aitken-accelerated limit, the
+predicted target, and the relative error.
 
 Formulas whose convergence rate involves powers of (beta-1) are tagged
 slow_rate: at double-precision desk scale they are trend checks, not
@@ -35,7 +37,8 @@ SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
 @record
 class FamilySpec:
-    """A (lambda_n, beta_n) schedule for one nodal class."""
+    """A (lambda_n, beta_n) schedule for one nodal class; members (derived,
+    not a field) holds each checked ProblemParams(alpha, beta_n, lambda_n)."""
 
     k: int
     alpha: float
@@ -48,17 +51,13 @@ class FamilySpec:
         object.__setattr__(self, "lambda_schedule", ls)
         object.__setattr__(self, "beta_schedule", bs)
         if len(ls) != len(bs):
-            raise ValueError("lambda and beta schedules must have equal length")
+            raise ValueError("beta_schedule must have as many members as lambda_schedule")
         if len(ls) < 4:
-            raise ValueError("schedules need at least 4 members")
-        if not all(0.0 < l < math.inf for l in ls):
-            raise ValueError("every lambda_n must be positive and finite")
-        if any(not (0.0 < b < 2.0) for b in bs):
-            raise ValueError("every beta_n must lie in (0, 2)")
+            raise ValueError(f"lambda_schedule needs at least 4 members, got {len(ls)}")
         if self.k < 0:
-            raise ValueError("nodal class must be nonnegative")
-        if not (0.0 < self.alpha < math.inf):
-            raise ValueError("alpha must be positive and finite")
+            raise ValueError(f"k must be nonnegative, got {self.k!r}")
+        object.__setattr__(self, "members", tuple(
+            ProblemParams(self.alpha, beta, lam) for lam, beta in zip(ls, bs)))
 
     def __len__(self):
         return len(self.lambda_schedule)
@@ -183,26 +182,25 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
 
 def run_family(spec: FamilySpec,
                settings: SolverSettings | None = None) -> SequenceExperiment:
-    """Solve every schedule member on the trace of its branch: each distinct
-    beta_n is traced once, down to the lowest lambda_n it shares.  Failed
-    members are recorded, not fatal; FamilyEmptyError only when nothing
-    solves.  Records are summaries, so a run holds at most one member's
-    trajectories; one integration gives a member's solution back bit for
-    bit: solution_at(rec.amplitude, k, (alpha, rec.beta, rec.lam), settings)."""
+    """Solve every member of spec.members on the trace of its branch: each
+    distinct beta_n is traced once, down to the lowest lambda_n it shares.
+    Failed members are recorded, not fatal; FamilyEmptyError only when
+    nothing solves.  Records are summaries, so a run holds at most one
+    member's trajectories; one integration gives a member's solution back
+    bit for bit: solution_at(rec.amplitude, k, (alpha, rec.beta, rec.lam),
+    settings)."""
     records, failures = [], []
-    members = list(zip(spec.lambda_schedule, spec.beta_schedule))
-    traces = {beta: trace(spec.k, ProblemParams(
-        spec.alpha, beta, min(lam for lam, b in members if b == beta)))
-        for beta in dict.fromkeys(spec.beta_schedule)}
-    for n, (lam, beta) in enumerate(members):
-        p = ProblemParams(spec.alpha, beta, lam)
+    traces = {beta: trace(spec.k, min((p for p in spec.members if p.beta == beta),
+                                      key=lambda p: p.lam))
+              for beta in dict.fromkeys(spec.beta_schedule)}
+    for n, p in enumerate(spec.members):
         try:
-            sols = nodal_solution(spec.k, lam, p, settings=settings, traced=traces[beta])
+            sols = nodal_solution(spec.k, p, settings=settings, traced=traces[p.beta])
         except (ZeroNotReachedError, NoSolutionInRangeError) as exc:
-            failures.append(FailedMember(n, lam, beta, f"{type(exc).__name__}: {exc}"))
+            failures.append(FailedMember(n, p.lam, p.beta, f"{type(exc).__name__}: {exc}"))
             continue
         # follow the largest-amplitude branch (the concentrating one)
-        records.append(_summarize(n, lam, beta, sols[-1], len(sols)))
+        records.append(_summarize(n, p.lam, p.beta, sols[-1], len(sols)))
         del sols  # no branch stays alive while the next member is solved
     if not records:
         raise FamilyEmptyError(

@@ -200,6 +200,12 @@ class SolverSettings:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
 
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
 
 def _slope(ru: float, r: float) -> float:
     """u'(r) from r*u'(r); +-inf where r underflows to 0.0."""
@@ -636,10 +642,11 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
             e5 = (_ER1 * k1[j] + _ER6 * k6[j] + _ER7 * k7[j] + _ER8 * k8[j]
                   + _ER9 * k9[j] + _ER10 * k10[j] + _ER11 * k11[j]
                   + _ER12 * k12[j])
-            if e5 == 0.0:
-                continue
             e3 = bk[j] - _BHH1 * k1[j] - _BHH9 * k9[j] - _BHH12 * k12[j]
-            q = h * e5 * e5 / (math.sqrt(e5 * e5 + 0.01 * e3 * e3) * sc[j])
+            den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+            if den == 0.0:  # e5 and e3 underflow when squared: q <= h*|e5| ~ 0
+                continue
+            q = h * e5 * e5 / (den * sc[j])
             if not q <= err:  # also catches NaN from a wild trial stage
                 err = q if q == q else math.inf
         if err <= 1.0:

@@ -7,11 +7,12 @@ boundary while lambda transforms as lambda*z^2.  The achieved eigenvalue is
 
     lambda_of_s(s) = exp(2 t_{k+1}(s)),
 
-and a nodal solution with a prescribed lambda is a scalar root-find in s.
-lambda_of_s may be non-monotone, so trace follows ln lambda against ln s
-once, with slopes from the integrator's sensitivity channel, and splits the
-curve at its folds; each monotone piece holds at most one root, which
-Newton polishes from the piece's bracket (all branches are returned).
+and a nodal solution with the eigenvalue p.lam of its ProblemParams p is a
+scalar root-find in s.  lambda_of_s may be non-monotone, so trace follows
+ln lambda against ln s once, with slopes from the integrator's sensitivity
+channel, and splits the curve at its folds; each monotone piece holds at
+most one root, which Newton polishes from the piece's bracket (all
+branches are returned).
 
 Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
@@ -131,6 +132,11 @@ class RadialSolution(LogRadii):
     def domain_sign(self, i: int) -> int:
         """Sign of u on the i-th domain (1-based); u(0) > 0."""
         return 1 if i % 2 == 1 else -1
+
+    def check_domain(self, i: int) -> None:
+        """Raise ValueError unless i indexes a nodal domain: 1 <= i <= k+1."""
+        if not (1 <= i <= self.k + 1):
+            raise ValueError(f"domain index {i} out of range 1..{self.k + 1}")
 
 
 def solve_unit_lambda(s: float, k: int, p0: ProblemParams,
@@ -288,30 +294,27 @@ def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
     return None
 
 
-def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
+def nodal_solution(k: int, p: ProblemParams,
                    settings: SolverSettings | None = None,
                    traced: Trace | None = None) -> list[RadialSolution]:
-    """All k-nodal solutions with the prescribed eigenvalue, in ascending
-    amplitude, on `traced`: by default trace(k, (alpha, beta, target_lambda));
-    a given trace must be of the same k, alpha and beta and serve a target
-    at most target_lambda.  On each monotone piece of the trace _newton
-    polishes the first sign change of ln lambda - ln target_lambda from the
-    secant point of its two nodes, until ln(lambda) matches to POLISH_TOL; a
-    bracket it gives up on is dropped as scan noise.  Raises
-    NoSolutionInRangeError when no piece crosses the target.
+    """All k-nodal solutions with the eigenvalue p.lam, in ascending
+    amplitude, on `traced`: by default trace(k, p); a given trace must be of
+    the same k, alpha and beta and serve a target at most p.lam.  On each
+    monotone piece of the trace _newton polishes the first sign change of
+    ln lambda - ln p.lam from the secant point of its two nodes, until
+    ln(lambda) matches to POLISH_TOL; a bracket it gives up on is dropped
+    as scan noise.  Raises NoSolutionInRangeError when no piece crosses
+    the target.
     """
-    if not (0.0 < target_lambda < math.inf):
-        raise ValueError(
-            f"target lambda must be positive and finite, got {target_lambda!r}")
     if k < 0:
         raise ValueError(f"nodal class must be nonnegative, got {k!r}")
-    if traced is not None and not (traced.params.lam <= target_lambda and (
+    if traced is not None and not (traced.params.lam <= p.lam and (
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")
     full = settings or SolverSettings()
     p0 = ProblemParams(p.alpha, p.beta, 1.0)
-    lt = math.log(target_lambda)
-    tr = traced or trace(k, ProblemParams(p.alpha, p.beta, target_lambda))
+    lt = p.log_lambda
+    tr = traced or trace(k, p)
     nodes, ends = tr.nodes, (0, *tr.folds, len(tr.nodes) - 1)
     solutions = []
     for i, j in zip(ends, ends[1:]):
@@ -325,7 +328,7 @@ def nodal_solution(k: int, target_lambda: float, p: ProblemParams,
                 break
     if not solutions:
         lams = [math.exp(y) for _, y, _ in nodes] or [math.nan]
-        raise NoSolutionInRangeError(target_lambda, min(lams), max(lams), DEFAULT_S_MIN,
+        raise NoSolutionInRangeError(p.lam, min(lams), max(lams), DEFAULT_S_MIN,
                                      math.exp(nodes[-1][0]) if nodes else DEFAULT_S_MIN)
     return solutions
 

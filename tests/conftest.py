@@ -70,5 +70,5 @@ def sol_k1():
     from tmb.shooting import nodal_solution
 
     p = ProblemParams(alpha=1.0, beta=1.3, lam=3.0)
-    sols = nodal_solution(1, 3.0, p)
+    sols = nodal_solution(1, p)
     return sols[-1]

@@ -21,7 +21,7 @@ from tmb.bubbles import derivative_bound_check, liouville_reference
 from tmb.cli import main as cli_main, parse_config
 from tmb.errors import FamilyEmptyError, NoSolutionInRangeError
 from tmb.families import FamilySpec, estimate_limit, run_family, verify_formulas
-from tmb.ode import SolverSettings, first_integral_residual
+from tmb.ode import first_integral_residual
 from tmb.shooting import lambda_of_s, nodal_solution, trace
 
 from conftest import L1, SESSION_T0, T1, T2
@@ -107,7 +107,7 @@ def test_criterion_3_exact_identities():
         for lam in REFERENCE_LAMBDAS:
             p = ProblemParams(1.0, beta, lam)
             try:
-                sols = nodal_solution(k, lam, p, traced=branch)
+                sols = nodal_solution(k, p, traced=branch)
             except NoSolutionInRangeError as exc:
                 skipped.append((k, beta, lam, exc.lam_range))
                 continue
@@ -225,7 +225,7 @@ def deep_reference_family():
     """configs/reference_family_deep.cfg (k=0, alpha=1, beta=1.2, lambda =
     1e-2 .. 1e-300), solved once as `tmb verify` solves it."""
     cfg = parse_config(DEEP_CONFIG, "verify")
-    exp = run_family(cfg.family, SolverSettings(cfg.rel_tol, cfg.abs_tol))
+    exp = run_family(cfg.family, cfg.settings)
     assert len(exp.records) == len(cfg.family.lambda_schedule), \
         "deep reference family must solve completely"
     return exp

@@ -111,7 +111,7 @@ class TestBoundaryFlux:
         # u ~ mu * J0(t1 r): flux = mu^2 * t1 * |J0'(t1)|
         from conftest import L1
 
-        sols = nodal_solution(0, L1 * (1.0 - 1e-4), P12)
+        sols = nodal_solution(0, ProblemParams(1.0, 1.2, L1 * (1.0 - 1e-4)))
         sol = sols[0]
         mu = sol.peak_values[0]
         t1 = j0_zero(1).t_k
@@ -140,8 +140,7 @@ class TestSturmBound:
         assert bound > 1.0
 
     def test_holds_beta_one(self):
-        p = ProblemParams(1.0, 1.0, 1.0)
-        sol = nodal_solution(1, 4.0, p)[-1]
+        sol = nodal_solution(1, ProblemParams(1.0, 1.0, 4.0))[-1]
         bound, holds = sturm_bound_check(sol)
         assert holds and bound > 1.0
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tmb import cli, shooting
+from tmb import shooting
 from tmb.cli import emit_csv, main, parse_config
 from tmb.errors import ConfigError
 from tmb.ode import SolverSettings
@@ -44,7 +44,7 @@ class TestParseConfig:
         assert cfg.family is not None
         assert cfg.family.lambda_schedule == (0.5, 0.125, 0.03125, 0.0078125)
         assert cfg.family.beta_schedule == (1.0,) * 4
-        assert cfg.rel_tol == 1e-12
+        assert cfg.settings.rel_tol == 1e-12
         # the hash bytes are part of every CSV row: SHA-256 of the text
         assert cfg.config_hash == hashlib.sha256(
             CHEAP_VERIFY.encode()).hexdigest()[:12]
@@ -70,7 +70,7 @@ class TestParseConfig:
         # a config that sets no tolerance runs at SolverSettings' defaults
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
                                 + tolerances)
-        assert cli._settings(parse_config(path, "solve")) == SolverSettings()
+        assert parse_config(path, "solve").settings == SolverSettings()
 
     @pytest.mark.parametrize("geo, why", [
         ("1e-2 0.1 4.9", "whole number"),   # int() used to give 4 members
@@ -186,6 +186,28 @@ class TestCommands:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("alpha = 1.0", "alpha = 0", "alpha"),
+        ("beta = 1.0\n\n[family]", "beta = 2.0\n\n[family]", "beta"),
+        ("alpha = 1.0", "alpha = 1.0\nlambda = -1", "lambda"),
+        ("beta_constant = 1.0", "beta_schedule = 1.0 1.0 2.0 1.0", "beta_schedule"),
+        ("rel_tol = 1e-12", "abs_tol = 0", "abs_tol"),
+    ])
+    def test_invalid_value_exits_2_before_integrating(self, tmp_path, capsys,
+                                                      monkeypatch, old, new, key):
+        # each value is checked by the record that holds it (ProblemParams,
+        # FamilySpec, SolverSettings); the config error names its key
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(old, new))
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"field: {key} |" in err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new, names", [
         # a misspelt key or section used to run silently on the defaults

@@ -33,6 +33,7 @@ class TestParams:
         (1.0, 0.0, 1.0), (1.0, 2.0, 1.0), (1.0, 2.5, 1.0),
         (1.0, 1.0, 0.0), (1.0, 1.0, -2.0),
         (math.inf, 1.2, 1.0), (1.0, 1.2, math.inf),
+        (math.nan, 1.2, 1.0), (1.0, math.nan, 1.0), (1.0, 1.2, math.nan),
     ])
     def test_invalid_rejected(self, alpha, beta, lam):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from tmb import ode
 from tmb.errors import ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
-from tmb.shooting import POLISH_TOL
+from tmb.shooting import POLISH_TOL, SCAN_SETTINGS
 
 from conftest import T1
 
@@ -247,6 +247,25 @@ class TestStopsAndErrors:
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):
             integrate_radial(1.0, P12, 0)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_tolerance_rejected(self, name, value):
+        # a negative tolerance used to be accepted and put lambda(2.0) at
+        # 123.18 instead of 0.25864 (k=0, beta=1.2), and zero tolerances
+        # raised ZeroDivisionError in the middle of an integration
+        with pytest.raises(ValueError, match=name):
+            SolverSettings(**{name: value})
+
+    def test_underflowing_error_estimate_skipped(self):
+        # at s = 3000 (k=2, beta=1.8) a step has e5 != 0 on a component
+        # whose e5^2 and e3^2 both underflow: its error norm was 0/0, a
+        # ZeroDivisionError at either tolerance
+        p = ProblemParams(1.0, 1.8, 1.0)
+        full, scan = (2.0 * integrate_radial(3000.0, p, 3, settings).log_zeros[2][0]
+                      for settings in (None, SCAN_SETTINGS))
+        assert full == pytest.approx(-2.752418, abs=1e-6)
+        assert abs(scan - full) <= 1e-8
 
     def test_adaptive_series_start(self):
         # the start radius tracks the bubble scale, not a fixed constant

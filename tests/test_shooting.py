@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tmb.bessel import j0_zero
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
 from tmb.families import _summarize
 from tmb.nonlinearity import ProblemParams
@@ -70,7 +71,7 @@ class TestNodalSolution:
         assert lam == pytest.approx(1e-3, rel=1e-10)
 
     def test_bifurcation_from_first_eigenvalue(self):
-        sols = nodal_solution(0, L1 * (1 - 1e-4), P12)
+        sols = nodal_solution(0, ProblemParams(1.0, 1.2, L1 * (1 - 1e-4)))
         assert len(sols) >= 1
         assert sols[0].amplitude < 1e-1
         assert sols[0].peak_values[0] == sols[0].amplitude
@@ -123,7 +124,7 @@ class TestNodalSolution:
         assert abs(slope) <= shooting._FOLD_SLOPE
         assert math.exp(x) == pytest.approx(fold[0], rel=1e-4)
         assert math.exp(y) == pytest.approx(fold[1], rel=1e-6)
-        sols = nodal_solution(1, target, p, traced=tr)
+        sols = nodal_solution(1, p, traced=tr)
         assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
         for sol in sols:
             assert sol.params.lam == pytest.approx(target, rel=1e-9)
@@ -137,7 +138,7 @@ class TestNodalSolution:
         # of the trace holds one root on a curved branch.  A tangent step
         # from the secant point may leave its bracket; bisecting instead
         # keeps both roots
-        sols = nodal_solution(1, target, ProblemParams(1.0, beta, target))
+        sols = nodal_solution(1, ProblemParams(1.0, beta, target))
         assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
         for sol in sols:
             assert sol.params.lam == pytest.approx(target, rel=1e-9)
@@ -153,7 +154,7 @@ class TestNodalSolution:
             return solve_unit_lambda(s, k, p0, settings, sensitivity)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", recording)
-        nodal_solution(1, 3.2245, ProblemParams(1.0, 1.0, 3.2245))
+        nodal_solution(1, ProblemParams(1.0, 1.0, 3.2245))
         assert len(seen) == 2
         for amps in seen.values():
             amps.sort()
@@ -190,7 +191,7 @@ class TestNodalSolution:
         assert math.exp(tr.nodes[-1][0]) == pytest.approx(amplitude_budget(p), rel=1e-12)
         assert tr.nodes[-1][2] > 0.0
         with pytest.raises(NoSolutionInRangeError) as exc:
-            nodal_solution(1, 3.1, p, traced=tr)
+            nodal_solution(1, p, traced=tr)
         assert exc.value.lam_range[0] == pytest.approx(3.126802, rel=1e-6)
 
     def test_reach_extends_while_falling_above_target(self):
@@ -206,11 +207,12 @@ class TestNodalSolution:
         # a trace down to a lower target (as run_family shares one along a
         # branch) repeats the nodes of the target's own trace up to the
         # budget, so the root is the same to the last bit
-        own = nodal_solution(0, 3e-3, P12)[0]
-        shared = nodal_solution(0, 3e-3, P12, traced=trace(0, ProblemParams(1.0, 1.2, 1e-300)))
+        p = ProblemParams(1.0, 1.2, 3e-3)
+        own = nodal_solution(0, p)[0]
+        shared = nodal_solution(0, p, traced=trace(0, ProblemParams(1.0, 1.2, 1e-300)))
         assert [sol.amplitude for sol in shared] == [own.amplitude]
 
-    @pytest.mark.parametrize("target, kwargs, message", [
+    @pytest.mark.parametrize("lam, kwargs, message", [
         (1e-3, {"k": -1}, "nodal class"),
         # a trace of another k, beta or alpha, or one that stops above the
         # target
@@ -218,26 +220,37 @@ class TestNodalSolution:
         (1e-3, {"traced": Trace(0, ProblemParams(1.0, 1.3, 1e-3), (), ())}, "trace"),
         (1e-3, {"traced": Trace(0, ProblemParams(3.0, 1.2, 1e-3), (), ())}, "trace"),
         (1e-3, {"traced": Trace(0, ProblemParams(1.0, 1.2, 1e-2), (), ())}, "trace"),
-        (math.nan, {}, "target"),
-        (0.0, {}, "target"),
-        (math.inf, {}, "target"),
     ])
     def test_invalid_search_rejected_before_integrating(
-            self, monkeypatch, target, kwargs, message):
+            self, monkeypatch, lam, kwargs, message):
+        # the target is p.lam, which ProblemParams checks (test_nonlinearity)
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kw: calls.append(args))
         with pytest.raises(ValueError, match=message):
-            nodal_solution(**{"k": 0, "target_lambda": target, "p": P12, **kwargs})
+            nodal_solution(**{"k": 0, "p": ProblemParams(1.0, 1.2, lam), **kwargs})
         assert calls == []
 
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
         # Lambda_1 = 5.78 (small targets such as 1e-15 are now reached)
         with pytest.raises(NoSolutionInRangeError) as exc:
-            nodal_solution(0, 7.0, P12)
+            nodal_solution(0, ProblemParams(1.0, 1.2, 7.0))
         lo, hi = exc.value.lam_range
         assert 0.0 < lo < hi < 7.0  # diagnostic carries the traced lambda range
+
+    @pytest.mark.parametrize("alpha, root", [(1.0, 2852.11), (0.2, None)])
+    def test_deep_k2_branch_typed(self, alpha, root):
+        # k=2, beta=1.8 at lambda_3 * 1e-3: the trace integrates s ~ 3000,
+        # where a step's error estimate underflows; that was an untyped
+        # ZeroDivisionError.  alpha = 1 has one root there, alpha = 0.2 none
+        p = ProblemParams(alpha, 1.8, j0_zero(3).lambda_k * 1e-3)
+        if root is None:
+            with pytest.raises(NoSolutionInRangeError):
+                nodal_solution(2, p)
+        else:
+            sols = nodal_solution(2, p)
+            assert [sol.amplitude for sol in sols] == pytest.approx([root], abs=0.01)
 
     def test_solution_structure(self, sol_mid):
         assert sol_mid.k == 0
