@@ -6,6 +6,8 @@ residuals certify the solver end to end: the per-domain Nehari identity
 boundary relation, and a Sturm-type upper bound on the zero count after a
 Liouville change of variables.
 
+decompose yields each nodal domain's energy integrals only; the domain's
+sign, peak and radii are read from the RadialSolution that owns them.
 All integrals of the form int(... r dr) are read from the augmented
 trajectory channels; only the log-weighted integrals and the Sturm bound
 run dedicated adaptive quadrature on the dense interpolant, in log radius,
@@ -26,18 +28,15 @@ TWO_PI = 2.0 * math.pi
 
 @record
 class NodalDomain:
-    """One sign region of a nodal solution with its peak and energies."""
+    """The energies of one sign region of a nodal solution: int |grad u|^2,
+    int lambda*f(u)*u and int lambda*F(u), each over the domain with the
+    weight r dr.  Its index, sign, peak and radii are the solution's
+    (domain_sign, peak_values, log_peak_radii, log_nodal_radii,
+    boundary_slopes)."""
 
-    index: int
-    inner_radius: float
-    outer_radius: float
-    peak_radius: float
-    peak_value: float
-    sign: int
     dirichlet: float
     nehari: float
     potential: float
-    outer_slope: float
 
 
 @record
@@ -50,40 +49,18 @@ class EnergyReport:
 
 
 def decompose(sol: RadialSolution) -> list[NodalDomain]:
-    """Split a solution into its k+1 nodal domains.
+    """The energies of the k+1 nodal domains, innermost first.
 
     Per-domain integrals are differences of the running trajectory
     channels at the refined zeros; the channels vanish at the origin.
     """
-    traj = sol.trajectory
     domains = []
-    prev_r = 0.0
-    prev = None  # channel state at the inner boundary
-    for i in range(1, sol.k + 2):
-        r_i = sol.nodal_radii[i - 1]
-        state = traj.state_log(sol.log_nodal_radii[i - 1])
-        if prev is None:
-            dirichlet = state.e_dirichlet
-            nehari = state.e_nehari
-            potential = state.e_potential
-        else:
-            dirichlet = state.e_dirichlet - prev.e_dirichlet
-            nehari = state.e_nehari - prev.e_nehari
-            potential = state.e_potential - prev.e_potential
-        domains.append(NodalDomain(
-            index=i,
-            inner_radius=prev_r,
-            outer_radius=r_i,
-            peak_radius=sol.peak_radii[i - 1],
-            peak_value=sol.peak_values[i - 1],
-            sign=sol.domain_sign(i),
-            dirichlet=dirichlet,
-            nehari=nehari,
-            potential=potential,
-            outer_slope=sol.boundary_slopes[i - 1],
-        ))
-        prev_r = r_i
-        prev = state
+    prev = (0.0, 0.0, 0.0)  # the channels at the inner boundary
+    for t in sol.log_nodal_radii:
+        state = sol.trajectory.state_log(t)
+        cur = (state.e_dirichlet, state.e_nehari, state.e_potential)
+        domains.append(NodalDomain(*(c - q for c, q in zip(cur, prev))))
+        prev = cur
     return domains
 
 

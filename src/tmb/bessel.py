@@ -100,7 +100,8 @@ def j0_zero(k: int) -> Eigenpair:
 
 
 def eigenpairs(n: int) -> list[Eigenpair]:
-    """The first n eigenpairs, in increasing order."""
+    """The first n eigenpairs, in increasing order (1 <= n <= 20)."""
+    j0_zero(n)  # checks n first, so that an error names n itself
     return [j0_zero(k) for k in range(1, n + 1)]
 
 

@@ -9,9 +9,10 @@ with first-order correction phi/mu^(2-beta),
 
     phi(r) = alpha*beta_lim*(ln(8 + r^2) + 8/(8 + r^2) - 1 - ln 8).
 
-This module builds the rescaled samples z_n, measures the deviation from
-z, fits the correction coefficient, and verifies the two-sided monotone
-derivative bounds that hold for every rescaled solution.
+This module builds the rescaled samples z_n (on PROFILE_GRID unless told
+otherwise), measures the deviation from z, fits the correction
+coefficient to the samples inside FIT_WINDOW, and verifies the two-sided
+monotone derivative bounds that hold for every rescaled solution.
 
 The scale gamma and the peak radius rho underflow binary64 once mu is
 past ~38, so both are carried as logarithms: the window point
@@ -30,8 +31,10 @@ from .records import record
 from .shooting import RadialSolution
 
 PROFILE_WINDOW = 6.0
-FIT_WINDOW = (0.5, 6.0)
-FIT_POINTS = 56  # uniform grid over FIT_WINDOW
+# 61 uniform samples on [0, PROFILE_WINDOW]: the profile CSVs' r column
+PROFILE_GRID = tuple(j * (PROFILE_WINDOW / 60) for j in range(61))
+FIT_WINDOW = (0.5, 6.0)  # the samples the correction coefficient is fitted on
+BOUND_SLACK = 1e-6  # absorbs interpolation roundoff in derivative_bound_check
 _LN64 = math.log(64.0)
 _LN8 = math.log(8.0)
 
@@ -84,13 +87,8 @@ def liouville_reference(r: float, beta_star: float, alpha: float) -> tuple:
     return z, phi
 
 
-def default_profile_grid(n: int = 61) -> tuple:
-    """Uniform sample grid on [0, PROFILE_WINDOW]."""
-    step = PROFILE_WINDOW / (n - 1)
-    return tuple(j * step for j in range(n))
-
-
-def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics:
+def rescale_profile(sol: RadialSolution, i: int,
+                    grid=PROFILE_GRID) -> BubbleDiagnostics:
     """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on the grid.
 
     Every radius is handled as a log radius, so the window is placed at
@@ -98,8 +96,6 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
     window); it must stay inside the nodal domain, else WindowTooLargeError.
     """
     sol.check_domain(i)
-    if grid is None:
-        grid = default_profile_grid()
     mu = sol.peak_values[i - 1]
     log_rho = sol.log_peak_radii[i - 1]
     log_gamma = log_gamma_scale(mu, sol.params)
@@ -130,19 +126,15 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
     sup_dev = max(abs(zv - liouville_reference(rr, sol.params.beta,
                                                sol.params.alpha)[0])
                   for rr, zv in samples)
-    # least-squares c on the dedicated uniform fit grid
+    # least-squares c on the samples inside FIT_WINDOW
     flo, fhi = FIT_WINDOW
-    fstep = (fhi - flo) / (FIT_POINTS - 1)
     num = 0.0
     den = 0.0
-    for j in range(FIT_POINTS):
-        rr = flo + j * fstep
-        if t_of(rr) >= log_outer:
-            break
-        zv = z_n(rr)
-        zr, ph = liouville_reference(rr, sol.params.beta, sol.params.alpha)
-        num += ph * (zv - zr)
-        den += ph * ph
+    for rr, zv in samples:
+        if flo <= rr <= fhi:
+            zr, ph = liouville_reference(rr, sol.params.beta, sol.params.alpha)
+            num += ph * (zv - zr)
+            den += ph * ph
     corr = num / den if den > 0.0 else math.nan
     return BubbleDiagnostics(
         domain_index=i,
@@ -157,13 +149,13 @@ def rescale_profile(sol: RadialSolution, i: int, grid=None) -> BubbleDiagnostics
 
 
 def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
-                           i: int, slack: float = 1e-6) -> bool:
+                           i: int) -> bool:
     """Two-sided monotone bound on the rescaled derivative.
 
     For r >= 0:  0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
     mirrored for r < 0 when the window extends inward (i >= 2).  z_n' is
     read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and is 0
-    at the origin peak.  `slack` absorbs interpolation roundoff.
+    at the origin peak.  Each side is relaxed by BOUND_SLACK.
     """
     mu = diag.mu
     log_rho = sol.log_peak_radii[i - 1]
@@ -178,10 +170,10 @@ def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
         zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
         if rr >= 0.0:
             bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
-            if not (-slack <= -zp <= bound + slack):
+            if not (-BOUND_SLACK <= -zp <= bound + BOUND_SLACK):
                 return False
         else:
             bound = -(0.5 * rr * rr + m * rr) / denom
-            if not (-slack <= zp <= bound + slack):
+            if not (-BOUND_SLACK <= zp <= bound + BOUND_SLACK):
                 return False
     return True

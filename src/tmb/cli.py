@@ -6,9 +6,11 @@ significant digits plus a JSON metadata sidecar; timestamps live only in
 the sidecar so reruns are byte-identical.  Every CSV row carries the
 config hash for provenance joins.
 
-Each value is checked by the record that owns it: ProblemParams, FamilySpec,
-SolverSettings, and bessel.j0_zero for the eigenpair count; parse_config
-raises their ValueError as a ConfigError naming the section and key.
+Each value is checked by the code that owns it: ProblemParams, FamilySpec,
+SolverSettings, shooting.check_nodal_class for k, and bessel.j0_zero for
+the eigenpair count (k for `bessel`; 3 when no k is given); their
+ValueError is raised as a ConfigError naming the key.  Free-text notes
+(seed_note, coupling_note) go to the metadata sidecar, never to a CSV.
 
 Exit codes: 0 success, 1 any family-member failure (partial results are
 still written), 2 malformed config.
@@ -32,7 +34,7 @@ from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import nodal_solution
+from .shooting import check_nodal_class, nodal_solution
 
 # The interpreter's own SHA-256 (3.12+: _sha2, 3.10-3.11: _sha256), so that
 # hashing a config loads no OpenSSL; hashlib only where neither was built.
@@ -45,6 +47,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 COMMANDS = ("solve", "sweep", "profile", "verify", "bessel")
+BESSEL_COUNT = 3  # eigenpairs `bessel` prints when no k is given
 
 
 @record(frozen=False)
@@ -58,6 +61,7 @@ class ExperimentConfig:
     settings: SolverSettings = SolverSettings()
     output_dir: Path = Path(".")
     seed_note: str = ""
+    coupling_note: str = ""
     config_hash: str = ""
 
 
@@ -180,13 +184,13 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError("unknown " + ", ".join(unknown), location=loc)
 
-    cfg.k = _get(cp, "problem", "k", int, default=0, path=loc)
+    cfg.k = _get(cp, "problem", "k", int, path=loc,
+                 default=BESSEL_COUNT if command == "bessel" else 0)
     cfg.alpha = _get(cp, "problem", "alpha", float, default=1.0, path=loc)
     cfg.beta = _get(cp, "problem", "beta", float, default=1.0, path=loc)
     cfg.lam = _get(cp, "problem", "lambda", float, default=None, path=loc)
-    if cfg.k < 0:
-        raise ConfigError(f"k must be nonnegative, got {cfg.k}", field="k",
-                          location=f"{loc}[problem]")
+    if command != "bessel":  # there k counts eigenpairs; eigenpairs checks it
+        _build(check_nodal_class, loc, "problem", cfg.k)
     # lambda is optional (families set their own): 1.0 stands in for it
     _build(ProblemParams, loc, "problem", cfg.alpha, cfg.beta,
            1.0 if cfg.lam is None else cfg.lam)
@@ -206,19 +210,20 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
             bconst = _get(cp, "family", "beta_constant", float,
                           default=cfg.beta, path=loc)
             beta_sched = tuple(bconst for _ in lam_sched)
-        note = _get(cp, "family", "coupling_note", str, default="", path=loc)
         lam_key = "lambda_schedule" if cp.has_option("family", "lambda_schedule") \
             else "lambda_geometric"
         beta_key = "beta_schedule" if cp.has_option("family", "beta_schedule") \
             else "beta_constant"
         cfg.family = _build(FamilySpec, loc, "family", cfg.k, cfg.alpha, lam_sched,
-                            beta_sched, note, keys={"lambda": lam_key, "beta": beta_key,
+                            beta_sched, keys={"lambda": lam_key, "beta": beta_key,
                             "lambda_schedule": lam_key, "beta_schedule": beta_key})
 
     cfg.settings = _build(SolverSettings, loc, "tolerances", **{
         key: _get(cp, "tolerances", key, float, default=getattr(SolverSettings, key),
                   path=loc) for key in CONFIG_KEYS["tolerances"]})
     cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
+    cfg.coupling_note = _get(cp, "family", "coupling_note", str, default="",
+                             path=loc)
     return cfg
 
 
@@ -247,7 +252,8 @@ def _solution_row(n, rec, cfg) -> dict:
 def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
                     started_at: str, extra: dict) -> None:
     meta = {"command": cfg.command, "config_hash": cfg.config_hash,
-            "seed_note": cfg.seed_note, "package_version": __version__,
+            "seed_note": cfg.seed_note, "coupling_note": cfg.coupling_note,
+            "package_version": __version__,
             "python_version": sys.version.split()[0], "wall_time_s": wall,
             "started_at": started_at, **extra}
     with open(out / "metadata.json", "w") as fh:
@@ -267,7 +273,7 @@ def run(cfg: ExperimentConfig) -> int:
     if cfg.command == "bessel":
         from .bessel import eigenpairs
         try:
-            pairs = eigenpairs(cfg.k if cfg.k >= 1 else 3)
+            pairs = eigenpairs(cfg.k)
         except ValueError as exc:
             raise ConfigError(str(exc), field="k") from exc
         rows = [{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
@@ -283,8 +289,8 @@ def run(cfg: ExperimentConfig) -> int:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
         sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
                               settings=cfg.settings)
-        rows = [_solution_row(n, _summarize(n, sol.params.lam, cfg.beta, sol, len(sols)),
-                              cfg) for n, sol in enumerate(sols)]
+        rows = [_solution_row(n, _summarize(n, cfg.lam, cfg.beta, sol, len(sols)), cfg)
+                for n, sol in enumerate(sols)]
         emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
         extra["branches"] = len(sols)
         _write_metadata(cfg, out, time.time() - t0, started_at, extra)
@@ -350,7 +356,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "bessel" and args.config is None:
-            cfg = ExperimentConfig(command="bessel")
+            cfg = ExperimentConfig(command="bessel", k=BESSEL_COUNT)
             cfg.config_hash = _config_hash(b"bessel-cli")
         else:
             if args.config is None:
@@ -361,8 +367,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--k applies to bessel only; {args.command} "
                                   "reads k from the config's [problem] section",
                                   field="k")
-            if args.k < 1:
-                raise ConfigError(f"--k must be >= 1, got {args.k}", field="k")
             cfg.k = args.k
         if args.out is not None:
             cfg.output_dir = args.out

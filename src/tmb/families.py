@@ -1,11 +1,12 @@
 """Parameter families and numerical verification of the asymptotic laws.
 
-FamilySpec checks a schedule's shape and k, and turns each member into
-the ProblemParams(alpha, beta_n, lambda_n) that checks its values.
+FamilySpec checks a schedule's shape, and turns each member into the
+ProblemParams(alpha, beta_n, lambda_n) that checks its values.
 run_family solves those members on one trace of lambda_k(s) per distinct
-beta_n; verify_formulas turns the member records into one report per
-asymptotic formula: the raw sequence, its Aitken-accelerated limit, the
-predicted target, and the relative error.
+beta_n, and keeps of each only what the formulas and the CSVs read (a
+MemberRecord); verify_formulas turns the member records into one report
+per asymptotic formula: the raw sequence, its Aitken-accelerated limit,
+the predicted target, and the relative error.
 
 Formulas whose convergence rate involves powers of (beta-1) are tagged
 slow_rate: at double-precision desk scale they are trend checks, not
@@ -30,7 +31,7 @@ from .errors import (
 from .nonlinearity import ProblemParams
 from .ode import SolverSettings
 from .records import record
-from .shooting import LogRadii, nodal_solution, trace
+from .shooting import LogRadii, check_nodal_class, nodal_solution, trace
 
 SLOW_RATE_BAND = 0.75  # |beta-1| below this marks (beta-1)^j formulas slow
 
@@ -44,7 +45,6 @@ class FamilySpec:
     alpha: float
     lambda_schedule: tuple
     beta_schedule: tuple
-    coupling_note: str = ""
 
     def __post_init__(self):
         ls, bs = tuple(self.lambda_schedule), tuple(self.beta_schedule)
@@ -54,8 +54,7 @@ class FamilySpec:
             raise ValueError("beta_schedule must have as many members as lambda_schedule")
         if len(ls) < 4:
             raise ValueError(f"lambda_schedule needs at least 4 members, got {len(ls)}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k!r}")
+        check_nodal_class(self.k)
         object.__setattr__(self, "members", tuple(
             ProblemParams(self.alpha, beta, lam) for lam, beta in zip(ls, bs)))
 
@@ -82,8 +81,6 @@ class MemberRecord(LogRadii):
     peak_values: tuple
     boundary_ru: tuple
     dirichlet: tuple
-    nehari: tuple
-    potential: tuple
     full_dirichlet: float
     functional: float
     nehari_residual: float
@@ -107,12 +104,11 @@ class FailedMember:
     reason: str
 
 
-@record(frozen=False)
+@record
 class SequenceExperiment:
     spec: FamilySpec
-    records: list          # MemberRecord, successful members in order
-    failures: list         # FailedMember
-    formula_reports: list | tuple = ()  # FormulaReport, set by verify_formulas
+    records: tuple         # MemberRecord, successful members in order
+    failures: tuple        # FailedMember
 
 
 @record
@@ -168,8 +164,6 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         peak_values=sol.peak_values,
         boundary_ru=sol.boundary_ru,
         dirichlet=tuple(d.dirichlet for d in domains),
-        nehari=tuple(d.nehari for d in domains),
-        potential=tuple(d.potential for d in domains),
         full_dirichlet=report.full_dirichlet,
         functional=report.functional,
         nehari_residual=nehari_residual(sol),
@@ -206,7 +200,7 @@ def run_family(spec: FamilySpec,
         raise FamilyEmptyError(
             f"all {len(spec)} members failed; first failure: "
             f"{failures[0].reason if failures else 'none recorded'}")
-    return SequenceExperiment(spec=spec, records=records, failures=failures)
+    return SequenceExperiment(spec, tuple(records), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -405,5 +399,4 @@ def verify_formulas(exp: SequenceExperiment) -> list:
              lambda L, b, rec: rec.boundary_fluxes[i - 1],
              lambda: 2.0)
 
-    exp.formula_reports = reports
     return reports

@@ -17,6 +17,8 @@ from .records import record
 
 # Exponent budget for binary64 work (safety margin below log(DBL_MAX) ~ 709.78).
 OVERFLOW_BUDGET = 700.0
+# Relative tolerance of primitive_F's quadrature.
+PRIMITIVE_REL_TOL = 1e-10
 
 
 @record
@@ -25,13 +27,12 @@ class ProblemParams:
 
     alpha > 0 is the perturbation strength, beta in (0, 2) the perturbation
     exponent, lam > 0 the eigenparameter; alpha and lam are finite.
-    log_lambda caches ln(lam).
+    log_lambda (derived, not a field) is ln(lam).
     """
 
     alpha: float
     beta: float
     lam: float
-    log_lambda: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < math.inf):
@@ -40,19 +41,13 @@ class ProblemParams:
             raise ValueError(f"beta must lie in (0, 2), got {self.beta!r}")
         if not (0.0 < self.lam < math.inf):
             raise ValueError(f"lambda must be positive and finite, got {self.lam!r}")
-        log_lam = math.log(self.lam)
-        if self.log_lambda is None:
-            object.__setattr__(self, "log_lambda", log_lam)
-        elif abs(self.log_lambda - log_lam) > 1e-12 * max(1.0, abs(log_lam)):
-            raise ValueError(
-                f"log_lambda={self.log_lambda!r} inconsistent with lambda={self.lam!r}"
-            )
+        object.__setattr__(self, "log_lambda", math.log(self.lam))
 
 
-def primitive_F(t: float, p: ProblemParams, rel_tol: float = 1e-10) -> float:
+def primitive_F(t: float, p: ProblemParams) -> float:
     """Integral of s*exp(s^2 + alpha*s^beta) over s in [0, |t|]; even in t.
 
-    Adaptive quadrature to relative tolerance 1e-10 (bisection, max depth 40).
+    Adaptive quadrature to relative tolerance PRIMITIVE_REL_TOL.
     """
     if t == 0.0:
         return 0.0
@@ -69,4 +64,4 @@ def primitive_F(t: float, p: ProblemParams, rel_tol: float = 1e-10) -> float:
     def integrand(s: float) -> float:
         return s * math.exp(s * s + alpha * s ** beta)
 
-    return adaptive_quadrature(integrand, 0.0, at, rel_tol=rel_tol)
+    return adaptive_quadrature(integrand, 0.0, at, rel_tol=PRIMITIVE_REL_TOL)

@@ -12,6 +12,8 @@ import heapq
 from .errors import QuadratureFailureError
 
 MAX_INTERVALS = 4000  # interval budget of one adaptive_quadrature call
+MAX_DEPTH = 40  # bisection depth limit of one interval
+PANELS = 64  # equal panels of fixed_composite_gauss
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.  Standard QUADPACK values.
@@ -64,7 +66,7 @@ def _gk15(f, a: float, b: float):
 
 
 def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
-                        max_depth: int = 40, breakpoints=None) -> float:
+                        breakpoints=None) -> float:
     """Integrate f over [a, b] to the requested tolerance.
 
     `breakpoints` (increasing) seeds the refinement with the given
@@ -72,8 +74,8 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
     when the integrand is a narrow bump a single 15-point rule would step
     over (its error estimate would vanish spuriously).
 
-    Raises QuadratureFailureError when bisection depth or the interval
-    budget is exhausted before `sum(errors) <= rel_tol*|I|`.
+    Raises QuadratureFailureError when bisection depth (MAX_DEPTH) or the
+    interval budget is exhausted before `sum(errors) <= rel_tol*|I|`.
     """
     if a == b:
         return 0.0
@@ -93,9 +95,9 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
     n_intervals = len(edges) - 1
     while total_err > rel_tol * abs(total):
         neg_err, _, depth, ia, ib, ival, ierr = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureFailureError(
-                f"bisection depth {max_depth} exhausted on [{ia!r}, {ib!r}] "
+                f"bisection depth {MAX_DEPTH} exhausted on [{ia!r}, {ib!r}] "
                 f"(error estimate {ierr:.3e}, total {total!r})"
             )
         if n_intervals >= MAX_INTERVALS:
@@ -119,14 +121,14 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
-def fixed_composite_gauss(f, a: float, b: float, panels: int = 64):
-    """Composite 15-point Kronrod rule on equal panels, no adaptivity.
+def fixed_composite_gauss(f, a: float, b: float):
+    """Composite 15-point Kronrod rule on PANELS equal panels, no adaptivity.
 
     Used as an independent cross-check against the adaptive routine.
     """
-    h = (b - a) / panels
+    h = (b - a) / PANELS
     total = 0.0
-    for i in range(panels):
+    for i in range(PANELS):
         v, _ = _gk15(f, a + i * h, a + (i + 1) * h)
         total += v
     return total

@@ -78,6 +78,12 @@ def amplitude_budget(p: ProblemParams) -> float:
     return lo
 
 
+def check_nodal_class(k: int) -> None:
+    """Raise ValueError unless k, the count of interior zeros, is >= 0."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k!r}")
+
+
 class LogRadii:
     """Radii and slopes of a record that stores log_nodal_radii (ln r_i),
     log_peak_radii (ln rho_i, -inf for the origin) and boundary_ru
@@ -306,8 +312,7 @@ def nodal_solution(k: int, p: ProblemParams,
     as scan noise.  Raises NoSolutionInRangeError when no piece crosses
     the target.
     """
-    if k < 0:
-        raise ValueError(f"nodal class must be nonnegative, got {k!r}")
+    check_nodal_class(k)
     if traced is not None and not (traced.params.lam <= p.lam and (
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")

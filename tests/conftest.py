@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive solves are session-scoped and reused."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,17 +40,17 @@ def p12():
 @pytest.fixture(scope="session")
 def reference_family():
     """k=0, alpha=1, beta=1.2, lambda = 1e-2..1e-6 (the blow-up family used
-    by the profile/energy/concentration acceptance checks); exp.solutions
-    holds each record's solution."""
+    by the profile/energy/concentration acceptance checks): the fields of
+    its SequenceExperiment, plus solutions (each record's solution) and
+    wall_time (seconds to run the family)."""
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
     t0 = time.time()
     exp, solutions = run_family_keeping_solutions(spec)
-    exp.wall_time = time.time() - t0
-    exp.solutions = solutions
     assert len(exp.records) == 5, "reference family must solve completely"
-    return exp
+    return SimpleNamespace(**vars(exp), solutions=solutions,
+                           wall_time=time.time() - t0)
 
 
 @pytest.fixture(scope="session")

@@ -299,8 +299,7 @@ def test_criterion_8_two_bubble_structure():
 def test_criterion_9_weak_limit_preset():
     t0 = time.time()
     spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=(3.1,) * 7,
-                      beta_schedule=(1.3, 1.2, 1.12, 1.08, 1.05, 1.04, 1.03),
-                      coupling_note="beta down to 1 at fixed lambda")
+                      beta_schedule=(1.3, 1.2, 1.12, 1.08, 1.05, 1.04, 1.03))
     exp = run_family(spec)
     reports = verify_formulas(exp)
     threshold = [r for r in reports

@@ -25,14 +25,19 @@ class TestDecompose:
         doms = decompose(sol_mid)
         assert len(doms) == 1
         d = doms[0]
-        assert d.peak_radius == 0.0
-        assert d.peak_value == sol_mid.amplitude
-        assert d.sign == 1
-        assert d.dirichlet > 0.0
+        end = sol_mid.trajectory.state_log(sol_mid.log_nodal_radii[0])
+        assert (d.dirichlet, d.nehari, d.potential) == (
+            end.e_dirichlet, end.e_nehari, end.e_potential)
+        assert d.dirichlet > 0.0 and d.potential > 0.0
 
     def test_k1_signs(self, sol_k1):
-        doms = decompose(sol_k1)
-        assert [d.sign for d in doms] == [1, -1]
+        # a domain's sign is the solution's: u(0) > 0, then u at each
+        # interior peak has the sign domain_sign gives
+        assert len(decompose(sol_k1)) == 2
+        assert [sol_k1.domain_sign(i) for i in (1, 2)] == [1, -1]
+        assert sol_k1.amplitude > 0.0
+        u_peak = sol_k1.trajectory.u_log(sol_k1.log_peak_radii[1])
+        assert u_peak == pytest.approx(-sol_k1.peak_values[1], rel=1e-9)
 
     def test_telescoping(self, sol_k1):
         doms = decompose(sol_k1)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tmb.bubbles import (
-    default_profile_grid,
+    PROFILE_GRID,
     derivative_bound_check,
     liouville_reference,
     log_gamma_scale,
@@ -104,9 +104,8 @@ class TestRescaleProfile:
             rescale_profile(sol_mid, 1, grid=(-0.1, 0.0, 1.0))
 
     def test_default_grid(self):
-        grid = default_profile_grid()
-        assert len(grid) == 61
-        assert grid[0] == 0.0 and grid[-1] == 6.0
+        assert len(PROFILE_GRID) == 61
+        assert PROFILE_GRID[0] == 0.0 and PROFILE_GRID[-1] == 6.0
 
     def test_sup_deviation_decreases_along_family(self, reference_family):
         sups = [rec.bubbles[0].sup_deviation for rec in reference_family.records]

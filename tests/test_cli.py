@@ -154,6 +154,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "config error" in err and "field: k" in err
 
+    def test_bessel_count_goes_to_eigenpairs_unchanged(self, tmp_path, capsys):
+        # a given count is checked by j0_zero: [problem] k = 0 is refused,
+        # not read as "print the default 3"; only no k at all means 3
+        cfg = _write(tmp_path, "[problem]\nk = 0\n")
+        assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        assert "k must be in [1, 20], got 0 | field: k" in capsys.readouterr().err
+        for count in ("0", "25"):
+            assert main(["bessel", "--k", count, "--out", str(tmp_path / "f")]) == 2
+            assert f"got {count} | field: k" in capsys.readouterr().err
+        cfg = _write(tmp_path, "[problem]\nalpha = 1.0\n", "no_k.cfg")
+        assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        out = capsys.readouterr().out
+        assert len([line for line in out.splitlines() if line.startswith("k=")]) == 3
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "profile", "verify"])
     def test_k_flag_outside_bessel_exits_2(self, tmp_path, capsys, command):
         # --k used to overwrite cfg.k but not cfg.family.k, so a family run
@@ -188,6 +202,7 @@ class TestCommands:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, key", [
+        ("k = 0", "k = -1", "k"),
         ("alpha = 1.0", "alpha = 0", "alpha"),
         ("beta = 1.0\n\n[family]", "beta = 2.0\n\n[family]", "beta"),
         ("alpha = 1.0", "alpha = 1.0\nlambda = -1", "lambda"),
@@ -196,8 +211,9 @@ class TestCommands:
     ])
     def test_invalid_value_exits_2_before_integrating(self, tmp_path, capsys,
                                                       monkeypatch, old, new, key):
-        # each value is checked by the record that holds it (ProblemParams,
-        # FamilySpec, SolverSettings); the config error names its key
+        # each value is checked by the code that owns it (check_nodal_class,
+        # ProblemParams, FamilySpec, SolverSettings); the config error names
+        # its key
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kwargs: calls.append(args))
@@ -318,6 +334,30 @@ class TestCommands:
         assert len(rows) >= 1
         assert float(rows[0]["lambda"]) == pytest.approx(0.5, rel=1e-9)
         assert float(rows[0]["r_1"]) == 1.0
+
+    @pytest.mark.parametrize("problem", [
+        "k = 1\nalpha = 1.0\nbeta = 1.3\nlambda = 3",
+        "k = 0\nalpha = 1.0\nbeta = 1.2\nlambda = 1e-4",
+    ])
+    def test_solve_writes_the_configs_lambda(self, tmp_path, problem):
+        # the target lambda, as the family commands write it; the achieved
+        # one differs from it in the last digits (POLISH_TOL in ln lambda)
+        cfg = _write(tmp_path, f"[problem]\n{problem}\n")
+        out = tmp_path / "solve"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "solutions.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(row["lambda"]) == parse_config(cfg, "solve").lam
+                            for row in rows)
+
+    def test_coupling_note_goes_to_metadata(self, tmp_path):
+        note = "beta held at 1 while lambda falls"
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(
+            "beta_constant = 1.0", f"beta_constant = 1.0\ncoupling_note = {note}"))
+        out = tmp_path / "note"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["coupling_note"] == note
+        assert note not in (out / "solutions.csv").read_text()
 
     def test_solve_without_lambda_is_config_error(self, tmp_path):
         cfg = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.0\n")

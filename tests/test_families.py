@@ -10,6 +10,7 @@ from tmb import families, shooting
 from tmb.errors import FamilyEmptyError
 from tmb.families import (
     FamilySpec,
+    SequenceExperiment,
     classify_records,
     estimate_limit,
     run_family,
@@ -33,6 +34,10 @@ class TestFamilySpec:
                        beta_schedule=(1.2,) * 3)
 
     def test_validates_ranges(self):
+        # the same message as nodal_solution and the config's [problem] k
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            FamilySpec(k=-1, alpha=1.0, lambda_schedule=(0.1,) * 4,
+                       beta_schedule=(1.2,) * 4)
         with pytest.raises(ValueError):
             FamilySpec(k=0, alpha=1.0, lambda_schedule=(0.1, 0.1, 0.1, -0.1),
                        beta_schedule=(1.2,) * 4)
@@ -188,10 +193,8 @@ class TestVerifyFormulas:
         assert flux[-1] > 1.8
 
     def test_needs_three_records(self, reference_family):
-        import copy
-
-        exp = copy.copy(reference_family)
-        exp.records = reference_family.records[:2]
+        exp = SequenceExperiment(reference_family.spec,
+                                 reference_family.records[:2], ())
         with pytest.raises(ValueError):
             verify_formulas(exp)
 
@@ -207,7 +210,7 @@ def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
         log_peak_radii=tuple(math.log(r) if r > 0.0 else -math.inf for r in rhos),
         peak_values=tuple(mus),
         boundary_ru=tuple(r * sl for r, sl in zip(radii, slopes)),
-        dirichlet=(1.8,) * k1, nehari=(1.8,) * k1, potential=(0.01,) * k1,
+        dirichlet=(1.8,) * k1,
         full_dirichlet=2 * math.pi * 1.8 * k1, functional=5.0,
         nehari_residual=1e-11, identity_residual_max=1e-11,
         boundary_fluxes=(1.9,) * k1, bubbles=(None,) * k1,
@@ -234,9 +237,7 @@ class TestRegistryTargets:
             records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
-        from tmb.families import SequenceExperiment
-
-        exp = SequenceExperiment(spec=spec, records=records, failures=[])
+        exp = SequenceExperiment(spec=spec, records=tuple(records), failures=())
         reports = {r.formula_id: r for r in verify_formulas(exp)}
         assert reports["aaa1"].target == pytest.approx(0.35, abs=1e-15)
         assert reports["aa1[1]"].target == pytest.approx(0.059366717867659624)
@@ -268,8 +269,6 @@ class TestRegistryIds:
 
     @staticmethod
     def _k2_family(growth):
-        from tmb.families import SequenceExperiment
-
         lams = (1e-2, 1e-3, 1e-4, 1e-5)
         records = []
         for n, lam in enumerate(lams):
@@ -281,7 +280,7 @@ class TestRegistryIds:
             records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
-        return SequenceExperiment(spec=spec, records=records, failures=[])
+        return SequenceExperiment(spec=spec, records=tuple(records), failures=())
 
     def test_same_ids_in_every_regime(self):
         ids = []

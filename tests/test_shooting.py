@@ -213,7 +213,7 @@ class TestNodalSolution:
         assert [sol.amplitude for sol in shared] == [own.amplitude]
 
     @pytest.mark.parametrize("lam, kwargs, message", [
-        (1e-3, {"k": -1}, "nodal class"),
+        (1e-3, {"k": -1}, "k must be nonnegative"),
         # a trace of another k, beta or alpha, or one that stops above the
         # target
         (1e-3, {"traced": Trace(1, ProblemParams(1.0, 1.2, 1e-3), (), ())}, "trace"),
