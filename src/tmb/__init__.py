@@ -12,7 +12,7 @@ import importlib
 
 _EXPORTS = {
     "nonlinearity": ("OVERFLOW_BUDGET", "ProblemParams", "primitive_F"),
-    "ode": ("RadialState", "SolverSettings", "Trajectory", "integrate_radial"),
+    "ode": ("SolverSettings", "Trajectory", "integrate_radial"),
     "bessel": ("Eigenpair", "eigenpairs", "j0", "j0_zero"),
     "shooting": ("RadialSolution", "Trace", "lambda_of_s", "nodal_solution",
                  "solution_at", "solve_unit_lambda", "trace"),

@@ -9,10 +9,11 @@ Liouville change of variables.
 decompose yields each nodal domain's energy integrals only; the domain's
 sign, peak and radii are read from the RadialSolution that owns them.
 All integrals of the form int(... r dr) are read from the augmented
-trajectory channels; only the log-weighted integrals and the Sturm bound
-run dedicated adaptive quadrature on the dense interpolant, in log radius,
-where the concentrated mass is spread out.  Radii are read as log radii
-throughout: the inner radii of a deep solution underflow binary64.
+trajectory channels at the refined zeros, the potential as -q_flux/2;
+only the log-weighted integrals and the Sturm bound run dedicated
+adaptive quadrature on the dense interpolant, in log radius, where the
+concentrated mass is spread out.  Radii are read as log radii throughout:
+the inner radii of a deep solution underflow binary64.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ def decompose(sol: RadialSolution) -> list[NodalDomain]:
     """The energies of the k+1 nodal domains, innermost first.
 
     Per-domain integrals are differences of the running trajectory
-    channels at the refined zeros; the channels vanish at the origin.
+    channels at the refined zeros; the channels vanish at the origin.  At a
+    zero the running potential lambda * int F(u) s ds is -q_flux/2 (see ode).
     """
     domains = []
     prev = (0.0, 0.0, 0.0)  # the channels at the inner boundary
     for t in sol.log_nodal_radii:
-        state = sol.trajectory.state_log(t)
-        cur = (state.e_dirichlet, state.e_nehari, state.e_potential)
+        _, _, e_dir, e_neh, q_flux, _ = sol.trajectory.eval_log(t)
+        cur = (e_dir, e_neh, -0.5 * q_flux)
         domains.append(NodalDomain(*(c - q for c, q in zip(cur, prev))))
         prev = cur
     return domains
@@ -129,10 +131,10 @@ def boundary_flux(sol: RadialSolution, i: int) -> float:
 
 def nehari_residual(sol: RadialSolution) -> float:
     """|sum dirichlet - sum nehari| / sum dirichlet over all domains."""
-    end = sol.trajectory.state_log(sol.log_nodal_radii[-1])
-    if end.e_dirichlet <= 0.0:
+    _, _, e_dir, e_neh, _, _ = sol.trajectory.eval_log(sol.log_nodal_radii[-1])
+    if e_dir <= 0.0:
         raise ValueError("degenerate solution: no Dirichlet energy")
-    return abs(end.e_dirichlet - end.e_nehari) / end.e_dirichlet
+    return abs(e_dir - e_neh) / e_dir
 
 
 def sturm_bound_check(sol: RadialSolution) -> tuple:

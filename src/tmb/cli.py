@@ -262,9 +262,12 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a parsed config; returns the process exit status."""
+    """Execute a parsed config; returns the process exit status.
+
+    The output directory is made by the first emit_csv, after the inputs
+    are checked and a result exists: a run that fails leaves none behind.
+    """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.time()
     status = 0

@@ -2,9 +2,12 @@
 f(t) = t*exp(t^2 + alpha*|t|^beta).
 
 The integrator evaluates lambda*f(u) itself, as one exponent in the log
-radius (see ode), so f has no standalone form here.  F is evaluated by
-quadrature in binary64 and budgets its exponent before integrating: it is
-the only place OverflowBudgetError is raised.  All functions are pure.
+radius (see ode), so f has no standalone form here.  F is off the solve
+path too: the potential energy is read off the integrator's flux channel
+at zeros of u, and primitive_F is the independent reference for F that
+the tests check that channel against.  It evaluates F by quadrature in
+binary64 and budgets its exponent before integrating: it is the only place
+OverflowBudgetError is raised.  All functions are pure.
 """
 
 from __future__ import annotations

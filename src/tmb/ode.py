@@ -20,7 +20,8 @@ State vector (6 components, log-radius form):
     e_neh    running integral of lambda*u*f(u) * s ds   = int |u| e^E dt
     q_flux   running integral of lambda*f(u)*u' * s^2 ds = int sign(u) e^E u_t dt;
              by parts, lambda * int F(u) s ds = lambda*F(u(r))*r^2/2 - q_flux/2,
-             and the boundary term vanishes at zeros of u
+             and the boundary term vanishes at zeros of u, so the potential
+             energy is read there as -q_flux/2 and F is never evaluated
     e_src    running integral of lambda*f(u) * s ds     = int sign(u) e^E dt
              (first integral: r*u'(r) + e_src(r) = 0, zero flux at the origin)
 
@@ -50,7 +51,7 @@ Three stretches, each in the variables that keep it accurate:
 
 After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
-Trajectory answers only by log radius (u_log, ru_log, state_log,
+Trajectory answers only by log radius (u_log, ru_log, eval_log,
 source_log).  Radii and slopes are formed only where they are printed,
 by radii() and slopes().
 
@@ -71,7 +72,10 @@ import math
 from bisect import bisect_right
 
 from .errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
-from .nonlinearity import ProblemParams, primitive_F
+from .nonlinearity import ProblemParams
+# not called here (the potential energy is read off q_flux), but bound for
+# the benchmark, whose tracer wraps tmb.ode.primitive_F
+from .nonlinearity import primitive_F  # noqa: F401
 from .records import record
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), each entry
@@ -224,49 +228,6 @@ def slopes(log_radii, rus) -> tuple:
     return tuple(_slope(ru, math.exp(t)) for t, ru in zip(log_radii, rus))
 
 
-class RadialState:
-    """Solution value, r*u', and running energy integrals at log radius t.
-
-    t and ru stay finite in the deep regime, where r underflows to 0.0 and
-    u' overflows to +-inf.  e_potential (the running lambda * int F(u) s ds)
-    is recovered lazily from the flux channel: it needs one primitive
-    evaluation unless u is small at this radius.
-    """
-
-    __slots__ = ("t", "u", "ru", "e_dirichlet", "e_nehari", "e_source",
-                 "pot_flux", "_params", "_e_pot")
-
-    def __init__(self, t, y, params):
-        self.t = t
-        self.u = y[0]
-        self.ru = y[1]
-        self.e_dirichlet = y[2]
-        self.e_nehari = y[3]
-        self.pot_flux = y[4]
-        self.e_source = y[5]
-        self._params = params
-        self._e_pot = None
-
-    @property
-    def e_potential(self) -> float:
-        if self._e_pot is None:
-            p = self._params
-            au = abs(self.u)
-            if au < 1e-4:
-                # F(u) = u^2/2 * (1 + 2 alpha |u|^beta/(beta+2) + O(u^2))
-                F = 0.5 * self.u * self.u * (
-                    1.0 + 2.0 * p.alpha * au ** p.beta / (p.beta + 2.0))
-            else:
-                F = primitive_F(self.u, p)
-            self._e_pot = 0.5 * (F * math.exp(p.log_lambda + 2.0 * self.t)
-                                 - self.pot_flux)
-        return self._e_pot
-
-    def __repr__(self):
-        return (f"RadialState(t={self.t!r}, u={self.u!r}, ru={self.ru!r}, "
-                f"e_dirichlet={self.e_dirichlet!r})")
-
-
 class _Step:
     """One accepted step in its own variable x, with a lazy 7th-order dense
     output.  frame is the first-bubble _Frame (x = tau, y carries D and D')
@@ -309,15 +270,7 @@ class _Step:
 
     def dense(self, x):
         """The first _NCOMP components at x."""
-        r0, r1, r2, r3, r4, r5, r6 = self.rows
-        y0 = self.y0
-        th = (x - self.x0) / self.h
-        om = 1.0 - th
-        return tuple(
-            y0[i] + th * (r0[i] + om * (r1[i] + th * (r2[i] + om * (
-                r3[i] + th * (r4[i] + om * (r5[i] + th * r6[i]))))))
-            for i in _RANGE
-        )
+        return tuple(self.value(x, i) for i in _RANGE)
 
     def value(self, x, i: int) -> float:
         """Component i at x."""
@@ -461,7 +414,7 @@ class Trajectory:
       steps: the accepted _Steps, in the log radius they were integrated
         in (before any dilation by shifted); a first-bubble step carries
         frame-local x and y, so read it through t0, t1 and end();
-      u_log, ru_log, eval_log, state_log, source_log: dense evaluation,
+      u_log, ru_log, eval_log, source_log: dense evaluation,
         by log radius only;
       log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel).
     """
@@ -499,9 +452,6 @@ class Trajectory:
     def ru_log(self, t: float) -> float:
         """r*u'(r) at r = exp(t)."""
         return self.eval_log(t)[1]
-
-    def state_log(self, t: float) -> RadialState:
-        return RadialState(t, self.eval_log(t), self.params)
 
     def source_log(self, t: float) -> float:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t."""

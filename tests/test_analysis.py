@@ -25,9 +25,9 @@ class TestDecompose:
         doms = decompose(sol_mid)
         assert len(doms) == 1
         d = doms[0]
-        end = sol_mid.trajectory.state_log(sol_mid.log_nodal_radii[0])
-        assert (d.dirichlet, d.nehari, d.potential) == (
-            end.e_dirichlet, end.e_nehari, end.e_potential)
+        _, _, e_dir, e_neh, q_flux, _ = sol_mid.trajectory.eval_log(
+            sol_mid.log_nodal_radii[0])
+        assert (d.dirichlet, d.nehari, d.potential) == (e_dir, e_neh, -0.5 * q_flux)
         assert d.dirichlet > 0.0 and d.potential > 0.0
 
     def test_k1_signs(self, sol_k1):
@@ -41,9 +41,9 @@ class TestDecompose:
 
     def test_telescoping(self, sol_k1):
         doms = decompose(sol_k1)
-        end = sol_k1.trajectory.state_log(sol_k1.log_nodal_radii[-1])
+        e_dir = sol_k1.trajectory.eval_log(sol_k1.log_nodal_radii[-1])[2]
         total = sum(d.dirichlet for d in doms)
-        assert abs(total - end.e_dirichlet) <= 1e-12 * end.e_dirichlet
+        assert abs(total - e_dir) <= 1e-12 * e_dir
 
     def test_per_domain_nehari_identity(self, sol_k1, sol_deep):
         for sol in (sol_k1, sol_deep):
@@ -108,9 +108,9 @@ class TestBoundaryFlux:
 
     def test_exact_first_integral(self, sol_deep, sol_k1):
         for sol in (sol_deep, sol_k1):
-            for i in range(1, sol.k + 2):
-                st = sol.trajectory.state_log(sol.log_nodal_radii[i - 1])
-                assert abs(st.ru + st.e_source) <= 1e-8
+            for t in sol.log_nodal_radii:
+                _, ru, _, _, _, e_src = sol.trajectory.eval_log(t)
+                assert abs(ru + e_src) <= 1e-8
 
     def test_near_linear_regime(self):
         # u ~ mu * J0(t1 r): flux = mu^2 * t1 * |J0'(t1)|

@@ -147,12 +147,16 @@ class TestCommands:
 
     def test_bessel_k_above_cap_exits_2(self, tmp_path, capsys):
         # k = 25 is past MAX_EIGENPAIR_INDEX = 20, from the flag and from a config
-        assert main(["bessel", "--k", "25", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "flag"
+        assert main(["bessel", "--k", "25", "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
         cfg = _write(tmp_path, "[problem]\nk = 25\n")
-        assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "config"
+        assert main(["bessel", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "field: k" in err
+        assert not out.exists()
 
     def test_bessel_count_goes_to_eigenpairs_unchanged(self, tmp_path, capsys):
         # a given count is checked by j0_zero: [problem] k = 0 is refused,
@@ -160,9 +164,12 @@ class TestCommands:
         cfg = _write(tmp_path, "[problem]\nk = 0\n")
         assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
         assert "k must be in [1, 20], got 0 | field: k" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
         for count in ("0", "25"):
-            assert main(["bessel", "--k", count, "--out", str(tmp_path / "f")]) == 2
+            out = tmp_path / f"f{count}"
+            assert main(["bessel", "--k", count, "--out", str(out)]) == 2
             assert f"got {count} | field: k" in capsys.readouterr().err
+            assert not out.exists()
         cfg = _write(tmp_path, "[problem]\nalpha = 1.0\n", "no_k.cfg")
         assert main(["bessel", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
         out = capsys.readouterr().out
@@ -361,5 +368,22 @@ class TestCommands:
 
     def test_solve_without_lambda_is_config_error(self, tmp_path):
         cfg = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.0\n")
-        assert main(["solve", "--config", str(cfg),
-                     "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_verify_without_family_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.0\n")
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "field: family" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_without_root_leaves_no_directory(self, tmp_path, capsys):
+        # lambda = 100 lies above lambda_0(s) on every amplitude
+        cfg = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
+                               "lambda = 100\n")
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "no solution with lambda=100.0" in capsys.readouterr().err
+        assert not out.exists()

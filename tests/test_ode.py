@@ -6,9 +6,11 @@ import math
 import pytest
 
 from tmb import ode
+from tmb.analysis import decompose
 from tmb.errors import ZeroNotReachedError
-from tmb.nonlinearity import ProblemParams
+from tmb.nonlinearity import ProblemParams, primitive_F
 from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
+from tmb.quadrature import adaptive_quadrature
 from tmb.shooting import POLISH_TOL, SCAN_SETTINGS
 
 from conftest import T1
@@ -61,9 +63,8 @@ class TestFirstIntegral:
         # checked against the separately integrated source channel
         traj = integrate_radial(0.5, P12, 1)
         assert 1.2 < math.exp(traj.log_zeros[0][0])
-        st = traj.state_log(math.log(1.2))
-        assert st.t == math.log(1.2)
-        assert abs(st.ru + st.e_source) <= 1e-8
+        _, ru, _, _, _, e_src = traj.eval_log(math.log(1.2))
+        assert abs(ru + e_src) <= 1e-8
 
 
 class TestEvents:
@@ -180,11 +181,24 @@ class TestAugmentedChannels:
             assert b[3] >= a[3]
             assert b[5] >= a[5]
 
-    def test_potential_recovered_from_flux(self, deep_traj):
-        # at the zero the boundary term vanishes; e_potential ~ -flux/2
-        st = deep_traj.state_log(deep_traj.log_zeros[0][0])
-        assert st.e_potential == pytest.approx(-st.pot_flux / 2.0, rel=1e-9)
-        assert st.e_potential > 0.0
+    @pytest.mark.parametrize("name", ["sol_mid", "sol_deep", "sol_k1"])
+    def test_potential_matches_primitive_quadrature(self, name, request):
+        # decompose reads each domain's lambda*int F(u) r dr off the flux
+        # channel as -q_flux/2 at its zeros; integrate F(u(t))*lambda*r^2
+        # dt directly instead, with primitive_F's own quadrature for F
+        sol = request.getfixturevalue(name)
+        traj, p = sol.trajectory, sol.params
+
+        def g(t):
+            return primitive_F(traj.u_log(t), p) * math.exp(p.log_lambda + 2.0 * t)
+
+        lo = traj.t_start
+        pot = 0.5 * g(lo)  # analytic head before the first step: u = s there
+        for dom, hi in zip(decompose(sol), sol.log_nodal_radii):
+            pot += adaptive_quadrature(g, lo, hi, breakpoints=traj.log_step_bounds())
+            assert dom.potential > 0.0
+            assert abs(pot - dom.potential) <= 1e-10 * dom.potential
+            lo, pot = hi, 0.0
 
     def test_dense_matches_endpoint(self, deep_traj):
         st = deep_traj.steps[len(deep_traj.steps) // 2]
