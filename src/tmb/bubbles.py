@@ -53,11 +53,6 @@ class BubbleDiagnostics:
     predicted_coefficient: float  # 1/mu^(2-beta)
 
     @property
-    def gamma(self) -> float:
-        """The blow-up scale (0.0 where it underflows; log_gamma stays finite)."""
-        return math.exp(self.log_gamma)
-
-    @property
     def coefficient_ratio(self) -> float:
         return self.corr_coefficient / self.predicted_coefficient
 

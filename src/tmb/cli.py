@@ -46,7 +46,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-COMMANDS = ("solve", "sweep", "profile", "verify", "bessel")
+COMMANDS = ("solve", "profile", "verify", "bessel")
 BESSEL_COUNT = 3  # eigenpairs `bessel` prints when no k is given
 
 

@@ -25,6 +25,10 @@ State vector (6 components, log-radius form):
     e_src    running integral of lambda*f(u) * s ds     = int sign(u) e^E dt
              (first integral: r*u'(r) + e_src(r) = 0, zero flux at the origin)
 
+A sensitivity channel, two more states that carry d/ds, may follow these
+six: each stretch's one right-hand side appends their derivatives from the
+values it already holds, and the error test never weighs them.
+
 Three stretches, each in the variables that keep it accurate:
 
 1. The first bubble.  The start t0 is where E = -40 (never later than
@@ -320,6 +324,16 @@ def _dense_rows(rhs, x, h, y, y1, ks):
         for d1, _, _, _, _, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15, d16 in _D)
 
 
+def _liouville(la):
+    """(Z_L, q, 1 - q) of the Liouville bubble at la = ln a + 2 tau, with
+    Z_L' = -4q and Z_L'' = -8q(1 - q)."""
+    if la < 0.0:
+        a = math.exp(la)
+        return -2.0 * math.log1p(a), a / (1.0 + a), 1.0 / (1.0 + a)
+    ia = math.exp(-la)
+    return -2.0 * (la + math.log1p(ia)), 1.0 / (1.0 + ia), ia / (1.0 + ia)
+
+
 class _Frame:
     """Constants of the first-bubble frame (see the module docstring)."""
 
@@ -335,13 +349,8 @@ class _Frame:
         self.beta = beta
 
     def liouville(self, tau):
-        """(Z_L, q, 1 - q) with Z_L' = -4q and Z_L'' = -8q(1 - q)."""
-        la = self.ln_a + 2.0 * tau
-        if la < 0.0:
-            a = math.exp(la)
-            return -2.0 * math.log1p(a), a / (1.0 + a), 1.0 / (1.0 + a)
-        ia = math.exp(-la)
-        return -2.0 * (la + math.log1p(ia)), 1.0 / (1.0 + ia), ia / (1.0 + ia)
+        """(Z_L, q, 1 - q) at tau."""
+        return _liouville(self.ln_a + 2.0 * tau)
 
     def state(self, tau, y):
         """Log-radius state from the frame state y = (D, D', channels)."""
@@ -352,7 +361,7 @@ class _Frame:
     def exponent_at(self, tau, dev):
         """E at tau for the deviation D = dev: E0 + 2 tau + Z_L + D + R, with
         R the nonlinear remainder of E in d = u - s (rhs_bubble inlines
-        this)."""
+        R)."""
         z_l, _, _ = self.liouville(tau)
         d = (z_l + dev) / self.K
         x = max(d / self.s, -0.99)
@@ -631,6 +640,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     and zeros stay bit-identical), that carries d/ds: (V, V') = d(D, D')/ds
     at fixed tau in the frame, the closed-form t_z' across the flight and
     (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
+    Each stretch's one right-hand side appends the channel's derivatives.
     Raises ZeroNotReachedError if the radius cap or the step budget is hit
     first, and StiffnessError if the step collapses.
     """
@@ -692,18 +702,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     ln_a, asb, inv_k, inv_s = frame.ln_a, frame.asb, 1.0 / K, 1.0 / s
 
     def rhs_bubble(tau, y):
+        z_l, q, omq = _liouville(ln_a + 2.0 * tau)
         dev = y[0]
-        la = ln_a + 2.0 * tau
-        if la < 0.0:
-            a = exp(la)
-            z_l = -2.0 * log1p(a)
-            q = a / (1.0 + a)
-            omq = 1.0 / (1.0 + a)
-        else:
-            ia = exp(-la)
-            z_l = -2.0 * (la + log1p(ia))
-            q = 1.0 / (1.0 + ia)
-            omq = ia / (1.0 + ia)
         d = (z_l + dev) * inv_k
         x = d * inv_s
         if x < -0.99:
@@ -713,24 +713,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         e = E0 + 2.0 * tau + z_l + dr
         g = exp(e if e < _E_CLIP else _E_CLIP)
         ut = (y[1] - 4.0 * q) * inv_k
-        return (y[1], -8.0 * q * omq * expm1(dr if dr < _E_CLIP else _E_CLIP),
-                ut * ut, (s + d) * g, g * ut, g)
-
-    def rhs_bubble_channel(tau, y):
-        # V'' = d/ds (Z_L'' expm1(D + R)) at fixed tau, where
-        # d/ds Z_L'' = Z_L'' (1 - 2q) phi_s and Z_L'' expm1(D + R) = base[1]
-        base = rhs_bubble(tau, y)
-        z_l, q, omq = frame.liouville(tau)
-        d = (z_l + y[0]) * inv_k
-        x = max(d * inv_s, -0.99)
-        lx = log1p(x)
+        dpp = -8.0 * q * omq * expm1(dr if dr < _E_CLIP else _E_CLIP)
+        if len(y) == _NCOMP:
+            return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g)
+        # the channel: V'' = d/ds (Z_L'' expm1(D + R)) at fixed tau, where
+        # d/ds Z_L'' = Z_L'' (1 - 2q) phi_s and Z_L'' expm1(D + R) = D''
         d_s = (y[6] - 2.0 * q * phi_s) * inv_k - d * kp
         x_s = (d_s - x) * inv_s
         v_r = (y[6] + 2.0 * d * d_s  # V + R_s
                + (beta * asb * expm1((beta - 1.0) * lx) - x / (1.0 + x)) * x_s
                + beta * asb * inv_s * (expm1(beta * lx) - beta * x))
-        return base + (y[7],
-                       base[1] * ((omq - q) * phi_s + v_r) - 8.0 * q * omq * v_r)
+        return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g, y[7],
+                dpp * ((omq - q) * phi_s + v_r) - 8.0 * q * omq * v_r)
 
     # D and D' enter u = s + Z/K through 1/K; past the bubble D' also sets
     # the slope over the flight of length ~s^2/2, and the zero at its end
@@ -757,7 +751,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
                      for j in _RANGE)
 
-    step, h = _march(rhs_bubble_channel if sensitivity else rhs_bubble, 0.0,
+    step, h = _march(rhs_bubble, 0.0,
                      frame.head(0.0) + ((0.0, 0.0) if sensitivity else ()), 0.1,
                      scale_bubble, lambda tau: t0 + tau, on_bubble_step)
     t_hand, h, yf = t0 + step.x1, min(h, 1.0), step.y1
@@ -840,14 +834,13 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             au = abs(u)
             e = 2.0 * t + loglam + math.log(au) + u * u + alpha * au ** beta
             g = math.copysign(exp(e if e < _E_CLIP else _E_CLIP), u)
-        return (ut, -g, ut * ut, u * g, g * ut, g)
-
-    def rhs_plain_channel(t, y):
-        # w_tt = -w d/du(sign(u) e^E) = -w e^E (1/|u| + 2|u| + ab|u|^(b-1))
-        base, u = rhs_plain(t, y), y[0]
-        dg = base[5] / u * (1.0 + 2.0 * u * u + alpha * beta * abs(u) ** beta) \
+        if len(y) == _NCOMP:
+            return (ut, -g, ut * ut, u * g, g * ut, g)
+        # the channel: w_tt = -w d/du(sign(u) e^E)
+        #                   = -w e^E (1/|u| + 2|u| + ab|u|^(b-1))
+        dg = g / u * (1.0 + 2.0 * u * u + alpha * beta * au ** beta) \
             if u != 0.0 else exp(2.0 * t + loglam)
-        return base + (y[7], -dg * y[6])
+        return (ut, -g, ut * ut, u * g, g * ut, g, y[7], -dg * y[6])
 
     kinked, landed = beta < 1.0, [None]
 
@@ -908,8 +901,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 atol + rel * max(abs(y[4]), abs(y1[4])),
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
-    step, _ = _march(rhs_plain_channel if sensitivity else rhs_plain, t_hand, y,
-                     h, scale_plain, lambda t: t, on_plain_step)
+    step, _ = _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t,
+                     on_plain_step)
     if not sensitivity:
         return Trajectory(p, s, t0, steps, zeros, peaks)
     t_n, ru_n = zeros[-1]  # w(t_n) on the dense output

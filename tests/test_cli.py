@@ -59,7 +59,7 @@ class TestParseConfig:
     def test_geometric_schedule(self, tmp_path):
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
                                 "[family]\nlambda_geometric = 0.01 0.1 5\n")
-        cfg = parse_config(path, "sweep")
+        cfg = parse_config(path, "verify")
         sched = cfg.family.lambda_schedule
         assert len(sched) == 5
         assert sched[0] == 0.01
@@ -90,7 +90,7 @@ class TestParseConfig:
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
                                 f"[family]\nlambda_geometric = {geo}\n")
         with pytest.raises(ConfigError) as exc:
-            parse_config(path, "sweep")
+            parse_config(path, "verify")
         assert exc.value.field == "lambda_geometric"
         assert why in str(exc.value)
 
@@ -175,7 +175,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert len([line for line in out.splitlines() if line.startswith("k=")]) == 3
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "profile", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "profile", "verify"])
     def test_k_flag_outside_bessel_exits_2(self, tmp_path, capsys, command):
         # --k used to overwrite cfg.k but not cfg.family.k, so a family run
         # solved every member and then failed on a missing CSV field
@@ -294,7 +294,7 @@ class TestCommands:
     def test_solution_header_contract(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)
         out = tmp_path / "run_hdr"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         header = (out / "solutions.csv").read_text().splitlines()[0]
         assert header == ("n,lambda,beta,k,amplitude,r_1,rho_1,mu_1,du_at_r1,"
                           "dirichlet_1,full_dirichlet,functional,"
@@ -313,7 +313,7 @@ class TestCommands:
                                     "0.5 7.0 0.03125 0.0078125")
         cfg = _write(tmp_path, text, "partial.cfg")
         out = tmp_path / "partial"
-        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         # partial results still written
         with open(out / "solutions.csv", newline="") as fh:
@@ -362,7 +362,7 @@ class TestCommands:
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(
             "beta_constant = 1.0", f"beta_constant = 1.0\ncoupling_note = {note}"))
         out = tmp_path / "note"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "metadata.json").read_text())["coupling_note"] == note
         assert note not in (out / "solutions.csv").read_text()
 

@@ -7,7 +7,7 @@ import pytest
 
 from tmb import ode
 from tmb.analysis import decompose
-from tmb.errors import ZeroNotReachedError
+from tmb.errors import StiffnessError, TmbError, ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams, primitive_F
 from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
 from tmb.quadrature import adaptive_quadrature
@@ -214,8 +214,11 @@ class TestSensitivityChannel:
     FINE = SolverSettings(rel_tol=1e-12, abs_tol=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_channel_moves_no_step(self, k):
-        p = ProblemParams(alpha=1.0, beta=1.3, lam=1.0)
+    # beta = 0.5: the channel rides the retake that lands a step on each
+    # interior zero, where |u|^beta has its kink
+    @pytest.mark.parametrize("beta", [0.5, 1.3])
+    def test_channel_moves_no_step(self, beta, k):
+        p = ProblemParams(alpha=1.0, beta=beta, lam=1.0)
         for s in (0.3, 5.0, 24.0, 700.0, 3e4):
             plain = integrate_radial(s, p, k + 1)
             carried = integrate_radial(s, p, k + 1, sensitivity=True)
@@ -223,6 +226,7 @@ class TestSensitivityChannel:
             assert carried.log_peaks == plain.log_peaks
             assert len(carried.steps) == len(plain.steps)
             assert plain.log_slope is None
+            assert math.isfinite(carried.log_slope)
 
     @pytest.mark.parametrize("k, beta, s, rel", [
         (0, 1.0, 5.0, 1e-6),
@@ -253,6 +257,16 @@ class TestStopsAndErrors:
         with pytest.raises(ZeroNotReachedError) as exc:
             integrate_radial(1e-3, p_small, 1)
         assert exc.value.zeros_found == 0
+
+    def test_step_collapse_is_typed(self, monkeypatch):
+        t_start = integrate_radial(2.0, P12, 1).t_start
+        # a step floor above the first step the integrator tries
+        monkeypatch.setattr(ode, "_MIN_STEP", 1.0)
+        with pytest.raises(StiffnessError) as exc:
+            integrate_radial(2.0, P12, 1)
+        assert isinstance(exc.value, TmbError)
+        assert exc.value.radius == math.exp(t_start)
+        assert 0.0 < exc.value.step <= 1.0
 
     def test_invalid_amplitude(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ CASES = [
     (SequenceExperiment, (SPEC, (), ()), FamilySpec(1, 1.0, (1.0,) * 4,
                                                      (1.2,) * 4)),
     (FormulaReport, ("aaa1", True), "f4[1]"),
-    (ExperimentConfig, ("verify",), "sweep"),
+    (ExperimentConfig, ("verify",), "profile"),
     (Eigenpair, (1, 2.404825557695773, 5.783185962946785), 2),
 ]
 MUTABLE = {ExperimentConfig}
