@@ -66,8 +66,8 @@ slopes and spends the three extra stages on the interpolant only when it
 is first read (while shooting, the steps with a zero or a peak; for a
 solution's analysis, every step it reads).  Events (zeros of u, interior
 critical points) are detected by sign change at step endpoints and
-polished on the interpolant.  For beta < 1, alpha*|u|^beta is not smooth
-where u = 0, so a step that crosses a zero is retaken to end on it.
+polished on the interpolant.  A step that crosses an interior zero is
+retaken to end on it: u*|u|^beta is not smooth there (ibid., sec. II.6).
 """
 
 from __future__ import annotations
@@ -199,10 +199,10 @@ MAX_STEPS = 2_000_000
 class SolverSettings:
     """Integration tolerances.
 
-    At the defaults ln(lambda) = 2 t_{k+1} agrees with a rel_tol=1e-13,
-    abs_tol=1e-15 solve to 3.7e-12 (k <= 2, alpha = 1, beta in {0.5, 1.3,
-    1.8}, s in {0.5, 5, 24}) and to 2.4e-13 (k in {1, 2}, alpha = 3,
-    beta = 0.3, s in [0.3, 5]): below the 1e-10 that roots are polished to.
+    At the defaults ln(lambda) = 2 t_{k+1} agrees with a rel_tol=1e-14 solve
+    to 2.9e-12 (k <= 2, alpha = 1, beta in {0.5, 1, 1.3, 1.8}, 60 log-spaced
+    s in [0.5, 24], worst at k = 1, beta = 1.8, s = 3.58) and to 5.4e-13 (k
+    in {1, 2}, alpha = 3, beta = 0.3, s in [0.3, 5]), below the 1e-10 of roots.
     """
 
     rel_tol: float = 1e-12
@@ -842,7 +842,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             if u != 0.0 else exp(2.0 * t + loglam)
         return (ut, -g, ut * ut, u * g, g * ut, g, y[7], -dg * y[6])
 
-    kinked, landed = beta < 1.0, [None]
+    landed = [None]
 
     def on_plain_step(step):
         y0, y1 = step.y0, step.y1
@@ -857,10 +857,10 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 land = tz + _LAND_MARGIN * (tz - step.x0)
                 if step.x0 < tz and land < step.x1:
                     return land
-            elif kinked and step.x0 < tz and landed[0] not in (step.x0, step.x1):
-                # alpha*|u|^beta is not smooth at a zero for beta < 1: retake
-                # the step to end on it.  The retake, and the step after it,
-                # keep a zero that rounding left at their end or start
+            elif step.x0 < tz and landed[0] not in (step.x0, step.x1):
+                # u*|u|^beta is not smooth at a zero: a step across it costs
+                # up to 2.4e-10 in ln(lambda).  Retake the step to end on it;
+                # it and the next step keep a zero rounding left at an end
                 landed[0] = tz
                 return tz
         if y0[1] * y1[1] < 0.0:

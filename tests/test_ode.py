@@ -120,6 +120,14 @@ class TestSelfConvergence:
     ] + [
         # the kink of alpha*|u|^beta at every zero for beta < 1
         (k, 3.0, 0.3, s) for k in (1, 2) for s in (0.3, 1.0, 2.0, 3.0, 5.0)
+    ] + [
+        # u*|u|^beta is not smooth at a zero for beta >= 1 either: a step
+        # across one costs 2.4e-10 here, and 3.4e-11 (beta = 1) and 4.6e-11
+        # (beta = 1.8) at the worst of 60 log-spaced s in [0.5, 24]
+        (1, 1.0, 1.3, 10.5002116838444),
+    ] + [
+        (k, 1.0, beta, s) for k in (1, 2)
+        for beta, s in ((1.0, 8.40004117019452), (1.8, 3.1394039598876127))
     ])
     def test_defaults_meet_polish_tol(self, k, alpha, beta, s):
         # ln(lambda) = 2 t_{k+1} at the default tolerances agrees with a
@@ -214,8 +222,8 @@ class TestSensitivityChannel:
     FINE = SolverSettings(rel_tol=1e-12, abs_tol=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    # beta = 0.5: the channel rides the retake that lands a step on each
-    # interior zero, where |u|^beta has its kink
+    # the channel rides the retake that lands a step on each interior zero,
+    # where u*|u|^beta is not smooth
     @pytest.mark.parametrize("beta", [0.5, 1.3])
     def test_channel_moves_no_step(self, beta, k):
         p = ProblemParams(alpha=1.0, beta=beta, lam=1.0)
@@ -233,6 +241,7 @@ class TestSensitivityChannel:
         (1, 0.5, 2.0, 1e-6),   # the kink of |u|^beta at the first zero
         (1, 1.3, 24.0, 1e-6),
         (2, 1.8, 100.0, 1e-6),
+        (2, 1.8, 3.1394, 1e-6),  # two interior zeros landed at beta >= 1
         (0, 1.3, 1e3, 1e-4),   # stop zero in the closed-form flight
         (1, 1.3, 1e4, 1e-4),   # flight, landing, then absolute t
     ])
