@@ -42,11 +42,14 @@ class NodalDomain:
 
 @record
 class EnergyReport:
-    """Full-disk energies: full_dirichlet = int_B |grad u|^2."""
+    """Full-disk energies; full_dirichlet = int_B |grad u|^2 (derived)."""
 
-    full_dirichlet: float
     functional: float
     per_domain: tuple
+
+    @property
+    def full_dirichlet(self) -> float:
+        return TWO_PI * sum(d.dirichlet for d in self.per_domain)
 
 
 def decompose(sol: RadialSolution) -> list[NodalDomain]:
@@ -70,9 +73,7 @@ def energy_report(sol: RadialSolution) -> EnergyReport:
     domains = decompose(sol)
     full = TWO_PI * sum(d.dirichlet for d in domains)
     potential = TWO_PI * sum(d.potential for d in domains)
-    return EnergyReport(full_dirichlet=full,
-                        functional=0.5 * full - potential,
-                        per_domain=tuple(domains))
+    return EnergyReport(0.5 * full - potential, tuple(domains))
 
 
 # cap on the initial partition taken from the accepted steps

@@ -27,7 +27,10 @@ class Eigenpair:
 
     k: int
     t_k: float
-    lambda_k: float
+
+    @property
+    def lambda_k(self) -> float:
+        return self.t_k * self.t_k
 
 
 def _j01(x: float) -> tuple[float, float]:
@@ -94,7 +97,7 @@ def j0_zero(k: int) -> Eigenpair:
             lo, flo = t, ft
         t_new = t - step
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
-    pair = Eigenpair(k=k, t_k=t, lambda_k=t * t)
+    pair = Eigenpair(k=k, t_k=t)
     _zero_cache[k] = pair
     return pair
 

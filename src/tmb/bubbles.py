@@ -43,10 +43,6 @@ _LN8 = math.log(8.0)
 class BubbleDiagnostics:
     """Rescaled profile samples and correction fit for one domain."""
 
-    domain_index: int
-    mu: float
-    log_gamma: float
-    rho_over_gamma: float
     samples: tuple             # (r, z_n(r)) pairs on the requested grid
     sup_deviation: float       # max over the window of |z_n - z|
     corr_coefficient: float    # least-squares c in z_n - z ~ c*phi
@@ -132,10 +128,6 @@ def rescale_profile(sol: RadialSolution, i: int,
             den += ph * ph
     corr = num / den if den > 0.0 else math.nan
     return BubbleDiagnostics(
-        domain_index=i,
-        mu=mu,
-        log_gamma=log_gamma,
-        rho_over_gamma=math.exp(log_rho - log_gamma),
         samples=samples,
         sup_deviation=sup_dev,
         corr_coefficient=corr,
@@ -152,16 +144,17 @@ def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
     read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and is 0
     at the origin peak.  Each side is relaxed by BOUND_SLACK.
     """
-    mu = diag.mu
+    mu = sol.peak_values[i - 1]
     log_rho = sol.log_peak_radii[i - 1]
-    m = diag.rho_over_gamma
+    log_gamma = log_gamma_scale(mu, sol.params)
+    m = math.exp(log_rho - log_gamma)
     sign = sol.domain_sign(i)
     traj = sol.trajectory
     for rr, _ in diag.samples:
         denom = rr + m
         if rr < 0.0 and denom <= 0.0:
             continue  # outside the transform's validity
-        ru = traj.ru_log(_window_point(diag.log_gamma, log_rho, rr))
+        ru = traj.ru_log(_window_point(log_gamma, log_rho, rr))
         zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
         if rr >= 0.0:
             bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0

@@ -18,7 +18,6 @@ still written), 2 malformed config.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import csv
 import json
@@ -237,7 +236,7 @@ def _solution_fieldnames(k: int) -> list:
 
 
 def _solution_row(n, rec, cfg) -> dict:
-    row = {"n": n, "lambda": rec.lam, "beta": rec.beta, "k": len(rec.nodal_radii) - 1,
+    row = {"n": n, "lambda": rec.lam, "beta": rec.beta, "k": rec.k,
            "amplitude": rec.amplitude, "full_dirichlet": rec.full_dirichlet,
            "functional": rec.functional, "nehari_residual": rec.nehari_residual,
            "identity_residual_max": rec.identity_residual_max,
@@ -346,6 +345,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here only: library callers of cli never parse argv
     parser = argparse.ArgumentParser(
         prog="tmb",
         description="Nodal radial solutions and blow-up diagnostics on the unit disk")

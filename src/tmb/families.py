@@ -69,25 +69,27 @@ class MemberRecord(LogRadii):
     Radii are stored as in RadialSolution: log_nodal_radii, log_peak_radii
     (-inf for the origin) and boundary_ru = r_i*u'(r_i), finite where the
     radii underflow; nodal_radii, peak_radii, boundary_slopes and
-    log_abs_slopes are derived from them.
+    log_abs_slopes are derived from them, and full_dirichlet from dirichlet.
     """
 
     index: int
     lam: float
     beta: float
-    amplitude: float
     log_nodal_radii: tuple
     log_peak_radii: tuple
     peak_values: tuple
     boundary_ru: tuple
     dirichlet: tuple
-    full_dirichlet: float
     functional: float
     nehari_residual: float
     identity_residual_max: float
     boundary_fluxes: tuple
     bubbles: tuple  # BubbleDiagnostics or None, one per domain
     branch_count: int
+
+    @property
+    def full_dirichlet(self) -> float:
+        return 2.0 * math.pi * sum(self.dirichlet)  # energy_report's sum, bit for bit
 
     @property
     def log_abs_slopes(self) -> tuple:
@@ -116,12 +118,20 @@ class FormulaReport:
     formula_id: str
     applicable: bool
     raw_values: tuple = ()
-    raw_last: float = math.nan
     extrapolated: float = math.nan
     target: float = math.nan
-    rel_error: float = math.nan
     slow_rate: bool = False
     note: str = ""
+
+    @property
+    def raw_last(self) -> float:
+        return self.raw_values[-1] if self.raw_values else math.nan
+
+    @property
+    def rel_error(self) -> float:
+        tgt = self.target
+        return abs(self.extrapolated - tgt) / abs(tgt) if tgt != 0.0 \
+            and not math.isnan(tgt) else math.nan
 
 
 def estimate_limit(sequence) -> tuple:
@@ -158,13 +168,11 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         index=index,
         lam=lam,
         beta=beta,
-        amplitude=sol.amplitude,
         log_nodal_radii=sol.log_nodal_radii,
         log_peak_radii=sol.log_peak_radii,
         peak_values=sol.peak_values,
         boundary_ru=sol.boundary_ru,
         dirichlet=tuple(d.dirichlet for d in domains),
-        full_dirichlet=report.full_dirichlet,
         functional=report.functional,
         nehari_residual=nehari_residual(sol),
         identity_residual_max=idres,
@@ -265,14 +273,10 @@ def verify_formulas(exp: SequenceExperiment) -> list:
             rep = FormulaReport(formula_id=fid, applicable=False, note=gate)
         else:
             seq = [term(L, b, rec) for L, b, rec in zip(log_inv_lam, beta_seq, records)]
-            last, extrap = estimate_limit(seq) if aitken else (seq[-1], seq[-1])
-            tgt = target()
-            rel = abs(extrap - tgt) / abs(tgt) if tgt != 0.0 \
-                and not math.isnan(tgt) else math.nan
+            extrap = estimate_limit(seq)[1] if aitken else seq[-1]
             rep = FormulaReport(formula_id=fid, applicable=True,
-                                raw_values=tuple(seq), raw_last=last,
-                                extrapolated=extrap, target=tgt, rel_error=rel,
-                                slow_rate=slow, note=note)
+                                raw_values=tuple(seq), extrapolated=extrap,
+                                target=target(), slow_rate=slow, note=note)
         reports.append(rep)
         return rep
 

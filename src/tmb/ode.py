@@ -199,10 +199,10 @@ MAX_STEPS = 2_000_000
 class SolverSettings:
     """Integration tolerances.
 
-    At the defaults ln(lambda) = 2 t_{k+1} agrees with a rel_tol=1e-14 solve
-    to 2.9e-12 (k <= 2, alpha = 1, beta in {0.5, 1, 1.3, 1.8}, 60 log-spaced
-    s in [0.5, 24], worst at k = 1, beta = 1.8, s = 3.58) and to 5.4e-13 (k
-    in {1, 2}, alpha = 3, beta = 0.3, s in [0.3, 5]), below the 1e-10 of roots.
+    At the defaults ln(lambda) = 2 t_{k+1} is off a rel_tol=1e-13 solve by at
+    most 1.7e-11 where sampled (k <= 2, alpha = 1, beta in {0.5, 1, 1.3, 1.8},
+    30 and 60 log-spaced s in [0.5, 24]), at k = 1, beta = 1.8, s =
+    14.070706319014791 (177x less at s(1 + 1e-13)), below the 1e-10 of roots.
     """
 
     rel_tol: float = 1e-12
@@ -674,7 +674,6 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         kp, -0.5 * K, 0.25 * alpha * beta * (beta - 2.0) * sb / s - 0.5 / s)
 
     t_max = math.log(MAX_RADIUS)
-    n_accept = [0]
     zeros: list = []
     peaks: list = []
     steps: list = []
@@ -687,10 +686,9 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)),
             )
 
-    def check_caps(t1):
-        n_accept[0] += 1
+    def check_caps(t1):  # after each step is appended
         check_radius(t1)
-        if n_accept[0] > MAX_STEPS:
+        if len(steps) > MAX_STEPS:
             raise ZeroNotReachedError(
                 f"step budget {MAX_STEPS} exhausted at radius "
                 f"{math.exp(min(t1, _LOG_MAX))!r}",

@@ -85,10 +85,18 @@ def check_nodal_class(k: int) -> None:
 
 
 class LogRadii:
-    """Radii and slopes of a record that stores log_nodal_radii (ln r_i),
-    log_peak_radii (ln rho_i, -inf for the origin) and boundary_ru
-    (r_i*u'(r_i)).  The radii round to 0.0, and the slopes to +-inf, where
-    r_i underflows."""
+    """Radii, slopes, k and amplitude of a record that stores
+    log_nodal_radii (ln r_i), log_peak_radii (ln rho_i, -inf for the
+    origin), peak_values and boundary_ru (r_i*u'(r_i)).  The radii round to
+    0.0, and the slopes to +-inf, where r_i underflows."""
+
+    @property
+    def k(self) -> int:
+        return len(self.log_nodal_radii) - 1
+
+    @property
+    def amplitude(self) -> float:
+        return self.peak_values[0]
 
     @property
     def nodal_radii(self) -> tuple:
@@ -111,13 +119,11 @@ class RadialSolution(LogRadii):
     log_nodal_radii has k+1 entries ending at ln 1 = 0; log_peak_radii and
     peak_values carry the origin peak first (ln rho_1 = -inf); boundary_ru
     holds r_i*u'(r_i) at each nodal radius.  These stay finite where r_i
-    underflows; nodal_radii, peak_radii and boundary_slopes are derived
-    from them.
+    underflows; nodal_radii, peak_radii, boundary_slopes, k and the
+    amplitude u(0) are derived from them.
     """
 
     params: ProblemParams
-    k: int
-    amplitude: float
     trajectory: Trajectory
     log_nodal_radii: tuple
     log_peak_radii: tuple
@@ -125,15 +131,12 @@ class RadialSolution(LogRadii):
     boundary_ru: tuple
 
     def __post_init__(self):
-        if len(self.log_nodal_radii) != self.k + 1 \
-                or len(self.boundary_ru) != self.k + 1:
-            raise ValueError("nodal radius count does not match the nodal class")
-        if len(self.log_peak_radii) != self.k + 1 or len(self.peak_values) != self.k + 1:
-            raise ValueError("peaks must interleave zeros (one per domain)")
+        counts = {len(t) for t in (self.log_nodal_radii, self.log_peak_radii,
+                                   self.peak_values, self.boundary_ru)}
+        if len(counts) != 1 or 0 in counts:
+            raise ValueError("nodal radius count differs from the peak or slope count")
         if abs(math.exp(self.log_nodal_radii[-1]) - 1.0) > 1e-12:
             raise ValueError("outermost zero must sit on the unit boundary")
-        if self.peak_values[0] != self.amplitude:
-            raise ValueError("first peak must be the central amplitude")
 
     def domain_sign(self, i: int) -> int:
         """Sign of u on the i-th domain (1-based); u(0) > 0."""
@@ -185,8 +188,6 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
             f"expected {k} interior peak(s), detected {len(interior)}")
     return RadialSolution(
         params=params,
-        k=k,
-        amplitude=traj.initial_amplitude,
         trajectory=scaled,
         log_nodal_radii=log_radii,
         log_peak_radii=(-math.inf,) + tuple(t for t, _ in interior),

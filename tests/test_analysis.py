@@ -130,12 +130,12 @@ class TestNehariResidual:
             assert nehari_residual(sol) <= 1e-8
 
     def test_degenerate_input_rejected(self, sol_mid):
-        # a zero function cannot even be represented as a RadialSolution
+        # a zero function, with no peak, cannot even be represented as a
+        # RadialSolution
         with pytest.raises(ValueError):
-            RadialSolution(params=sol_mid.params, k=0, amplitude=0.0,
-                           trajectory=sol_mid.trajectory,
-                           log_nodal_radii=(0.0,), log_peak_radii=(-math.inf,),
-                           peak_values=(1.0,), boundary_ru=(-1.0,))
+            RadialSolution(params=sol_mid.params, trajectory=sol_mid.trajectory,
+                           log_nodal_radii=(0.0,), log_peak_radii=(),
+                           peak_values=(), boundary_ru=(-1.0,))
 
 
 class TestSturmBound:

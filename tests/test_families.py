@@ -205,13 +205,12 @@ def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
 
     k1 = len(mus)
     return MemberRecord(
-        index=n, lam=lam, beta=beta, amplitude=mus[0],
+        index=n, lam=lam, beta=beta,
         log_nodal_radii=tuple(math.log(r) for r in radii),
         log_peak_radii=tuple(math.log(r) if r > 0.0 else -math.inf for r in rhos),
         peak_values=tuple(mus),
         boundary_ru=tuple(r * sl for r, sl in zip(radii, slopes)),
-        dirichlet=(1.8,) * k1,
-        full_dirichlet=2 * math.pi * 1.8 * k1, functional=5.0,
+        dirichlet=(1.8,) * k1, functional=5.0,
         nehari_residual=1e-11, identity_residual_max=1e-11,
         boundary_fluxes=(1.9,) * k1, bubbles=(None,) * k1,
         branch_count=1)

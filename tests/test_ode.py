@@ -128,6 +128,11 @@ class TestSelfConvergence:
     ] + [
         (k, 1.0, beta, s) for k in (1, 2)
         for beta, s in ((1.0, 8.40004117019452), (1.8, 3.1394039598876127))
+    ] + [
+        # the worst sampled default-tolerance error (SolverSettings): 1.3e-11,
+        # 1.7e-11 and 9.7e-12 for k = 0, 1, 2; a point of a 30-point log grid
+        # on [0.5, 24], and 1e-13 relative away it is 31-177x smaller
+        (k, 1.0, 1.8, 14.070706319014791) for k in (0, 1, 2)
     ])
     def test_defaults_meet_polish_tol(self, k, alpha, beta, s):
         # ln(lambda) = 2 t_{k+1} at the default tolerances agrees with a

@@ -30,21 +30,19 @@ K0_RADII = dict(log_nodal_radii=(0.0,), log_peak_radii=(-math.inf,),
 CASES = [
     (ProblemParams, (1.0, 1.2, 0.5), 2.0),
     (SolverSettings, (1e-8,), 1e-9),
-    (RadialSolution, (P, 0, 2.0, None, *K0_RADII.values()),
-     ProblemParams(2.0, 1.2, 0.5)),
+    (RadialSolution, (P, None, *K0_RADII.values()), ProblemParams(2.0, 1.2, 0.5)),
     (NodalDomain, (3.9, 3.8, 1.9), 4.0),
-    (EnergyReport, (3.9, 1.9, ()), 4.0),
-    (BubbleDiagnostics, (1, 2.0, -3.0, 0.1, ((0.5, -0.1),), 1e-3, 0.2, 0.25),
-     2),
+    (EnergyReport, (1.9, ()), 2.0),
+    (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25), ()),
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
-    (MemberRecord, (0, 1e-2, 1.2, 2.0, (0.0,), (-math.inf,), (2.0,), (-1.5,),
-                    (3.9,), 3.9, 1.9, 1e-12, 1e-11, (2.0,), (None,), 1), 1),
+    (MemberRecord, (0, 1e-2, 1.2, (0.0,), (-math.inf,), (2.0,), (-1.5,),
+                    (3.9,), 1.9, 1e-12, 1e-11, (2.0,), (None,), 1), 1),
     (FailedMember, (3, 1e-5, 1.2, "NoSolutionInRangeError"), 4),
     (SequenceExperiment, (SPEC, (), ()), FamilySpec(1, 1.0, (1.0,) * 4,
                                                      (1.2,) * 4)),
     (FormulaReport, ("aaa1", True), "f4[1]"),
     (ExperimentConfig, ("verify",), "profile"),
-    (Eigenpair, (1, 2.404825557695773, 5.783185962946785), 2),
+    (Eigenpair, (1, 2.404825557695773), 2),
 ]
 MUTABLE = {ExperimentConfig}
 
@@ -93,7 +91,7 @@ def test_missing_field_raises():
 @pytest.mark.parametrize("build, match", [
     (lambda: ProblemParams(1.0, 2.5, 0.5), "beta"),
     (lambda: FamilySpec(0, 1.0, (1e-2, 1e-3, 1e-4), (1.2,) * 3), "4 members"),
-    (lambda: RadialSolution(P, 1, 2.0, None, *K0_RADII.values()),
+    (lambda: RadialSolution(P, None, **{**K0_RADII, "boundary_ru": (-1.5, 0.5)}),
      "nodal radius count"),
 ])
 def test_post_init_checks_still_raise(build, match):
