@@ -2,18 +2,17 @@
 
 Every check here is an exact identity for exact solutions, so the
 residuals certify the solver end to end: the per-domain Nehari identity
-(dirichlet == nehari), the log-weighted peak identity, the first-integral
-boundary relation, and a Sturm-type upper bound on the zero count after a
-Liouville change of variables.
+(dirichlet == nehari), the log-weighted peak identity, the first integral
+r*u'(r) = -int_0^r lambda f(u) s ds at the nodal radii, and a Sturm-type
+upper bound on the zero count after a Liouville change of variables.
 
 decompose yields each nodal domain's energy integrals only; the domain's
 sign, peak and radii are read from the RadialSolution that owns them.
-All integrals of the form int(... r dr) are read from the augmented
-trajectory channels at the refined zeros, the potential as -q_flux/2;
-only the log-weighted integrals and the Sturm bound run dedicated
-adaptive quadrature on the dense interpolant, in log radius, where the
-concentrated mass is spread out.  Radii are read as log radii throughout:
-the inner radii of a deep solution underflow binary64.
+The domain energies int(... r dr) are read from the augmented trajectory
+channels at the refined zeros, the potential as -q_flux/2; the other
+integrals run adaptive quadrature on the dense interpolant, in log
+radius, where the concentrated mass is spread out.  Radii are read as log
+radii throughout: the inner radii of a deep solution underflow binary64.
 """
 
 from __future__ import annotations
@@ -122,6 +121,13 @@ def identity_residual(sol: RadialSolution, i: int) -> float:
         inner = _log_weighted_integral(sol, t_im1, t_rho, lambda t: t - t_im1)
         res = max(res, abs(abs(inner) - mu) / mu)
     return res
+
+
+def first_integral_residual(sol: RadialSolution) -> float:
+    """max over the nodal radii of |int_0^{r_i} lambda f(u) s ds + r_i u'(r_i)|
+    / |r_i u'(r_i)|, by quadrature: every step conserves r*u' + e_src exactly."""
+    return max(abs(_log_weighted_integral(sol, -math.inf, t, lambda _: 1.0) + ru)
+               / abs(ru) for t, ru in zip(sol.log_nodal_radii, sol.boundary_ru))
 
 
 def boundary_flux(sol: RadialSolution, i: int) -> float:

@@ -22,8 +22,9 @@ State vector (6 components, log-radius form):
              by parts, lambda * int F(u) s ds = lambda*F(u(r))*r^2/2 - q_flux/2,
              and the boundary term vanishes at zeros of u, so the potential
              energy is read there as -q_flux/2 and F is never evaluated
-    e_src    running integral of lambda*f(u) * s ds     = int sign(u) e^E dt
-             (first integral: r*u'(r) + e_src(r) = 0, zero flux at the origin)
+    e_src    running integral of lambda*f(u) * s ds     = int sign(u) e^E dt;
+             no certificate reads it (each step conserves r*u' + e_src), but
+             the error test weighs it, and dropping it would move every root
 
 A sensitivity channel, two more states that carry d/ds, may follow these
 six: each stretch's one right-hand side appends their derivatives from the
@@ -43,12 +44,12 @@ Three stretches, each in the variables that keep it accurate:
    with R the nonlinear remainder of E in u - s, evaluated with log1p and
    expm1: no u^2 is formed from two huge numbers, and the absolute error
    of D stays far below that of u - s.
-2. Free flight.  Once E < -60 past the bubble, the forcing (below 1e-26)
-   is dropped and u is linear in t until E climbs back to -60.  The line's
-   zero lies ~s^2/2 further on; it is formed in closed form with the
-   s^2/2 terms cancelled exactly, where stepping across the flight would
-   cost about s^2*2^-53 in its log radius.  Dropping the forcing moves
-   that zero by about s^3*exp(-60)/4 (2e-12 at s = 1e5).
+2. Free flight.  Once E < -60 + min(0, ln s) past the bubble, the forcing
+   (below 1e-26 min(1, s)) is dropped and u is linear in t until E climbs
+   back.  The line's zero lies ~s^2/2 further on; it is formed in closed
+   form with the s^2/2 terms cancelled exactly, where stepping across the
+   flight would cost about s^2*2^-53 in its log radius.  Dropping the
+   forcing moves that zero by about s^3*exp(-60)/4 (2e-12 at s = 1e5).
 3. The rest, in absolute t, from the landing (or from u < s/2 when E
    never falls to -60).  Where the forcing is awake the error test weighs
    u by dE/du, so that later bubbles keep E, not just u, to rel_tol.
@@ -64,10 +65,12 @@ Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
 7th-order dense output built lazily: an accepted step keeps its stage
 slopes and spends the three extra stages on the interpolant only when it
 is first read (while shooting, the steps with a zero or a peak; for a
-solution's analysis, every step it reads).  Events (zeros of u, interior
-critical points) are detected by sign change at step endpoints and
-polished on the interpolant.  A step that crosses an interior zero is
-retaken to end on it: u*|u|^beta is not smooth there (ibid., sec. II.6).
+solution's analysis, every step it reads).  The error test's scale is
+abs_tol*min(1, s) + rel_tol*|y| (ibid., sec. II.4), as u is of size s.
+Events (zeros of u, interior critical points) are detected by sign
+change at step endpoints and polished on the interpolant.  A step that
+crosses an interior zero is retaken to end on it: u*|u|^beta is not
+smooth there (ibid., sec. II.6).
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ _ER1, _, _, _, _, _ER6, _ER7, _ER8, _ER9, _ER10, _ER11, _ER12 = _ER
 _BHH1, _BHH9, _BHH12 = _BHH
 
 _E_START = -40.0      # exponent at the first step
-_E_QUIET = -60.0      # below this, after the bubble, the bubble frame hands over
+_E_QUIET = -60.0      # past the bubble, E below this + min(0, ln s) hands over
 _HANDOFF_DROP = 0.5   # ... as it does once u < (1 - this) * s
 _LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger radius
 # Exponents above this only occur in trial stages the error test rejects;
@@ -190,6 +193,10 @@ _LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger rad
 _E_CLIP = 300.0
 _LOG_MAX = 709.0      # exp() of more overflows binary64
 _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
+# Amplitude floor: _march's den*sc[j] underflows below it (first at 3.1e-145).
+# From it up (k <= 2, beta = 1.3, alpha in {0.2, 3}, 30 points a decade to
+# 1e-130) ln(lambda) is ln j_{0,k+1}^2 to 1e-12 at the defaults, 2e-8 at scan.
+MIN_AMPLITUDE = 1e-144
 # Runaway caps: an integration that passes either raises ZeroNotReachedError.
 MAX_RADIUS = 1e6
 MAX_STEPS = 2_000_000
@@ -197,12 +204,16 @@ MAX_STEPS = 2_000_000
 
 @record
 class SolverSettings:
-    """Integration tolerances.
+    """Integration tolerances: from u(0) = s the error test's scale is
+    abs_tol*min(1, s) + rel_tol*|y|, so abs_tol is relative to s below 1.
 
     At the defaults ln(lambda) = 2 t_{k+1} is off a rel_tol=1e-13 solve by at
     most 1.7e-11 where sampled (k <= 2, alpha = 1, beta in {0.5, 1, 1.3, 1.8},
     30 and 60 log-spaced s in [0.5, 24]), at k = 1, beta = 1.8, s =
     14.070706319014791 (177x less at s(1 + 1e-13)), below the 1e-10 of roots.
+    Below s = 1: within 1.3e-13 of rel_tol=1e-14 (beta in {0.5, 1.2, 1.3,
+    1.8}, s from 1e-8 to 0.9) and, for beta >= 1.2, of ln j_{0,k+1}^2 to
+    6.9e-14 at s = 1e-12, 1e-16, ..., 1e-140.
     """
 
     rel_tol: float = 1e-12
@@ -463,11 +474,8 @@ class Trajectory:
         return self.eval_log(t)[1]
 
     def source_log(self, t: float) -> float:
-        """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t."""
+        """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start."""
         ti = t + self._shift
-        if t < self.t_start:
-            frame = self.steps[0].frame
-            return math.exp(frame.E0 + 2.0 * (ti - frame.t0))
         st = self._step_for(t)
         if st.frame is not None:  # u > 0 in the bubble frame
             tau = ti - st.frame.t0
@@ -641,18 +649,19 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     at fixed tau in the frame, the closed-form t_z' across the flight and
     (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
     Each stretch's one right-hand side appends the channel's derivatives.
-    Raises ZeroNotReachedError if the radius cap or the step budget is hit
-    first, and StiffnessError if the step collapses.
+    The error test's absolute tolerance is abs_tol*min(1, s) (SolverSettings).
+    Raises ValueError below MIN_AMPLITUDE, ZeroNotReachedError if the radius
+    cap or the step budget is hit first, StiffnessError if the step collapses.
     """
-    if not (s > 0.0):
-        raise ValueError(f"amplitude must be positive, got {s!r}")
+    if not (s >= MIN_AMPLITUDE):
+        raise ValueError(f"amplitude must be at least {MIN_AMPLITUDE!r}, got {s!r}")
     if n_zeros < 1:
         raise ValueError("need at least one zero to stop on")
     if settings is None:
         settings = SolverSettings()
 
     alpha, beta, loglam = p.alpha, p.beta, p.log_lambda
-    rel, atol = settings.rel_tol, settings.abs_tol
+    rel, atol = settings.rel_tol, settings.abs_tol * min(1.0, s)  # u ~ s
     sb = s ** beta
 
     # ---- start: E = E_START, u = s to machine precision -------------------
@@ -730,6 +739,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     # keep u, and that zero's log radius, within ~abs_tol.
     a_dev = K * atol / (1.0 + 0.5 * s * s)
     a_bubble = (a_dev, a_dev / (1.0 + 0.5 * s), atol, atol, atol, atol)
+    e_quiet = _E_QUIET + min(0.0, math.log(s))  # quiet relative to u ~ s
     last_e = [-math.inf]
     quiet = [False]
 
@@ -739,7 +749,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         steps.append(step)
         check_caps(t0 + step.x1)
         e = frame.exponent_at(step.x1, step.y1[0])
-        quiet[0] = e < min(_E_QUIET, last_e[0])
+        quiet[0] = e < min(e_quiet, last_e[0])
         if quiet[0] or frame.state(step.x1, step.y1)[0] < (1.0 - _HANDOFF_DROP) * s:
             return True
         last_e[0] = e
@@ -789,7 +799,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         def awake_on_line(t):
             u = sigma * (t_z - t)
             return u != 0.0 and (2.0 * t + loglam + math.log(abs(u)) + u * u
-                                 + alpha * abs(u) ** beta) >= _E_QUIET
+                                 + alpha * abs(u) ** beta) >= e_quiet
 
         # land where E climbs back to E_QUIET: before the zero if the local
         # maximum of E there (at u ~ sigma/2) reaches it, else past the zero
@@ -907,13 +917,3 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     w = step.value(t_n, _NCOMP)
     return Trajectory(p, s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
 
-
-def first_integral_residual(traj: Trajectory) -> float:
-    """max over accepted steps of |r*u'(r) + e_src(r)| (zero-flux identity)."""
-    worst = 0.0
-    for st in traj.steps:
-        y1 = st.end()
-        res = abs(y1[1] + y1[5])
-        if res > worst:
-            worst = res
-    return worst

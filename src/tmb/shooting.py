@@ -38,9 +38,8 @@ _BUDGET_MARGIN = 0.5
 # are polished to.
 S_MAX = 1e5
 
-# Relaxed tolerances of the trace and of Newton's first steps.  _scan_settings
-# scales abs_tol by min(1, s), the size of u: a fixed abs_tol left
-# ln(lambda) off by 4e-5 at s = 1e-6 (k=0, beta=1.2).
+# Relaxed tolerances of the trace and Newton's first steps; abs_tol is relative
+# to s below 1, as in every solve (fixed, it put ln(lambda) 4e-5 off at s = 1e-6).
 SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
 # A polished root matches the target to this much in ln(lambda).
 POLISH_TOL = 1e-10
@@ -196,15 +195,10 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     )
 
 
-def _scan_settings(s: float) -> SolverSettings:
-    """SCAN_SETTINGS with abs_tol scaled by min(1, s)."""
-    return SolverSettings(SCAN_SETTINGS.rel_tol, SCAN_SETTINGS.abs_tol * min(1.0, s))
-
-
 def _node(k: int, p0: ProblemParams, x: float) -> tuple:
     """(x, ln lambda, d ln lambda/d ln s) at s = exp(x), at scan tolerance."""
     s = math.exp(x)
-    _, traj = solve_unit_lambda(s, k, p0, _scan_settings(s), sensitivity=True)
+    _, traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS, sensitivity=True)
     return x, 2.0 * traj.log_zeros[k][0], traj.log_slope
 
 
@@ -283,8 +277,8 @@ def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
         try:
-            _, traj = solve_unit_lambda(s, k, p0, _scan_settings(s) if scan
-                                        else settings, sensitivity=True)
+            _, traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS if scan else settings,
+                                        sensitivity=True)
         except ZeroNotReachedError:
             return None
         f, slope = 2.0 * traj.log_zeros[k][0] - lt, traj.log_slope

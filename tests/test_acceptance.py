@@ -15,13 +15,17 @@ import mpmath as mp
 import pytest
 
 from tmb import ProblemParams
-from tmb.analysis import identity_residual, nehari_residual, sturm_bound_check
+from tmb.analysis import (
+    first_integral_residual,
+    identity_residual,
+    nehari_residual,
+    sturm_bound_check,
+)
 from tmb.bessel import j0_zero
 from tmb.bubbles import derivative_bound_check, liouville_reference
 from tmb.cli import main as cli_main, parse_config
 from tmb.errors import FamilyEmptyError, NoSolutionInRangeError
 from tmb.families import FamilySpec, estimate_limit, run_family, verify_formulas
-from tmb.ode import first_integral_residual
 from tmb.shooting import lambda_of_s, nodal_solution, trace
 
 from conftest import L1, SESSION_T0, T1, T2
@@ -118,7 +122,7 @@ def test_criterion_3_exact_identities():
             failures.append(("nehari", sol.params))
         if max(identity_residual(sol, i) for i in range(1, sol.k + 2)) > 1e-6:
             failures.append(("identity", sol.params))
-        if first_integral_residual(sol.trajectory) > 1e-8:
+        if first_integral_residual(sol) > 1e-8:
             failures.append(("first-integral", sol.params))
         if sol.k >= 1 and not sturm_bound_check(sol)[1]:
             failures.append(("sturm", sol.params))

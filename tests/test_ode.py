@@ -6,12 +6,13 @@ import math
 import pytest
 
 from tmb import ode
-from tmb.analysis import decompose
+from tmb.analysis import decompose, first_integral_residual
+from tmb.bessel import j0_zero
 from tmb.errors import StiffnessError, TmbError, ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams, primitive_F
-from tmb.ode import SolverSettings, first_integral_residual, integrate_radial
+from tmb.ode import SolverSettings, integrate_radial
 from tmb.quadrature import adaptive_quadrature
-from tmb.shooting import POLISH_TOL, SCAN_SETTINGS
+from tmb.shooting import POLISH_TOL, SCAN_SETTINGS, solution_at
 
 from conftest import T1
 
@@ -48,15 +49,37 @@ class TestLinearization:
     def test_slope_at_first_zero_negative(self, linear_traj):
         assert linear_traj.log_zeros[0][1] < 0.0  # r*u', same sign as u'
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("s", [1e-12, 1e-50, ode.MIN_AMPLITUDE])
+    def test_tiny_amplitude_is_bessel(self, s, k):
+        # below s = 1 abs_tol is relative to s, the size of u, so the
+        # linear limit ln(lambda) = ln j_{0,k+1}^2 holds to rounding; with
+        # an absolute abs_tol lambda(1e-12) came out 5.4 Lambda_1 (k = 0).
+        # At scan tolerance it holds to 2e-8; with the flight's quiet level
+        # E < -60 not lowered by ln s, s = 1e-50 was 0.015 off (k = 0) or
+        # never reached its zero (k >= 1)
+        p = ProblemParams(alpha=1.0, beta=1.3, lam=1.0)
+        ln_j2 = 2.0 * math.log(j0_zero(k + 1).t_k)
+        for settings, tol in ((None, 1e-12), (SCAN_SETTINGS, 2e-8)):
+            t = integrate_radial(s, p, k + 1, settings).log_zeros[k][0]
+            assert abs(2.0 * t - ln_j2) <= tol
+
 
 class TestFirstIntegral:
     @pytest.mark.parametrize("s", [1e-8, 0.5, 5.0])
     def test_zero_flux_identity(self, s):
-        traj = integrate_radial(s, P12, 1)
-        assert first_integral_residual(traj) <= 1e-8
+        assert first_integral_residual(solution_at(s, 0, P12)) <= 1e-8
 
-    def test_deep_zero_flux(self, deep_traj):
-        assert first_integral_residual(deep_traj) <= 1e-8
+    def test_deep_zero_flux(self):
+        assert first_integral_residual(solution_at(13.5, 0, P12)) <= 1e-8
+
+    def test_loose_solve_flagged(self):
+        # at scan tolerance the quadrature of lambda*f(u) misses r*u' by
+        # 4.5e-8 at the zero (k = 0, beta = 1.3, s = 5), while r*u' + e_src
+        # stays below 1e-9: every Runge-Kutta step conserves that sum
+        sol = solution_at(5.0, 0, ProblemParams(1.0, 1.3, 1.0), SCAN_SETTINGS)
+        assert first_integral_residual(sol) > 1e-8
+        assert max(abs(st.end()[1] + st.end()[5]) for st in sol.trajectory.steps) < 1e-9
 
     def test_energy_consistency_at_stop_radius(self):
         # r u'(r) = -int_0^r lambda f(u) s ds before the first zero,
@@ -115,8 +138,10 @@ class TestSelfConvergence:
         assert abs(z2 - z1) < budget
 
     @pytest.mark.parametrize("k, alpha, beta, s", [
+        # below s = 1 abs_tol is relative to s: an absolute 1e-14 missed by
+        # up to 4.2e-10 at s = 1e-6
         (k, 1.0, beta, s) for k in (0, 1, 2) for beta in (0.5, 1.3, 1.8)
-        for s in (0.5, 5.0, 24.0)
+        for s in (1e-6, 1e-4, 0.5, 5.0, 24.0)
     ] + [
         # the kink of alpha*|u|^beta at every zero for beta < 1
         (k, 3.0, 0.3, s) for k in (1, 2) for s in (0.3, 1.0, 2.0, 3.0, 5.0)
@@ -213,6 +238,24 @@ class TestAugmentedChannels:
             assert abs(pot - dom.potential) <= 1e-10 * dom.potential
             lo, pot = hi, 0.0
 
+    def test_head_before_first_step(self, sol_mid):
+        # no step covers t < t_start: eval_log returns the closed-form head
+        # of the Liouville bubble there.  Check it against the equation, on
+        # a solution's dilated trajectory, with exp(E) formed from u itself:
+        # r*u' = -e_src, and e_dir, e_neh, q_flux and e_src grow at the
+        # rates of their integrands (centred differences, O(h^2) = 3e-8)
+        traj, p = sol_mid.trajectory, sol_mid.params
+        h = 1e-4
+        for t in (traj.t_start - 1.0, traj.t_start - 5.0):
+            u, ru, *channels = traj.eval_log(t)
+            g = math.exp(2.0 * t + p.log_lambda + math.log(u) + u * u
+                         + p.alpha * u ** p.beta)
+            assert u <= sol_mid.amplitude
+            assert ru == pytest.approx(-channels[3], rel=1e-12, abs=0.0)
+            for i, rate in enumerate((ru * ru, u * g, g * ru, g)):
+                grown = traj.eval_log(t + h)[2 + i] - traj.eval_log(t - h)[2 + i]
+                assert grown / (2.0 * h) == pytest.approx(rate, rel=1e-7, abs=0.0)
+
     def test_dense_matches_endpoint(self, deep_traj):
         st = deep_traj.steps[len(deep_traj.steps) // 2]
         y = deep_traj.eval_log(st.t1)
@@ -283,8 +326,11 @@ class TestStopsAndErrors:
         assert 0.0 < exc.value.step <= 1.0
 
     def test_invalid_amplitude(self):
-        with pytest.raises(ValueError):
-            integrate_radial(-1.0, P12, 1)
+        # 1e-200 lies below ode.MIN_AMPLITUDE; s^2 underflows to 0.0 there,
+        # which was an untyped ZeroDivisionError
+        for s in (-1.0, 1e-200):
+            with pytest.raises(ValueError, match="amplitude"):
+                integrate_radial(s, P12, 1)
 
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,19 @@
 """Shooting construction: eigenvalue limits, dilation, branch finding."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from tmb.bessel import j0_zero
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
 from tmb.families import _summarize
+from tmb.analysis import first_integral_residual
 from tmb.nonlinearity import ProblemParams
 from tmb import ode, shooting
-from tmb.ode import SolverSettings, first_integral_residual
+from tmb.ode import SolverSettings
 from tmb.shooting import (
+    SCAN_SETTINGS,
     Trace,
     amplitude_budget,
     lambda_of_s,
@@ -101,12 +104,36 @@ class TestNodalSolution:
         assert len(calls) == 0
         assert len(scan_calls) <= 3
 
+    def test_newton_bisects_the_shrinking_bracket(self, monkeypatch):
+        # a scan-tolerance Newton step that would leave the bracket the
+        # iterates have shrunk to is replaced by the bracket's midpoint.
+        # On ln(lambda) = atan(8 ln s) (target 0, bracket [-1, 1] in ln s)
+        # the steps, clipped to the trust radius 0.5, go 0.25 -> -0.25 and
+        # back to 0.25, the shrunk bracket's end; the midpoint 0 is the
+        # root, which the next, full-tolerance solve accepts
+        full = SolverSettings()
+        calls = []
+
+        def unit_lambda(s, k, p0, settings=None, sensitivity=False):
+            x = math.log(s)
+            calls.append((x, settings))
+            traj = SimpleNamespace(log_zeros=[(0.5 * math.atan(8.0 * x), -1.0)],
+                                   log_slope=8.0 / (1.0 + 64.0 * x * x))
+            return [], traj
+
+        monkeypatch.setattr(shooting, "solve_unit_lambda", unit_lambda)
+        traj = shooting._newton(0, 0.0, P12, full, 0.25, -1.0, 1.0, math.atan(-8.0))
+        assert traj is not None and traj.log_zeros[0][0] == 0.0
+        xs = [x for x, _ in calls]
+        assert xs == pytest.approx([0.25, -0.25, 0.0, 0.0], abs=1e-15)
+        assert [settings for _, settings in calls] == [SCAN_SETTINGS] * 3 + [full]
+
     @pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-2])
     def test_scan_tolerance_follows_amplitude(self, s):
-        # u is of size s, so the scan's abs_tol scales with min(1, s): a
-        # fixed 1e-9 left ln(lambda) off by 4.1e-5 at s = 1e-6
+        # u is of size s, so every solve scales abs_tol by min(1, s): a
+        # fixed scan abs_tol of 1e-9 left ln(lambda) off by 4.1e-5 at s = 1e-6
         full = 2.0 * solve_unit_lambda(s, 0, P12)[1].log_zeros[0][0]
-        _, traj = solve_unit_lambda(s, 0, P12, shooting._scan_settings(s))
+        _, traj = solve_unit_lambda(s, 0, P12, SCAN_SETTINGS)
         assert abs(2.0 * traj.log_zeros[0][0] - full) <= 1e-7
 
     @pytest.mark.parametrize("beta, fold, target, roots", [
@@ -263,7 +290,7 @@ class TestNodalSolution:
                    for j in range(1, 40))
 
     def test_dilation_preserves_first_integral(self, sol_mid):
-        assert first_integral_residual(sol_mid.trajectory) <= 1e-8
+        assert first_integral_residual(sol_mid) <= 1e-8
 
     def test_rescaled_equation_residual(self, sol_mid):
         # -u'' - u'/r = lambda f(u) on the unit ball; u'' is differenced
