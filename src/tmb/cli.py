@@ -4,7 +4,11 @@ Configs are INI-style key-value files (sections [problem], [family],
 [tolerances], [output]).  Outputs are RFC-4180 CSVs with floats at 17
 significant digits plus a JSON metadata sidecar; timestamps live only in
 the sidecar so reruns are byte-identical.  Every CSV row carries the
-config hash for provenance joins.
+config hash for provenance joins.  `solve` (one member per branch) and
+`verify` (one per family member) write the same files: solutions.csv,
+one profile_n{n}_d{i}.csv per domain i of member n whose rescaled bubble
+profile fits its window, and, for families, formula_reports.csv;
+`bessel` writes bessel.csv.
 
 Each value is checked by the code that owns it: ProblemParams, FamilySpec,
 SolverSettings, shooting.check_nodal_class for k, and bessel.j0_zero for
@@ -45,7 +49,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-COMMANDS = ("solve", "profile", "verify", "bessel")
+COMMANDS = ("solve", "verify", "bessel")
 BESSEL_COUNT = 3  # eigenpairs `bessel` prints when no k is given
 
 
@@ -226,25 +230,18 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     return cfg
 
 
-def _solution_fieldnames(k: int) -> list:
-    names = ["n", "lambda", "beta", "k", "amplitude"]
-    for i in range(1, k + 2):
-        names += [f"r_{i}", f"rho_{i}", f"mu_{i}", f"du_at_r{i}", f"dirichlet_{i}"]
-    names += ["full_dirichlet", "functional", "nehari_residual",
-              "identity_residual_max", "config_hash"]
-    return names
-
-
-def _solution_row(n, rec, cfg) -> dict:
-    row = {"n": n, "lambda": rec.lam, "beta": rec.beta, "k": rec.k,
-           "amplitude": rec.amplitude, "full_dirichlet": rec.full_dirichlet,
-           "functional": rec.functional, "nehari_residual": rec.nehari_residual,
-           "identity_residual_max": rec.identity_residual_max,
-           "config_hash": cfg.config_hash}
+def _solution_row(rec, cfg) -> dict:
+    """A solutions.csv row; its keys, in order, are the header."""
+    row = {"n": rec.index, "lambda": rec.lam, "beta": rec.beta, "k": rec.k,
+           "amplitude": rec.amplitude}
     for i, cells in enumerate(zip(rec.nodal_radii, rec.peak_radii, rec.peak_values,
                                   rec.boundary_slopes, rec.dirichlet), start=1):
         names = (f"r_{i}", f"rho_{i}", f"mu_{i}", f"du_at_r{i}", f"dirichlet_{i}")
         row.update(zip(names, cells))
+    row.update(full_dirichlet=rec.full_dirichlet, functional=rec.functional,
+               nehari_residual=rec.nehari_residual,
+               identity_residual_max=rec.identity_residual_max,
+               config_hash=cfg.config_hash)
     return row
 
 
@@ -260,6 +257,63 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
         fh.write("\n")
 
 
+def _solve_members(cfg: ExperimentConfig, extra: dict) -> tuple:
+    """(member records, family run or None): for solve one record per
+    branch, n its index; for verify run_family's.  The branch count or the
+    failures go to the metadata entries in extra."""
+    if cfg.command == "solve":
+        if cfg.lam is None:
+            raise ConfigError("solve needs [problem] lambda", field="lambda")
+        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
+                              settings=cfg.settings)
+        extra["branches"] = len(sols)
+        return [_summarize(n, cfg.lam, cfg.beta, sol, len(sols))
+                for n, sol in enumerate(sols)], None
+    if cfg.family is None:
+        raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
+    exp = run_family(cfg.family, settings=cfg.settings)
+    if exp.failures:
+        extra["failures"] = [{"n": f.index, "lambda": f.lam, "beta": f.beta,
+                              "reason": f.reason} for f in exp.failures]
+    return exp.records, exp
+
+
+def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
+    """Solve, then write solutions.csv, a profile_n{n}_d{i}.csv for each
+    domain with bubble diagnostics, and for a family formula_reports.csv."""
+    records, exp = _solve_members(cfg, extra)
+    rows = [_solution_row(rec, cfg) for rec in records]
+    emit_csv(rows, out / "solutions.csv", list(rows[0]))
+    for rec in records:
+        for i, diag in enumerate(rec.bubbles, start=1):
+            if diag is None:
+                continue
+            prows = []
+            for r, zn in diag.samples:
+                z, phi = liouville_reference(r, rec.beta, cfg.alpha)
+                prows.append({"r": r, "z_n": zn, "z_exact": z, "phi": phi,
+                              "config_hash": cfg.config_hash})
+            emit_csv(prows, out / f"profile_n{rec.index}_d{i}.csv",
+                     ["r", "z_n", "z_exact", "phi", "config_hash"])
+    if exp is None:
+        return
+    if len(records) < 3:
+        extra["verify_skipped"] = "fewer than 3 successful members"
+        return
+    reports = verify_formulas(exp)
+    emit_csv([{"formula_id": rep.formula_id, "applicable": int(rep.applicable),
+               "raw_last": rep.raw_last, "extrapolated": rep.extrapolated,
+               "target": rep.target, "rel_error": rep.rel_error,
+               "slow_rate_flag": int(rep.slow_rate),
+               "config_hash": cfg.config_hash} for rep in reports],
+             out / "formula_reports.csv",
+             ["formula_id", "applicable", "raw_last", "extrapolated",
+              "target", "rel_error", "slow_rate_flag", "config_hash"])
+    # why a formula is inapplicable, or what an applicable one assumed:
+    # free text, so it stays out of the CSV
+    extra["formula_notes"] = {rep.formula_id: rep.note for rep in reports}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute a parsed config; returns the process exit status.
 
@@ -269,79 +323,22 @@ def run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.time()
-    status = 0
     extra: dict = {}
-
     if cfg.command == "bessel":
         from .bessel import eigenpairs
         try:
             pairs = eigenpairs(cfg.k)
         except ValueError as exc:
             raise ConfigError(str(exc), field="k") from exc
-        rows = [{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
-                 "config_hash": cfg.config_hash} for ep in pairs]
         for ep in pairs:
             print(f"k={ep.k}  t_k={ep.t_k:.15g}  lambda_k={ep.lambda_k:.15g}")
-        emit_csv(rows, out / "bessel.csv", ["k", "t_k", "lambda_k", "config_hash"])
-        _write_metadata(cfg, out, time.time() - t0, started_at, {})
-        return 0
-
-    if cfg.command == "solve":
-        if cfg.lam is None:
-            raise ConfigError("solve needs [problem] lambda", field="lambda")
-        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
-                              settings=cfg.settings)
-        rows = [_solution_row(n, _summarize(n, cfg.lam, cfg.beta, sol, len(sols)), cfg)
-                for n, sol in enumerate(sols)]
-        emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
-        extra["branches"] = len(sols)
-        _write_metadata(cfg, out, time.time() - t0, started_at, extra)
-        return 0
-
-    # family-driven commands
-    if cfg.family is None:
-        raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    exp = run_family(cfg.family, settings=cfg.settings)
-    if exp.failures:
-        status = 1
-        extra["failures"] = [{"n": f.index, "lambda": f.lam, "beta": f.beta,
-                              "reason": f.reason} for f in exp.failures]
-    rows = [_solution_row(rec.index, rec, cfg) for rec in exp.records]
-    emit_csv(rows, out / "solutions.csv", _solution_fieldnames(cfg.k))
-
-    if cfg.command == "profile":
-        for rec in exp.records:
-            for i, diag in enumerate(rec.bubbles, start=1):
-                if diag is None:
-                    continue
-                prows = []
-                for r, zn in diag.samples:
-                    z, phi = liouville_reference(r, rec.beta, cfg.alpha)
-                    prows.append({"r": r, "z_n": zn, "z_exact": z, "phi": phi,
-                                  "config_hash": cfg.config_hash})
-                emit_csv(prows, out / f"profile_n{rec.index}_d{i}.csv",
-                         ["r", "z_n", "z_exact", "phi", "config_hash"])
-
-    if cfg.command == "verify":
-        if len(exp.records) >= 3:
-            reports = verify_formulas(exp)
-            rrows = [{"formula_id": rep.formula_id, "applicable": int(rep.applicable),
-                      "raw_last": rep.raw_last, "extrapolated": rep.extrapolated,
-                      "target": rep.target, "rel_error": rep.rel_error,
-                      "slow_rate_flag": int(rep.slow_rate),
-                      "config_hash": cfg.config_hash} for rep in reports]
-            emit_csv(rrows, out / "formula_reports.csv",
-                     ["formula_id", "applicable", "raw_last", "extrapolated",
-                      "target", "rel_error", "slow_rate_flag", "config_hash"])
-            # why a formula is inapplicable, or what an applicable one
-            # assumed: free text, so it stays out of the CSV
-            extra["formula_notes"] = {rep.formula_id: rep.note for rep in reports}
-        else:
-            status = 1
-            extra["verify_skipped"] = "fewer than 3 successful members"
-
+        emit_csv([{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
+                   "config_hash": cfg.config_hash} for ep in pairs],
+                 out / "bessel.csv", ["k", "t_k", "lambda_k", "config_hash"])
+    else:
+        _emit_members(cfg, out, extra)
     _write_metadata(cfg, out, time.time() - t0, started_at, extra)
-    return status
+    return 1 if "failures" in extra or "verify_skipped" in extra else 0
 
 
 def main(argv=None) -> int:

@@ -31,6 +31,11 @@ seed_note = cheap verify family
 """
 
 
+def _profile_digests(out):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.glob("profile_n*_d*.csv")}
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -175,7 +180,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert len([line for line in out.splitlines() if line.startswith("k=")]) == 3
 
-    @pytest.mark.parametrize("command", ["solve", "profile", "verify"])
+    @pytest.mark.parametrize("command", ["profile", "sweep"])
+    def test_unknown_command_exits_2(self, tmp_path, capsys, command):
+        # profile folded into verify and solve, which write its files
+        cfg = _write(tmp_path, CHEAP_VERIFY)
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_k_flag_outside_bessel_exits_2(self, tmp_path, capsys, command):
         # --k used to overwrite cfg.k but not cfg.family.k, so a family run
         # solved every member and then failed on a missing CSV field
@@ -322,14 +338,32 @@ class TestCommands:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["failures"][0]["lambda"] == 7.0
 
+    # SHA-256 of the profile files that `tmb profile` wrote for the same
+    # configs before verify and solve took them over (x86-64 Linux); a
+    # change that moves a root changes them
     def test_profile_files(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)
         out = tmp_path / "prof"
-        assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
-        files = sorted(out.glob("profile_n*_d1.csv"))
-        assert files
-        header = files[0].read_text().splitlines()[0]
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        header = (out / "profile_n0_d1.csv").read_text().splitlines()[0]
         assert header == "r,z_n,z_exact,phi,config_hash"
+        assert _profile_digests(out) == {
+            "profile_n0_d1.csv": "12beea20c0ed5b06ec9c789f1924c26039cf2de648846bcca89bf3ce7a6cca8c",
+            "profile_n1_d1.csv": "a1bdbbb5cd35f657ee77fa80890cc819dadfba2715569be473b39433c0d9854a",
+            "profile_n2_d1.csv": "055ea1cd131fb2cecefe414dd75703fc73011b29562048e0fab5e862c058ec4d",
+            "profile_n3_d1.csv": "80f8cd98fb64f6297dca2dff22890b7dc6cfece8372ee0faf2d2f990dc69fc62",
+        }
+
+    def test_solve_profile_files(self, tmp_path):
+        # with lambda = 0.5, solve's one branch is the family's first
+        # member, bit for bit
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace("[problem]",
+                                                    "[problem]\nlambda = 0.5"))
+        out = tmp_path / "prof"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _profile_digests(out) == {
+            "profile_n0_d1.csv": "0448f47fa622ef311204e2cd07dc974e73b1c05446a95f4027b538e5deddfcb1",
+        }
 
     def test_solve_single_target(self, tmp_path):
         text = "[problem]\nk = 0\nalpha = 1.0\nbeta = 1.0\nlambda = 0.5\n"

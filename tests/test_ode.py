@@ -82,12 +82,22 @@ class TestFirstIntegral:
         assert max(abs(st.end()[1] + st.end()[5]) for st in sol.trajectory.steps) < 1e-9
 
     def test_energy_consistency_at_stop_radius(self):
-        # r u'(r) = -int_0^r lambda f(u) s ds before the first zero,
-        # checked against the separately integrated source channel
-        traj = integrate_radial(0.5, P12, 1)
-        assert 1.2 < math.exp(traj.log_zeros[0][0])
-        _, ru, _, _, _, e_src = traj.eval_log(math.log(1.2))
-        assert abs(ru + e_src) <= 1e-8
+        # r u'(r) = -int_0^r lambda f(u) s ds before the first zero, the
+        # integral a quadrature of the dense source in log radius (its head
+        # below t_start in closed form, as in analysis), not the e_src
+        # channel: every Runge-Kutta step conserves r u' + e_src.  The
+        # relative residual reads 8e-15 here, and 2.3e-8 at scan tolerance
+        t = math.log(1.2)
+        for settings, fails in ((None, False), (SCAN_SETTINGS, True)):
+            traj = integrate_radial(0.5, P12, 1, settings)
+            assert t < traj.log_zeros[0][0]
+            ts = traj.t_start
+            quad = adaptive_quadrature(
+                traj.source_log, ts, t, rel_tol=1e-12,
+                breakpoints=[b for b in traj.log_step_bounds() if b < t])
+            quad += 0.5 * traj.source_log(ts)
+            ru = traj.ru_log(t)
+            assert (abs(quad + ru) > 1e-8 * abs(ru)) == fails
 
 
 class TestEvents:

@@ -41,7 +41,7 @@ CASES = [
     (SequenceExperiment, (SPEC, (), ()), FamilySpec(1, 1.0, (1.0,) * 4,
                                                      (1.2,) * 4)),
     (FormulaReport, ("aaa1", True), "f4[1]"),
-    (ExperimentConfig, ("verify",), "profile"),
+    (ExperimentConfig, ("verify",), "solve"),
     (Eigenpair, (1, 2.404825557695773), 2),
 ]
 MUTABLE = {ExperimentConfig}
