@@ -11,7 +11,7 @@ shooting, but not the family, diagnostics or Bessel code.
 import importlib
 
 _EXPORTS = {
-    "nonlinearity": ("OVERFLOW_BUDGET", "ProblemParams", "primitive_F"),
+    "nonlinearity": ("ProblemParams",),
     "ode": ("SolverSettings", "Trajectory", "integrate_radial"),
     "bessel": ("Eigenpair", "eigenpairs", "j0", "j0_zero"),
     "shooting": ("RadialSolution", "Trace", "lambda_of_s", "nodal_solution",

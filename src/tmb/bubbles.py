@@ -43,7 +43,7 @@ _LN8 = math.log(8.0)
 class BubbleDiagnostics:
     """Rescaled profile samples and correction fit for one domain."""
 
-    samples: tuple             # (r, z_n(r)) pairs on the requested grid
+    samples: tuple             # (r, z_n, z, phi) rows on the requested grid
     sup_deviation: float       # max over the window of |z_n - z|
     corr_coefficient: float    # least-squares c in z_n - z ~ c*phi
     predicted_coefficient: float  # 1/mu^(2-beta)
@@ -113,17 +113,16 @@ def rescale_profile(sol: RadialSolution, i: int,
             return 0.0  # definition evaluated at the peak
         return 2.0 * mu * (sign * traj.u_log(t_of(rr)) - mu)
 
-    samples = tuple((rr, z_n(rr)) for rr in grid)
-    sup_dev = max(abs(zv - liouville_reference(rr, sol.params.beta,
-                                               sol.params.alpha)[0])
-                  for rr, zv in samples)
+    beta, alpha = sol.params.beta, sol.params.alpha
+    samples = tuple((rr, z_n(rr), *liouville_reference(rr, beta, alpha))
+                    for rr in grid)
+    sup_dev = max(abs(zv - zr) for _, zv, zr, _ in samples)
     # least-squares c on the samples inside FIT_WINDOW
     flo, fhi = FIT_WINDOW
     num = 0.0
     den = 0.0
-    for rr, zv in samples:
+    for rr, zv, zr, ph in samples:
         if flo <= rr <= fhi:
-            zr, ph = liouville_reference(rr, sol.params.beta, sol.params.alpha)
             num += ph * (zv - zr)
             den += ph * ph
     corr = num / den if den > 0.0 else math.nan
@@ -150,7 +149,7 @@ def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
     m = math.exp(log_rho - log_gamma)
     sign = sol.domain_sign(i)
     traj = sol.trajectory
-    for rr, _ in diag.samples:
+    for rr, *_ in diag.samples:
         denom = rr + m
         if rr < 0.0 and denom <= 0.0:
             continue  # outside the transform's validity

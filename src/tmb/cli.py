@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bubbles import liouville_reference
 from .errors import ConfigError, FamilyEmptyError, TmbError
 from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
@@ -284,17 +283,13 @@ def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
     records, exp = _solve_members(cfg, extra)
     rows = [_solution_row(rec, cfg) for rec in records]
     emit_csv(rows, out / "solutions.csv", list(rows[0]))
+    fields = ["r", "z_n", "z_exact", "phi", "config_hash"]  # a sample row, then the hash
     for rec in records:
         for i, diag in enumerate(rec.bubbles, start=1):
-            if diag is None:
-                continue
-            prows = []
-            for r, zn in diag.samples:
-                z, phi = liouville_reference(r, rec.beta, cfg.alpha)
-                prows.append({"r": r, "z_n": zn, "z_exact": z, "phi": phi,
-                              "config_hash": cfg.config_hash})
-            emit_csv(prows, out / f"profile_n{rec.index}_d{i}.csv",
-                     ["r", "z_n", "z_exact", "phi", "config_hash"])
+            if diag is not None:
+                emit_csv([dict(zip(fields, (*row, cfg.config_hash)))
+                          for row in diag.samples],
+                         out / f"profile_n{rec.index}_d{i}.csv", fields)
     if exp is None:
         return
     if len(records) < 3:

@@ -434,8 +434,8 @@ class Trajectory:
       steps: the accepted _Steps, in the log radius they were integrated
         in (before any dilation by shifted); a first-bubble step carries
         frame-local x and y, so read it through t0, t1 and end();
-      u_log, ru_log, eval_log, source_log: dense evaluation,
-        by log radius only;
+      u_log, ru_log, eval_log, source_log: dense evaluation, by log radius
+        only, up to the last step's end (ValueError past it);
       log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel).
     """
 
@@ -450,9 +450,12 @@ class Trajectory:
         self.log_zeros = log_zeros
         self.log_peaks = log_peaks
         self._starts = [st.t0 - shift for st in steps]
+        self._end = steps[-1].t1 - shift
         self.log_slope = log_slope
 
     def _step_for(self, t):
+        if t > self._end:  # no step covers it: the interpolant would extrapolate
+            raise ValueError(f"log radius {t!r} lies past the last step, {self._end!r}")
         idx = bisect_right(self._starts, t) - 1
         return self.steps[max(idx, 0)]
 
@@ -494,7 +497,7 @@ class Trajectory:
 
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
-        return self._starts + [self.steps[-1].t1 - self._shift]
+        return self._starts + [self._end]
 
     def shifted(self, dt: float, params: ProblemParams) -> "Trajectory":
         """Dilated trajectory x -> u(exp(dt)*x), valid for the given params.

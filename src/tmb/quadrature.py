@@ -1,4 +1,5 @@
-"""Globally adaptive Gauss-Kronrod quadrature (G7/K15 pair, interval bisection).
+"""Globally adaptive Gauss-Kronrod quadrature (G7/K15 pair, interval
+bisection): the package's one quadrature rule.
 
 A priority queue keeps the interval with the worst error estimate on top;
 refinement bisects it until the summed error estimate meets the tolerance.
@@ -13,7 +14,6 @@ from .errors import QuadratureFailureError
 
 MAX_INTERVALS = 4000  # interval budget of one adaptive_quadrature call
 MAX_DEPTH = 40  # bisection depth limit of one interval
-PANELS = 64  # equal panels of fixed_composite_gauss
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.  Standard QUADPACK values.
@@ -120,15 +120,3 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
         heapq.heappush(heap, (-e2, tie, depth + 1, mid, ib, v2, e2))
     return total
 
-
-def fixed_composite_gauss(f, a: float, b: float):
-    """Composite 15-point Kronrod rule on PANELS equal panels, no adaptivity.
-
-    Used as an independent cross-check against the adaptive routine.
-    """
-    h = (b - a) / PANELS
-    total = 0.0
-    for i in range(PANELS):
-        v, _ = _gk15(f, a + i * h, a + (i + 1) * h)
-        total += v
-    return total

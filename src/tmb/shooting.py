@@ -68,9 +68,7 @@ def amplitude_budget(p: ProblemParams) -> float:
     def g(s):
         return math.log(s) + s * s + p.alpha * s ** p.beta - target
 
-    lo, hi = 1.0, 40.0
-    while g(hi) < 0.0:
-        hi *= 2.0
+    lo, hi = 1.0, 40.0  # g(40) > ln 40 + 1600 - target > 900 for every alpha > 0
     while not hi - lo < 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
@@ -149,19 +147,17 @@ class RadialSolution(LogRadii):
 
 def solve_unit_lambda(s: float, k: int, p0: ProblemParams,
                       settings: SolverSettings | None = None,
-                      sensitivity: bool = False):
+                      sensitivity: bool = False) -> Trajectory:
     """Integrate at lambda=1 from amplitude s to the (k+1)-th zero.
 
-    Returns (zeros, trajectory); zeros is the list of the first k+1 zero
-    radii (0.0 where a radius underflows; trajectory.log_zeros has their
-    logarithms); with sensitivity, trajectory.log_slope = d ln(lambda)/d ln(s).
+    Returns the trajectory; its log_zeros holds the first k+1 zeros by log
+    radius, and with sensitivity its log_slope = d ln(lambda)/d ln(s).
     Every integration of the shooting layer passes here.  Raises
     ZeroNotReachedError if the radius cap or the step budget interferes.
     """
     if p0.lam != 1.0:
         raise ValueError("solve_unit_lambda shoots at lambda = 1")
-    traj = integrate_radial(s, p0, k + 1, settings, sensitivity=sensitivity)
-    return list(radii(t for t, _ in traj.log_zeros)), traj
+    return integrate_radial(s, p0, k + 1, settings, sensitivity=sensitivity)
 
 
 def lambda_of_s(s: float, k: int, p0: ProblemParams,
@@ -170,10 +166,9 @@ def lambda_of_s(s: float, k: int, p0: ProblemParams,
 
     This is exp(2 t_{k+1}), so it underflows to 0.0 once ln(lambda) < -745:
     k=0, beta=1.2, s=1e3 gives t_1 = -802.9.  ln(lambda) itself stays
-    finite: 2 * solve_unit_lambda(s, k, p0, settings)[1].log_zeros[k][0].
+    finite: 2 * solve_unit_lambda(s, k, p0, settings).log_zeros[k][0].
     """
-    _, traj = solve_unit_lambda(s, k, p0, settings)
-    return math.exp(2.0 * traj.log_zeros[k][0])
+    return math.exp(2.0 * solve_unit_lambda(s, k, p0, settings).log_zeros[k][0])
 
 
 def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSolution:
@@ -198,7 +193,7 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
 def _node(k: int, p0: ProblemParams, x: float) -> tuple:
     """(x, ln lambda, d ln lambda/d ln s) at s = exp(x), at scan tolerance."""
     s = math.exp(x)
-    _, traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS, sensitivity=True)
+    traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS, sensitivity=True)
     return x, 2.0 * traj.log_zeros[k][0], traj.log_slope
 
 
@@ -277,8 +272,8 @@ def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
         try:
-            _, traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS if scan else settings,
-                                        sensitivity=True)
+            traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS if scan else settings,
+                                     sensitivity=True)
         except ZeroNotReachedError:
             return None
         f, slope = 2.0 * traj.log_zeros[k][0] - lt, traj.log_slope
@@ -339,4 +334,4 @@ def solution_at(s: float, k: int, p: ProblemParams,
     integration at `settings`: at the amplitude of a solution nodal_solution
     returned with these settings, that solution bit for bit."""
     p0 = ProblemParams(p.alpha, p.beta, 1.0)
-    return _build_solution(solve_unit_lambda(s, k, p0, settings)[1], k, p0)
+    return _build_solution(solve_unit_lambda(s, k, p0, settings), k, p0)

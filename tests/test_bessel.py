@@ -78,6 +78,15 @@ class TestJ0:
                 assert abs(j0(x) - float(mp.besselj(0, x))) <= 1e-15, x
                 assert abs(j0_prime(x) + float(mp.besselj(1, x))) <= 1e-15, x
 
+    def test_unscaled_recurrence_at_its_peak(self):
+        # x = 1e-8 is the smallest argument the recurrence sees, where its
+        # unnormalised values peak (1.4e146): nothing overflows or underflows
+        x = 1e-8
+        with mp.workdps(30):
+            j0_ref, j1_ref = float(mp.besselj(0, x)), float(mp.besselj(1, x))
+        assert j0(x) == pytest.approx(j0_ref, rel=1e-15)
+        assert -j0_prime(x) == pytest.approx(j1_ref, rel=1e-15)
+
 
 class TestZeros:
     def test_first_zero_vs_series_bisection(self):

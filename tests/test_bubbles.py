@@ -87,11 +87,19 @@ class TestLiouvilleReference:
 class TestRescaleProfile:
     def test_peak_value_exactly_zero(self, sol_deep):
         diag = rescale_profile(sol_deep, 1)
-        assert diag.samples[0] == (0.0, 0.0)
+        assert diag.samples[0][:2] == (0.0, 0.0)
 
     def test_profile_nonpositive(self, sol_deep):
         diag = rescale_profile(sol_deep, 1)
-        assert all(zv <= 0.0 for _, zv in diag.samples)
+        assert all(zv <= 0.0 for _, zv, *_ in diag.samples)
+
+    def test_rows_carry_the_reference(self, sol_deep):
+        # each row is (r, z_n, z, phi), the profile CSVs' columns
+        p = sol_deep.params
+        diag = rescale_profile(sol_deep, 1)
+        assert [r for r, *_ in diag.samples] == list(PROFILE_GRID)
+        for r, _, z, phi in diag.samples:
+            assert (z, phi) == liouville_reference(r, p.beta, p.alpha)
 
     def test_window_too_large(self, sol_mid):
         big = (0.0, 1e12)

@@ -413,6 +413,50 @@ class TestCommands:
         assert "field: family" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        missing = tmp_path / "missing.cfg"
+        assert main(["verify", "--config", str(missing), "--out", str(out)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_family_without_schedule_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace(
+            "lambda_schedule = 0.5 0.125 0.03125 0.0078125\n", ""))
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "field: lambda_schedule |" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_without_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["verify", "--out", str(out)]) == 2
+        assert "verify requires --config | field: config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_members_skip_the_formulas(self, tmp_path):
+        # lambda = 7 and 8 lie above lambda_1 = 5.78, which bounds every
+        # k = 0 solution at beta = 1: two members are left, fewer than the
+        # three the formulas need, so the run writes its solutions and exits 1
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace("0.5 0.125 0.03125 0.0078125",
+                                                    "0.5 0.125 7 8"))
+        out = tmp_path / "skipped"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["verify_skipped"] == "fewer than 3 successful members"
+        assert [f["lambda"] for f in meta["failures"]] == [7.0, 8.0]
+        with open(out / "solutions.csv", newline="") as fh:
+            assert [row["lambda"] for row in csv.DictReader(fh)] == ["0.5", "0.125"]
+        assert not (out / "formula_reports.csv").exists()
+
+    def test_family_without_results_leaves_no_directory(self, tmp_path, capsys):
+        cfg = _write(tmp_path, CHEAP_VERIFY.replace("0.5 0.125 0.03125 0.0078125",
+                                                    "6 7 8 9"))
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "no results:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_without_root_leaves_no_directory(self, tmp_path, capsys):
         # lambda = 100 lies above lambda_0(s) on every amplitude
         cfg = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"

@@ -8,7 +8,7 @@ import pytest
 from tmb import ode
 from tmb.analysis import decompose, first_integral_residual
 from tmb.bessel import j0_zero
-from tmb.errors import StiffnessError, TmbError, ZeroNotReachedError
+from tmb.errors import NoSignChangeError, StiffnessError, TmbError, ZeroNotReachedError
 from tmb.nonlinearity import ProblemParams, primitive_F
 from tmb.ode import SolverSettings, integrate_radial
 from tmb.quadrature import adaptive_quadrature
@@ -341,6 +341,26 @@ class TestStopsAndErrors:
         for s in (-1.0, 1e-200):
             with pytest.raises(ValueError, match="amplitude"):
                 integrate_radial(s, P12, 1)
+
+    def test_read_past_last_step_raises(self):
+        # past its last step a trajectory used to extrapolate that step's
+        # interpolant: on the lambda = 1e-3 member of the k = 0, beta = 1.2
+        # family (last step ending at r = 1.00245), r*u' at r = 2 read +0.594
+        # where a longer integration gives -0.285
+        traj = integrate_radial(2.0, P12, 1)
+        for tr in (traj, traj.shifted(traj.log_zeros[0][0], P12)):
+            end = tr.log_step_bounds()[-1]
+            assert math.isfinite(tr.u_log(end))
+            for read in (tr.u_log, tr.ru_log, tr.source_log):
+                with pytest.raises(ValueError, match="past the last step"):
+                    read(math.nextafter(end, math.inf))
+
+    def test_dense_root_needs_a_sign_change(self):
+        traj = integrate_radial(2.0, P12, 1)
+        st = next(st for st in traj.steps
+                  if st.frame is None and st.y0[0] * st.y1[0] > 0.0)
+        with pytest.raises(NoSignChangeError):
+            ode._dense_root(st, 0, 0.0, 1.0)
 
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tmb.errors import QuadratureFailureError
-from tmb.quadrature import _gk15, adaptive_quadrature, fixed_composite_gauss
+from tmb.quadrature import _gk15, adaptive_quadrature
 
 
 def test_weights_integrate_constants():
@@ -52,8 +52,23 @@ def test_failure_on_depth_exhaustion():
                             0.0, 1.0, rel_tol=1e-13)
 
 
-def test_fixed_composite_matches_adaptive():
-    f = lambda x: x * math.exp(x * x)
-    a = adaptive_quadrature(f, 0.0, 2.0, rel_tol=1e-12)
-    b = fixed_composite_gauss(f, 0.0, 2.0)
-    assert a == pytest.approx(b, rel=1e-12)
+def test_failure_on_interval_budget():
+    # 318 jumps: each needs its own run of bisections, and together they
+    # exhaust MAX_INTERVALS before the depth limit
+    with pytest.raises(QuadratureFailureError, match="interval budget 4000"):
+        adaptive_quadrature(lambda x: 1.0 if math.sin(1000.0 * x) > 0.0 else 0.0,
+                            0.0, 1.0, rel_tol=1e-13)
+
+
+def test_failure_on_unsplittable_interval():
+    # no float lies between 1 and 1 + ulp; the nodes left of the centre round
+    # to the float below 1, so the jump at 1 still shows in the error estimate
+    b = math.nextafter(1.0, 2.0)
+    with pytest.raises(QuadratureFailureError, match="no longer splittable"):
+        adaptive_quadrature(lambda x: 1.0 if x < 1.0 else 0.0, 1.0, b, rel_tol=1e-13)
+
+
+def test_steep_integrand_closed_form():
+    # int_0^2 x e^{x^2} dx = (e^4 - 1)/2
+    a = adaptive_quadrature(lambda x: x * math.exp(x * x), 0.0, 2.0, rel_tol=1e-12)
+    assert a == pytest.approx(0.5 * math.expm1(4.0), rel=1e-12)

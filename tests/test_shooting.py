@@ -30,15 +30,16 @@ P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
 
 class TestUnitShooting:
     def test_first_zero_linear_limit(self):
-        zeros, _ = solve_unit_lambda(1e-8, 0, P12)
-        assert zeros[0] == pytest.approx(T1, abs=1e-4)
+        traj = solve_unit_lambda(1e-8, 0, P12)
+        assert math.exp(traj.log_zeros[0][0]) == pytest.approx(T1, abs=1e-4)
 
     def test_second_zero_linear_limit(self):
-        zeros, _ = solve_unit_lambda(1e-8, 1, P12)
-        assert zeros[1] == pytest.approx(T2, abs=1e-3)
+        traj = solve_unit_lambda(1e-8, 1, P12)
+        assert math.exp(traj.log_zeros[1][0]) == pytest.approx(T2, abs=1e-3)
 
     def test_zeros_strictly_increase(self):
-        zeros, _ = solve_unit_lambda(3.0, 2, P12)
+        zeros = [t for t, _ in solve_unit_lambda(3.0, 2, P12).log_zeros]
+        assert len(zeros) == 3
         assert all(b > a for a, b in zip(zeros, zeros[1:]))
 
     def test_requires_unit_lambda(self):
@@ -59,7 +60,7 @@ class TestLambdaOfS:
         # ln(lambda) = 2 t_1 = -1605.9 lies below ln(5e-324) = -744.4: the
         # eigenvalue reads 0.0, while its logarithm stays on the trajectory
         assert lambda_of_s(1e3, 0, P12) == 0.0
-        _, traj = solve_unit_lambda(1e3, 0, P12)
+        traj = solve_unit_lambda(1e3, 0, P12)
         assert 2.0 * traj.log_zeros[0][0] == pytest.approx(-1605.86, abs=0.01)
 
     def test_large_amplitude_trend(self):
@@ -91,7 +92,7 @@ class TestNodalSolution:
         lt = math.log(L1 * (1 - 1e-7))
         xa, xb = math.log(2.9696293045402426e-6), math.log(4.268444644387833e-6)
         for x in (xa, xb):
-            assert 2.0 * solve_unit_lambda(math.exp(x), 0, P12)[1].log_zeros[0][0] < lt
+            assert 2.0 * solve_unit_lambda(math.exp(x), 0, P12).log_zeros[0][0] < lt
         full = SolverSettings()
         calls, scan_calls = [], []
 
@@ -119,7 +120,7 @@ class TestNodalSolution:
             calls.append((x, settings))
             traj = SimpleNamespace(log_zeros=[(0.5 * math.atan(8.0 * x), -1.0)],
                                    log_slope=8.0 / (1.0 + 64.0 * x * x))
-            return [], traj
+            return traj
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", unit_lambda)
         traj = shooting._newton(0, 0.0, P12, full, 0.25, -1.0, 1.0, math.atan(-8.0))
@@ -132,8 +133,8 @@ class TestNodalSolution:
     def test_scan_tolerance_follows_amplitude(self, s):
         # u is of size s, so every solve scales abs_tol by min(1, s): a
         # fixed scan abs_tol of 1e-9 left ln(lambda) off by 4.1e-5 at s = 1e-6
-        full = 2.0 * solve_unit_lambda(s, 0, P12)[1].log_zeros[0][0]
-        _, traj = solve_unit_lambda(s, 0, P12, SCAN_SETTINGS)
+        full = 2.0 * solve_unit_lambda(s, 0, P12).log_zeros[0][0]
+        traj = solve_unit_lambda(s, 0, P12, SCAN_SETTINGS)
         assert abs(2.0 * traj.log_zeros[0][0] - full) <= 1e-7
 
     @pytest.mark.parametrize("beta, fold, target, roots", [
@@ -334,8 +335,8 @@ class TestAmplitudeBudget:
 
     def test_overflow_translated(self, monkeypatch):
         # no overflow wall in log radius: s = 30 reaches its zero ...
-        zeros, traj = solve_unit_lambda(30.0, 0, P12)
-        assert len(zeros) == 1
+        traj = solve_unit_lambda(30.0, 0, P12)
+        assert len(traj.log_zeros) == 1
         # ... and a run stopped by its own caps still reports the zero as
         # not reached
         z = math.exp(traj.log_zeros[0][0])
