@@ -68,8 +68,8 @@ def decompose(sol: RadialSolution) -> list[NodalDomain]:
     return domains
 
 
-def energy_report(sol: RadialSolution) -> EnergyReport:
-    domains = decompose(sol)
+def energy_report(domains) -> EnergyReport:
+    """The full-disk energies of decompose's domains."""
     full = TWO_PI * sum(d.dirichlet for d in domains)
     potential = TWO_PI * sum(d.potential for d in domains)
     return EnergyReport(0.5 * full - potential, tuple(domains))
@@ -77,6 +77,12 @@ def energy_report(sol: RadialSolution) -> EnergyReport:
 
 # cap on the initial partition taken from the accepted steps
 _MAX_SEED_INTERVALS = 256
+
+
+def _thinned(bounds) -> list:
+    """Every n-th step bound, n the least that keeps at most
+    _MAX_SEED_INTERVALS of them."""
+    return bounds[::-(-len(bounds) // _MAX_SEED_INTERVALS) or 1]
 
 
 def _log_weighted_integral(sol: RadialSolution, t_lo: float, t_hi: float,
@@ -90,10 +96,8 @@ def _log_weighted_integral(sol: RadialSolution, t_lo: float, t_hi: float,
     """
     traj = sol.trajectory
     lo = max(t_lo, traj.t_start)
-    bounds = traj.log_step_bounds()
-    stride = -(-len(bounds) // _MAX_SEED_INTERVALS)
     val = adaptive_quadrature(lambda t: traj.source_log(t) * weight(t), lo, t_hi,
-                              rel_tol=1e-9, breakpoints=bounds[::stride])
+                              rel_tol=1e-9, breakpoints=_thinned(traj.log_step_bounds()))
     if t_lo < traj.t_start:
         # analytic head before the first step, where the source is
         # exp(E_start + 2(t - t_start)):  int_-inf^ts e^(2(t-ts)) w(t) dt
@@ -173,8 +177,7 @@ def sturm_bound_check(sol: RadialSolution) -> tuple:
     # seed the partition with 8 equal parts and the accepted steps, mapped
     # to rr = 1/(1 - t)
     bounds = [1.0 / (1.0 - t) for t in traj.log_step_bounds() if ln_lo < t < 0.0]
-    stride = -(-len(bounds) // _MAX_SEED_INTERVALS) if bounds else 1
-    seeds = sorted(set(bounds[::stride] + [a + j * (b - a) / 8 for j in range(1, 8)]))
+    seeds = sorted(set(_thinned(bounds) + [a + j * (b - a) / 8 for j in range(1, 8)]))
     integral = adaptive_quadrature(q, a, b, rel_tol=1e-8, breakpoints=seeds)
     bound = 0.5 * math.sqrt((b - a) * integral) + 1.0
     return bound, zero_count < bound

@@ -76,8 +76,6 @@ def j0_zero(k: int) -> Eigenpair:
     flo = j0(lo)
     for _ in range(60):
         ft, j1 = _j01(t)
-        if ft == 0.0:
-            break
         step = -ft / j1  # Newton: J_0' = -J_1, nonzero on [lo, hi]
         if abs(step) <= 1e-15 * t:
             t -= step

@@ -9,10 +9,10 @@ with first-order correction phi/mu^(2-beta),
 
     phi(r) = alpha*beta_lim*(ln(8 + r^2) + 8/(8 + r^2) - 1 - ln 8).
 
-This module builds the rescaled samples z_n (on PROFILE_GRID unless told
-otherwise), measures the deviation from z, fits the correction
-coefficient to the samples inside FIT_WINDOW, and verifies the two-sided
-monotone derivative bounds that hold for every rescaled solution.
+This module builds the rescaled samples z_n on PROFILE_GRID, measures
+the deviation from z, fits the correction coefficient to the samples
+inside FIT_WINDOW, and verifies the two-sided monotone derivative bounds
+that hold for every rescaled solution.
 
 The scale gamma and the peak radius rho underflow binary64 once mu is
 past ~38, so both are carried as logarithms: the window point
@@ -43,7 +43,7 @@ _LN8 = math.log(8.0)
 class BubbleDiagnostics:
     """Rescaled profile samples and correction fit for one domain."""
 
-    samples: tuple             # (r, z_n, z, phi) rows on the requested grid
+    samples: tuple             # (r, z_n, z, phi) rows on PROFILE_GRID
     sup_deviation: float       # max over the window of |z_n - z|
     corr_coefficient: float    # least-squares c in z_n - z ~ c*phi
     predicted_coefficient: float  # 1/mu^(2-beta)
@@ -61,13 +61,21 @@ def log_gamma_scale(mu: float, p: ProblemParams) -> float:
                    + mu * mu + p.alpha * mu ** p.beta)
 
 
+def _window(sol: RadialSolution, i: int) -> tuple:
+    """(mu, sign, ln gamma, ln rho) of domain i's bubble window; ValueError
+    unless i indexes a nodal domain."""
+    sol.check_domain(i)
+    mu = sol.peak_values[i - 1]
+    return (mu, sol.domain_sign(i), log_gamma_scale(mu, sol.params),
+            sol.log_peak_radii[i - 1])
+
+
 def _window_point(log_gamma: float, log_rho: float, rr: float) -> float:
-    """ln(gamma*rr + rho): the log radius the rescaled radius rr maps to
-    (-inf at or below the origin)."""
+    """ln(gamma*rr + rho): the log radius the rescaled radius rr >= 0 maps
+    to (-inf for rr = 0 at an origin peak)."""
     if log_rho == -math.inf:  # origin peak, rho = 0
         return log_gamma + math.log(rr) if rr > 0.0 else -math.inf
-    x = rr * math.exp(log_gamma - log_rho)
-    return log_rho + math.log1p(x) if x > -1.0 else -math.inf
+    return log_rho + math.log1p(rr * math.exp(log_gamma - log_rho))
 
 
 def liouville_reference(r: float, beta_star: float, alpha: float) -> tuple:
@@ -78,44 +86,30 @@ def liouville_reference(r: float, beta_star: float, alpha: float) -> tuple:
     return z, phi
 
 
-def rescale_profile(sol: RadialSolution, i: int,
-                    grid=PROFILE_GRID) -> BubbleDiagnostics:
-    """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on the grid.
+def rescale_profile(sol: RadialSolution, i: int) -> BubbleDiagnostics:
+    """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on PROFILE_GRID.
 
     Every radius is handled as a log radius, so the window is placed at
-    any depth.  The grid may contain negative entries for i >= 2 (inward
-    window); it must stay inside the nodal domain, else WindowTooLargeError.
+    any depth.  The window must stay inside the nodal domain, else
+    WindowTooLargeError.
     """
-    sol.check_domain(i)
-    mu = sol.peak_values[i - 1]
-    log_rho = sol.log_peak_radii[i - 1]
-    log_gamma = log_gamma_scale(mu, sol.params)
+    mu, sign, log_gamma, log_rho = _window(sol, i)
+    t_hi = _window_point(log_gamma, log_rho, PROFILE_GRID[-1])
     log_outer = sol.log_nodal_radii[i - 1]
-
-    def t_of(rr):
-        return _window_point(log_gamma, log_rho, rr)
-
-    lo, hi = min(grid), max(grid)
-    t_hi = t_of(hi)
     if t_hi >= log_outer:
         raise WindowTooLargeError(
             f"window reaches log radius {t_hi!r}, outside domain "
             f"(..., {log_outer!r})")
-    if (lo < 0.0) if i == 1 else (t_of(lo) <= sol.log_nodal_radii[i - 2]):
-        raise WindowTooLargeError(
-            f"window reaches rescaled radius {lo!r}, inside the inner edge "
-            f"of domain {i}")
     traj = sol.trajectory
-    sign = sol.domain_sign(i)
 
     def z_n(rr):
         if rr == 0.0:
             return 0.0  # definition evaluated at the peak
-        return 2.0 * mu * (sign * traj.u_log(t_of(rr)) - mu)
+        return 2.0 * mu * (sign * traj.u_log(_window_point(log_gamma, log_rho, rr)) - mu)
 
     beta, alpha = sol.params.beta, sol.params.alpha
     samples = tuple((rr, z_n(rr), *liouville_reference(rr, beta, alpha))
-                    for rr in grid)
+                    for rr in PROFILE_GRID)
     sup_dev = max(abs(zv - zr) for _, zv, zr, _ in samples)
     # least-squares c on the samples inside FIT_WINDOW
     flo, fhi = FIT_WINDOW
@@ -136,31 +130,22 @@ def rescale_profile(sol: RadialSolution, i: int,
 
 def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
                            i: int) -> bool:
-    """Two-sided monotone bound on the rescaled derivative.
+    """Two-sided monotone bound on the rescaled derivative,
 
-    For r >= 0:  0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
-    mirrored for r < 0 when the window extends inward (i >= 2).  z_n' is
-    read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and is 0
-    at the origin peak.  Each side is relaxed by BOUND_SLACK.
+        0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
+
+    z_n' read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and
+    0 at the origin peak.  Each side is relaxed by BOUND_SLACK.  ValueError
+    unless i indexes a nodal domain.
     """
-    mu = sol.peak_values[i - 1]
-    log_rho = sol.log_peak_radii[i - 1]
-    log_gamma = log_gamma_scale(mu, sol.params)
+    mu, sign, log_gamma, log_rho = _window(sol, i)
     m = math.exp(log_rho - log_gamma)
-    sign = sol.domain_sign(i)
     traj = sol.trajectory
     for rr, *_ in diag.samples:
         denom = rr + m
-        if rr < 0.0 and denom <= 0.0:
-            continue  # outside the transform's validity
         ru = traj.ru_log(_window_point(log_gamma, log_rho, rr))
         zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
-        if rr >= 0.0:
-            bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
-            if not (-BOUND_SLACK <= -zp <= bound + BOUND_SLACK):
-                return False
-        else:
-            bound = -(0.5 * rr * rr + m * rr) / denom
-            if not (-BOUND_SLACK <= zp <= bound + BOUND_SLACK):
-                return False
+        bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
+        if not (-BOUND_SLACK <= -zp <= bound + BOUND_SLACK):
+            return False
     return True

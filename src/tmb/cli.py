@@ -73,20 +73,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_csv(records: list, path: Path, fieldnames: list) -> None:
+def emit_csv(records: list, path: Path) -> None:
     """Write RFC-4180 CSV; floats at 17 significant digits; row order kept.
 
-    Every row is formatted before the file is opened, so an empty record
-    set (ValueError) or a record missing a field (KeyError) leaves any
+    The header is the first record's keys, in order.  Every row is
+    formatted before the file is opened, so an empty record set
+    (ValueError) or a record missing a field (KeyError) leaves any
     existing file untouched.
     """
     if not records:
         raise ValueError("refusing to write an empty CSV")
-    rows = [[_fmt(rec[name]) for name in fieldnames] for rec in records]
+    header = list(records[0])
+    rows = [[_fmt(rec[name]) for name in header] for rec in records]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -198,6 +200,11 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
            1.0 if cfg.lam is None else cfg.lam)
 
     if cp.has_section("family"):
+        for first, second in (("lambda_schedule", "lambda_geometric"),
+                              ("beta_schedule", "beta_constant")):
+            if cp.has_option("family", first) and cp.has_option("family", second):
+                raise ConfigError(f"set {first} or {second}, not both", field=second,
+                                  location=f"{loc}[family]")
         lam_sched = _get(cp, "family", "lambda_schedule", _floats, path=loc)
         if lam_sched is None:
             lam_sched = _get(cp, "family", "lambda_geometric", _geometric,
@@ -266,8 +273,7 @@ def _solve_members(cfg: ExperimentConfig, extra: dict) -> tuple:
         sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
                               settings=cfg.settings)
         extra["branches"] = len(sols)
-        return [_summarize(n, cfg.lam, cfg.beta, sol, len(sols))
-                for n, sol in enumerate(sols)], None
+        return [_summarize(n, cfg.lam, cfg.beta, sol) for n, sol in enumerate(sols)], None
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
     exp = run_family(cfg.family, settings=cfg.settings)
@@ -282,14 +288,14 @@ def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
     domain with bubble diagnostics, and for a family formula_reports.csv."""
     records, exp = _solve_members(cfg, extra)
     rows = [_solution_row(rec, cfg) for rec in records]
-    emit_csv(rows, out / "solutions.csv", list(rows[0]))
-    fields = ["r", "z_n", "z_exact", "phi", "config_hash"]  # a sample row, then the hash
+    emit_csv(rows, out / "solutions.csv")
     for rec in records:
         for i, diag in enumerate(rec.bubbles, start=1):
             if diag is not None:
-                emit_csv([dict(zip(fields, (*row, cfg.config_hash)))
-                          for row in diag.samples],
-                         out / f"profile_n{rec.index}_d{i}.csv", fields)
+                emit_csv([{"r": r, "z_n": z_n, "z_exact": z, "phi": phi,
+                           "config_hash": cfg.config_hash}
+                          for r, z_n, z, phi in diag.samples],
+                         out / f"profile_n{rec.index}_d{i}.csv")
     if exp is None:
         return
     if len(records) < 3:
@@ -301,9 +307,7 @@ def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
                "target": rep.target, "rel_error": rep.rel_error,
                "slow_rate_flag": int(rep.slow_rate),
                "config_hash": cfg.config_hash} for rep in reports],
-             out / "formula_reports.csv",
-             ["formula_id", "applicable", "raw_last", "extrapolated",
-              "target", "rel_error", "slow_rate_flag", "config_hash"])
+             out / "formula_reports.csv")
     # why a formula is inapplicable, or what an applicable one assumed:
     # free text, so it stays out of the CSV
     extra["formula_notes"] = {rep.formula_id: rep.note for rep in reports}
@@ -328,8 +332,7 @@ def run(cfg: ExperimentConfig) -> int:
         for ep in pairs:
             print(f"k={ep.k}  t_k={ep.t_k:.15g}  lambda_k={ep.lambda_k:.15g}")
         emit_csv([{"k": ep.k, "t_k": ep.t_k, "lambda_k": ep.lambda_k,
-                   "config_hash": cfg.config_hash} for ep in pairs],
-                 out / "bessel.csv", ["k", "t_k", "lambda_k", "config_hash"])
+                   "config_hash": cfg.config_hash} for ep in pairs], out / "bessel.csv")
     else:
         _emit_members(cfg, out, extra)
     _write_metadata(cfg, out, time.time() - t0, started_at, extra)

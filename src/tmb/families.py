@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 
-from .analysis import boundary_flux, energy_report, identity_residual, nehari_residual
-# not called here (energy_report hands back the domains), but bound for the
-# benchmark, whose tracer wraps tmb.families.decompose
-from .analysis import decompose  # noqa: F401
+from .analysis import (
+    boundary_flux,
+    decompose,
+    energy_report,
+    identity_residual,
+    nehari_residual,
+)
 from .bubbles import rescale_profile
 from .errors import (
     FamilyEmptyError,
@@ -85,7 +88,6 @@ class MemberRecord(LogRadii):
     identity_residual_max: float
     boundary_fluxes: tuple
     bubbles: tuple  # BubbleDiagnostics or None, one per domain
-    branch_count: int
 
     @property
     def full_dirichlet(self) -> float:
@@ -153,9 +155,9 @@ def estimate_limit(sequence) -> tuple:
     return c, c - d2 * d2 / dd
 
 
-def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
-    report = energy_report(sol)
-    domains = report.per_domain
+def _summarize(index, lam, beta, sol) -> MemberRecord:
+    domains = decompose(sol)
+    report = energy_report(domains)
     idres = max(identity_residual(sol, i) for i in range(1, sol.k + 2))
     fluxes = tuple(boundary_flux(sol, i) for i in range(1, sol.k + 2))
     bubbles = []
@@ -178,7 +180,6 @@ def _summarize(index, lam, beta, sol, branch_count) -> MemberRecord:
         identity_residual_max=idres,
         boundary_fluxes=fluxes,
         bubbles=tuple(bubbles),
-        branch_count=branch_count,
     )
 
 
@@ -202,7 +203,7 @@ def run_family(spec: FamilySpec,
             failures.append(FailedMember(n, p.lam, p.beta, f"{type(exc).__name__}: {exc}"))
             continue
         # follow the largest-amplitude branch (the concentrating one)
-        records.append(_summarize(n, p.lam, p.beta, sols[-1], len(sols)))
+        records.append(_summarize(n, p.lam, p.beta, sols[-1]))
         del sols  # no branch stays alive while the next member is solved
     if not records:
         raise FamilyEmptyError(

@@ -58,7 +58,7 @@ After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
 Trajectory answers only by log radius (u_log, ru_log, eval_log,
 source_log).  Radii and slopes are formed only where they are printed,
-by radii() and slopes().
+by the records' properties (shooting.LogRadii).
 
 Integrator: DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and
 Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
@@ -224,23 +224,6 @@ class SolverSettings:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _slope(ru: float, r: float) -> float:
-    """u'(r) from r*u'(r); +-inf where r underflows to 0.0."""
-    if r > 0.0:
-        return ru / r
-    return math.copysign(math.inf, ru) if ru != 0.0 else 0.0
-
-
-def radii(log_radii) -> tuple:
-    """Radii from log radii (0.0 where a radius underflows)."""
-    return tuple(math.exp(t) for t in log_radii)
-
-
-def slopes(log_radii, rus) -> tuple:
-    """u'(r_i) from ln r_i and r_i*u'(r_i) (+-inf where r_i underflows)."""
-    return tuple(_slope(ru, math.exp(t)) for t, ru in zip(log_radii, rus))
 
 
 class _Step:

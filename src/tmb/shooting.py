@@ -26,7 +26,7 @@ from contextlib import suppress
 
 from .errors import NoSolutionInRangeError, ZeroNotReachedError
 from .nonlinearity import OVERFLOW_BUDGET, ProblemParams
-from .ode import SolverSettings, Trajectory, integrate_radial, radii, slopes
+from .ode import SolverSettings, Trajectory, integrate_radial
 from .records import record
 
 DEFAULT_S_MIN = 1e-6
@@ -97,16 +97,17 @@ class LogRadii:
 
     @property
     def nodal_radii(self) -> tuple:
-        return radii(self.log_nodal_radii)
+        return tuple(math.exp(t) for t in self.log_nodal_radii)
 
     @property
     def peak_radii(self) -> tuple:
-        return radii(self.log_peak_radii)
+        return tuple(math.exp(t) for t in self.log_peak_radii)
 
     @property
     def boundary_slopes(self) -> tuple:
-        """u'(r_i) at each nodal radius."""
-        return slopes(self.log_nodal_radii, self.boundary_ru)
+        """u'(r_i) = r_i*u'(r_i) / r_i at each nodal radius."""
+        return tuple(ru / r if r > 0.0 else math.copysign(math.inf, ru) if ru != 0.0
+                     else 0.0 for r, ru in zip(self.nodal_radii, self.boundary_ru))
 
 
 @record

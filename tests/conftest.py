@@ -22,9 +22,9 @@ def run_family_keeping_solutions(spec, **kwargs):
     solutions = []
     summarize = families._summarize
 
-    def keep(index, lam, beta, sol, branch_count):
+    def keep(index, lam, beta, sol):
         solutions.append(sol)
-        return summarize(index, lam, beta, sol, branch_count)
+        return summarize(index, lam, beta, sol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_summarize", keep)

@@ -1,6 +1,7 @@
 """Nodal decomposition, energies, and the exact-identity residuals."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,7 +54,7 @@ class TestDecompose:
 
 class TestEnergyReport:
     def test_invariants(self, sol_deep):
-        rep = energy_report(sol_deep)
+        rep = energy_report(decompose(sol_deep))
         assert rep.full_dirichlet > 0.0
         assert rep.functional < 0.5 * rep.full_dirichlet
         assert rep.full_dirichlet == pytest.approx(
@@ -128,6 +129,13 @@ class TestNehariResidual:
     def test_accepted(self, sol_mid, sol_deep, sol_k1):
         for sol in (sol_mid, sol_deep, sol_k1):
             assert nehari_residual(sol) <= 1e-8
+
+    def test_no_dirichlet_energy_rejected(self, sol_mid):
+        # the energy channels of a trajectory on which u vanishes
+        flat = SimpleNamespace(eval_log=lambda t: (0.0,) * 6)
+        sol = RadialSolution(sol_mid.params, flat, (0.0,), (-math.inf,), (1.0,), (0.0,))
+        with pytest.raises(ValueError, match="no Dirichlet energy"):
+            nehari_residual(sol)
 
     def test_degenerate_input_rejected(self, sol_mid):
         # a zero function, with no peak, cannot even be represented as a

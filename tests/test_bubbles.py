@@ -101,15 +101,11 @@ class TestRescaleProfile:
         for r, _, z, phi in diag.samples:
             assert (z, phi) == liouville_reference(r, p.beta, p.alpha)
 
-    def test_window_too_large(self, sol_mid):
-        big = (0.0, 1e12)
+    def test_window_too_large(self, sol_k1):
+        # the outer domain's bubble at lambda = 3 is too wide: the window
+        # reaches log radius 0.699, past the boundary at 0
         with pytest.raises(WindowTooLargeError):
-            rescale_profile(sol_mid, 1, grid=big)
-
-    def test_negative_window_on_first_domain(self, sol_mid):
-        # the first domain's window starts at the origin peak
-        with pytest.raises(WindowTooLargeError):
-            rescale_profile(sol_mid, 1, grid=(-0.1, 0.0, 1.0))
+            rescale_profile(sol_k1, 2)
 
     def test_default_grid(self):
         assert len(PROFILE_GRID) == 61
@@ -136,10 +132,17 @@ class TestDerivativeBound:
         for rec, sol in zip(reference_family.records, reference_family.solutions):
             assert derivative_bound_check(rec.bubbles[0], sol, 1)
 
-    def test_inner_window_second_domain(self, sol_k1):
-        # second-domain window including a small inward stretch
-        diag = rescale_profile(sol_k1, 2, grid=(-0.05, 0.0, 0.5, 1.0, 2.0))
-        assert derivative_bound_check(diag, sol_k1, 2)
+    def test_inner_window_second_domain(self, two_bubble_deep):
+        # the outer bubble of the lambda = 1e-4 member, whose peak sits off
+        # the origin (rho/gamma = 0.042)
+        recs, sols = two_bubble_deep
+        assert derivative_bound_check(recs[-1].bubbles[1], sols[-1], 2)
+
+    def test_bad_domain_index(self, sol_mid):
+        diag = rescale_profile(sol_mid, 1)
+        for i in (0, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                derivative_bound_check(diag, sol_mid, i)
 
     def test_exact_profile_satisfies_bound(self):
         # -z'(r) = 4r/(8+r^2) <= r/2 for the limit profile itself
@@ -153,6 +156,12 @@ def _family_records(k, beta, lams):
                       beta_schedule=(beta,) * len(lams))
     exp, solutions = run_family_keeping_solutions(spec)
     return exp.records, solutions
+
+
+@pytest.fixture(scope="module")
+def two_bubble_deep():
+    """The two_bubble_deep schedule: k = 1, beta = 1.3, lambda = 0.1 ... 1e-4."""
+    return _family_records(1, 1.3, (0.1, 0.01, 0.001, 0.0001))
 
 
 class TestDeepRegime:
@@ -173,9 +182,9 @@ class TestDeepRegime:
         for sol, d in zip(sols, diags):
             assert derivative_bound_check(d, sol, 1)
 
-    def test_two_bubble_inner_profile_converges(self):
-        # the two_bubble_deep schedule: inner peaks from ~7e2 to ~4e4
-        recs, sols = _family_records(1, 1.3, (0.1, 0.01, 0.001, 0.0001))
+    def test_two_bubble_inner_profile_converges(self, two_bubble_deep):
+        # inner peaks from ~7e2 to ~4e4
+        recs, sols = two_bubble_deep
         assert len(recs) == 4
         diags = [rec.bubbles[0] for rec in recs]
         assert all(d is not None for d in diags)

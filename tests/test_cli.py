@@ -108,7 +108,7 @@ class TestParseConfig:
 class TestEmitCsv:
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv([{"a": 1.5, "b": "x"}], path, ["a", "b"])
+        emit_csv([{"a": 1.5, "b": "x"}], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert len(lines) == 2
@@ -116,23 +116,23 @@ class TestEmitCsv:
     def test_float_roundtrip_is_exact(self, tmp_path):
         vals = [math.pi, 1e-300, 2.0 / 3.0, 6.62607015e-34, 1.0]
         path = tmp_path / "rt.csv"
-        emit_csv([{"v": v} for v in vals], path, ["v"])
+        emit_csv([{"v": v} for v in vals], path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["v"]) for r in rows] == vals
 
     def test_missing_field_leaves_existing_file(self, tmp_path):
         path = tmp_path / "kept.csv"
-        emit_csv([{"a": 1.0, "b": 2.0}], path, ["a", "b"])
+        emit_csv([{"a": 1.0, "b": 2.0}], path)
         before = path.read_bytes()
         with pytest.raises(KeyError):
-            emit_csv([{"a": 3.0, "b": 4.0}, {"a": 5.0}], path, ["a", "b"])
+            emit_csv([{"a": 3.0, "b": 4.0}, {"a": 5.0}], path)
         assert path.read_bytes() == before
 
     def test_empty_rejected_no_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         with pytest.raises(ValueError):
-            emit_csv([], path, ["a"])
+            emit_csv([], path)
         assert not path.exists()
 
 
@@ -231,6 +231,11 @@ class TestCommands:
         ("alpha = 1.0", "alpha = 1.0\nlambda = -1", "lambda"),
         ("beta_constant = 1.0", "beta_schedule = 1.0 1.0 2.0 1.0", "beta_schedule"),
         ("rel_tol = 1e-12", "abs_tol = 0", "abs_tol"),
+        # both keys of one schedule: the explicit one used to win silently
+        ("beta_constant = 1.0", "lambda_geometric = 0.5 0.5 4\nbeta_constant = 1.0",
+         "lambda_geometric"),
+        ("beta_constant = 1.0", "beta_schedule = 1.0 1.0 1.0 1.0\nbeta_constant = 1.0",
+         "beta_constant"),
     ])
     def test_invalid_value_exits_2_before_integrating(self, tmp_path, capsys,
                                                       monkeypatch, old, new, key):

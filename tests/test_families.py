@@ -212,8 +212,7 @@ def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
         boundary_ru=tuple(r * sl for r, sl in zip(radii, slopes)),
         dirichlet=(1.8,) * k1, functional=5.0,
         nehari_residual=1e-11, identity_residual_max=1e-11,
-        boundary_fluxes=(1.9,) * k1, bubbles=(None,) * k1,
-        branch_count=1)
+        boundary_fluxes=(1.9,) * k1, bubbles=(None,) * k1)
 
 
 class TestRegistryTargets:
@@ -301,6 +300,37 @@ class TestRegistryIds:
         assert not reports["aa7[1]"].applicable
         assert reports["aa7[1]"].note == "boundary slope not yet in the log regime"
         assert not reports["aa5[2]"].applicable
+
+
+class TestCouplingGates:
+    """k = 1: ab11's coupling constant gates the outermost-peak laws ab1
+    and ab2, and ab1 needs the outer peak off the origin."""
+
+    @staticmethod
+    def _k1_reports(beta, rho2):
+        lams = (1e-2, 1e-3, 1e-4, 1e-5)
+        records = []
+        for n, lam in enumerate(lams):
+            grow = 1.6 ** n
+            records.append(_fake_record(n, lam, beta, (8.0 * grow, 4.0 * grow),
+                                        (1e-2 / grow, 1.0), (0.0, rho2 / grow),
+                                        (0.5, -0.5)))
+        spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=lams,
+                          beta_schedule=(beta,) * 4)
+        exp = SequenceExperiment(spec=spec, records=tuple(records), failures=())
+        return {r.formula_id: r for r in verify_formulas(exp)}
+
+    def test_no_coupling_constant_at_beta_one(self):
+        reports = self._k1_reports(1.0, 0.2)
+        assert reports["ab11"].note == "needs beta_n != 1 and lambda_n < 1/e"
+        assert reports["ab1"].note == "no coupling constant available"
+        assert not any(reports[fid].applicable for fid in ("ab11", "ab1", "ab2"))
+
+    def test_outermost_peak_at_origin(self):
+        reports = self._k1_reports(1.3, 0.0)
+        assert reports["ab11"].applicable
+        assert not reports["ab1"].applicable
+        assert reports["ab1"].note == "outermost peak at the origin"
 
 
 class TestClassifier:

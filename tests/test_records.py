@@ -36,7 +36,7 @@ CASES = [
     (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25), ()),
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
     (MemberRecord, (0, 1e-2, 1.2, (0.0,), (-math.inf,), (2.0,), (-1.5,),
-                    (3.9,), 1.9, 1e-12, 1e-11, (2.0,), (None,), 1), 1),
+                    (3.9,), 1.9, 1e-12, 1e-11, (2.0,), (None,)), 1),
     (FailedMember, (3, 1e-5, 1.2, "NoSolutionInRangeError"), 4),
     (SequenceExperiment, (SPEC, (), ()), FamilySpec(1, 1.0, (1.0,) * 4,
                                                      (1.2,) * 4)),
@@ -88,11 +88,18 @@ def test_missing_field_raises():
         ProblemParams(1.0, 1.2)
 
 
+def test_extra_positional_field_raises():
+    with pytest.raises(TypeError, match="takes 3 positional arguments but 4"):
+        ProblemParams(1.0, 1.2, 0.5, 7.0)
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda: ProblemParams(1.0, 2.5, 0.5), "beta"),
     (lambda: FamilySpec(0, 1.0, (1e-2, 1e-3, 1e-4), (1.2,) * 3), "4 members"),
     (lambda: RadialSolution(P, None, **{**K0_RADII, "boundary_ru": (-1.5, 0.5)}),
      "nodal radius count"),
+    (lambda: RadialSolution(P, None, **{**K0_RADII, "log_nodal_radii": (-0.5,)}),
+     "unit boundary"),
 ])
 def test_post_init_checks_still_raise(build, match):
     with pytest.raises(ValueError, match=match):

@@ -129,6 +129,34 @@ class TestNodalSolution:
         assert xs == pytest.approx([0.25, -0.25, 0.0, 0.0], abs=1e-15)
         assert [settings for _, settings in calls] == [SCAN_SETTINGS] * 3 + [full]
 
+    def test_newton_gives_up(self, monkeypatch):
+        # None when a solve misses its zero, and after _MAX_NEWTON scan
+        # solves that all stay 1e-3 off the target (each 1e-12 step leaves
+        # the shrunk bracket and is replaced by its midpoint)
+        def missing(s, k, p0, settings=None, sensitivity=False):
+            raise ZeroNotReachedError("radius cap")
+
+        monkeypatch.setattr(shooting, "solve_unit_lambda", missing)
+        assert shooting._newton(0, 0.0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        calls = []
+
+        def off_target(s, k, p0, settings=None, sensitivity=False):
+            calls.append(settings)
+            return SimpleNamespace(log_zeros=[(0.5e-3, -1.0)], log_slope=1e9)
+
+        monkeypatch.setattr(shooting, "solve_unit_lambda", off_target)
+        assert shooting._newton(0, 0.0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        assert calls == [SCAN_SETTINGS] * shooting._MAX_NEWTON
+
+    def test_missing_interior_peak_typed(self):
+        # a k = 1 trajectory whose interior peak was not detected
+        zeros = [(-1.0, 0.5), (0.0, -0.5)]
+        traj = SimpleNamespace(
+            log_zeros=zeros, initial_amplitude=3.0,
+            shifted=lambda dt, params: SimpleNamespace(log_zeros=zeros, log_peaks=[]))
+        with pytest.raises(ZeroNotReachedError, match="expected 1 interior peak"):
+            shooting._build_solution(traj, 1, P12)
+
     @pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-2])
     def test_scan_tolerance_follows_amplitude(self, s):
         # u is of size s, so every solve scales abs_tol by min(1, s): a
@@ -203,7 +231,7 @@ class TestNodalSolution:
             calls.clear()
             sol = solution_at(rec.amplitude, 0, ProblemParams(1.0, rec.beta, rec.lam))
             assert calls == [rec.amplitude]
-            assert _summarize(rec.index, rec.lam, rec.beta, sol, rec.branch_count) == rec
+            assert _summarize(rec.index, rec.lam, rec.beta, sol) == rec
 
     def test_reach_ends_at_budget_past_a_fold(self):
         # weak_limit_preset's last member: lambda_1(s) at beta = 1.03 has
