@@ -134,7 +134,7 @@ MAX_GEOMETRIC_COUNT = 1000
 # typo that would otherwise run with a default.
 CONFIG_KEYS = {"problem": ("k", "alpha", "beta", "lambda"),
                "family": ("lambda_schedule", "lambda_geometric", "beta_schedule",
-                          "beta_constant", "coupling_note"),
+                          "coupling_note"),
                "tolerances": ("rel_tol", "abs_tol"), "output": ("seed_note",)}
 
 
@@ -200,11 +200,10 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
            1.0 if cfg.lam is None else cfg.lam)
 
     if cp.has_section("family"):
-        for first, second in (("lambda_schedule", "lambda_geometric"),
-                              ("beta_schedule", "beta_constant")):
-            if cp.has_option("family", first) and cp.has_option("family", second):
-                raise ConfigError(f"set {first} or {second}, not both", field=second,
-                                  location=f"{loc}[family]")
+        if cp.has_option("family", "lambda_schedule") and cp.has_option(
+                "family", "lambda_geometric"):
+            raise ConfigError("set lambda_schedule or lambda_geometric, not both",
+                              field="lambda_geometric", location=f"{loc}[family]")
         lam_sched = _get(cp, "family", "lambda_schedule", _floats, path=loc)
         if lam_sched is None:
             lam_sched = _get(cp, "family", "lambda_geometric", _geometric,
@@ -214,18 +213,15 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
                 "family needs lambda_schedule or lambda_geometric "
                 "= start ratio count", field="lambda_schedule",
                 location=f"{loc}[family]")
-        beta_sched = _get(cp, "family", "beta_schedule", _floats, path=loc)
-        if beta_sched is None:
-            bconst = _get(cp, "family", "beta_constant", float,
-                          default=cfg.beta, path=loc)
-            beta_sched = tuple(bconst for _ in lam_sched)
+        # a family without a beta_schedule keeps [problem] beta
+        beta_sched = _get(cp, "family", "beta_schedule", _floats, path=loc,
+                          default=(cfg.beta,) * len(lam_sched))
         lam_key = "lambda_schedule" if cp.has_option("family", "lambda_schedule") \
             else "lambda_geometric"
-        beta_key = "beta_schedule" if cp.has_option("family", "beta_schedule") \
-            else "beta_constant"
+        # [problem] beta is checked above: a bad beta here is the schedule's
         cfg.family = _build(FamilySpec, loc, "family", cfg.k, cfg.alpha, lam_sched,
-                            beta_sched, keys={"lambda": lam_key, "beta": beta_key,
-                            "lambda_schedule": lam_key, "beta_schedule": beta_key})
+                            beta_sched, keys={"lambda": lam_key, "beta": "beta_schedule",
+                            "lambda_schedule": lam_key})
 
     cfg.settings = _build(SolverSettings, loc, "tolerances", **{
         key: _get(cp, "tolerances", key, float, default=getattr(SolverSettings, key),

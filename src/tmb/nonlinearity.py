@@ -1,8 +1,9 @@
 """Problem parameters and the primitive F of the nonlinearity
 f(t) = t*exp(t^2 + alpha*|t|^beta).
 
-The integrator evaluates lambda*f(u) itself, as one exponent in the log
-radius (see ode), so f has no standalone form here.  F is off the solve
+The integrator evaluates f(u) itself, at lambda = 1, as one exponent in
+the log radius (see ode), and the dilation applies lambda (see shooting),
+so f has no standalone form here.  F is off the solve
 path too: the potential energy is read off the integrator's flux channel
 at zeros of u, and primitive_F is the independent reference for F that
 the tests check that channel against.  It evaluates F by quadrature in

@@ -1,11 +1,12 @@
 """Adaptive integration of the radial equation -u'' - u'/r = lambda*f(u)
-from the origin to the n-th zero of u, in the log radius t = ln r, with
-dense output, event detection, and augmented quadrature states for the
-energy integrals.
+at lambda = 1 from the origin to the n-th zero of u, in the log radius
+t = ln r, with dense output, event detection, and augmented quadrature
+states for the energy integrals.  The dilation x -> z*x (shifted) alone
+applies a lambda, z^2: it leaves E below, and each channel, unchanged.
 
 In t the equation reads
 
-    u_tt = -sign(u) exp(E),   E = 2t + ln(lambda) + ln|u| + u^2 + alpha*|u|^beta,
+    u_tt = -sign(u) exp(E),   E = 2t + ln|u| + u^2 + alpha*|u|^beta,
 
 and E stays O(1) wherever the dynamics matter.  No overflow budget is
 needed: an exponent far above O(1) only occurs in trial stages that the
@@ -409,6 +410,7 @@ class Trajectory:
     """Dense radial trajectory with detected zeros and interior peaks, by
     log radius t = ln r (finite at every amplitude).
 
+      params: the lambda = 1 parameters it was integrated at (kept by shifted);
       log_zeros: list of (t, r*u') with strictly increasing t, ending at
         the zero the integration stopped on;
       log_peaks: list of (t, |u|) at interior critical points (the origin
@@ -461,7 +463,7 @@ class Trajectory:
 
     def source_log(self, t: float) -> float:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start."""
-        ti = t + self._shift
+        ti = t + self._shift  # E is read in the log radius it was integrated in
         st = self._step_for(t)
         if st.frame is not None:  # u > 0 in the bubble frame
             tau = ti - st.frame.t0
@@ -472,23 +474,21 @@ class Trajectory:
             return 0.0
         p = self.params
         au = abs(u)
-        # E is dilation invariant: 2t + ln(lambda) is the same in the frame
-        # the steps were integrated in (internal t, lambda*exp(-2*shift))
-        e = (2.0 * ti + p.log_lambda - 2.0 * self._shift + math.log(au)
-             + u * u + p.alpha * au ** p.beta)
+        e = 2.0 * ti + math.log(au) + u * u + p.alpha * au ** p.beta
         return math.copysign(math.exp(min(e, _LOG_MAX)), u)
 
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
         return self._starts + [self._end]
 
-    def shifted(self, dt: float, params: ProblemParams) -> "Trajectory":
-        """Dilated trajectory x -> u(exp(dt)*x), valid for the given params.
+    def shifted(self, dt: float) -> "Trajectory":
+        """Dilated trajectory x -> u(exp(dt)*x), which solves the equation
+        at lambda*exp(2*dt).
 
-        Log radii move by -dt; u, r*u' and the lambda-weighted energy
-        channels are dilation invariants.
+        Log radii move by -dt; u, r*u', the lambda-weighted energy channels
+        and alpha, beta are dilation invariants.
         """
-        return Trajectory(params, self.initial_amplitude, self.t_start - dt,
+        return Trajectory(self.params, self.initial_amplitude, self.t_start - dt,
                           self.steps,
                           [(t - dt, ru) for t, ru in self.log_zeros],
                           [(t - dt, a) for t, a in self.log_peaks],
@@ -628,7 +628,7 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
 def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                      settings: SolverSettings | None = None,
                      sensitivity: bool = False) -> Trajectory:
-    """Integrate from u(0) = s > 0 to the n_zeros-th zero of u.
+    """Integrate at lambda = 1 from u(0) = s > 0 to the n_zeros-th zero of u.
 
     sensitivity=True adds a channel of two states, never error tested (steps
     and zeros stay bit-identical), that carries d/ds: (V, V') = d(D, D')/ds
@@ -636,9 +636,12 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
     Each stretch's one right-hand side appends the channel's derivatives.
     The error test's absolute tolerance is abs_tol*min(1, s) (SolverSettings).
-    Raises ValueError below MIN_AMPLITUDE, ZeroNotReachedError if the radius
-    cap or the step budget is hit first, StiffnessError if the step collapses.
+    Raises ValueError below MIN_AMPLITUDE or for p.lam != 1, ZeroNotReachedError
+    if the radius cap or the step budget is hit first, StiffnessError if the
+    step collapses.
     """
+    if p.lam != 1.0:
+        raise ValueError(f"integrate_radial runs at lambda = 1, got {p.lam!r}")
     if not (s >= MIN_AMPLITUDE):
         raise ValueError(f"amplitude must be at least {MIN_AMPLITUDE!r}, got {s!r}")
     if n_zeros < 1:
@@ -646,13 +649,13 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     if settings is None:
         settings = SolverSettings()
 
-    alpha, beta, loglam = p.alpha, p.beta, p.log_lambda
+    alpha, beta = p.alpha, p.beta
     rel, atol = settings.rel_tol, settings.abs_tol * min(1.0, s)  # u ~ s
     sb = s ** beta
 
     # ---- start: E = E_START, u = s to machine precision -------------------
     sq, sq_lo = _two_prod(s, s)
-    rest = loglam + math.log(s) + alpha * sb
+    rest = math.log(s) + alpha * sb
     t_e = 0.5 * (_E_START - rest - sq)
     t0 = min(t_e, _LOG_R_START_MAX)
     # E0 = 2 t0 + s^2 + rest, with s^2 carried exactly: at large s the
@@ -784,7 +787,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
 
         def awake_on_line(t):
             u = sigma * (t_z - t)
-            return u != 0.0 and (2.0 * t + loglam + math.log(abs(u)) + u * u
+            return u != 0.0 and (2.0 * t + math.log(abs(u)) + u * u
                                  + alpha * abs(u) ** beta) >= e_quiet
 
         # land where E climbs back to E_QUIET: before the zero if the local
@@ -826,14 +829,14 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             g = 0.0
         else:
             au = abs(u)
-            e = 2.0 * t + loglam + math.log(au) + u * u + alpha * au ** beta
+            e = 2.0 * t + math.log(au) + u * u + alpha * au ** beta
             g = math.copysign(exp(e if e < _E_CLIP else _E_CLIP), u)
         if len(y) == _NCOMP:
             return (ut, -g, ut * ut, u * g, g * ut, g)
         # the channel: w_tt = -w d/du(sign(u) e^E)
         #                   = -w e^E (1/|u| + 2|u| + ab|u|^(b-1))
         dg = g / u * (1.0 + 2.0 * u * u + alpha * beta * au ** beta) \
-            if u != 0.0 else exp(2.0 * t + loglam)
+            if u != 0.0 else exp(2.0 * t)
         return (ut, -g, ut * ut, u * g, g * ut, g, y[7], -dg * y[6])
 
     landed = [None]
@@ -876,7 +879,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
 
     def awake(t, u):
         au = abs(u)
-        return au > 0.0 and (2.0 * t + loglam + math.log(au) + u * u
+        return au > 0.0 and (2.0 * t + math.log(au) + u * u
                              + alpha * au ** beta) > _E_QUIET
 
     def scale_plain(x, y, x1, y1):

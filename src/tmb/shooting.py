@@ -8,11 +8,12 @@ boundary while lambda transforms as lambda*z^2.  The achieved eigenvalue is
     lambda_of_s(s) = exp(2 t_{k+1}(s)),
 
 and a nodal solution with the eigenvalue p.lam of its ProblemParams p is a
-scalar root-find in s.  lambda_of_s may be non-monotone, so trace follows
-ln lambda against ln s once, with slopes from the integrator's sensitivity
-channel, and splits the curve at its folds; each monotone piece holds at
-most one root, which Newton polishes from the piece's bracket (all
-branches are returned).
+scalar root-find in s.  Only solve_unit_lambda builds the lambda = 1
+parameters, and only _build_solution applies a lambda: the dilation's.
+lambda_of_s may be non-monotone, so trace follows ln lambda against ln s
+once, with slopes from the integrator's sensitivity channel, and splits
+the curve at its folds; each monotone piece holds at most one root, which
+Newton polishes from the piece's bracket (all branches are returned).
 
 Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
@@ -56,8 +57,8 @@ _FOLD_SLOPE = 1e-6
 
 
 def amplitude_budget(p: ProblemParams) -> float:
-    """Largest amplitude whose lambda=1 nonlinearity stays inside the
-    binary64 exponent budget.
+    """Largest amplitude whose nonlinearity at lambda = 1 (p.lam is not
+    read) stays inside the binary64 exponent budget.
 
     Solves ln(s) + s^2 + alpha*s^beta = OVERFLOW_BUDGET - margin by
     bisection.  The integrator no longer needs a budget; this amplitude
@@ -146,43 +147,44 @@ class RadialSolution(LogRadii):
             raise ValueError(f"domain index {i} out of range 1..{self.k + 1}")
 
 
-def solve_unit_lambda(s: float, k: int, p0: ProblemParams,
+def solve_unit_lambda(s: float, k: int, p: ProblemParams,
                       settings: SolverSettings | None = None,
                       sensitivity: bool = False) -> Trajectory:
-    """Integrate at lambda=1 from amplitude s to the (k+1)-th zero.
+    """Integrate at lambda = 1, with p.alpha and p.beta (p.lam is not
+    read), from amplitude s to the (k+1)-th zero.
 
     Returns the trajectory; its log_zeros holds the first k+1 zeros by log
     radius, and with sensitivity its log_slope = d ln(lambda)/d ln(s).
     Every integration of the shooting layer passes here.  Raises
     ZeroNotReachedError if the radius cap or the step budget interferes.
     """
-    if p0.lam != 1.0:
-        raise ValueError("solve_unit_lambda shoots at lambda = 1")
-    return integrate_radial(s, p0, k + 1, settings, sensitivity=sensitivity)
+    return integrate_radial(s, ProblemParams(p.alpha, p.beta, 1.0), k + 1,
+                            settings, sensitivity=sensitivity)
 
 
-def lambda_of_s(s: float, k: int, p0: ProblemParams,
+def lambda_of_s(s: float, k: int, p: ProblemParams,
                 settings: SolverSettings | None = None) -> float:
     """The unique lambda for which u(z_{k+1} * .) lies in the k-nodal class.
 
     This is exp(2 t_{k+1}), so it underflows to 0.0 once ln(lambda) < -745:
     k=0, beta=1.2, s=1e3 gives t_1 = -802.9.  ln(lambda) itself stays
-    finite: 2 * solve_unit_lambda(s, k, p0, settings).log_zeros[k][0].
+    finite: 2 * solve_unit_lambda(s, k, p, settings).log_zeros[k][0].
     """
-    return math.exp(2.0 * solve_unit_lambda(s, k, p0, settings).log_zeros[k][0])
+    return math.exp(2.0 * solve_unit_lambda(s, k, p, settings).log_zeros[k][0])
 
 
-def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSolution:
+def _build_solution(traj: Trajectory, k: int, p: ProblemParams) -> RadialSolution:
+    """The dilation of a lambda = 1 trajectory that puts its (k+1)-th zero
+    t_z on the unit boundary: a solution at lambda = exp(2 t_z)."""
     t_z = traj.log_zeros[k][0]
-    params = ProblemParams(p0.alpha, p0.beta, math.exp(2.0 * t_z))
-    scaled = traj.shifted(t_z, params)
+    scaled = traj.shifted(t_z)
     log_radii = tuple(t for t, _ in scaled.log_zeros[:k + 1])
     interior = [pk for pk in scaled.log_peaks if pk[0] < log_radii[-1]]
     if len(interior) != k:
         raise ZeroNotReachedError(
             f"expected {k} interior peak(s), detected {len(interior)}")
     return RadialSolution(
-        params=params,
+        params=ProblemParams(p.alpha, p.beta, math.exp(2.0 * t_z)),
         trajectory=scaled,
         log_nodal_radii=log_radii,
         log_peak_radii=(-math.inf,) + tuple(t for t, _ in interior),
@@ -191,10 +193,10 @@ def _build_solution(traj: Trajectory, k: int, p0: ProblemParams) -> RadialSoluti
     )
 
 
-def _node(k: int, p0: ProblemParams, x: float) -> tuple:
+def _node(k: int, p: ProblemParams, x: float) -> tuple:
     """(x, ln lambda, d ln lambda/d ln s) at s = exp(x), at scan tolerance."""
     s = math.exp(x)
-    traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS, sensitivity=True)
+    traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS, sensitivity=True)
     return x, 2.0 * traj.log_zeros[k][0], traj.log_slope
 
 
@@ -210,13 +212,13 @@ class Trace:
     folds: tuple
 
 
-def _fold(k: int, p0: ProblemParams, a: tuple, b: tuple) -> tuple:
+def _fold(k: int, p: ProblemParams, a: tuple, b: tuple) -> tuple:
     """The node between nodes a and b (slopes of opposite sign) where the
     slope vanishes: secant steps on the slope, kept in the bracket by bisection."""
     lo, hi, prev = a, b, a
     for _ in range(_MAX_NEWTON):
         x = b[0] - b[2] * (b[0] - prev[0]) / (b[2] - prev[2] or math.nan)
-        prev, b = b, _node(k, p0, x if lo[0] < x < hi[0] else 0.5 * (lo[0] + hi[0]))
+        prev, b = b, _node(k, p, x if lo[0] < x < hi[0] else 0.5 * (lo[0] + hi[0]))
         if abs(b[2]) <= _FOLD_SLOPE:
             break
         lo, hi = (b, hi) if b[2] * lo[2] > 0.0 else (lo, b)
@@ -233,13 +235,12 @@ def trace(k: int, p: ProblemParams) -> Trace:
     amplitude_budget(p), further only while lambda is above p.lam (the
     lowest target it serves) and still falling, never past S_MAX; it ends
     early at an amplitude whose (k+1)-th zero is not reached."""
-    p0 = ProblemParams(p.alpha, p.beta, 1.0)
-    x_budget, x_max = math.log(amplitude_budget(p0)), math.log(S_MAX)
+    x_budget, x_max = math.log(amplitude_budget(p)), math.log(S_MAX)
     nodes, folds, rejected = [], [], {}
     x, h = math.log(DEFAULT_S_MIN), _FIRST_STEP
     with suppress(ZeroNotReachedError):
         while True:
-            node = rejected.pop(x, None) or _node(k, p0, x)
+            node = rejected.pop(x, None) or _node(k, p, x)
             if nodes:
                 (x0, y0, d0), (_, y1, d1) = nodes[-1], node
                 defect = abs((d0 + d1) * (x - x0) - 2.0 * (y1 - y0)) + 1e-300
@@ -249,7 +250,7 @@ def trace(k: int, p: ProblemParams) -> Trace:
                     rejected[x], x = node, x0 + h
                     continue
                 if d0 * d1 < 0.0:
-                    nodes.append(_fold(k, p0, nodes[-1], node))
+                    nodes.append(_fold(k, p, nodes[-1], node))
                     folds.append(len(nodes) - 1)
             nodes.append(node)
             if x >= x_max or x >= x_budget and not (
@@ -259,7 +260,7 @@ def trace(k: int, p: ProblemParams) -> Trace:
     return Trace(k, p, tuple(nodes), tuple(folds))
 
 
-def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
+def _newton(k: int, lt: float, p: ProblemParams, settings: SolverSettings,
             x: float, lo: float, hi: float, f_lo: float):
     """Newton on f(x) = ln lambda(exp x) - lt from x in the bracket [lo, hi],
     f(lo) = f_lo, with the sensitivity channel's slope: at scan tolerance,
@@ -273,7 +274,7 @@ def _newton(k: int, lt: float, p0: ProblemParams, settings: SolverSettings,
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
         try:
-            traj = solve_unit_lambda(s, k, p0, SCAN_SETTINGS if scan else settings,
+            traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS if scan else settings,
                                      sensitivity=True)
         except ZeroNotReachedError:
             return None
@@ -308,7 +309,6 @@ def nodal_solution(k: int, p: ProblemParams,
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")
     full = settings or SolverSettings()
-    p0 = ProblemParams(p.alpha, p.beta, 1.0)
     lt = p.log_lambda
     tr = traced or trace(k, p)
     nodes, ends = tr.nodes, (0, *tr.folds, len(tr.nodes) - 1)
@@ -318,9 +318,9 @@ def nodal_solution(k: int, p: ProblemParams,
             fa, fb = ya - lt, yb - lt
             if fa * fb < 0.0 or fb == 0.0:  # a node on target ends one bracket
                 x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
-                traj = _newton(k, lt, p0, full, x, xa, xb, fa)
+                traj = _newton(k, lt, p, full, x, xa, xb, fa)
                 if traj is not None:
-                    solutions.append(_build_solution(traj, k, p0))
+                    solutions.append(_build_solution(traj, k, p))
                 break
     if not solutions:
         lams = [math.exp(y) for _, y, _ in nodes] or [math.nan]
@@ -334,5 +334,4 @@ def solution_at(s: float, k: int, p: ProblemParams,
     """The k-nodal solution of amplitude s for p.alpha and p.beta, from one
     integration at `settings`: at the amplitude of a solution nodal_solution
     returned with these settings, that solution bit for bit."""
-    p0 = ProblemParams(p.alpha, p.beta, 1.0)
-    return _build_solution(solve_unit_lambda(s, k, p0, settings), k, p0)
+    return _build_solution(solve_unit_lambda(s, k, p, settings), k, p)

@@ -21,7 +21,6 @@ beta = 1.0
 
 [family]
 lambda_schedule = 0.5 0.125 0.03125 0.0078125
-beta_constant = 1.0
 
 [tolerances]
 rel_tol = 1e-12
@@ -229,13 +228,10 @@ class TestCommands:
         ("alpha = 1.0", "alpha = 0", "alpha"),
         ("beta = 1.0\n\n[family]", "beta = 2.0\n\n[family]", "beta"),
         ("alpha = 1.0", "alpha = 1.0\nlambda = -1", "lambda"),
-        ("beta_constant = 1.0", "beta_schedule = 1.0 1.0 2.0 1.0", "beta_schedule"),
+        ("0.0078125\n", "0.0078125\nbeta_schedule = 1.0 1.0 2.0 1.0\n", "beta_schedule"),
         ("rel_tol = 1e-12", "abs_tol = 0", "abs_tol"),
         # both keys of one schedule: the explicit one used to win silently
-        ("beta_constant = 1.0", "lambda_geometric = 0.5 0.5 4\nbeta_constant = 1.0",
-         "lambda_geometric"),
-        ("beta_constant = 1.0", "beta_schedule = 1.0 1.0 1.0 1.0\nbeta_constant = 1.0",
-         "beta_constant"),
+        ("0.0078125\n", "0.0078125\nlambda_geometric = 0.5 0.5 4\n", "lambda_geometric"),
     ])
     def test_invalid_value_exits_2_before_integrating(self, tmp_path, capsys,
                                                       monkeypatch, old, new, key):
@@ -260,6 +256,11 @@ class TestCommands:
         ("rel_tol = 1e-12", "rel_tl = 1e-3\n[outptu]", "[outptu], [tolerances] rel_tl"),
         # scan_points is no key: the trace has no grid to size
         ("rel_tol = 1e-12", "scan_points = 48", "[tolerances] scan_points"),
+        # beta_constant is no key: a family's constant beta is [problem]
+        # beta, which a second statement used to override silently
+        ("0.0078125\n", "0.0078125\nbeta_constant = 1.3\n", "[family] beta_constant"),
+        ("0.0078125\n", "0.0078125\nbeta_schedule = 1.0 1.0 1.0 1.0\nbeta_constant = 1.0\n",
+         "[family] beta_constant"),
     ])
     def test_unknown_key_or_section_exits_2(self, tmp_path, capsys,
                                             monkeypatch, old, new, names):
@@ -343,9 +344,10 @@ class TestCommands:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["failures"][0]["lambda"] == 7.0
 
-    # SHA-256 of the profile files that `tmb profile` wrote for the same
-    # configs before verify and solve took them over (x86-64 Linux); a
-    # change that moves a root changes them
+    # SHA-256 of the profile files (x86-64 Linux).  They differ from those
+    # `tmb profile` wrote before verify and solve took them over only in
+    # config_hash, as CHEAP_VERIFY has since dropped its beta_constant line;
+    # a change that moves a root changes them
     def test_profile_files(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)
         out = tmp_path / "prof"
@@ -353,10 +355,10 @@ class TestCommands:
         header = (out / "profile_n0_d1.csv").read_text().splitlines()[0]
         assert header == "r,z_n,z_exact,phi,config_hash"
         assert _profile_digests(out) == {
-            "profile_n0_d1.csv": "12beea20c0ed5b06ec9c789f1924c26039cf2de648846bcca89bf3ce7a6cca8c",
-            "profile_n1_d1.csv": "a1bdbbb5cd35f657ee77fa80890cc819dadfba2715569be473b39433c0d9854a",
-            "profile_n2_d1.csv": "055ea1cd131fb2cecefe414dd75703fc73011b29562048e0fab5e862c058ec4d",
-            "profile_n3_d1.csv": "80f8cd98fb64f6297dca2dff22890b7dc6cfece8372ee0faf2d2f990dc69fc62",
+            "profile_n0_d1.csv": "18b0234012cf758235763681fec45080f00dda8dd50b02705d5a2b18b6c2ac92",
+            "profile_n1_d1.csv": "97c278c06eaf791da65e63924bd6f145b04bb92f72b1ce68f8fb6690327ea2b1",
+            "profile_n2_d1.csv": "dd160243f338acdcceefbd649f71f308f91eacda6c4b8f63b75ea2ae106e8f62",
+            "profile_n3_d1.csv": "74b3ba8a10e5f321a7e6539accc9b31267a36145e235fe58e0a3f4b535a2e764",
         }
 
     def test_solve_profile_files(self, tmp_path):
@@ -367,7 +369,7 @@ class TestCommands:
         out = tmp_path / "prof"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert _profile_digests(out) == {
-            "profile_n0_d1.csv": "0448f47fa622ef311204e2cd07dc974e73b1c05446a95f4027b538e5deddfcb1",
+            "profile_n0_d1.csv": "a2366caae1b9eab193504d468ad421a44bad359dce8e264a1e0d9dea350bb20c",
         }
 
     def test_solve_single_target(self, tmp_path):
@@ -399,7 +401,7 @@ class TestCommands:
     def test_coupling_note_goes_to_metadata(self, tmp_path):
         note = "beta held at 1 while lambda falls"
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(
-            "beta_constant = 1.0", f"beta_constant = 1.0\ncoupling_note = {note}"))
+            "0.0078125\n", f"0.0078125\ncoupling_note = {note}\n"))
         out = tmp_path / "note"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "metadata.json").read_text())["coupling_note"] == note

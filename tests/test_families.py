@@ -57,6 +57,10 @@ class TestEstimateLimit:
     def test_constant(self):
         assert estimate_limit([3.5, 3.5, 3.5]) == (3.5, 3.5)
 
+    def test_equal_differences_fall_back(self):
+        # equal nonzero differences: Aitken's denominator is 0
+        assert estimate_limit([1.0, 2.0, 3.0]) == (3.0, 3.0)
+
     def test_geometric_exact(self):
         a, b, q = 2.0, 0.7, 0.5
         seq = [a + b * q ** n for n in range(6)]

@@ -81,6 +81,14 @@ def test_from_import_and_cached_value():
     assert "lambda_of_s" in vars(tmb)
 
 
+def test_dir_lists_every_export():
+    import tmb
+    listed = dir(tmb)
+    assert listed == sorted(listed)
+    assert set(tmb.__all__) <= set(listed)
+    assert "__getattr__" in listed
+
+
 def test_unknown_name_raises_attribute_error():
     import tmb
     with pytest.raises(AttributeError, match="no_such_name"):

@@ -39,6 +39,10 @@ class TestPrimitive:
     def test_zero(self):
         assert primitive_F(0.0, P11) == 0.0
 
+    def test_infinite_argument_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            primitive_F(math.inf, P11)
+
     def test_alpha_disabled_closed_form(self):
         # alpha so small the perturbation term vanishes in floats
         p = ProblemParams(alpha=1e-300, beta=1.0, lam=1.0)

@@ -319,10 +319,10 @@ class TestSensitivityChannel:
 
 class TestStopsAndErrors:
     def test_zero_not_reached_on_radius_cap(self, monkeypatch):
+        # at s = 1e-3 the first zero lies near j_{0,1} = 2.405, past the cap
         monkeypatch.setattr(ode, "MAX_RADIUS", 2.0)
-        p_small = ProblemParams(1.0, 1.2, 1e-10)
         with pytest.raises(ZeroNotReachedError) as exc:
-            integrate_radial(1e-3, p_small, 1)
+            integrate_radial(1e-3, P12, 1)
         assert exc.value.zeros_found == 0
 
     def test_step_collapse_is_typed(self, monkeypatch):
@@ -348,7 +348,7 @@ class TestStopsAndErrors:
         # family (last step ending at r = 1.00245), r*u' at r = 2 read +0.594
         # where a longer integration gives -0.285
         traj = integrate_radial(2.0, P12, 1)
-        for tr in (traj, traj.shifted(traj.log_zeros[0][0], P12)):
+        for tr in (traj, traj.shifted(traj.log_zeros[0][0])):
             end = tr.log_step_bounds()[-1]
             assert math.isfinite(tr.u_log(end))
             for read in (tr.u_log, tr.ru_log, tr.source_log):

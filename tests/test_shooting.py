@@ -43,8 +43,28 @@ class TestUnitShooting:
         assert all(b > a for a, b in zip(zeros, zeros[1:]))
 
     def test_requires_unit_lambda(self):
-        with pytest.raises(ValueError):
-            solve_unit_lambda(1.0, 0, ProblemParams(1.0, 1.2, 2.0))
+        # the integrator runs at lambda = 1 only; the dilation applies lambda
+        with pytest.raises(ValueError, match="lambda = 1"):
+            ode.integrate_radial(1.0, ProblemParams(1.0, 1.2, 2.0), 1)
+
+    def test_lambda_is_not_read(self):
+        # p.lam is not read on the way in: the result of every shooting
+        # entry point is the same, bit for bit, at lambda = 1 and 0.37
+        other = ProblemParams(1.0, 1.2, 0.37)
+        for k in (0, 1):
+            a = solve_unit_lambda(3.0, k, P12, sensitivity=True)
+            b = solve_unit_lambda(3.0, k, other, sensitivity=True)
+            assert (a.log_zeros, a.log_peaks, a.log_slope, a.params) == (
+                b.log_zeros, b.log_peaks, b.log_slope, b.params)
+            assert lambda_of_s(3.0, k, P12) == lambda_of_s(3.0, k, other)
+            sa, sb = solution_at(3.0, k, P12), solution_at(3.0, k, other)
+            t = 0.5 * sa.log_nodal_radii[0]
+            assert (sa.params, sa.log_nodal_radii, sa.log_peak_radii,
+                    sa.peak_values, sa.boundary_ru, sa.trajectory.eval_log(t),
+                    sa.trajectory.source_log(t)) == (
+                sb.params, sb.log_nodal_radii, sb.log_peak_radii,
+                sb.peak_values, sb.boundary_ru, sb.trajectory.eval_log(t),
+                sb.trajectory.source_log(t))
 
 
 class TestLambdaOfS:
@@ -153,7 +173,7 @@ class TestNodalSolution:
         zeros = [(-1.0, 0.5), (0.0, -0.5)]
         traj = SimpleNamespace(
             log_zeros=zeros, initial_amplitude=3.0,
-            shifted=lambda dt, params: SimpleNamespace(log_zeros=zeros, log_peaks=[]))
+            shifted=lambda dt: SimpleNamespace(log_zeros=zeros, log_peaks=[]))
         with pytest.raises(ZeroNotReachedError, match="expected 1 interior peak"):
             shooting._build_solution(traj, 1, P12)
 
