@@ -4,7 +4,7 @@ on the unit disk.
 
 The namespace is lazy (PEP 562): `import tmb` loads no submodule, and the
 first use of an exported name imports only the module that defines it.
-`tmb.lambda_of_s` thus needs errors, nonlinearity, quadrature, ode and
+`tmb.lambda_of_s` thus needs errors, nonlinearity, records, ode and
 shooting, but not the family, diagnostics or Bessel code.
 """
 

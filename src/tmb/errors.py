@@ -5,17 +5,6 @@ class TmbError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OverflowBudgetError(TmbError, OverflowError):
-    """An exponent exceeded the working-precision overflow budget.
-
-    Carries the offending exponent.
-    """
-
-    def __init__(self, exponent):
-        self.exponent = exponent
-        super().__init__(f"exponent {exponent:.3f} exceeds the overflow budget")
-
-
 class QuadratureFailureError(TmbError, RuntimeError):
     """Adaptive quadrature could not meet its tolerance within budget."""
 

@@ -81,9 +81,6 @@ from bisect import bisect_right
 
 from .errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
 from .nonlinearity import ProblemParams
-# not called here (the potential energy is read off q_flux), but bound for
-# the benchmark, whose tracer wraps tmb.ode.primitive_F
-from .nonlinearity import primitive_F  # noqa: F401
 from .records import record
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), each entry

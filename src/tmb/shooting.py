@@ -26,11 +26,14 @@ import math
 from contextlib import suppress
 
 from .errors import NoSolutionInRangeError, ZeroNotReachedError
-from .nonlinearity import OVERFLOW_BUDGET, ProblemParams
+from .nonlinearity import ProblemParams
 from .ode import SolverSettings, Trajectory, integrate_radial
 from .records import record
 
 DEFAULT_S_MIN = 1e-6
+# Binary64 exponent budget (a safety margin below ln(DBL_MAX) ~ 709.78);
+# amplitude_budget is its one reader, and keeps a further _BUDGET_MARGIN.
+OVERFLOW_BUDGET = 700.0
 _BUDGET_MARGIN = 0.5
 # Amplitude ceiling of every search.  After the first bubble the
 # integrator drops a forcing below exp(-60) over a flight of length ~s^2/2,
@@ -60,9 +63,10 @@ def amplitude_budget(p: ProblemParams) -> float:
     """Largest amplitude whose nonlinearity at lambda = 1 (p.lam is not
     read) stays inside the binary64 exponent budget.
 
-    Solves ln(s) + s^2 + alpha*s^beta = OVERFLOW_BUDGET - margin by
-    bisection.  The integrator no longer needs a budget; this amplitude
-    still bounds the reach of a trace (see trace).
+    Solves ln(s) + s^2 + alpha*s^beta = OVERFLOW_BUDGET - _BUDGET_MARGIN
+    by bisection.  No other code budgets an exponent: the integrator needs
+    no budget, and this amplitude only bounds the reach of a trace (see
+    trace).
     """
     target = OVERFLOW_BUDGET - _BUDGET_MARGIN
 

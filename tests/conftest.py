@@ -1,5 +1,7 @@
-"""Shared fixtures: the expensive solves are session-scoped and reused."""
+"""Shared fixtures: the expensive solves are session-scoped and reused.
+Also the test-side reference for the primitive F of the nonlinearity."""
 
+import math
 import time
 from types import SimpleNamespace
 
@@ -7,12 +9,26 @@ import pytest
 
 from tmb import ProblemParams, families
 from tmb.families import FamilySpec
+from tmb.quadrature import adaptive_quadrature
 
 SESSION_T0 = time.time()
 
 L1 = 5.783185962946785   # first radial Dirichlet eigenvalue of the disk
 T1 = 2.404825557695773
 T2 = 5.520078110286311
+
+
+def primitive_F(t, p):
+    """F(t) = integral of s*exp(s^2 + alpha*s^beta) over s in [0, |t|]; even
+    in t.  The package reads F only off the integrator's flux channel; this
+    adaptive quadrature, to relative tolerance 1e-10, is the independent
+    reference the tests check that channel against."""
+    alpha, beta = p.alpha, p.beta
+
+    def integrand(s):
+        return s * math.exp(s * s + alpha * s ** beta)
+
+    return adaptive_quadrature(integrand, 0.0, abs(t), rel_tol=1e-10)
 
 
 def run_family_keeping_solutions(spec, **kwargs):

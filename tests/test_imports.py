@@ -36,8 +36,8 @@ def test_import_loads_no_submodule():
 
 def test_lambda_of_s_loads_only_the_integrator():
     assert _loaded_after("import tmb; tmb.lambda_of_s") == {
-        "tmb.errors", "tmb.nonlinearity", "tmb.quadrature", "tmb.ode",
-        "tmb.records", "tmb.shooting"}
+        "tmb.errors", "tmb.nonlinearity", "tmb.ode", "tmb.records",
+        "tmb.shooting"}
 
 
 def test_cli_loads_everything_but_bessel():

@@ -9,12 +9,12 @@ from tmb import ode
 from tmb.analysis import decompose, first_integral_residual
 from tmb.bessel import j0_zero
 from tmb.errors import NoSignChangeError, StiffnessError, TmbError, ZeroNotReachedError
-from tmb.nonlinearity import ProblemParams, primitive_F
+from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings, integrate_radial
 from tmb.quadrature import adaptive_quadrature
 from tmb.shooting import POLISH_TOL, SCAN_SETTINGS, solution_at
 
-from conftest import T1
+from conftest import T1, primitive_F
 
 P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
 
@@ -233,7 +233,7 @@ class TestAugmentedChannels:
     def test_potential_matches_primitive_quadrature(self, name, request):
         # decompose reads each domain's lambda*int F(u) r dr off the flux
         # channel as -q_flux/2 at its zeros; integrate F(u(t))*lambda*r^2
-        # dt directly instead, with primitive_F's own quadrature for F
+        # dt directly instead, with the tests' reference quadrature for F
         sol = request.getfixturevalue(name)
         traj, p = sol.trajectory, sol.params
 
