@@ -45,15 +45,17 @@ Three stretches, each in the variables that keep it accurate:
    with R the nonlinear remainder of E in u - s, evaluated with log1p and
    expm1: no u^2 is formed from two huge numbers, and the absolute error
    of D stays far below that of u - s.
-2. Free flight.  Once E < -60 + min(0, ln s) past the bubble, the forcing
-   (below 1e-26 min(1, s)) is dropped and u is linear in t until E climbs
-   back.  The line's zero lies ~s^2/2 further on; it is formed in closed
-   form with the s^2/2 terms cancelled exactly, where stepping across the
-   flight would cost about s^2*2^-53 in its log radius.  Dropping the
-   forcing moves that zero by about s^3*exp(-60)/4 (2e-12 at s = 1e5).
-3. The rest, in absolute t, from the landing (or from u < s/2 when E
-   never falls to -60).  Where the forcing is awake the error test weighs
-   u by dE/du, so that later bubbles keep E, not just u, to rel_tol.
+2. Free flight.  The forcing is quiet below one level, E < -60 + min(0,
+   ln s) (below 1e-26 min(1, s)): it hands over from the bubble, lands the
+   flight and gates stretch 3's dE/du weighting.  Quiet past the bubble,
+   the forcing is dropped and u is linear in t until E climbs back.  The
+   line's zero lies ~s^2/2 further on; it is formed in closed form with
+   the s^2/2 terms cancelled exactly, where stepping across the flight
+   would cost about s^2*2^-53 in its log radius.  Dropping the forcing
+   moves that zero by about s^3*exp(-60)/4 (2e-12 at s = 1e5).
+3. The rest, in absolute t, from the landing (or from u < s/2 when E is
+   never quiet).  Where it is awake the error test weighs u by dE/du, so
+   that later bubbles keep E, not just u, to rel_tol.
 
 After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
@@ -183,13 +185,13 @@ _ER1, _, _, _, _, _ER6, _ER7, _ER8, _ER9, _ER10, _ER11, _ER12 = _ER
 _BHH1, _BHH9, _BHH12 = _BHH
 
 _E_START = -40.0      # exponent at the first step
-_E_QUIET = -60.0      # past the bubble, E below this + min(0, ln s) hands over
-_HANDOFF_DROP = 0.5   # ... as it does once u < (1 - this) * s
+_E_QUIET = -60.0      # the forcing is quiet where E < this + min(0, ln s)
+_HANDOFF_DROP = 0.5   # the bubble hands over once quiet, or once u < (1 - this) * s
 _LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger radius
 # Exponents above this only occur in trial stages the error test rejects;
 # clipping them keeps those stages finite.
 _E_CLIP = 300.0
-_LOG_MAX = 709.0      # exp() of more overflows binary64
+_LOG_MAX = 709.0      # exp() of more overflows binary64: caps a reported radius
 _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
 # Amplitude floor: _march's den*sc[j] underflows below it (first at 3.1e-145).
 # From it up (k <= 2, beta = 1.3, alpha in {0.2, 3}, 30 points a decade to
@@ -324,6 +326,24 @@ def _liouville(la):
         return -2.0 * math.log1p(a), a / (1.0 + a), 1.0 / (1.0 + a)
     ia = math.exp(-la)
     return -2.0 * (la + math.log1p(ia)), 1.0 / (1.0 + ia), ia / (1.0 + ia)
+
+
+def _exponent(t, au, alpha, beta):
+    """E = 2t + ln|u| + u^2 + alpha*|u|^beta at log radius t, for au = |u| > 0."""
+    return 2.0 * t + math.log(au) + au * au + alpha * au ** beta
+
+
+def _source(t, u, alpha, beta):
+    """The forcing sign(u)*exp(E) in t, E clipped at _E_CLIP; 0 at u = 0."""
+    if u == 0.0:
+        return 0.0
+    e = _exponent(t, abs(u), alpha, beta)
+    return math.copysign(math.exp(e if e < _E_CLIP else _E_CLIP), u)
+
+
+def _u_de_du(au, alpha, beta):
+    """|u| dE/du = 1 + 2u^2 + alpha*beta*|u|^beta at au = |u|."""
+    return 1.0 + 2.0 * au * au + alpha * beta * au ** beta
 
 
 class _Frame:
@@ -465,14 +485,8 @@ class Trajectory:
         if st.frame is not None:  # u > 0 in the bubble frame
             tau = ti - st.frame.t0
             return math.exp(min(st.frame.exponent_at(tau, st.value(tau, 0)),
-                                _LOG_MAX))
-        u = st.value(ti, 0)
-        if u == 0.0:
-            return 0.0
-        p = self.params
-        au = abs(u)
-        e = 2.0 * ti + math.log(au) + u * u + p.alpha * au ** p.beta
-        return math.copysign(math.exp(min(e, _LOG_MAX)), u)
+                                _E_CLIP))
+        return _source(ti, st.value(ti, 0), self.params.alpha, self.params.beta)
 
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
@@ -633,14 +647,14 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
     Each stretch's one right-hand side appends the channel's derivatives.
     The error test's absolute tolerance is abs_tol*min(1, s) (SolverSettings).
-    Raises ValueError below MIN_AMPLITUDE or for p.lam != 1, ZeroNotReachedError
-    if the radius cap or the step budget is hit first, StiffnessError if the
-    step collapses.
+    Raises ValueError unless MIN_AMPLITUDE <= s < inf, or for p.lam != 1;
+    ZeroNotReachedError if the radius cap or the step budget is hit first,
+    StiffnessError if the step collapses.
     """
     if p.lam != 1.0:
         raise ValueError(f"integrate_radial runs at lambda = 1, got {p.lam!r}")
-    if not (s >= MIN_AMPLITUDE):
-        raise ValueError(f"amplitude must be at least {MIN_AMPLITUDE!r}, got {s!r}")
+    if not (MIN_AMPLITUDE <= s < math.inf):
+        raise ValueError(f"amplitude must be finite, >= {MIN_AMPLITUDE!r}, got {s!r}")
     if n_zeros < 1:
         raise ValueError("need at least one zero to stop on")
     if settings is None:
@@ -676,19 +690,16 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def check_radius(t1):
         if t1 > t_max:
             raise ZeroNotReachedError(
-                f"radius cap {MAX_RADIUS!r} reached with "
-                f"{len(zeros)} zero(s) found",
-                zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)),
-            )
+                f"radius cap {MAX_RADIUS!r} reached with {len(zeros)} zero(s) found",
+                zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)))
 
     def check_caps(t1):  # after each step is appended
         check_radius(t1)
         if len(steps) > MAX_STEPS:
+            radius = math.exp(min(t1, _LOG_MAX))
             raise ZeroNotReachedError(
-                f"step budget {MAX_STEPS} exhausted at radius "
-                f"{math.exp(min(t1, _LOG_MAX))!r}",
-                zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)),
-            )
+                f"step budget {MAX_STEPS} exhausted at radius {radius!r}",
+                zeros_found=len(zeros), radius=radius)
 
     # ---- stretch 1: the first bubble, in (tau, D) -------------------------
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
@@ -726,11 +737,15 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     a_dev = K * atol / (1.0 + 0.5 * s * s)
     a_bubble = (a_dev, a_dev / (1.0 + 0.5 * s), atol, atol, atol, atol)
     e_quiet = _E_QUIET + min(0.0, math.log(s))  # quiet relative to u ~ s
+
+    def awake(t, u):  # the flight's landing and scale_plain's weighting
+        return u != 0.0 and _exponent(t, abs(u), alpha, beta) >= e_quiet
+
     last_e = [-math.inf]
     quiet = [False]
 
     def on_bubble_step(step):
-        # hand over once E < E_QUIET past the bubble, or once u < s/2
+        # hand over once E < e_quiet past the bubble, or once u < s/2
         step.frame = frame
         steps.append(step)
         check_caps(t0 + step.x1)
@@ -782,26 +797,24 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             u = sigma * (t_z - t)
             return (u, -sigma, e_dir_h + sigma * (u_h - u), y[3], y[4], y[5])
 
-        def awake_on_line(t):
-            u = sigma * (t_z - t)
-            return u != 0.0 and (2.0 * t + math.log(abs(u)) + u * u
-                                 + alpha * abs(u) ** beta) >= e_quiet
+        def woken(t):
+            return awake(t, line(t)[0])
 
-        # land where E climbs back to E_QUIET: before the zero if the local
-        # maximum of E there (at u ~ sigma/2) reaches it, else past the zero
+        # land where E climbs back to the quiet level: before the zero if the
+        # local maximum of E there (at u ~ sigma/2) reaches it, else past it
         u_m = 0.5 * sigma
         for _ in range(50):
             den = 2.0 / sigma - 2.0 * u_m - alpha * beta * u_m ** (beta - 1.0)
             u_m = 1.0 / den if den > 0.0 else math.inf
             if u_m >= u_h:
                 break
-        if u_m < u_h and awake_on_line(t_z - u_m / sigma):
-            t_b = _line_search(awake_on_line, t_hand, t_z - u_m / sigma)
-        else:
+        lo, hi = t_hand, t_z - u_m / sigma
+        if not (u_m < u_h and woken(hi)):
             dt = 1.0 / sigma
-            while not awake_on_line(t_z + dt):
+            while not woken(t_z + dt):
                 dt *= 2.0
-            t_b = _line_search(awake_on_line, t_z, t_z + dt)
+            lo, hi = t_z, t_z + dt
+        t_b = _line_search(woken, lo, hi)
         if t_z < t_b:
             check_radius(t_z)
             zeros.append((t_z, -sigma))
@@ -820,20 +833,12 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
 
     # ---- stretch 3: absolute t -----------------------------------------------
     def rhs_plain(t, y):
-        u = y[0]
-        ut = y[1]
-        if u == 0.0:
-            g = 0.0
-        else:
-            au = abs(u)
-            e = 2.0 * t + math.log(au) + u * u + alpha * au ** beta
-            g = math.copysign(exp(e if e < _E_CLIP else _E_CLIP), u)
+        u, ut = y[0], y[1]
+        g = _source(t, u, alpha, beta)
         if len(y) == _NCOMP:
             return (ut, -g, ut * ut, u * g, g * ut, g)
-        # the channel: w_tt = -w d/du(sign(u) e^E)
-        #                   = -w e^E (1/|u| + 2|u| + ab|u|^(b-1))
-        dg = g / u * (1.0 + 2.0 * u * u + alpha * beta * au ** beta) \
-            if u != 0.0 else exp(2.0 * t)
+        # the channel: w_tt = -w d/du(sign(u) e^E) = -w (g/u) |u| dE/du
+        dg = g / u * _u_de_du(abs(u), alpha, beta) if u != 0.0 else exp(2.0 * t)
         return (ut, -g, ut * ut, u * g, g * ut, g, y[7], -dg * y[6])
 
     landed = [None]
@@ -874,11 +879,6 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         check_caps(step.x1)
         return False
 
-    def awake(t, u):
-        au = abs(u)
-        return au > 0.0 and (2.0 * t + math.log(au) + u * u
-                             + alpha * au ** beta) > _E_QUIET
-
     def scale_plain(x, y, x1, y1):
         # where the forcing is awake, an error in u moves E by dE/du times
         # as much: weigh u and u_t by it, so that later bubbles keep E (not
@@ -886,8 +886,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         # (but never below what binary64 resolves: 64 ulp)
         m = max(abs(y[0]), abs(y1[0]))
         m1 = max(abs(y[1]), abs(y1[1]))
-        kappa = 1.0 + 2.0 * m * m + alpha * beta * m ** beta \
-            if awake(x, y[0]) or awake(x1, y1[0]) else 1.0
+        kappa = _u_de_du(m, alpha, beta) if awake(x, y[0]) or awake(x1, y1[0]) else 1.0
         return (max((atol + rel * m) / kappa, _ULP64 * m),
                 max((atol + rel * m1) / kappa, _ULP64 * m1),
                 atol + rel * max(abs(y[2]), abs(y1[2])),

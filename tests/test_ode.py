@@ -220,6 +220,34 @@ class TestKernel:
                 assert abs(slope - st.h * f[i]) <= 1e-13 * scale
 
 
+class TestForcing:
+    """E, the forcing sign(u) exp(E) and |u| dE/du, each written once."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.8])
+    @pytest.mark.parametrize("au", [1e-3, 0.5, 3.0, 30.0])
+    def test_u_de_du_is_the_derivative_of_the_exponent(self, au, beta):
+        # central difference of E in u at fixed t, times |u|
+        t, alpha, h = 0.3, 0.7, 1e-5 * au
+        de = (ode._exponent(t, au + h, alpha, beta)
+              - ode._exponent(t, au - h, alpha, beta)) / (2.0 * h)
+        assert ode._u_de_du(au, alpha, beta) == pytest.approx(au * de, rel=1e-6)
+
+    def test_source_is_odd_and_zero_at_zero(self):
+        assert ode._source(0.5, 0.0, 1.0, 1.3) == 0.0
+        assert ode._source(0.5, -0.0, 1.0, 1.3) == 0.0
+        for t, u in ((-3.0, 1e-8), (0.0, 0.4), (0.2, 2.5), (-40.0, 9.0)):
+            g = ode._source(t, u, 1.0, 1.3)
+            assert g > 0.0 and ode._source(t, -u, 1.0, 1.3) == -g
+
+    def test_source_log_at_an_exact_zero(self):
+        # the first zero (k = 1, beta = 1.3, s = 30), stepped in absolute t,
+        # is polished to a log radius where u reads exactly 0.0
+        traj = integrate_radial(30.0, ProblemParams(1.0, 1.3, 1.0), 2)
+        t = traj.log_zeros[0][0]
+        assert traj._step_for(t).frame is None and traj.u_log(t) == 0.0
+        assert traj.source_log(t) == 0.0
+
+
 class TestAugmentedChannels:
     def test_channels_nondecreasing(self, deep_traj):
         # (e_dir, e_neh, e_src) at every accepted step end, plus the start
@@ -337,8 +365,9 @@ class TestStopsAndErrors:
 
     def test_invalid_amplitude(self):
         # 1e-200 lies below ode.MIN_AMPLITUDE; s^2 underflows to 0.0 there,
-        # which was an untyped ZeroDivisionError
-        for s in (-1.0, 1e-200):
+        # which was an untyped ZeroDivisionError.  s = inf ended in a
+        # StiffnessError at radius 0.0
+        for s in (-1.0, 1e-200, math.inf, math.nan):
             with pytest.raises(ValueError, match="amplitude"):
                 integrate_radial(s, P12, 1)
 
