@@ -23,7 +23,9 @@ class NoSignChangeError(TmbError, ValueError):
 
 
 class ZeroNotReachedError(TmbError, RuntimeError):
-    """Integration hit the radius cap or overflow before the requested zero."""
+    """The requested zero was not reached: the integration hit the radius cap
+    or the step budget first, or (shooting._build_solution) an interior peak
+    before it was not detected."""
 
     def __init__(self, message, zeros_found=0, radius=None):
         self.zeros_found = zeros_found

@@ -299,18 +299,17 @@ def verify_formulas(exp: SequenceExperiment) -> list:
              lambda: half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
                                   / (2.0 - beta_star)),
              slow=slow)
-        emit(f"aa2[{i}]", full,
-             lambda L, b, rec: L / (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j),
-             lambda: 2.0 ** ((beta_star - 1.0) ** j)
-             * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
-                            / (2.0 - beta_star)),
-             slow=slow)
+        aa2 = emit(f"aa2[{i}]", full,
+                   lambda L, b, rec: L / (-rec.log_nodal_radii[i - 1])
+                   ** ((b - 1.0) ** j),
+                   lambda: 2.0 ** ((beta_star - 1.0) ** j)
+                   * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
+                                  / (2.0 - beta_star)),
+                   slow=slow)
+        # aa4's gate implies aa2's, whose target it shares
         emit(f"aa4[{i}]", full or _slope_gate(records, i),
              lambda L, b, rec: L / rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j),
-             lambda: 2.0 ** ((beta_star - 1.0) ** j)
-             * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
-                            / (2.0 - beta_star)),
-             slow=slow)
+             lambda: aa2.target, slow=slow)
     for i in range(2, k + 1):
         j = k - i + 1
         emit(f"aa3[{i}]", full,

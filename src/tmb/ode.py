@@ -44,15 +44,17 @@ Three stretches, each in the variables that keep it accurate:
    which solves Z'' = -K exp(E0 + 2 tau + Z).  Then D'' = Z_L'' expm1(D + R),
    with R the nonlinear remainder of E in u - s, evaluated with log1p and
    expm1: no u^2 is formed from two huge numbers, and the absolute error
-   of D stays far below that of u - s.
+   of D stays far below that of u - s.  R is written once, in the frame's
+   right-hand side; the hand-over and source_log read E through it.
 2. Free flight.  The forcing is quiet below one level, E < -60 + min(0,
    ln s) (below 1e-26 min(1, s)): it hands over from the bubble, lands the
    flight and gates stretch 3's dE/du weighting.  Quiet past the bubble,
-   the forcing is dropped and u is linear in t until E climbs back.  The
-   line's zero lies ~s^2/2 further on; it is formed in closed form with
-   the s^2/2 terms cancelled exactly, where stepping across the flight
-   would cost about s^2*2^-53 in its log radius.  Dropping the forcing
-   moves that zero by about s^3*exp(-60)/4 (2e-12 at s = 1e5).
+   the forcing is dropped (source_log reads 0) and u is linear in t until
+   E climbs back.  The line's zero lies ~s^2/2 further on; it is formed in
+   closed form with the s^2/2 terms cancelled exactly, where stepping
+   across the flight would cost about s^2*2^-53 in its log radius.
+   Dropping the forcing moves that zero by about s^3*exp(-60)/4 (2e-12 at
+   s = 1e5).
 3. The rest, in absolute t, from the landing (or from u < s/2 when E is
    never quiet).  Where it is awake the error test weighs u by dE/du, so
    that later bubbles keep E, not just u, to rel_tol.
@@ -68,7 +70,8 @@ Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
 7th-order dense output built lazily: an accepted step keeps its stage
 slopes and spends the three extra stages on the interpolant only when it
 is first read (while shooting, the steps with a zero or a peak; for a
-solution's analysis, every step it reads).  The error test's scale is
+solution's analysis, every step it reads); it keeps its right-hand side
+too, which source_log asks for the forcing.  The error test's scale is
 abs_tol*min(1, s) + rel_tol*|y| (ibid., sec. II.4), as u is of size s.
 Events (zeros of u, interior critical points) are detected by sign
 change at step endpoints and polished on the interpolant.  A step that
@@ -229,12 +232,13 @@ class SolverSettings:
 class _Step:
     """One accepted step in its own variable x, with a lazy 7th-order dense
     output.  frame is the first-bubble _Frame (x = tau, y carries D and D')
-    or None (x = t, y is the log-radius state).
+    or None (x = t, y is the log-radius state).  rhs is the right-hand side
+    it was taken with, in x (None on the flight, which is not stepped).
 
     A step keeps the stage slopes its interpolant needs; the first read of
     `rows` spends three more right-hand sides on it and drops them."""
 
-    __slots__ = ("x0", "h", "x1", "y0", "y1", "_rhs", "_ks", "_rows", "frame")
+    __slots__ = ("x0", "h", "x1", "y0", "y1", "rhs", "_ks", "_rows", "frame")
 
     def __init__(self, x0, h, x1, y0, y1, rhs, ks, rows=None):
         self.x0 = x0
@@ -242,7 +246,7 @@ class _Step:
         self.x1 = x1
         self.y0 = y0
         self.y1 = y1
-        self._rhs = rhs
+        self.rhs = rhs
         self._ks = ks  # stages 1, 6-13 (13: f at the new point)
         self._rows = rows
         self.frame = None
@@ -261,9 +265,9 @@ class _Step:
         th*(r0 + (1-th)*(r1 + th*(r2 + (1-th)*(r3 + th*(r4 + (1-th)*(r5 +
         th*r6))))))."""
         if self._rows is None:
-            self._rows = _dense_rows(self._rhs, self.x0, self.h, self.y0,
+            self._rows = _dense_rows(self.rhs, self.x0, self.h, self.y0,
                                      self.y1, self._ks)
-            self._rhs = self._ks = None
+            self._ks = None
         return self._rows
 
     def dense(self, x):
@@ -272,7 +276,7 @@ class _Step:
 
     def value(self, x, i: int) -> float:
         """Component i at x."""
-        r0, r1, r2, r3, r4, r5, r6 = self.rows
+        r0, r1, r2, r3, r4, r5, r6 = self._rows or self.rows
         th = (x - self.x0) / self.h
         om = 1.0 - th
         return self.y0[i] + th * (r0[i] + om * (r1[i] + th * (r2[i] + om * (
@@ -347,18 +351,17 @@ def _u_de_du(au, alpha, beta):
 
 
 class _Frame:
-    """Constants of the first-bubble frame (see the module docstring)."""
+    """Constants of the first-bubble frame (see the module docstring) and
+    its map to the log-radius state; E and R are rhs_bubble's alone."""
 
-    __slots__ = ("s", "K", "t0", "E0", "ln_a", "asb", "beta")
+    __slots__ = ("s", "K", "t0", "E0", "ln_a")
 
-    def __init__(self, s, K, t0, E0, alpha, beta):
+    def __init__(self, s, K, t0, E0):
         self.s = s
         self.K = K
         self.t0 = t0
         self.E0 = E0
         self.ln_a = math.log(K) + E0 - math.log(8.0)
-        self.asb = alpha * s ** beta
-        self.beta = beta
 
     def liouville(self, tau):
         """(Z_L, q, 1 - q) at tau."""
@@ -369,17 +372,6 @@ class _Frame:
         z_l, q, _ = self.liouville(tau)
         return (self.s + (z_l + y[0]) / self.K, (y[1] - 4.0 * q) / self.K,
                 y[2], y[3], y[4], y[5])
-
-    def exponent_at(self, tau, dev):
-        """E at tau for the deviation D = dev: E0 + 2 tau + Z_L + D + R, with
-        R the nonlinear remainder of E in d = u - s (rhs_bubble inlines
-        R)."""
-        z_l, _, _ = self.liouville(tau)
-        d = (z_l + dev) / self.K
-        x = max(d / self.s, -0.99)
-        lx = math.log1p(x)
-        return (self.E0 + 2.0 * tau + z_l + dev + (lx - x) + d * d
-                + self.asb * (math.expm1(self.beta * lx) - self.beta * x))
 
     def head(self, tau):
         """Frame state before the first step, where u = s - exp(E)/4 + ...
@@ -427,7 +419,6 @@ class Trajectory:
     """Dense radial trajectory with detected zeros and interior peaks, by
     log radius t = ln r (finite at every amplitude).
 
-      params: the lambda = 1 parameters it was integrated at (kept by shifted);
       log_zeros: list of (t, r*u') with strictly increasing t, ending at
         the zero the integration stopped on;
       log_peaks: list of (t, |u|) at interior critical points (the origin
@@ -437,14 +428,15 @@ class Trajectory:
         in (before any dilation by shifted); a first-bubble step carries
         frame-local x and y, so read it through t0, t1 and end();
       u_log, ru_log, eval_log, source_log: dense evaluation, by log radius
-        only, up to the last step's end (ValueError past it);
-      log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel).
+        only, up to the last step's end (ValueError past it); source_log
+        asks each step's own right-hand side;
+      log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel;
+        kept by shifted).
     """
 
-    def __init__(self, params: ProblemParams, amplitude: float, t_start: float,
-                 steps: list, log_zeros: list, log_peaks: list,
+    def __init__(self, amplitude: float, t_start: float, steps: list,
+                 log_zeros: list, log_peaks: list,
                  shift: float = 0.0, log_slope: float | None = None):
-        self.params = params
         self.initial_amplitude = amplitude
         self.t_start = t_start
         self.steps = steps  # internal log radius = external + shift
@@ -458,8 +450,8 @@ class Trajectory:
     def _step_for(self, t):
         if t > self._end:  # no step covers it: the interpolant would extrapolate
             raise ValueError(f"log radius {t!r} lies past the last step, {self._end!r}")
-        idx = bisect_right(self._starts, t) - 1
-        return self.steps[max(idx, 0)]
+        # searched from the second start: the first step also answers below t_start
+        return self.steps[bisect_right(self._starts, t, 1) - 1]
 
     def eval_log(self, t: float):
         """(u, r*u', e_dir, e_neh, q_flux, e_src) at log radius t."""
@@ -479,14 +471,16 @@ class Trajectory:
         return self.eval_log(t)[1]
 
     def source_log(self, t: float) -> float:
-        """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start."""
-        ti = t + self._shift  # E is read in the log radius it was integrated in
+        """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start: the
+        forcing of the covering step's own right-hand side, on its u (or D)
+        alone; 0.0 on the flight, whose forcing the integrator drops."""
         st = self._step_for(t)
-        if st.frame is not None:  # u > 0 in the bubble frame
-            tau = ti - st.frame.t0
-            return math.exp(min(st.frame.exponent_at(tau, st.value(tau, 0)),
-                                _E_CLIP))
-        return _source(ti, st.value(ti, 0), self.params.alpha, self.params.beta)
+        if st.rhs is None:
+            return 0.0
+        x = t + self._shift  # E is read in the log radius it was integrated in
+        if st.frame is not None:
+            x -= st.frame.t0
+        return st.rhs(x, (st.value(x, 0), 0.0, 0.0, 0.0, 0.0, 0.0))[5]
 
     def log_step_bounds(self) -> list:
         """Log radii of the accepted step boundaries, increasing."""
@@ -497,13 +491,12 @@ class Trajectory:
         at lambda*exp(2*dt).
 
         Log radii move by -dt; u, r*u', the lambda-weighted energy channels
-        and alpha, beta are dilation invariants.
+        and d ln(lambda)/d ln(s) are dilation invariants.
         """
-        return Trajectory(self.params, self.initial_amplitude, self.t_start - dt,
-                          self.steps,
+        return Trajectory(self.initial_amplitude, self.t_start - dt, self.steps,
                           [(t - dt, ru) for t, ru in self.log_zeros],
                           [(t - dt, a) for t, a in self.log_peaks],
-                          shift=self._shift + dt)
+                          shift=self._shift + dt, log_slope=self.log_slope)
 
 
 def _two_sum(a, b):
@@ -674,7 +667,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     hi, lo = _two_sum(2.0 * t0, sq)
     E0 = (hi + rest) + (lo + sq_lo)
     K = 2.0 * s + 1.0 / s + alpha * beta * sb / s
-    frame = _Frame(s, K, t0, E0, alpha, beta)
+    frame = _Frame(s, K, t0, E0)
     # for the channel: kp = K'/K, phi_s = (ln K + E0)', t0_s = t0' (-K/2
     # unless t0 is pinned) and tk_s = t0' + (sK)'/4, its s^2/2 terms cancelled
     kp = (2.0 - 1.0 / sq + alpha * beta * (beta - 1.0) * sb / sq) / K
@@ -703,7 +696,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
 
     # ---- stretch 1: the first bubble, in (tau, D) -------------------------
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
-    ln_a, asb, inv_k, inv_s = frame.ln_a, frame.asb, 1.0 / K, 1.0 / s
+    ln_a, asb, inv_k, inv_s = frame.ln_a, alpha * sb, 1.0 / K, 1.0 / s
 
     def rhs_bubble(tau, y):
         z_l, q, omq = _liouville(ln_a + 2.0 * tau)
@@ -741,19 +734,21 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def awake(t, u):  # the flight's landing and scale_plain's weighting
         return u != 0.0 and _exponent(t, abs(u), alpha, beta) >= e_quiet
 
-    last_e = [-math.inf]
+    g_quiet = exp(e_quiet)
+    last_g = [0.0]  # exp(-inf): the first step is never quiet
     quiet = [False]
 
     def on_bubble_step(step):
-        # hand over once E < e_quiet past the bubble, or once u < s/2
+        # hand over once exp(E) < exp(e_quiet) past the bubble, or once
+        # u < s/2; exp(E) at the step end is the FSAL stage's forcing
         step.frame = frame
         steps.append(step)
         check_caps(t0 + step.x1)
-        e = frame.exponent_at(step.x1, step.y1[0])
-        quiet[0] = e < min(e_quiet, last_e[0])
+        g = step._ks[8][5]
+        quiet[0] = g < min(g_quiet, last_g[0])
         if quiet[0] or frame.state(step.x1, step.y1)[0] < (1.0 - _HANDOFF_DROP) * s:
             return True
-        last_e[0] = e
+        last_g[0] = g
         return False
 
     def scale_bubble(x, y, x1, y1):
@@ -827,7 +822,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                            (tuple(b - a for a, b in zip(y, y_b)),) + (zero,) * 6))
         check_caps(t_b)
         if len(zeros) >= n_zeros:
-            return Trajectory(p, s, t0, steps, zeros, peaks,
+            return Trajectory(s, t0, steps, zeros, peaks,
                               log_slope=2.0 * s * tz_s if sensitivity else None)
         t_hand, y = t_b, y_b
 
@@ -897,8 +892,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     step, _ = _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t,
                      on_plain_step)
     if not sensitivity:
-        return Trajectory(p, s, t0, steps, zeros, peaks)
+        return Trajectory(s, t0, steps, zeros, peaks)
     t_n, ru_n = zeros[-1]  # w(t_n) on the dense output
     w = step.value(t_n, _NCOMP)
-    return Trajectory(p, s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
+    return Trajectory(s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
 

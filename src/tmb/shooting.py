@@ -337,5 +337,6 @@ def solution_at(s: float, k: int, p: ProblemParams,
                 settings: SolverSettings | None = None) -> RadialSolution:
     """The k-nodal solution of amplitude s for p.alpha and p.beta, from one
     integration at `settings`: at the amplitude of a solution nodal_solution
-    returned with these settings, that solution bit for bit."""
+    returned with these settings, that solution bit for bit (but with no
+    sensitivity channel, so its trajectory's log_slope is None)."""
     return _build_solution(solve_unit_lambda(s, k, p, settings), k, p)

@@ -1,6 +1,7 @@
 """Rescaled bubble profiles against the Liouville limit shape."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from tmb.errors import WindowTooLargeError
 from tmb.families import FamilySpec
 from tmb.nonlinearity import ProblemParams
 from tmb.quadrature import adaptive_quadrature
+from tmb.shooting import RadialSolution
 
 from conftest import run_family_keeping_solutions
 
@@ -143,6 +145,18 @@ class TestDerivativeBound:
         for i in (0, 2):
             with pytest.raises(ValueError, match="out of range"):
                 derivative_bound_check(diag, sol_mid, i)
+
+    def test_wrong_sign_fails(self, sol_mid):
+        # a fake trajectory whose r*u' has the wrong sign: z_n would rise
+        # from the peak, below the bound's lower side
+        traj = sol_mid.trajectory
+        flipped = SimpleNamespace(ru_log=lambda t: -traj.ru_log(t))
+        sol = RadialSolution(sol_mid.params, flipped, sol_mid.log_nodal_radii,
+                             sol_mid.log_peak_radii, sol_mid.peak_values,
+                             sol_mid.boundary_ru)
+        diag = rescale_profile(sol_mid, 1)
+        assert derivative_bound_check(diag, sol_mid, 1)
+        assert not derivative_bound_check(diag, sol, 1)
 
     def test_exact_profile_satisfies_bound(self):
         # -z'(r) = 4r/(8+r^2) <= r/2 for the limit profile itself

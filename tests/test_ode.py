@@ -219,6 +219,21 @@ class TestKernel:
                 slope = st.value(x + 1j * eps * st.h, i).imag / eps
                 assert abs(slope - st.h * f[i]) <= 1e-13 * scale
 
+    def test_zero_error_estimate_grows_the_step_sixfold(self):
+        # a zero right-hand side makes every error estimate exactly 0: each
+        # step is accepted and the next one is 6 times as long
+        hs = []
+
+        def on_step(step):
+            hs.append(step.h)
+            assert step.y1 == step.y0
+            return len(hs) == 3
+
+        y = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        _, h = ode._march(lambda x, y: (0.0,) * 6, 0.0, y, 0.1,
+                          lambda x, y, x1, y1: (1.0,) * 6, lambda x: x, on_step)
+        assert hs == [0.1, 0.1 * 6.0, 0.1 * 6.0 * 6.0] and h == hs[-1] * 6.0
+
 
 class TestForcing:
     """E, the forcing sign(u) exp(E) and |u| dE/du, each written once."""
@@ -246,6 +261,24 @@ class TestForcing:
         t = traj.log_zeros[0][0]
         assert traj._step_for(t).frame is None and traj.u_log(t) == 0.0
         assert traj.source_log(t) == 0.0
+
+    def test_source_log_is_each_steps_own_forcing(self):
+        # source_log asks the right-hand side each step was taken with, on
+        # u (or D) alone: at a bubble step's end it is the forcing of that
+        # step's FSAL stage, bit for bit, wherever the end's tau survives
+        # the round trip through the log radius, t0 + tau - t0 == tau.  The
+        # last bubble step ends where the flight starts; the integrator
+        # drops the flight's forcing, and source_log reads 0.0 there
+        traj = integrate_radial(30.0, ProblemParams(1.0, 1.3, 1.0), 2)
+        bubble = [st for st in traj.steps if st.frame is not None]
+        exact = [st for st in bubble[:-1] if st.t1 - st.frame.t0 == st.x1]
+        assert len(exact) >= 5
+        for st in exact:
+            assert traj.source_log(st.t1) == st.rhs(st.x1, st.y1)[5] > 0.0
+        flight = traj.steps[len(bubble)]
+        assert flight.frame is None and flight.rhs is None
+        for t in (bubble[-1].t1, flight.t0 + 0.5 * flight.h):
+            assert traj.source_log(t) == 0.0
 
 
 class TestAugmentedChannels:

@@ -54,8 +54,8 @@ class TestUnitShooting:
         for k in (0, 1):
             a = solve_unit_lambda(3.0, k, P12, sensitivity=True)
             b = solve_unit_lambda(3.0, k, other, sensitivity=True)
-            assert (a.log_zeros, a.log_peaks, a.log_slope, a.params) == (
-                b.log_zeros, b.log_peaks, b.log_slope, b.params)
+            assert (a.log_zeros, a.log_peaks, a.log_slope) == (
+                b.log_zeros, b.log_peaks, b.log_slope)
             assert lambda_of_s(3.0, k, P12) == lambda_of_s(3.0, k, other)
             sa, sb = solution_at(3.0, k, P12), solution_at(3.0, k, other)
             t = 0.5 * sa.log_nodal_radii[0]
@@ -218,6 +218,16 @@ class TestNodalSolution:
         assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
         for sol in sols:
             assert sol.params.lam == pytest.approx(target, rel=1e-9)
+
+    def test_solutions_carry_the_slope(self):
+        # d ln(lambda)/d ln(s) is a dilation invariant: shifted used to drop
+        # it, and both solutions beside this fold read None
+        p = ProblemParams(1.0, 1.0, 3.2245)
+        sols = nodal_solution(1, p)
+        assert len(sols) == 2
+        for sol in sols:
+            slope = solve_unit_lambda(sol.amplitude, 1, p, sensitivity=True).log_slope
+            assert sol.trajectory.log_slope == slope
 
     def test_each_amplitude_integrated_once(self, monkeypatch):
         # the trace hands Newton the secant point of the nodes it measured,
