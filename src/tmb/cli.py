@@ -12,9 +12,10 @@ profile fits its window, and, for families, formula_reports.csv;
 
 Each value is checked by the code that owns it: ProblemParams, FamilySpec,
 SolverSettings, shooting.check_nodal_class for k, and bessel.j0_zero for
-the eigenpair count (k for `bessel`; 3 when no k is given); their
-ValueError is raised as a ConfigError naming the key.  Free-text notes
-(seed_note, coupling_note) go to the metadata sidecar, never to a CSV.
+the eigenpair count (`bessel` reads it from [problem] k only, and prints 3
+without a config or a k); their ValueError is raised as a ConfigError
+naming the key.  A family lists its lambda_n in lambda_schedule.  Free-text
+notes (seed_note, coupling_note) go to the metadata sidecar, never to a CSV.
 
 Exit codes: 0 success, 1 any family-member failure (partial results are
 still written), 2 malformed config.
@@ -126,45 +127,11 @@ def _floats(raw: str) -> tuple:
     return values
 
 
-_LOG_FLOAT_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
-# Most members a lambda_geometric schedule may have: at ~0.1 s of solving
-# per member, 1,000 members take minutes, and more is a typo, not a family.
-MAX_GEOMETRIC_COUNT = 1000
 # The sections of a config and the keys each may hold; anything else is a
 # typo that would otherwise run with a default.
 CONFIG_KEYS = {"problem": ("k", "alpha", "beta", "lambda"),
-               "family": ("lambda_schedule", "lambda_geometric", "beta_schedule",
-                          "coupling_note"),
+               "family": ("lambda_schedule", "beta_schedule", "coupling_note"),
                "tolerances": ("rel_tol", "abs_tol"), "output": ("seed_note",)}
-
-
-def _geometric(raw: str) -> tuple:
-    """`start ratio count` -> (start * ratio**n for n < count).
-
-    count must be a whole number in [1, MAX_GEOMETRIC_COUNT] and ratio
-    must not be 1.  The last member and the power ratio**(count - 1) it is
-    built from must be positive finite floats, checked in log space.  All
-    checks run before the schedule is built.
-    """
-    values = _floats(raw)
-    if len(values) != 3:
-        raise ValueError("expected start ratio count")
-    start, ratio, count = values
-    if count < 1 or count != math.floor(count):
-        raise ValueError(f"count must be a whole number >= 1, got {count}")
-    if start <= 0.0 or ratio <= 0.0:
-        raise ValueError("start and ratio must be positive")
-    if ratio == 1.0:
-        raise ValueError("ratio must not be 1: every member would be start")
-    lo, hi = _LOG_FLOAT_RANGE
-    log_power = (count - 1) * math.log(ratio)
-    if not (lo <= log_power < hi and lo <= math.log(start) + log_power < hi):
-        raise ValueError(f"the last member start * ratio**{count - 1:.0f} "
-                         "is not a positive finite float")
-    if count > MAX_GEOMETRIC_COUNT:
-        raise ValueError(f"count must be at most {MAX_GEOMETRIC_COUNT}, "
-                         f"got {count:.0f}")
-    return tuple(start * ratio ** n for n in range(int(count)))
 
 
 def parse_config(path: Path, command: str) -> ExperimentConfig:
@@ -200,28 +167,17 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
            1.0 if cfg.lam is None else cfg.lam)
 
     if cp.has_section("family"):
-        if cp.has_option("family", "lambda_schedule") and cp.has_option(
-                "family", "lambda_geometric"):
-            raise ConfigError("set lambda_schedule or lambda_geometric, not both",
-                              field="lambda_geometric", location=f"{loc}[family]")
         lam_sched = _get(cp, "family", "lambda_schedule", _floats, path=loc)
         if lam_sched is None:
-            lam_sched = _get(cp, "family", "lambda_geometric", _geometric,
-                             path=loc)
-        if lam_sched is None:
-            raise ConfigError(
-                "family needs lambda_schedule or lambda_geometric "
-                "= start ratio count", field="lambda_schedule",
-                location=f"{loc}[family]")
+            raise ConfigError("family needs lambda_schedule", field="lambda_schedule",
+                              location=f"{loc}[family]")
         # a family without a beta_schedule keeps [problem] beta
         beta_sched = _get(cp, "family", "beta_schedule", _floats, path=loc,
                           default=(cfg.beta,) * len(lam_sched))
-        lam_key = "lambda_schedule" if cp.has_option("family", "lambda_schedule") \
-            else "lambda_geometric"
         # [problem] beta is checked above: a bad beta here is the schedule's
         cfg.family = _build(FamilySpec, loc, "family", cfg.k, cfg.alpha, lam_sched,
-                            beta_sched, keys={"lambda": lam_key, "beta": "beta_schedule",
-                            "lambda_schedule": lam_key})
+                            beta_sched, keys={"lambda": "lambda_schedule",
+                                              "beta": "beta_schedule"})
 
     cfg.settings = _build(SolverSettings, loc, "tolerances", **{
         key: _get(cp, "tolerances", key, float, default=getattr(SolverSettings, key),
@@ -344,8 +300,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path,
                         help="experiment config (required except for bessel)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--k", type=int, default=None,
-                        help="bessel: number of eigenpairs to print")
     args = parser.parse_args(argv)
 
     try:
@@ -356,12 +310,6 @@ def main(argv=None) -> int:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config", field="config")
             cfg = parse_config(args.config, args.command)
-        if args.k is not None:
-            if args.command != "bessel":
-                raise ConfigError(f"--k applies to bessel only; {args.command} "
-                                  "reads k from the config's [problem] section",
-                                  field="k")
-            cfg.k = args.k
         if args.out is not None:
             cfg.output_dir = args.out
         return run(cfg)

@@ -326,7 +326,8 @@ alpha = 1.0
 beta = 1.2
 
 [family]
-lambda_geometric = 0.01 0.1 5
+# exactly the members the geometric line `0.01 0.1 5` made: 0.01 * 0.1**n, n < 5
+lambda_schedule = 0.01 0.001 0.00010000000000000002 1.0000000000000003e-05 1.0000000000000002e-06
 
 [output]
 seed_note = acceptance determinism run

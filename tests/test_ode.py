@@ -280,6 +280,24 @@ class TestForcing:
         for t in (bubble[-1].t1, flight.t0 + 0.5 * flight.h):
             assert traj.source_log(t) == 0.0
 
+    def test_flight_without_a_maximum_of_E_lands_past_its_zero(self, monkeypatch):
+        # k = 1, beta = 1, s = 10, alpha = 20: on the flight's line
+        # u = sigma (t_z - t), E = 2t + ln u + u^2 + 20u has its maximum where
+        # 1/u + 2u + 20 = 2/sigma ~ K/2 = 20.05, which no u > 0 solves, as
+        # 1/u + 2u >= 2 sqrt(2).  E falls until the zero, so the maximum's
+        # fixed point runs past u at the hand-over and the flight lands past
+        # its zero.  Its zeros are those of an integration never quiet
+        p = ProblemParams(20.0, 1.0, 1.0)
+        traj = integrate_radial(10.0, p, 2)
+        flight = traj.steps[sum(st.frame is not None for st in traj.steps)]
+        assert flight.rhs is None
+        assert flight.t0 < traj.log_zeros[0][0] < flight.t1
+        monkeypatch.setattr(ode, "_E_QUIET", -math.inf)
+        plain = integrate_radial(10.0, p, 2)
+        assert all(st.rhs is not None for st in plain.steps)
+        for (t, _), (t_ref, _) in zip(traj.log_zeros, plain.log_zeros, strict=True):
+            assert t == pytest.approx(t_ref, abs=1e-12)
+
 
 class TestAugmentedChannels:
     def test_channels_nondecreasing(self, deep_traj):
@@ -423,6 +441,23 @@ class TestStopsAndErrors:
                   if st.frame is None and st.y0[0] * st.y1[0] > 0.0)
         with pytest.raises(NoSignChangeError):
             ode._dense_root(st, 0, 0.0, 1.0)
+
+    def test_dense_root_stops_after_200_iterations(self):
+        # a jump from -1 to 1e300 at theta = 0.25: each Illinois step halves
+        # the far end's weight, so the secant creeps up from 0 and the
+        # bracket never shrinks to an ulp.  After 200 iterations the
+        # midpoint of the last bracket is returned
+        calls = []
+
+        class Jump:
+            x0, h = 0.0, 1.0
+
+            def value(self, x, comp):
+                calls.append(x)
+                return -1.0 if x < 0.25 else 1e300
+
+        assert ode._dense_root(Jump(), 0, 0.0, 1.0) == 0.5
+        assert len(calls) == 2 + 200
 
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):
