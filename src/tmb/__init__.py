@@ -16,9 +16,8 @@ _EXPORTS = {
     "bessel": ("Eigenpair", "eigenpairs", "j0", "j0_zero"),
     "shooting": ("RadialSolution", "Trace", "lambda_of_s", "nodal_solution",
                  "solution_at", "solve_unit_lambda", "trace"),
-    "analysis": ("EnergyReport", "NodalDomain", "boundary_flux", "decompose",
-                 "energy_report", "identity_residual", "nehari_residual",
-                 "sturm_bound_check"),
+    "analysis": ("NodalDomain", "boundary_flux", "decompose", "energy_report",
+                 "identity_residual", "nehari_residual", "sturm_bound_check"),
     "bubbles": ("BubbleDiagnostics", "derivative_bound_check",
                 "liouville_reference", "log_gamma_scale", "rescale_profile"),
     "families": ("FamilySpec", "FormulaReport", "SequenceExperiment",

@@ -39,18 +39,6 @@ class NodalDomain:
     potential: float
 
 
-@record
-class EnergyReport:
-    """Full-disk energies; full_dirichlet = int_B |grad u|^2 (derived)."""
-
-    functional: float
-    per_domain: tuple
-
-    @property
-    def full_dirichlet(self) -> float:
-        return TWO_PI * sum(d.dirichlet for d in self.per_domain)
-
-
 def decompose(sol: RadialSolution) -> list[NodalDomain]:
     """The energies of the k+1 nodal domains, innermost first.
 
@@ -68,11 +56,12 @@ def decompose(sol: RadialSolution) -> list[NodalDomain]:
     return domains
 
 
-def energy_report(domains) -> EnergyReport:
-    """The full-disk energies of decompose's domains."""
+def energy_report(domains) -> float:
+    """The energy functional (1/2) int_B |grad u|^2 - int_B lambda*F(u) of
+    decompose's domains."""
     full = TWO_PI * sum(d.dirichlet for d in domains)
     potential = TWO_PI * sum(d.potential for d in domains)
-    return EnergyReport(0.5 * full - potential, tuple(domains))
+    return 0.5 * full - potential
 
 
 # cap on the initial partition taken from the accepted steps

@@ -157,7 +157,6 @@ def estimate_limit(sequence) -> tuple:
 
 def _summarize(index, lam, beta, sol) -> MemberRecord:
     domains = decompose(sol)
-    report = energy_report(domains)
     idres = max(identity_residual(sol, i) for i in range(1, sol.k + 2))
     fluxes = tuple(boundary_flux(sol, i) for i in range(1, sol.k + 2))
     bubbles = []
@@ -175,7 +174,7 @@ def _summarize(index, lam, beta, sol) -> MemberRecord:
         peak_values=sol.peak_values,
         boundary_ru=sol.boundary_ru,
         dirichlet=tuple(d.dirichlet for d in domains),
-        functional=report.functional,
+        functional=energy_report(domains),
         nehari_residual=nehari_residual(sol),
         identity_residual_max=idres,
         boundary_fluxes=fluxes,

@@ -28,10 +28,12 @@ State vector (6 components, log-radius form):
              the error test weighs it, and dropping it would move every root
 
 A sensitivity channel, two more states that carry d/ds, may follow these
-six: each stretch's one right-hand side appends their derivatives from the
+six: each stepped stretch's right-hand side appends their derivatives from the
 values it already holds, and the error test never weighs them.
 
-Three stretches, each in the variables that keep it accurate:
+Three stretches, each in the variables that keep it accurate.  Every step
+is read through its own frame's map to the log-radius state, and keeps
+the right-hand side it stands for, which source_log asks for the forcing:
 
 1. The first bubble.  The start t0 is where E = -40 (never later than
    r = 1e-6); there u = s to machine precision, so no series is needed.
@@ -49,15 +51,16 @@ Three stretches, each in the variables that keep it accurate:
 2. Free flight.  The forcing is quiet below one level, E < -60 + min(0,
    ln s) (below 1e-26 min(1, s)): it hands over from the bubble, lands the
    flight and gates stretch 3's dE/du weighting.  Quiet past the bubble,
-   the forcing is dropped (source_log reads 0) and u is linear in t until
-   E climbs back.  The line's zero lies ~s^2/2 further on; it is formed in
-   closed form with the s^2/2 terms cancelled exactly, where stepping
-   across the flight would cost about s^2*2^-53 in its log radius.
-   Dropping the forcing moves that zero by about s^3*exp(-60)/4 (2e-12 at
-   s = 1e5).
-3. The rest, in absolute t, from the landing (or from u < s/2 when E is
-   never quiet).  Where it is awake the error test weighs u by dE/du, so
-   that later bubbles keep E, not just u, to rel_tol.
+   the forcing is dropped and u is linear in t until E climbs back: one
+   step in t (the identity frame) whose right-hand side keeps the dropped
+   forcing, 0 (source_log reads 0).  The line's zero lies ~s^2/2 further
+   on; it is formed in closed form with the s^2/2 terms cancelled exactly,
+   where stepping across the flight would cost about s^2*2^-53 in its log
+   radius.  Dropping the forcing moves that zero by about s^3*exp(-60)/4
+   (2e-12 at s = 1e5).
+3. The rest, in absolute t (the identity frame), from the landing (or
+   from u < s/2 when E is never quiet).  Where it is awake the error test
+   weighs u by dE/du, so that later bubbles keep E, not just u, to rel_tol.
 
 After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
@@ -70,8 +73,7 @@ Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
 7th-order dense output built lazily: an accepted step keeps its stage
 slopes and spends the three extra stages on the interpolant only when it
 is first read (while shooting, the steps with a zero or a peak; for a
-solution's analysis, every step it reads); it keeps its right-hand side
-too, which source_log asks for the forcing.  The error test's scale is
+solution's analysis, every step it reads).  The error test's scale is
 abs_tol*min(1, s) + rel_tol*|y| (ibid., sec. II.4), as u is of size s.
 Events (zeros of u, interior critical points) are detected by sign
 change at step endpoints and polished on the interpolant.  A step that
@@ -230,17 +232,18 @@ class SolverSettings:
 
 
 class _Step:
-    """One accepted step in its own variable x, with a lazy 7th-order dense
-    output.  frame is the first-bubble _Frame (x = tau, y carries D and D')
-    or None (x = t, y is the log-radius state).  rhs is the right-hand side
-    it was taken with, in x (None on the flight, which is not stepped).
+    """One accepted step in its frame's variable x = t - frame.t0, read
+    through frame.state: the first-bubble _Frame (x = tau, y carries D and
+    D') or _IDENTITY (x = t, y is the log-radius state).  rhs is the
+    right-hand side it stands for, in x (the flight's drops the forcing).
 
     A step keeps the stage slopes its interpolant needs; the first read of
     `rows` spends three more right-hand sides on it and drops them."""
 
-    __slots__ = ("x0", "h", "x1", "y0", "y1", "rhs", "_ks", "_rows", "frame")
+    __slots__ = ("frame", "x0", "h", "x1", "y0", "y1", "rhs", "_ks", "_rows")
 
-    def __init__(self, x0, h, x1, y0, y1, rhs, ks, rows=None):
+    def __init__(self, frame, x0, h, x1, y0, y1, rhs, ks, rows=None):
+        self.frame = frame
         self.x0 = x0
         self.h = h
         self.x1 = x1
@@ -249,15 +252,14 @@ class _Step:
         self.rhs = rhs
         self._ks = ks  # stages 1, 6-13 (13: f at the new point)
         self._rows = rows
-        self.frame = None
 
     @property
     def t0(self) -> float:
-        return self.x0 if self.frame is None else self.frame.t0 + self.x0
+        return self.frame.t0 + self.x0
 
     @property
     def t1(self) -> float:
-        return self.x1 if self.frame is None else self.frame.t0 + self.x1
+        return self.frame.t0 + self.x1
 
     @property
     def rows(self):
@@ -270,10 +272,6 @@ class _Step:
             self._ks = None
         return self._rows
 
-    def dense(self, x):
-        """The first _NCOMP components at x."""
-        return tuple(self.value(x, i) for i in _RANGE)
-
     def value(self, x, i: int) -> float:
         """Component i at x."""
         r0, r1, r2, r3, r4, r5, r6 = self._rows or self.rows
@@ -283,16 +281,12 @@ class _Step:
             r3[i] + th * (r4[i] + om * (r5[i] + th * r6[i]))))))
 
     def at(self, t):
-        """Log-radius state at internal log radius t."""
-        if self.frame is None:
-            return self.dense(t)
-        tau = t - self.frame.t0
-        return self.frame.state(tau, self.dense(tau))
+        """Log-radius state (_NCOMP components) at internal log radius t."""
+        x = t - self.frame.t0
+        return self.frame.state(x, tuple(self.value(x, i) for i in _RANGE))
 
     def end(self):
         """Log-radius state at the step's end point."""
-        if self.frame is None:
-            return self.y1
         return self.frame.state(self.x1, self.y1)
 
 
@@ -350,6 +344,18 @@ def _u_de_du(au, alpha, beta):
     return 1.0 + 2.0 * au * au + alpha * beta * au ** beta
 
 
+class _Identity:
+    """The frame of stretches 2 and 3: x = t, y is the log-radius state."""
+
+    t0 = 0.0
+
+    def state(self, x, y):
+        return y
+
+
+_IDENTITY = _Identity()
+
+
 class _Frame:
     """Constants of the first-bubble frame (see the module docstring) and
     its map to the log-radius state; E and R are rhs_bubble's alone."""
@@ -363,13 +369,9 @@ class _Frame:
         self.E0 = E0
         self.ln_a = math.log(K) + E0 - math.log(8.0)
 
-    def liouville(self, tau):
-        """(Z_L, q, 1 - q) at tau."""
-        return _liouville(self.ln_a + 2.0 * tau)
-
     def state(self, tau, y):
         """Log-radius state from the frame state y = (D, D', channels)."""
-        z_l, q, _ = self.liouville(tau)
+        z_l, q, _ = _liouville(self.ln_a + 2.0 * tau)
         return (self.s + (z_l + y[0]) / self.K, (y[1] - 4.0 * q) / self.K,
                 y[2], y[3], y[4], y[5])
 
@@ -381,7 +383,7 @@ class _Frame:
 
 
 def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
-    """Root of dense component `comp` in theta in [lo, hi] (Illinois method)."""
+    """Root of dense component `comp` in theta in [lo, hi]: Illinois, then bisection."""
     def g(th):
         return step.value(step.x0 + th * step.h, comp)
 
@@ -394,10 +396,11 @@ def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
         raise NoSignChangeError(
             f"no sign change of component {comp} in theta bracket [{lo}, {hi}]"
         )
-    side = 0
-    for _ in range(200):
+    side = n = 0
+    while True:
         th = (lo * fhi - hi * flo) / (fhi - flo)
-        if not (lo < th < hi):
+        n += 1
+        if n > 200 or not (lo < th < hi):  # a stalled search bisects
             th = 0.5 * (lo + hi)
         fm = g(th)
         if fm == 0.0 or hi - lo < _EPS:  # theta to an ulp or two
@@ -412,7 +415,6 @@ def _dense_root(step: _Step, comp: int, lo: float, hi: float) -> float:
             if side == 1:
                 fhi *= 0.5
             side = 1
-    return 0.5 * (lo + hi)
 
 
 class Trajectory:
@@ -423,10 +425,10 @@ class Trajectory:
         the zero the integration stopped on;
       log_peaks: list of (t, |u|) at interior critical points (the origin
         peak u(0) = amplitude is not included);
-      t_start: the first step;
+      initial_amplitude, t_start: u(0) and the start, the first step's frame's;
       steps: the accepted _Steps, in the log radius they were integrated
-        in (before any dilation by shifted); a first-bubble step carries
-        frame-local x and y, so read it through t0, t1 and end();
+        in (before any dilation by shifted); each carries frame-local x
+        and y, so read it through t0, t1, at() and end();
       u_log, ru_log, eval_log, source_log: dense evaluation, by log radius
         only, up to the last step's end (ValueError past it); source_log
         asks each step's own right-hand side;
@@ -434,11 +436,10 @@ class Trajectory:
         kept by shifted).
     """
 
-    def __init__(self, amplitude: float, t_start: float, steps: list,
-                 log_zeros: list, log_peaks: list,
+    def __init__(self, steps: list, log_zeros: list, log_peaks: list,
                  shift: float = 0.0, log_slope: float | None = None):
-        self.initial_amplitude = amplitude
-        self.t_start = t_start
+        self.initial_amplitude = steps[0].frame.s
+        self.t_start = steps[0].frame.t0 - shift
         self.steps = steps  # internal log radius = external + shift
         self._shift = shift
         self.log_zeros = log_zeros
@@ -475,11 +476,8 @@ class Trajectory:
         forcing of the covering step's own right-hand side, on its u (or D)
         alone; 0.0 on the flight, whose forcing the integrator drops."""
         st = self._step_for(t)
-        if st.rhs is None:
-            return 0.0
-        x = t + self._shift  # E is read in the log radius it was integrated in
-        if st.frame is not None:
-            x -= st.frame.t0
+        # E is read in the log radius it was integrated in, in the step's frame
+        x = t + self._shift - st.frame.t0
         return st.rhs(x, (st.value(x, 0), 0.0, 0.0, 0.0, 0.0, 0.0))[5]
 
     def log_step_bounds(self) -> list:
@@ -493,8 +491,7 @@ class Trajectory:
         Log radii move by -dt; u, r*u', the lambda-weighted energy channels
         and d ln(lambda)/d ln(s) are dilation invariants.
         """
-        return Trajectory(self.initial_amplitude, self.t_start - dt, self.steps,
-                          [(t - dt, ru) for t, ru in self.log_zeros],
+        return Trajectory(self.steps, [(t - dt, ru) for t, ru in self.log_zeros],
                           [(t - dt, a) for t, a in self.log_peaks],
                           shift=self._shift + dt, log_slope=self.log_slope)
 
@@ -519,9 +516,9 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _line_search(f, lo, hi, iters=200):
+def _line_search(f, lo, hi):
     """Bisection for the switch of f from False (at lo) to True (at hi)."""
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
@@ -532,8 +529,8 @@ def _line_search(f, lo, hi, iters=200):
     return hi
 
 
-def _march(rhs, x, y, h, scale, t_of, on_step):
-    """DOP853 steps from (x, y) until on_step(step) returns True.
+def _march(rhs, frame, x, y, h, scale, on_step):
+    """DOP853 steps from (x, y), in frame's x, until on_step(step) returns True.
 
     scale(x, y, x1, y1) gives the error scale of the first _NCOMP components
     (no others are tested) for a trial step.  Each component's error is
@@ -553,7 +550,7 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
         if x_land is not None:
             h = x_land - x
         elif h <= _MIN_STEP * max(1.0, abs(x)):
-            raise StiffnessError(math.exp(t_of(x)), h)
+            raise StiffnessError(math.exp(frame.t0 + x), h)
 
         # stages (unrolled linear combinations; this is the hot loop)
         k2 = rhs(x + _C2 * h, [y[j] + h * _A21 * k1[j] for j in rng])
@@ -608,7 +605,7 @@ def _march(rhs, x, y, h, scale, t_of, on_step):
                 err = q if q == q else math.inf
         if err <= 1.0:
             k13 = rhs(x1, y1)  # FSAL stage
-            step = _Step(x, h, x1, y, y1, rhs,
+            step = _Step(frame, x, h, x1, y, y1, rhs,
                          (k1, k6, k7, k8, k9, k10, k11, k12, k13))
             stop = on_step(step)
             if stop is not None and stop is not True and stop is not False:
@@ -741,12 +738,11 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def on_bubble_step(step):
         # hand over once exp(E) < exp(e_quiet) past the bubble, or once
         # u < s/2; exp(E) at the step end is the FSAL stage's forcing
-        step.frame = frame
         steps.append(step)
-        check_caps(t0 + step.x1)
+        check_caps(step.t1)
         g = step._ks[8][5]
         quiet[0] = g < min(g_quiet, last_g[0])
-        if quiet[0] or frame.state(step.x1, step.y1)[0] < (1.0 - _HANDOFF_DROP) * s:
+        if quiet[0] or step.end()[0] < (1.0 - _HANDOFF_DROP) * s:
             return True
         last_g[0] = g
         return False
@@ -755,12 +751,12 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
                      for j in _RANGE)
 
-    step, h = _march(rhs_bubble, 0.0,
+    step, h = _march(rhs_bubble, frame, 0.0,
                      frame.head(0.0) + ((0.0, 0.0) if sensitivity else ()), 0.1,
-                     scale_bubble, lambda tau: t0 + tau, on_bubble_step)
-    t_hand, h, yf = t0 + step.x1, min(h, 1.0), step.y1
-    y = frame.state(step.x1, yf)
-    z_l, q, omq = frame.liouville(step.x1)
+                     scale_bubble, on_bubble_step)
+    t_hand, h, yf = step.t1, min(h, 1.0), step.y1
+    y = step.end()
+    z_l, q, omq = _liouville(ln_a + 2.0 * step.x1)
     if sensitivity:  # (w, w_t) from u = s + (Z_L + D)/K at tau = t - t0
         zh_s, c_s = yf[6] - 2.0 * q * phi_s, yf[7] - 4.0 * q * omq * phi_s
         kut = yf[1] - 4.0 * q  # K u_t
@@ -817,12 +813,16 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 t_b = t_z
         y_b = line(t_b) + ((sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
                            if sensitivity else ())
+
+        def rhs_flight(t, y):  # the forcing dropped: u is linear in t
+            return (y[1], 0.0, y[1] * y[1], 0.0, 0.0, 0.0)
+
         zero = (0.0,) * len(y_b)
-        steps.append(_Step(t_hand, t_b - t_hand, t_b, y, y_b, None, None,
-                           (tuple(b - a for a, b in zip(y, y_b)),) + (zero,) * 6))
+        steps.append(_Step(_IDENTITY, t_hand, t_b - t_hand, t_b, y, y_b, rhs_flight,
+                           None, (tuple(b - a for a, b in zip(y, y_b)),) + (zero,) * 6))
         check_caps(t_b)
         if len(zeros) >= n_zeros:
-            return Trajectory(s, t0, steps, zeros, peaks,
+            return Trajectory(steps, zeros, peaks,
                               log_slope=2.0 * s * tz_s if sensitivity else None)
         t_hand, y = t_b, y_b
 
@@ -889,11 +889,10 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 atol + rel * max(abs(y[4]), abs(y1[4])),
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
-    step, _ = _march(rhs_plain, t_hand, y, h, scale_plain, lambda t: t,
-                     on_plain_step)
+    step, _ = _march(rhs_plain, _IDENTITY, t_hand, y, h, scale_plain, on_plain_step)
     if not sensitivity:
-        return Trajectory(s, t0, steps, zeros, peaks)
+        return Trajectory(steps, zeros, peaks)
     t_n, ru_n = zeros[-1]  # w(t_n) on the dense output
     w = step.value(t_n, _NCOMP)
-    return Trajectory(s, t0, steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
+    return Trajectory(steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
 

@@ -2,12 +2,16 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+import tmb.cli
 from tmb import shooting
 from tmb.cli import emit_csv, main, parse_config
 from tmb.errors import ConfigError
@@ -442,3 +446,32 @@ class TestCommands:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert "no solution with lambda=100.0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestModule:
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
+        # an interpreter built without _sha2 and _sha256 hashes configs with
+        # hashlib.  The module is imported afresh with both blocked;
+        # monkeypatch puts the original back in sys.modules and on tmb
+        original = tmb.cli
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.delitem(sys.modules, "tmb.cli")
+        monkeypatch.setattr(tmb, "cli", original)
+        fresh = importlib.import_module("tmb.cli")
+        assert fresh is not original and fresh._sha256 is hashlib.sha256
+        data = CHEAP_VERIFY.encode()
+        assert fresh._config_hash(data) == original._config_hash(data)
+
+    def test_run_as_main_exits_with_the_command_code(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # python -m tmb.cli: the exit code is main's, here 2 for a config
+        # error; run afresh, outside sys.modules, so no module is replaced
+        cfg = _write(tmp_path, "[problem]\nk = 25\n")
+        argv = ["bessel", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(sys, "argv", ["tmb.cli", *argv])
+        monkeypatch.delitem(sys.modules, "tmb.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tmb.cli", run_name="__main__")
+        assert exc.value.code == 2 == main(argv)
+        assert "field: k" in capsys.readouterr().err

@@ -207,7 +207,7 @@ class TestKernel:
         # step's first and FSAL stages, kept until the interpolant is read
         traj = integrate_radial(5.0, P12, 2)
         st = next(st for st in traj.steps
-                  if (st.frame is None) == plain and st._ks is not None)
+                  if (st.frame is ode._IDENTITY) == plain and st._ks is not None)
         f0, f1 = st._ks[0], st._ks[-1]
         eps = 1e-30
         for i in range(len(st.y0)):
@@ -230,8 +230,8 @@ class TestKernel:
             return len(hs) == 3
 
         y = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        _, h = ode._march(lambda x, y: (0.0,) * 6, 0.0, y, 0.1,
-                          lambda x, y, x1, y1: (1.0,) * 6, lambda x: x, on_step)
+        _, h = ode._march(lambda x, y: (0.0,) * 6, ode._IDENTITY, 0.0, y, 0.1,
+                          lambda x, y, x1, y1: (1.0,) * 6, on_step)
         assert hs == [0.1, 0.1 * 6.0, 0.1 * 6.0 * 6.0] and h == hs[-1] * 6.0
 
 
@@ -259,7 +259,7 @@ class TestForcing:
         # is polished to a log radius where u reads exactly 0.0
         traj = integrate_radial(30.0, ProblemParams(1.0, 1.3, 1.0), 2)
         t = traj.log_zeros[0][0]
-        assert traj._step_for(t).frame is None and traj.u_log(t) == 0.0
+        assert traj._step_for(t).frame is ode._IDENTITY and traj.u_log(t) == 0.0
         assert traj.source_log(t) == 0.0
 
     def test_source_log_is_each_steps_own_forcing(self):
@@ -267,16 +267,24 @@ class TestForcing:
         # u (or D) alone: at a bubble step's end it is the forcing of that
         # step's FSAL stage, bit for bit, wherever the end's tau survives
         # the round trip through the log radius, t0 + tau - t0 == tau.  The
-        # last bubble step ends where the flight starts; the integrator
-        # drops the flight's forcing, and source_log reads 0.0 there
+        # last bubble step ends where the flight starts; the flight's own
+        # right-hand side is the one with the forcing dropped, and
+        # source_log reads 0.0 there
         traj = integrate_radial(30.0, ProblemParams(1.0, 1.3, 1.0), 2)
-        bubble = [st for st in traj.steps if st.frame is not None]
+        bubble = [st for st in traj.steps if st.frame is not ode._IDENTITY]
         exact = [st for st in bubble[:-1] if st.t1 - st.frame.t0 == st.x1]
         assert len(exact) >= 5
         for st in exact:
             assert traj.source_log(st.t1) == st.rhs(st.x1, st.y1)[5] > 0.0
         flight = traj.steps[len(bubble)]
-        assert flight.frame is None and flight.rhs is None
+        assert flight.frame is ode._IDENTITY
+        # the flight's one step is a line in t: its slope is its own
+        # right-hand side, the forcing dropped
+        f = flight.rhs(flight.x0, flight.y0)
+        assert f[1] == f[3] == f[4] == f[5] == 0.0
+        for j, fj in enumerate(f):
+            slope = (flight.y1[j] - flight.y0[j]) / flight.h
+            assert slope == pytest.approx(fj, rel=1e-12, abs=1e-18)
         for t in (bubble[-1].t1, flight.t0 + 0.5 * flight.h):
             assert traj.source_log(t) == 0.0
 
@@ -289,12 +297,12 @@ class TestForcing:
         # its zero.  Its zeros are those of an integration never quiet
         p = ProblemParams(20.0, 1.0, 1.0)
         traj = integrate_radial(10.0, p, 2)
-        flight = traj.steps[sum(st.frame is not None for st in traj.steps)]
-        assert flight.rhs is None
+        flight = traj.steps[sum(st.frame is not ode._IDENTITY for st in traj.steps)]
+        assert flight.rhs.__name__ == "rhs_flight"
         assert flight.t0 < traj.log_zeros[0][0] < flight.t1
         monkeypatch.setattr(ode, "_E_QUIET", -math.inf)
         plain = integrate_radial(10.0, p, 2)
-        assert all(st.rhs is not None for st in plain.steps)
+        assert all(st.rhs.__name__ != "rhs_flight" for st in plain.steps)
         for (t, _), (t_ref, _) in zip(traj.log_zeros, plain.log_zeros, strict=True):
             assert t == pytest.approx(t_ref, abs=1e-12)
 
@@ -438,15 +446,16 @@ class TestStopsAndErrors:
     def test_dense_root_needs_a_sign_change(self):
         traj = integrate_radial(2.0, P12, 1)
         st = next(st for st in traj.steps
-                  if st.frame is None and st.y0[0] * st.y1[0] > 0.0)
+                  if st.frame is ode._IDENTITY and st.y0[0] * st.y1[0] > 0.0)
         with pytest.raises(NoSignChangeError):
             ode._dense_root(st, 0, 0.0, 1.0)
 
     def test_dense_root_stops_after_200_iterations(self):
         # a jump from -1 to 1e300 at theta = 0.25: each Illinois step halves
         # the far end's weight, so the secant creeps up from 0 and the
-        # bracket never shrinks to an ulp.  After 200 iterations the
-        # midpoint of the last bracket is returned
+        # bracket never shrinks to an ulp.  Past 200 iterations the search
+        # bisects: 53 halvings take the bracket (0, 1] below an ulp of 1,
+        # and the 54th midpoint is returned
         calls = []
 
         class Jump:
@@ -456,8 +465,8 @@ class TestStopsAndErrors:
                 calls.append(x)
                 return -1.0 if x < 0.25 else 1e300
 
-        assert ode._dense_root(Jump(), 0, 0.0, 1.0) == 0.5
-        assert len(calls) == 2 + 200
+        assert abs(ode._dense_root(Jump(), 0, 0.0, 1.0) - 0.25) <= ode._EPS
+        assert len(calls) == 2 + 200 + 54
 
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tmb.analysis import EnergyReport, NodalDomain
+from tmb.analysis import NodalDomain
 from tmb.bessel import Eigenpair
 from tmb.bubbles import BubbleDiagnostics
 from tmb.cli import ExperimentConfig
@@ -32,7 +32,6 @@ CASES = [
     (SolverSettings, (1e-8,), 1e-9),
     (RadialSolution, (P, None, *K0_RADII.values()), ProblemParams(2.0, 1.2, 0.5)),
     (NodalDomain, (3.9, 3.8, 1.9), 4.0),
-    (EnergyReport, (1.9, ()), 2.0),
     (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25), ()),
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
     (MemberRecord, (0, 1e-2, 1.2, (0.0,), (-math.inf,), (2.0,), (-1.5,),
