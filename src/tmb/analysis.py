@@ -1,10 +1,11 @@
 """Nodal decomposition, energy evaluation, and residual checks.
 
-Every check here is an exact identity for exact solutions, so the
-residuals certify the solver end to end: the per-domain Nehari identity
-(dirichlet == nehari), the log-weighted peak identity, the first integral
-r*u'(r) = -int_0^r lambda f(u) s ds at the nodal radii, and a Sturm-type
-upper bound on the zero count after a Liouville change of variables.
+Every check here is an exact identity or bound for exact solutions: the
+per-domain Nehari identity (dirichlet == nehari), the log-weighted peak
+identity, the first integral r*u'(r) = -int_0^r lambda f(u) s ds at the
+nodal radii, and a Sturm-type bound on the zero count after a Liouville
+change of variables.  solutions.csv carries the whole-disk Nehari and the
+largest peak-identity residual; only the tests run the others.
 
 decompose yields each nodal domain's energy integrals only; the domain's
 sign, peak and radii are read from the RadialSolution that owns them.

@@ -6,7 +6,7 @@ J_{k-1} = (2k/x) J_k - J_{k+1}, started past the turning region and
 normalised by J_0 + 2(J_2 + J_4 + ...) = 1 (Gautschi, SIAM Review 9, 1967;
 Abramowitz-Stegun 9.12).  It runs unscaled: from x = 1e-8 up (below, a
 short form is exact) its values stay below 1.4e146.  Measured against
-30-digit mpmath: at most 3.4e-16 absolute for J_0 and 2.8e-16 for J_0' on
+30-digit mpmath: at most 3.4e-16 absolute for J_0 and 2.8e-16 for J_1 on
 7,001 points of [0, 70], and at most 3.4e-16 on 201 points of [100, 5000].
 Zero finding is a McMahon seed polished by safeguarded Newton: 18 of the 20
 zeros are the binary64 number nearest the true one, and the other two
@@ -58,12 +58,6 @@ def j0(r: float) -> float:
     return _j01(abs(r))[0]
 
 
-def j0_prime(r: float) -> float:
-    """d/dr J_0(r) = -J_1(r); odd in r."""
-    val = -_j01(abs(r))[1]
-    return val if r >= 0.0 else -val
-
-
 def j0_zero(k: int) -> Eigenpair:
     """k-th positive zero of J_0 (1 <= k <= 20), to within one ulp."""
     if not (1 <= k <= MAX_EIGENPAIR_INDEX):
@@ -92,10 +86,5 @@ def j0_zero(k: int) -> Eigenpair:
 
 def eigenpairs(n: int) -> list[Eigenpair]:
     """The first n eigenpairs, in increasing order (1 <= n <= 20)."""
-    j0_zero(n)  # checks n first, so that an error names n itself
-    return [j0_zero(k) for k in range(1, n + 1)]
-
-
-def eigenfunction(k: int, r: float) -> float:
-    """phi_k(r) = J_0(t_k r): k-th radial eigenfunction, phi_k(0) = 1."""
-    return j0(j0_zero(k).t_k * r)
+    last = j0_zero(n)  # checks n first, so that an error names n itself
+    return [j0_zero(k) for k in range(1, n)] + [last]

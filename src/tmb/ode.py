@@ -47,7 +47,7 @@ the right-hand side it stands for, which source_log asks for the forcing:
    with R the nonlinear remainder of E in u - s, evaluated with log1p and
    expm1: no u^2 is formed from two huge numbers, and the absolute error
    of D stays far below that of u - s.  R is written once, in the frame's
-   right-hand side; the hand-over and source_log read E through it.
+   right-hand side: the hand-over reads its last FSAL stage, source_log calls it.
 2. Free flight.  The forcing is quiet below one level, E < -60 + min(0,
    ln s) (below 1e-26 min(1, s)): it hands over from the bubble, lands the
    flight and gates stretch 3's dE/du weighting.  Quiet past the bubble,
@@ -456,9 +456,7 @@ class Trajectory:
 
     def eval_log(self, t: float):
         """(u, r*u', e_dir, e_neh, q_flux, e_src) at log radius t."""
-        if t < self.t_start:
-            if t == -math.inf:
-                return (self.initial_amplitude, 0.0, 0.0, 0.0, 0.0, 0.0)
+        if t < self.t_start:  # the head; at t = -inf, u = s and r*u' = 0
             frame = self.steps[0].frame
             tau = t + self._shift - frame.t0
             return frame.state(tau, frame.head(tau))
@@ -703,7 +701,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         if x < -0.99:
             x = -0.99
         lx = log1p(x)
-        dr = dev + (lx - x) + d * d + asb * (expm1(beta * lx) - beta * x)
+        rb = expm1(beta * lx) - beta * x  # R's beta-term over alpha*s^beta
+        dr = dev + (lx - x) + d * d + asb * rb
         e = E0 + 2.0 * tau + z_l + dr
         g = exp(e if e < _E_CLIP else _E_CLIP)
         ut = (y[1] - 4.0 * q) * inv_k
@@ -716,7 +715,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         x_s = (d_s - x) * inv_s
         v_r = (y[6] + 2.0 * d * d_s  # V + R_s
                + (beta * asb * expm1((beta - 1.0) * lx) - x / (1.0 + x)) * x_s
-               + beta * asb * inv_s * (expm1(beta * lx) - beta * x))
+               + beta * asb * inv_s * rb)
         return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g, y[7],
                 dpp * ((omq - q) * phi_s + v_r) - 8.0 * q * omq * v_r)
 
@@ -757,11 +756,11 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     t_hand, h, yf = step.t1, min(h, 1.0), step.y1
     y = step.end()
     z_l, q, omq = _liouville(ln_a + 2.0 * step.x1)
-    if sensitivity:  # (w, w_t) from u = s + (Z_L + D)/K at tau = t - t0
+    if sensitivity:  # (w, w_t) from u = s + (Z_L + D)/K; D'' is the FSAL stage's
         zh_s, c_s = yf[6] - 2.0 * q * phi_s, yf[7] - 4.0 * q * omq * phi_s
         kut = yf[1] - 4.0 * q  # K u_t
         y += (1.0 + (zh_s - t0_s * kut - (z_l + yf[0]) * kp) * inv_k,
-              (c_s - kut * kp - t0_s * (rhs_bubble(step.x1, yf)[1] - 8.0 * q * omq))
+              (c_s - kut * kp - t0_s * (step._ks[8][1] - 8.0 * q * omq))
               * inv_k)
 
     # ---- stretch 2: free flight while E < E_QUIET ---------------------------

@@ -159,9 +159,10 @@ def solve_unit_lambda(s: float, k: int, p: ProblemParams,
 
     Returns the trajectory; its log_zeros holds the first k+1 zeros by log
     radius, and with sensitivity its log_slope = d ln(lambda)/d ln(s).
-    Every integration of the shooting layer passes here.  Raises
-    ZeroNotReachedError if the radius cap or the step budget interferes.
+    Every integration of the shooting layer passes here, k checked first.
+    Raises ZeroNotReachedError if the radius cap or the step budget interferes.
     """
+    check_nodal_class(k)
     return integrate_radial(s, ProblemParams(p.alpha, p.beta, 1.0), k + 1,
                             settings, sensitivity=sensitivity)
 

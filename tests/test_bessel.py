@@ -10,7 +10,8 @@ import mpmath as mp
 import pytest
 
 import tmb
-from tmb.bessel import Eigenpair, eigenfunction, eigenpairs, j0, j0_prime, j0_zero
+from tmb import bessel
+from tmb.bessel import Eigenpair, _j01, eigenpairs, j0, j0_zero
 
 T1 = 2.404825557695773
 T2 = 5.520078110286311
@@ -65,10 +66,10 @@ class TestJ0:
 
     @pytest.mark.parametrize("r", [0.5, 3.0, 7.0, 11.0, 30.0])
     def test_derivative(self, r):
+        # J_0' = -J_1, with J_1 the value j0_zero's Newton step reads
         with mp.workdps(30):
-            ref = float(-mp.besselj(1, r))
-        assert j0_prime(r) == pytest.approx(ref, abs=1e-13)
-        assert j0_prime(-r) == -j0_prime(r)
+            ref = float(mp.besselj(1, r))
+        assert _j01(r)[1] == pytest.approx(ref, abs=1e-13)
 
     def test_dense_against_mpmath(self):
         # every 0.1 on [0, 70] (past t_20 ~ 62), plus the x < 1e-8 short form
@@ -76,7 +77,7 @@ class TestJ0:
         with mp.workdps(30):
             for x in xs:
                 assert abs(j0(x) - float(mp.besselj(0, x))) <= 1e-15, x
-                assert abs(j0_prime(x) + float(mp.besselj(1, x))) <= 1e-15, x
+                assert abs(_j01(x)[1] - float(mp.besselj(1, x))) <= 1e-15, x
 
     def test_unscaled_recurrence_at_its_peak(self):
         # x = 1e-8 is the smallest argument the recurrence sees, where its
@@ -85,7 +86,7 @@ class TestJ0:
         with mp.workdps(30):
             j0_ref, j1_ref = float(mp.besselj(0, x)), float(mp.besselj(1, x))
         assert j0(x) == pytest.approx(j0_ref, rel=1e-15)
-        assert -j0_prime(x) == pytest.approx(j1_ref, rel=1e-15)
+        assert _j01(x)[1] == pytest.approx(j1_ref, rel=1e-15)
 
 
 class TestZeros:
@@ -115,6 +116,16 @@ class TestZeros:
         for ep in pairs:
             assert abs(j0(ep.t_k)) <= 1e-12
 
+    def test_eigenpairs_solve_each_zero_once(self, monkeypatch):
+        # the n-th first, so that an out-of-range n is the one named
+        calls = []
+        solve = bessel.j0_zero
+        monkeypatch.setattr(bessel, "j0_zero", lambda k: calls.append(k) or solve(k))
+        assert eigenpairs(5) == [solve(k) for k in range(1, 6)]
+        assert calls == [5, 1, 2, 3, 4]
+        with pytest.raises(ValueError, match="got 21"):
+            eigenpairs(21)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             j0_zero(0)
@@ -125,6 +136,11 @@ class TestZeros:
         ep = j0_zero(3)
         assert isinstance(ep, Eigenpair)
         assert ep.lambda_k == ep.t_k ** 2
+
+
+def eigenfunction(k, r):
+    """phi_k(r) = J_0(t_k r): the k-th radial eigenfunction, phi_k(0) = 1."""
+    return j0(j0_zero(k).t_k * r)
 
 
 class TestEigenfunctions:

@@ -317,6 +317,18 @@ class TestNodalSolution:
             nodal_solution(**{"k": 0, "p": ProblemParams(1.0, 1.2, lam), **kwargs})
         assert calls == []
 
+    @pytest.mark.parametrize("entry", ["trace", "solve_unit_lambda", "lambda_of_s",
+                                       "solution_at"])
+    def test_every_shooting_entry_checks_the_nodal_class(self, monkeypatch, entry):
+        # nodal_solution's message, from the funnel every integration passes
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_radial",
+                            lambda *args, **kw: calls.append(args))
+        args = (-1, P12) if entry == "trace" else (1.0, -1, P12)
+        with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+            getattr(shooting, entry)(*args)
+        assert calls == []
+
     def test_no_solution_beyond_range(self):
         # 7.0 lies above the k=0 branch, whose eigenvalues stay below
         # Lambda_1 = 5.78 (small targets such as 1e-15 are now reached)
