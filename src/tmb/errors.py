@@ -34,7 +34,7 @@ class ZeroNotReachedError(TmbError, RuntimeError):
 
 
 class NoSolutionInRangeError(TmbError, RuntimeError):
-    """No piece of the traced branch lambda_k(s) crosses the target eigenvalue."""
+    """No node pair of the traced branch lambda_k(s) brackets a root at the target."""
 
     def __init__(self, target, lam_min, lam_max, s_min, s_max):
         self.target = target

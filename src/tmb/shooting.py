@@ -11,9 +11,9 @@ and a nodal solution with the eigenvalue p.lam of its ProblemParams p is a
 scalar root-find in s.  Only solve_unit_lambda builds the lambda = 1
 parameters, and only _build_solution applies a lambda: the dilation's.
 lambda_of_s may be non-monotone, so trace follows ln lambda against ln s
-once, with slopes from the integrator's sensitivity channel, and splits
-the curve at its folds; each monotone piece holds at most one root, which
-Newton polishes from the piece's bracket (all branches are returned).
+once, with slopes from the sensitivity channel, inserts each fold it finds
+as a node and rejects a step that hides a fold pair; Newton polishes every
+node pair that straddles the target (all branches are returned).
 
 Radii are stored as log radii: past s ~ 38 the inner radii of a solution
 underflow binary64 (the first bubble sits near r ~ exp(-s^2/2)), while
@@ -208,8 +208,8 @@ def _node(k: int, p: ProblemParams, x: float) -> tuple:
 @record
 class Trace:
     """lambda_k(s) as nodes (ln s, ln lambda, d ln lambda/d ln s) in ascending
-    ln s (see trace); folds indexes the nodes where the slope vanishes, and
-    the nodes between two folds form a monotone piece."""
+    ln s (see trace); folds indexes the nodes where the slope vanishes, the
+    branch's turning points, where its roots for a target come and go."""
 
     k: int
     params: ProblemParams  # params.lam: the lowest target the trace serves
@@ -236,7 +236,9 @@ def trace(k: int, p: ProblemParams) -> Trace:
     when the cubic coefficient of the Hermite interpolant of its two nodes
     is below _DEFECT * (1 + |ln lambda|), which also sizes the next step.
     A fold where the slope changes sign across a step is located and
-    inserted as a node.  The trace runs from DEFAULT_S_MIN to
+    inserted as a node; a step whose end slopes share a sign while ln
+    lambda moves against them past scan noise hides a fold pair, and is
+    retried at half its length.  The trace runs from DEFAULT_S_MIN to
     amplitude_budget(p), further only while lambda is above p.lam (the
     lowest target it serves) and still falling, never past S_MAX; it ends
     early at an amplitude whose (k+1)-th zero is not reached."""
@@ -249,10 +251,14 @@ def trace(k: int, p: ProblemParams) -> Trace:
             if nodes:
                 (x0, y0, d0), (_, y1, d1) = nodes[-1], node
                 defect = abs((d0 + d1) * (x - x0) - 2.0 * (y1 - y0)) + 1e-300
-                tol = _DEFECT * (1.0 + min(abs(y0), abs(y1)))
+                scale = 1.0 + min(abs(y0), abs(y1))
+                tol = _DEFECT * scale
                 h = (x - x0) * max(0.2, min(4.0, 0.9 * (tol / defect) ** (1.0 / 3.0)))
-                if defect > tol:  # kept for a later step to the same end
-                    rejected[x], x = node, x0 + h
+                # the step hides a fold pair, by the mean value theorem
+                hidden = d0 * d1 > 0.0 > d0 * (y1 - y0) and (
+                    abs(y1 - y0) > SCAN_SETTINGS.rel_tol * scale)
+                if defect > tol or hidden:  # kept for a later step to the same end
+                    rejected[x], x = node, x0 + (0.5 * (x - x0) if hidden else h)
                     continue
                 if d0 * d1 < 0.0:
                     nodes.append(_fold(k, p, nodes[-1], node))
@@ -265,16 +271,16 @@ def trace(k: int, p: ProblemParams) -> Trace:
     return Trace(k, p, tuple(nodes), tuple(folds))
 
 
-def _newton(k: int, lt: float, p: ProblemParams, settings: SolverSettings,
+def _newton(k: int, p: ProblemParams, settings: SolverSettings,
             x: float, lo: float, hi: float, f_lo: float):
-    """Newton on f(x) = ln lambda(exp x) - lt from x in the bracket [lo, hi],
-    f(lo) = f_lo, with the sensitivity channel's slope: at scan tolerance,
-    bisecting the shrinking bracket where a step would leave it, until
-    |f| <= _SWITCH_TOL; then at `settings` until |f| <= POLISH_TOL.  The
-    bracket lies on one monotone piece of a trace, so an iterate that stays
-    in [lo, hi] can only be drawn to its root.  None when an iterate leaves
-    [lo, hi] (the bracket held scan noise, not a root) or misses the
-    (k+1)-th zero, or after _MAX_NEWTON integrations."""
+    """Newton on f(x) = ln lambda(exp x) - ln p.lam from x in the bracket
+    [lo, hi], f(lo) = f_lo, with the sensitivity channel's slope: at scan
+    tolerance, bisecting the shrinking bracket where a step would leave it,
+    until |f| <= _SWITCH_TOL; then at `settings` until |f| <= POLISH_TOL.
+    The bracket is two consecutive trace nodes, between which the trace
+    saw no fold, so an iterate that stays in [lo, hi] is drawn to its root.
+    None when an iterate leaves [lo, hi] (the bracket held scan noise, not
+    a root) or misses the (k+1)-th zero, or after _MAX_NEWTON integrations."""
     scan, a, b = True, lo, hi
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
@@ -283,7 +289,7 @@ def _newton(k: int, lt: float, p: ProblemParams, settings: SolverSettings,
                                      sensitivity=True)
         except ZeroNotReachedError:
             return None
-        f, slope = 2.0 * traj.log_zeros[k][0] - lt, traj.log_slope
+        f, slope = 2.0 * traj.log_zeros[k][0] - p.log_lambda, traj.log_slope
         if not scan and abs(f) <= POLISH_TOL:
             return traj
         if scan:
@@ -302,31 +308,25 @@ def nodal_solution(k: int, p: ProblemParams,
                    traced: Trace | None = None) -> list[RadialSolution]:
     """All k-nodal solutions with the eigenvalue p.lam, in ascending
     amplitude, on `traced`: by default trace(k, p); a given trace must be of
-    the same k, alpha and beta and serve a target at most p.lam.  On each
-    monotone piece of the trace _newton polishes the first sign change of
-    ln lambda - ln p.lam from the secant point of its two nodes, until
+    the same k, alpha and beta and serve a target at most p.lam.  _newton
+    polishes every pair of consecutive nodes across which ln lambda - ln
+    p.lam changes sign or ends on 0, from the pair's secant point, until
     ln(lambda) matches to POLISH_TOL; a bracket it gives up on is dropped
-    as scan noise.  Raises NoSolutionInRangeError when no piece crosses
-    the target.
-    """
-    check_nodal_class(k)
+    as scan noise.  Raises NoSolutionInRangeError when no pair crosses the
+    target."""
     if traced is not None and not (traced.params.lam <= p.lam and (
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")
     full = settings or SolverSettings()
-    lt = p.log_lambda
-    tr = traced or trace(k, p)
-    nodes, ends = tr.nodes, (0, *tr.folds, len(tr.nodes) - 1)
+    nodes = (traced or trace(k, p)).nodes
     solutions = []
-    for i, j in zip(ends, ends[1:]):
-        for (xa, ya, _), (xb, yb, _) in zip(nodes[i:j], nodes[i + 1:j + 1]):
-            fa, fb = ya - lt, yb - lt
-            if fa * fb < 0.0 or fb == 0.0:  # a node on target ends one bracket
-                x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
-                traj = _newton(k, lt, p, full, x, xa, xb, fa)
-                if traj is not None:
-                    solutions.append(_build_solution(traj, k, p))
-                break
+    for (xa, ya, _), (xb, yb, _) in zip(nodes, nodes[1:]):
+        fa, fb = ya - p.log_lambda, yb - p.log_lambda
+        if fa * fb < 0.0 or fb == 0.0:  # a node on target ends one bracket
+            x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
+            traj = _newton(k, p, full, x, xa, xb, fa)
+            if traj is not None:
+                solutions.append(_build_solution(traj, k, p))
     if not solutions:
         lams = [math.exp(y) for _, y, _ in nodes] or [math.nan]
         raise NoSolutionInRangeError(p.lam, min(lams), max(lams), DEFAULT_S_MIN,

@@ -109,7 +109,8 @@ class TestNodalSolution:
         # iterate lies within the noise of the target, and the first
         # full-tolerance step leaves the bracket: no root is returned, after
         # at most three integrations at scan tolerance and none at full
-        lt = math.log(L1 * (1 - 1e-7))
+        p = ProblemParams(1.0, 1.2, L1 * (1 - 1e-7))
+        lt = p.log_lambda
         xa, xb = math.log(2.9696293045402426e-6), math.log(4.268444644387833e-6)
         for x in (xa, xb):
             assert 2.0 * solve_unit_lambda(math.exp(x), 0, P12).log_zeros[0][0] < lt
@@ -121,7 +122,7 @@ class TestNodalSolution:
             return ode.integrate_radial(s, p0, n_zeros, settings, sensitivity)
 
         monkeypatch.setattr(shooting, "integrate_radial", counting)
-        assert shooting._newton(0, lt, P12, full, 0.5 * (xa + xb), xa, xb, 1e-9) is None
+        assert shooting._newton(0, p, full, 0.5 * (xa + xb), xa, xb, 1e-9) is None
         assert len(calls) == 0
         assert len(scan_calls) <= 3
 
@@ -143,7 +144,7 @@ class TestNodalSolution:
             return traj
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", unit_lambda)
-        traj = shooting._newton(0, 0.0, P12, full, 0.25, -1.0, 1.0, math.atan(-8.0))
+        traj = shooting._newton(0, P12, full, 0.25, -1.0, 1.0, math.atan(-8.0))
         assert traj is not None and traj.log_zeros[0][0] == 0.0
         xs = [x for x, _ in calls]
         assert xs == pytest.approx([0.25, -0.25, 0.0, 0.0], abs=1e-15)
@@ -157,7 +158,7 @@ class TestNodalSolution:
             raise ZeroNotReachedError("radius cap")
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", missing)
-        assert shooting._newton(0, 0.0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        assert shooting._newton(0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
         calls = []
 
         def off_target(s, k, p0, settings=None, sensitivity=False):
@@ -165,7 +166,7 @@ class TestNodalSolution:
             return SimpleNamespace(log_zeros=[(0.5e-3, -1.0)], log_slope=1e9)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", off_target)
-        assert shooting._newton(0, 0.0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        assert shooting._newton(0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
         assert calls == [SCAN_SETTINGS] * shooting._MAX_NEWTON
 
     def test_missing_interior_peak_typed(self):
@@ -210,14 +211,62 @@ class TestNodalSolution:
         (1.0, 3.2245, (12.1990, 17.4101)),
     ])
     def test_both_roots_beside_turning_point(self, beta, target, roots):
-        # lambda_1(s) turns between the two roots, so each monotone piece
-        # of the trace holds one root on a curved branch.  A tangent step
+        # lambda_1(s) turns between the two roots, so each lies in its own
+        # node pair of the trace, on a curved branch.  A tangent step
         # from the secant point may leave its bracket; bisecting instead
         # keeps both roots
         sols = nodal_solution(1, ProblemParams(1.0, beta, target))
         assert [sol.amplitude for sol in sols] == pytest.approx(roots, abs=1e-4)
         for sol in sols:
             assert sol.params.lam == pytest.approx(target, rel=1e-9)
+
+    def test_fold_pair_inside_one_step_found(self):
+        # k = 1, alpha = 0.1, beta = 1.8: a step from s = 3.954 to 6.193 has
+        # negative slopes at both ends while ln(lambda) rises, so it holds a
+        # minimum and a maximum of lambda_1(s).  The trace retries it at half
+        # its length until it sees both folds, and the target between them
+        # has three roots, not one
+        p = ProblemParams(0.1, 1.8, 7.86)
+        tr = trace(1, p)
+        folds = [tr.nodes[i] for i in tr.folds]
+        assert [math.exp(x) for x, _, _ in folds] == pytest.approx([3.998, 5.973], rel=1e-3)
+        assert [math.exp(y) for _, y, _ in folds] == pytest.approx([7.789, 7.932], rel=1e-3)
+        sols = nodal_solution(1, p, traced=tr)
+        assert [sol.amplitude for sol in sols] == pytest.approx(
+            [3.555551, 4.755679, 7.831605], rel=1e-6)
+
+    def test_every_straddling_pair_polished(self, monkeypatch):
+        # ln(lambda) - ln(p.lam) changes sign across two node pairs of a
+        # trace with no fold between them: both are polished, in ascending
+        # amplitude, each from its secant point
+        brackets = []
+
+        def recording(*args):
+            brackets.append(args[-4:-1])  # (x, lo, hi)
+            return None
+
+        monkeypatch.setattr(shooting, "_newton", recording)
+        p = ProblemParams(1.0, 1.0, 1.0)
+        nodes = ((0.0, 0.5, -0.1), (1.0, -0.5, -0.1), (2.0, 0.5, -0.1), (3.0, 1.0, -0.1))
+        with pytest.raises(NoSolutionInRangeError):
+            nodal_solution(1, p, traced=Trace(1, p, nodes, ()))
+        assert brackets == [(0.5, 0.0, 1.0), (1.5, 1.0, 2.0)]
+
+    def test_trace_ends_on_a_wobbling_flat_stretch(self, monkeypatch):
+        # a flat ln(lambda) that wobbles by 1e-9 against its slightly
+        # negative slope: a move within scan noise is not taken for a
+        # hidden fold pair, so the steps grow and the trace ends at S_MAX
+        calls = []
+
+        def wobbling(k, p, x):
+            calls.append(x)
+            assert len(calls) <= 60
+            return x, 1.0 + 1e-9 * math.sin(3.0 * x), -1e-12
+
+        monkeypatch.setattr(shooting, "_node", wobbling)
+        tr = trace(0, P12)
+        assert math.exp(tr.nodes[-1][0]) == pytest.approx(shooting.S_MAX, rel=1e-12)
+        assert tr.folds == ()
 
     def test_solutions_carry_the_slope(self):
         # d ln(lambda)/d ln(s) is a dilation invariant: shifted used to drop
@@ -317,14 +366,14 @@ class TestNodalSolution:
             nodal_solution(**{"k": 0, "p": ProblemParams(1.0, 1.2, lam), **kwargs})
         assert calls == []
 
-    @pytest.mark.parametrize("entry", ["trace", "solve_unit_lambda", "lambda_of_s",
-                                       "solution_at"])
+    @pytest.mark.parametrize("entry", ["nodal_solution", "trace", "solve_unit_lambda",
+                                       "lambda_of_s", "solution_at"])
     def test_every_shooting_entry_checks_the_nodal_class(self, monkeypatch, entry):
-        # nodal_solution's message, from the funnel every integration passes
+        # one message, from the funnel every integration passes
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kw: calls.append(args))
-        args = (-1, P12) if entry == "trace" else (1.0, -1, P12)
+        args = (-1, P12) if entry in ("nodal_solution", "trace") else (1.0, -1, P12)
         with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
             getattr(shooting, entry)(*args)
         assert calls == []
