@@ -48,6 +48,7 @@ the right-hand side it stands for, which source_log asks for the forcing:
    expm1: no u^2 is formed from two huge numbers, and the absolute error
    of D stays far below that of u - s.  R is written once, in the frame's
    right-hand side: the hand-over reads its last FSAL stage, source_log calls it.
+   A step ending at u <= 0, past the first zero, is retaken at half its length.
 2. Free flight.  The forcing is quiet below one level, E < -60 + min(0,
    ln s) (below 1e-26 min(1, s)): it hands over from the bubble, lands the
    flight and gates stretch 3's dE/du weighting.  Quiet past the bubble,
@@ -76,9 +77,10 @@ is first read (while shooting, the steps with a zero or a peak; for a
 solution's analysis, every step it reads).  The error test's scale is
 abs_tol*min(1, s) + rel_tol*|y| (ibid., sec. II.4), as u is of size s.
 Events (zeros of u, interior critical points) are detected by sign
-change at step endpoints and polished on the interpolant.  A step that
-crosses an interior zero is retaken to end on it: u*|u|^beta is not
-smooth there (ibid., sec. II.6).
+change at step endpoints and polished on the interpolant; a zero counts
+once, for the step that crosses it or starts on it.  A step that crosses
+an interior zero is retaken to end on it: u*|u|^beta is not smooth there
+(ibid., sec. II.6).
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ _BHH1, _BHH9, _BHH12 = _BHH
 
 _E_START = -40.0      # exponent at the first step
 _E_QUIET = -60.0      # the forcing is quiet where E < this + min(0, ln s)
-_HANDOFF_DROP = 0.5   # the bubble hands over once quiet, or once u < (1 - this) * s
+_HANDOFF_DROP = 0.5   # the bubble hands over at u > 0 once quiet or u < (1 - this) * s
 _LOG_R_START_MAX = math.log(1e-6)  # the first step never starts at a larger radius
 # Exponents above this only occur in trial stages the error test rejects;
 # clipping them keeps those stages finite.
@@ -535,7 +537,7 @@ def _march(rhs, frame, x, y, h, scale, on_step):
     Hairer's combined estimate err5^2/sqrt(err5^2 + 0.01 err3^2) from the
     embedded 5th- and 3rd-order results; the step is accepted when all are
     within their scale, and the next one is scaled by 0.9 err^(-1/8),
-    within [0.333, 6].  on_step may also return a number x_land < step.x1:
+    within [0.333, 6].  on_step may also return a float x_land < step.x1:
     the step is then discarded and retaken to end on x_land (unless the
     error test rejects that retake), and stepping goes on at its size.
 
@@ -606,7 +608,7 @@ def _march(rhs, frame, x, y, h, scale, on_step):
             step = _Step(frame, x, h, x1, y, y1, rhs,
                          (k1, k6, k7, k8, k9, k10, k11, k12, k13))
             stop = on_step(step)
-            if stop is not None and stop is not True and stop is not False:
+            if isinstance(stop, float):
                 # retake this step to end on x_land, then go on at this h
                 x_land, h_on = stop, h
                 continue
@@ -731,20 +733,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return u != 0.0 and _exponent(t, abs(u), alpha, beta) >= e_quiet
 
     g_quiet = exp(e_quiet)
-    last_g = [0.0]  # exp(-inf): the first step is never quiet
-    quiet = [False]
 
     def on_bubble_step(step):
-        # hand over once exp(E) < exp(e_quiet) past the bubble, or once
-        # u < s/2; exp(E) at the step end is the FSAL stage's forcing
+        # a step that ends at u <= 0 has passed the first zero: retake it at
+        # half its length.  Else hand over once the FSAL stage's forcing is
+        # below exp(e_quiet) (E starts >= 20 above it and climbs to the
+        # bubble before it falls), or once u < s/2
+        u1 = step.end()[0]
+        if u1 <= 0.0:
+            return step.x0 + 0.5 * step.h
         steps.append(step)
         check_caps(step.t1)
-        g = step._ks[8][5]
-        quiet[0] = g < min(g_quiet, last_g[0])
-        if quiet[0] or step.end()[0] < (1.0 - _HANDOFF_DROP) * s:
-            return True
-        last_g[0] = g
-        return False
+        return step._ks[8][5] < g_quiet or u1 < (1.0 - _HANDOFF_DROP) * s
 
     def scale_bubble(x, y, x1, y1):
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
@@ -764,12 +764,9 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
               * inv_k)
 
     # ---- stretch 2: free flight while E < E_QUIET ---------------------------
-    if quiet[0]:
-        # the forcing (< 1e-26) is dropped: u is linear in t,
-        # u = sigma*(t_z - t).  The zero t_z ~ t0 + s^2/2 + O(s^beta) is
-        # formed with the s^2/2 cancelled exactly, and the flight is not
-        # stepped through: stepping a span of s^2/2 in t would cost about
-        # s^2*2^-53 in t_z.
+    if step._ks[8][5] < g_quiet:
+        # the forcing (< 1e-26) is dropped: u = sigma*(t_z - t), its zero
+        # t_z ~ t0 + s^2/2 + O(s^beta) formed with the s^2/2 cancelled exactly
         z_h = z_l + yf[0]
         c = 4.0 * omq + yf[1]  # Z' = -(4 - c) after the bubble
         sigma = (4.0 - c) * inv_k
@@ -840,7 +837,8 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     def on_plain_step(step):
         y0, y1 = step.y0, step.y1
         events = []
-        if (y0[0] > 0.0) != (y1[0] > 0.0) or y1[0] == 0.0:
+        # a zero is this step's if it crosses it or starts on it (theta = 0)
+        if (y0[0] > 0.0) != (y1[0] > 0.0):
             th = _dense_root(step, 0, 0.0, 1.0)
             tz = step.x0 + th * step.h
             events.append((tz, 0, step.value(tz, 1)))

@@ -12,7 +12,7 @@ from tmb.errors import NoSignChangeError, StiffnessError, TmbError, ZeroNotReach
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings, integrate_radial
 from tmb.quadrature import adaptive_quadrature
-from tmb.shooting import POLISH_TOL, SCAN_SETTINGS, solution_at
+from tmb.shooting import POLISH_TOL, SCAN_SETTINGS, solution_at, solve_unit_lambda
 
 from conftest import T1, primitive_F
 
@@ -125,6 +125,36 @@ class TestEvents:
         traj = integrate_radial(5.0, P12, 2)
         tp, absu = traj.log_peaks[0]
         assert abs(traj.ru_log(tp)) <= 1e-6 * absu
+
+    @pytest.mark.parametrize("scan, k, alpha, beta, s, log_lam", [
+        (False, 2, 1.0, 1.0, 6.78217815593501, 2.938475),
+        (False, 2, 10.0, 1.0, 2.3537191849932713, -1.207852),
+        (False, 2, 10.0, 1.3, 21.849993373049873, -10.536683),
+        (False, 2, 0.1, 1.8, 0.4894321401910078, 4.256343),
+        (True, 0, 3.0, 1.0, 14.725896892882366, -27.03827),
+        (True, 0, 3.0, 1.3, 12.954140857511838, -34.087866),
+        (True, 2, 3.0, 1.0, 14.794639720726416, 1.16294),
+    ])
+    def test_each_zero_counted_once(self, scan, k, alpha, beta, s, log_lam):
+        # at the defaults a step ends on u = 0.0 where u rises, and the next
+        # step starts there: both counted that zero.  At scan tolerance one
+        # first-bubble step jumped from u ~ s past the first zero, which was
+        # never counted.  Either way the (k+1)-th zero was a later one
+        traj = solve_unit_lambda(s, k, ProblemParams(alpha, beta, 1.0),
+                                 SCAN_SETTINGS if scan else None)
+        zeros = [t for t, _ in traj.log_zeros]
+        assert len(zeros) == k + 1
+        assert all(b > a for a, b in zip(zeros, zeros[1:]))
+        assert len(traj.log_peaks) == k
+        assert all(st.end()[0] > 0.0 for st in traj.steps if st.frame is not ode._IDENTITY)
+        assert 2.0 * zeros[k] == pytest.approx(log_lam, abs=1e-5)
+
+    def test_step_ending_on_a_rising_zero(self):
+        p = ProblemParams(1.0, 1.0, 1.0)
+        traj = solve_unit_lambda(6.78217815593501, 2, p)
+        on_zero = [st.t1 for st in traj.steps if st.end()[0] == 0.0]
+        assert [t for t, _ in traj.log_zeros].count(on_zero[0]) == 1
+        assert len(solution_at(6.78217815593501, 2, p).peak_values) == 3
 
 
 class TestSelfConvergence:

@@ -235,6 +235,17 @@ class TestNodalSolution:
         assert [sol.amplitude for sol in sols] == pytest.approx(
             [3.555551, 4.755679, 7.831605], rel=1e-6)
 
+    @pytest.mark.parametrize("beta, target, root", [
+        (1.0, 1.81736e-12, 14.723069),
+        (1.3, 1.58028e-15, 12.951979),
+    ])
+    def test_root_behind_a_scan_jump_polished(self, beta, target, root):
+        # k = 0, alpha = 3: near the root a scan-tolerance first-bubble step
+        # jumped past the first zero, so ln(lambda) jumped by ~25 there and
+        # _newton spent its integrations bisecting across the jump
+        sols = nodal_solution(0, ProblemParams(3.0, beta, target))
+        assert [sol.amplitude for sol in sols] == pytest.approx([root], rel=1e-6)
+
     def test_every_straddling_pair_polished(self, monkeypatch):
         # ln(lambda) - ln(p.lam) changes sign across two node pairs of a
         # trace with no fold between them: both are polished, in ascending
