@@ -34,16 +34,21 @@ class ZeroNotReachedError(TmbError, RuntimeError):
 
 
 class NoSolutionInRangeError(TmbError, RuntimeError):
-    """No node pair of the traced branch lambda_k(s) brackets a root at the target."""
+    """No node pair of the traced branch lambda_k(s) brackets a root at the
+    target.  turn, when given, is the (s, lambda) of the turning point at
+    which the branch turned back before reaching the target."""
 
-    def __init__(self, target, lam_min, lam_max, s_min, s_max):
+    def __init__(self, target, lam_min, lam_max, s_min, s_max, turn=None):
         self.target = target
         self.lam_range = (lam_min, lam_max)
         self.s_range = (s_min, s_max)
+        self.turn = turn
         super().__init__(
             f"no solution with lambda={target!r} in scanned range "
             f"lambda in [{lam_min:.6g}, {lam_max:.6g}] "
             f"(amplitudes s in [{s_min:.6g}, {s_max:.6g}])"
+            + (f"; the branch turns at lambda={turn[1]:.7g} (s={turn[0]:.6g}) "
+               "before reaching it" if turn else "")
         )
 
 

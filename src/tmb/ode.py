@@ -78,9 +78,10 @@ solution's analysis, every step it reads).  The error test's scale is
 abs_tol*min(1, s) + rel_tol*|y| (ibid., sec. II.4), as u is of size s.
 Events (zeros of u, interior critical points) are detected by sign
 change at step endpoints and polished on the interpolant; a zero counts
-once, for the step that crosses it or starts on it.  A step that crosses
-an interior zero is retaken to end on it: u*|u|^beta is not smooth there
-(ibid., sec. II.6).
+once, for the step that crosses it or starts on it; every stretch keeps
+its steps and events through one closure, which holds the runaway caps.
+A step that crosses an interior zero is retaken to end on it: u*|u|^beta
+is not smooth there (ibid., sec. II.6).
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
 # From it up (k <= 2, beta = 1.3, alpha in {0.2, 3}, 30 points a decade to
 # 1e-130) ln(lambda) is ln j_{0,k+1}^2 to 1e-12 at the defaults, 2e-8 at scan.
 MIN_AMPLITUDE = 1e-144
-# Runaway caps: an integration that passes either raises ZeroNotReachedError.
+# Runaway caps: a step whose end passes MAX_RADIUS, or whose number passes
+# MAX_STEPS, is not kept, even with the stop zero: ZeroNotReachedError.
 MAX_RADIUS = 1e6
 MAX_STEPS = 2_000_000
 
@@ -638,8 +640,9 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     Each stretch's one right-hand side appends the channel's derivatives.
     The error test's absolute tolerance is abs_tol*min(1, s) (SolverSettings).
     Raises ValueError unless MIN_AMPLITUDE <= s < inf, or for p.lam != 1;
-    ZeroNotReachedError if the radius cap or the step budget is hit first,
-    StiffnessError if the step collapses.
+    ZeroNotReachedError when a step's end passes MAX_RADIUS or the step
+    count passes MAX_STEPS, even on the step holding the stop zero, which
+    is then not counted; StiffnessError if the step collapses.
     """
     if p.lam != 1.0:
         raise ValueError(f"integrate_radial runs at lambda = 1, got {p.lam!r}")
@@ -677,19 +680,24 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
     peaks: list = []
     steps: list = []
 
-    def check_radius(t1):
-        if t1 > t_max:
-            raise ZeroNotReachedError(
-                f"radius cap {MAX_RADIUS!r} reached with {len(zeros)} zero(s) found",
-                zeros_found=len(zeros), radius=math.exp(min(t1, _LOG_MAX)))
-
-    def check_caps(t1):  # after each step is appended
-        check_radius(t1)
-        if len(steps) > MAX_STEPS:
+    def keep(step, events=()):  # events: (t, 0 for a zero | 1 for a peak, value)
+        steps.append(step)
+        t1 = step.t1
+        if t1 > t_max or len(steps) > MAX_STEPS:
             radius = math.exp(min(t1, _LOG_MAX))
             raise ZeroNotReachedError(
+                f"radius cap {MAX_RADIUS!r} reached with {len(zeros)} zero(s) found"
+                if t1 > t_max else
                 f"step budget {MAX_STEPS} exhausted at radius {radius!r}",
                 zeros_found=len(zeros), radius=radius)
+        for tx, kind, value in sorted(events):
+            if kind:
+                peaks.append((tx, value))
+            else:
+                zeros.append((tx, value))
+                if len(zeros) >= n_zeros:
+                    return True
+        return False
 
     # ---- stretch 1: the first bubble, in (tau, D) -------------------------
     exp, log1p, expm1 = math.exp, math.log1p, math.expm1
@@ -742,8 +750,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         u1 = step.end()[0]
         if u1 <= 0.0:
             return step.x0 + 0.5 * step.h
-        steps.append(step)
-        check_caps(step.t1)
+        keep(step)
         return step._ks[8][5] < g_quiet or u1 < (1.0 - _HANDOFF_DROP) * s
 
     def scale_bubble(x, y, x1, y1):
@@ -802,22 +809,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 dt *= 2.0
             lo, hi = t_z, t_z + dt
         t_b = _line_search(woken, lo, hi)
-        if t_z < t_b:
-            check_radius(t_z)
-            zeros.append((t_z, -sigma))
-            if len(zeros) >= n_zeros:
-                t_b = t_z
+        crossed = t_z < t_b
+        if crossed and len(zeros) + 1 >= n_zeros:  # the stop zero
+            t_b = t_z
         y_b = line(t_b) + ((sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
                            if sensitivity else ())
 
         def rhs_flight(t, y):  # the forcing dropped: u is linear in t
             return (y[1], 0.0, y[1] * y[1], 0.0, 0.0, 0.0)
 
-        zero = (0.0,) * len(y_b)
-        steps.append(_Step(_IDENTITY, t_hand, t_b - t_hand, t_b, y, y_b, rhs_flight,
-                           None, (tuple(b - a for a, b in zip(y, y_b)),) + (zero,) * 6))
-        check_caps(t_b)
-        if len(zeros) >= n_zeros:
+        flight = _Step(_IDENTITY, t_hand, t_b - t_hand, t_b, y, y_b, rhs_flight, None,
+                       (tuple(b - a for a, b in zip(y, y_b)),) + ((0.0,) * len(y_b),) * 6)
+        if keep(flight, [(t_z, 0, -sigma)] if crossed else ()):
             return Trajectory(steps, zeros, peaks,
                               log_slope=2.0 * s * tz_s if sensitivity else None)
         t_hand, y = t_b, y_b
@@ -858,18 +861,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
             th = _dense_root(step, 1, 0.0, 1.0)
             tp = step.x0 + th * step.h
             events.append((tp, 1, abs(step.value(tp, 0))))
-        steps.append(step)
-        events.sort()
-        for tx, kind, aux in events:
-            check_radius(tx)
-            if kind == 0:
-                zeros.append((tx, aux))
-                if len(zeros) >= n_zeros:
-                    return True
-            else:
-                peaks.append((tx, aux))
-        check_caps(step.x1)
-        return False
+        return keep(step, events)
 
     def scale_plain(x, y, x1, y1):
         # where the forcing is awake, an error in u moves E by dE/du times

@@ -313,12 +313,13 @@ def nodal_solution(k: int, p: ProblemParams,
     p.lam changes sign or ends on 0, from the pair's secant point, until
     ln(lambda) matches to POLISH_TOL; a bracket it gives up on is dropped
     as scan noise.  Raises NoSolutionInRangeError when no pair crosses the
-    target."""
+    target, naming the fold nearest it when every node lies on one side."""
     if traced is not None and not (traced.params.lam <= p.lam and (
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")
     full = settings or SolverSettings()
-    nodes = (traced or trace(k, p)).nodes
+    traced = traced or trace(k, p)
+    nodes = traced.nodes
     solutions = []
     for (xa, ya, _), (xb, yb, _) in zip(nodes, nodes[1:]):
         fa, fb = ya - p.log_lambda, yb - p.log_lambda
@@ -329,8 +330,15 @@ def nodal_solution(k: int, p: ProblemParams,
                 solutions.append(_build_solution(traj, k, p))
     if not solutions:
         lams = [math.exp(y) for _, y, _ in nodes] or [math.nan]
+        # with every node on one side of the target, the nearest one is the
+        # branch's extreme there: a fold there is where it turns back
+        gaps = [y - p.log_lambda for _, y, _ in nodes]
+        i = min(range(len(gaps)), key=lambda j: abs(gaps[j]), default=None)
+        turn = (math.exp(nodes[i][0]), lams[i]) if i in traced.folds and (
+            min(gaps) > 0.0 or max(gaps) < 0.0) else None
         raise NoSolutionInRangeError(p.lam, min(lams), max(lams), DEFAULT_S_MIN,
-                                     math.exp(nodes[-1][0]) if nodes else DEFAULT_S_MIN)
+                                     math.exp(nodes[-1][0]) if nodes else DEFAULT_S_MIN,
+                                     turn)
     return solutions
 
 

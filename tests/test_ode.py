@@ -442,6 +442,23 @@ class TestStopsAndErrors:
             integrate_radial(1e-3, P12, 1)
         assert exc.value.zeros_found == 0
 
+    @pytest.mark.parametrize("beta, s, n_zeros, last", [
+        (1.2, 2.0, 1, "rhs_plain"),   # 93 steps, stop zero in absolute t
+        (1.2, 2.0, 2, "rhs_plain"),   # 151 steps
+        (1.3, 50.0, 1, "rhs_flight"),  # 113 steps, stop zero in the flight
+    ])
+    def test_step_budget_holds_on_the_stop_step(self, monkeypatch, beta, s,
+                                                n_zeros, last):
+        # one step short of a run's count: the step holding the stop zero
+        # is not kept, on every stretch alike, and its zero is not counted
+        p = ProblemParams(alpha=1.0, beta=beta, lam=1.0)
+        steps = integrate_radial(s, p, n_zeros).steps
+        assert steps[-1].rhs.__name__ == last
+        monkeypatch.setattr(ode, "MAX_STEPS", len(steps) - 1)
+        with pytest.raises(ZeroNotReachedError, match="step budget") as exc:
+            integrate_radial(s, p, n_zeros)
+        assert exc.value.zeros_found == n_zeros - 1
+
     def test_step_collapse_is_typed(self, monkeypatch):
         t_start = integrate_radial(2.0, P12, 1).t_start
         # a step floor above the first step the integrator tries

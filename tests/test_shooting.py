@@ -339,6 +339,10 @@ class TestNodalSolution:
         with pytest.raises(NoSolutionInRangeError) as exc:
             nodal_solution(1, p, traced=tr)
         assert exc.value.lam_range[0] == pytest.approx(3.126802, rel=1e-6)
+        # the error names the turn that keeps the branch above the target
+        assert exc.value.turn == (math.exp(x), math.exp(y))
+        assert str(exc.value).endswith(
+            "; the branch turns at lambda=3.126802 (s=24.1518) before reaching it")
 
     def test_reach_extends_while_falling_above_target(self):
         # the k=0 branch at beta = 1.2 falls below 1e-300 past the budget:
@@ -396,6 +400,9 @@ class TestNodalSolution:
             nodal_solution(0, ProblemParams(1.0, 1.2, 7.0))
         lo, hi = exc.value.lam_range
         assert 0.0 < lo < hi < 7.0  # diagnostic carries the traced lambda range
+        # the extreme is the first node, not a fold: no turn is named
+        assert exc.value.turn is None
+        assert "turns" not in str(exc.value)
 
     @pytest.mark.parametrize("alpha, root", [(1.0, 2852.11), (0.2, None)])
     def test_deep_k2_branch_typed(self, alpha, root):
