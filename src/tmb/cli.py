@@ -215,30 +215,29 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
         fh.write("\n")
 
 
-def _solve_members(cfg: ExperimentConfig, extra: dict) -> tuple:
-    """(member records, family run or None): for solve one record per
-    branch, n its index; for verify run_family's.  The branch count or the
-    failures go to the metadata entries in extra."""
+def _solve_members(cfg: ExperimentConfig, extra: dict) -> list:
+    """The member records: for solve one per branch, n its index; for
+    verify run_family's.  The branch count or the failures go to the
+    metadata entries in extra."""
     if cfg.command == "solve":
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
         sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
                               settings=cfg.settings)
         extra["branches"] = len(sols)
-        return [_summarize(n, cfg.lam, cfg.beta, sol) for n, sol in enumerate(sols)], None
+        return [_summarize(n, cfg.lam, cfg.beta, sol) for n, sol in enumerate(sols)]
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    exp = run_family(cfg.family, settings=cfg.settings)
-    if exp.failures:
-        extra["failures"] = [{"n": f.index, "lambda": f.lam, "beta": f.beta,
-                              "reason": f.reason} for f in exp.failures]
-    return exp.records, exp
+    records, failures = run_family(cfg.family, settings=cfg.settings)
+    if failures:
+        extra["failures"] = failures
+    return records
 
 
 def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
     """Solve, then write solutions.csv, a profile_n{n}_d{i}.csv for each
     domain with bubble diagnostics, and for a family formula_reports.csv."""
-    records, exp = _solve_members(cfg, extra)
+    records = _solve_members(cfg, extra)
     rows = [_solution_row(rec, cfg) for rec in records]
     emit_csv(rows, out / "solutions.csv")
     for rec in records:
@@ -248,12 +247,12 @@ def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
                            "config_hash": cfg.config_hash}
                           for r, z_n, z, phi in diag.samples],
                          out / f"profile_n{rec.index}_d{i}.csv")
-    if exp is None:
+    if cfg.command == "solve":
         return
     if len(records) < 3:
         extra["verify_skipped"] = "fewer than 3 successful members"
         return
-    reports = verify_formulas(exp)
+    reports = verify_formulas(cfg.family, records)
     emit_csv([{"formula_id": rep.formula_id, "applicable": int(rep.applicable),
                "raw_last": rep.raw_last, "extrapolated": rep.extrapolated,
                "target": rep.target, "rel_error": rep.rel_error,

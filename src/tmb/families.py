@@ -4,7 +4,8 @@ FamilySpec checks a schedule's shape, and turns each member into the
 ProblemParams(alpha, beta_n, lambda_n) that checks its values.
 run_family solves those members on one trace of lambda_k(s) per distinct
 beta_n, and keeps of each only what the formulas and the CSVs read (a
-MemberRecord); verify_formulas turns the member records into one report
+MemberRecord), or of a failed member the row the metadata sidecar writes;
+verify_formulas turns the member records into one report
 per asymptotic formula: the raw sequence, its Aitken-accelerated limit,
 the predicted target, and the relative error.
 
@@ -101,21 +102,6 @@ class MemberRecord(LogRadii):
 
 
 @record
-class FailedMember:
-    index: int
-    lam: float
-    beta: float
-    reason: str
-
-
-@record
-class SequenceExperiment:
-    spec: FamilySpec
-    records: tuple         # MemberRecord, successful members in order
-    failures: tuple        # FailedMember
-
-
-@record
 class FormulaReport:
     formula_id: str
     applicable: bool
@@ -182,15 +168,16 @@ def _summarize(index, lam, beta, sol) -> MemberRecord:
     )
 
 
-def run_family(spec: FamilySpec,
-               settings: SolverSettings | None = None) -> SequenceExperiment:
-    """Solve every member of spec.members on the trace of its branch: each
-    distinct beta_n is traced once, down to the lowest lambda_n it shares.
-    Failed members are recorded, not fatal; FamilyEmptyError only when
-    nothing solves.  Records are summaries, so a run holds at most one
-    member's trajectories; one integration gives a member's solution back
-    bit for bit: solution_at(rec.amplitude, k, (alpha, rec.beta, rec.lam),
-    settings)."""
+def run_family(spec: FamilySpec, settings: SolverSettings | None = None) -> tuple:
+    """(records, failures): solve every member of spec.members on the trace
+    of its branch, where each distinct beta_n is traced once, down to the
+    lowest lambda_n it shares.  records holds a MemberRecord per solved
+    member, in order; failures holds, per failed member, its metadata row
+    {"n", "lambda", "beta", "reason"}.  A failure is not fatal;
+    FamilyEmptyError only when nothing solves.  Records are summaries, so a
+    run holds at most one member's trajectories; one integration gives a
+    member's solution back bit for bit: solution_at(rec.amplitude, k,
+    (alpha, rec.beta, rec.lam), settings)."""
     records, failures = [], []
     traces = {beta: trace(spec.k, min((p for p in spec.members if p.beta == beta),
                                       key=lambda p: p.lam))
@@ -199,7 +186,8 @@ def run_family(spec: FamilySpec,
         try:
             sols = nodal_solution(spec.k, p, settings=settings, traced=traces[p.beta])
         except (ZeroNotReachedError, NoSolutionInRangeError) as exc:
-            failures.append(FailedMember(n, p.lam, p.beta, f"{type(exc).__name__}: {exc}"))
+            failures.append({"n": n, "lambda": p.lam, "beta": p.beta,
+                             "reason": f"{type(exc).__name__}: {exc}"})
             continue
         # follow the largest-amplitude branch (the concentrating one)
         records.append(_summarize(n, p.lam, p.beta, sols[-1]))
@@ -207,8 +195,8 @@ def run_family(spec: FamilySpec,
     if not records:
         raise FamilyEmptyError(
             f"all {len(spec)} members failed; first failure: "
-            f"{failures[0].reason if failures else 'none recorded'}")
-    return SequenceExperiment(spec, tuple(records), tuple(failures))
+            f"{failures[0]['reason'] if failures else 'none recorded'}")
+    return records, failures
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +229,16 @@ def _slope_gate(records, i):
     return "boundary slope not yet in the log regime"
 
 
-def verify_formulas(exp: SequenceExperiment) -> list:
-    """One report per asymptotic formula, gated on k, the beta regime, and
-    whether the family blows up everywhere or keeps a finite tail.
+def verify_formulas(spec: FamilySpec, records) -> list:
+    """One report per asymptotic formula on the member records of a run of
+    spec, gated on k, the beta regime, and whether the family blows up
+    everywhere or keeps a finite tail.
 
     The formula ids and their order depend on k alone: a formula whose
     regime the family is not in is reported inapplicable, with the reason
     as its note."""
-    records = exp.records
     if len(records) < 3:
         raise ValueError("formula verification needs at least 3 successful members")
-    spec = exp.spec
     k = spec.k
     alpha = spec.alpha
     beta_star = records[-1].beta

@@ -216,10 +216,11 @@ class SolverSettings:
     """Integration tolerances: from u(0) = s the error test's scale is
     abs_tol*min(1, s) + rel_tol*|y|, so abs_tol is relative to s below 1.
 
-    At the defaults ln(lambda) = 2 t_{k+1} is off a rel_tol=1e-13 solve by at
-    most 1.7e-11 where sampled (k <= 2, alpha = 1, beta in {0.5, 1, 1.3, 1.8},
-    30 and 60 log-spaced s in [0.5, 24]), at k = 1, beta = 1.8, s =
-    14.070706319014791 (177x less at s(1 + 1e-13)), below the 1e-10 of roots.
+    At the defaults ln(lambda) = 2 t_{k+1} is off the stored 30-digit
+    reference (tests/data/reference_lambda.csv: k <= 2, alpha = 1, beta in
+    {0.5, 1, 1.3, 1.8}, s in [0.5, 24]) by at most 1.71e-11, at k = 1,
+    beta = 1.8, s = 14.070706319014791 (177x less at s(1 + 1e-13)), and by
+    at most 2.0e-13 at its other 11 points, below the 1e-10 of roots.
     Below s = 1: within 1.3e-13 of rel_tol=1e-14 (beta in {0.5, 1.2, 1.3,
     1.8}, s from 1e-8 to 0.9) and, for beta >= 1.2, of ln j_{0,k+1}^2 to
     6.9e-14 at s = 1e-12, 1e-16, ..., 1e-140.

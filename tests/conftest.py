@@ -32,9 +32,9 @@ def primitive_F(t, p):
 
 
 def run_family_keeping_solutions(spec, **kwargs):
-    """(run_family(spec, **kwargs), the solution each record summarises, in
-    record order).  Records keep no solution; this catches each one on its
-    way into the summary, so nothing is solved twice."""
+    """(the records of run_family(spec, **kwargs), the solution each
+    summarises, in record order).  Records keep no solution; this catches
+    each one on its way into the summary, so nothing is solved twice."""
     solutions = []
     summarize = families._summarize
 
@@ -44,8 +44,8 @@ def run_family_keeping_solutions(spec, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_summarize", keep)
-        exp = families.run_family(spec, **kwargs)
-    return exp, solutions
+        records, _ = families.run_family(spec, **kwargs)
+    return records, solutions
 
 
 @pytest.fixture(scope="session")
@@ -56,16 +56,16 @@ def p12():
 @pytest.fixture(scope="session")
 def reference_family():
     """k=0, alpha=1, beta=1.2, lambda = 1e-2..1e-6 (the blow-up family used
-    by the profile/energy/concentration acceptance checks): the fields of
-    its SequenceExperiment, plus solutions (each record's solution) and
-    wall_time (seconds to run the family)."""
+    by the profile/energy/concentration acceptance checks): its spec and
+    records, solutions (each record's solution) and wall_time (seconds to
+    run the family)."""
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
     t0 = time.time()
-    exp, solutions = run_family_keeping_solutions(spec)
-    assert len(exp.records) == 5, "reference family must solve completely"
-    return SimpleNamespace(**vars(exp), solutions=solutions,
+    records, solutions = run_family_keeping_solutions(spec)
+    assert len(records) == 5, "reference family must solve completely"
+    return SimpleNamespace(spec=spec, records=records, solutions=solutions,
                            wall_time=time.time() - t0)
 
 

@@ -227,17 +227,17 @@ DEEP_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(scope="module")
 def deep_reference_family():
     """configs/reference_family_deep.cfg (k=0, alpha=1, beta=1.2, lambda =
-    1e-2 .. 1e-300), solved once as `tmb verify` solves it."""
+    1e-2 .. 1e-300), solved once as `tmb verify` solves it: (spec, records)."""
     cfg = parse_config(DEEP_CONFIG, "verify")
-    exp = run_family(cfg.family, cfg.settings)
-    assert len(exp.records) == len(cfg.family.lambda_schedule), \
+    records, _ = run_family(cfg.family, cfg.settings)
+    assert len(records) == len(cfg.family.lambda_schedule), \
         "deep reference family must solve completely"
-    return exp
+    return cfg.family, records
 
 
 def test_criterion_6_deep_concentration_and_flux(deep_reference_family):
     # criterion 6's laws and tolerances, where the family reaches them
-    recs = deep_reference_family.records
+    _, recs = deep_reference_family
     seq = [math.log(1.0 / rec.lam) / rec.peak_values[0] ** rec.beta
            for rec in recs]
     _, extrap = estimate_limit(seq)
@@ -254,8 +254,8 @@ def test_criterion_6_deep_concentration_and_flux(deep_reference_family):
 
 def test_criterion_7_deep_full_energy_expansion(deep_reference_family):
     # criterion 7's law and tolerance, where the family reaches them
-    recs = deep_reference_family.records
-    alpha, beta = deep_reference_family.spec.alpha, recs[-1].beta
+    spec, recs = deep_reference_family
+    alpha, beta = spec.alpha, recs[-1].beta
     target = (2.0 * math.pi * alpha ** (2.0 / beta) * beta
               * (1.0 - beta / 2.0) ** ((2.0 - beta) / beta))
     last = ((4.0 * math.pi - recs[-1].full_dirichlet)
@@ -273,7 +273,7 @@ def test_criterion_8_two_bubble_structure():
                       lambda_schedule=tuple(10.0 ** -n for n in range(1, 5)),
                       beta_schedule=(1.3,) * 4)
     try:
-        exp = run_family(spec)
+        recs, _ = run_family(spec)
     except FamilyEmptyError as exc:
         ok = False
         detail = (f"family is empty: {exc}. The k=1 shooting curve at "
@@ -285,7 +285,6 @@ def test_criterion_8_two_bubble_structure():
                   f"solutions")
         assert ok, _line(8, ok, detail)
         return
-    recs = exp.records
     dir_ok = all(abs(d - 2.0) <= 0.35 for d in recs[-1].dirichlet)
     ratios = [rec.peak_values[1] / rec.peak_values[0] for rec in recs]
     ratio_decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -304,14 +303,14 @@ def test_criterion_9_weak_limit_preset():
     t0 = time.time()
     spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=(3.1,) * 7,
                       beta_schedule=(1.3, 1.2, 1.12, 1.08, 1.05, 1.04, 1.03))
-    exp = run_family(spec)
-    reports = verify_formulas(exp)
+    records, failures = run_family(spec)
+    reports = verify_formulas(spec, records)
     threshold = [r for r in reports
                  if r.formula_id == "weak_limit_threshold" and r.applicable]
     elapsed = time.time() - t0
-    ok = len(exp.records) >= 3 and len(threshold) == 1
+    ok = len(records) >= 3 and len(threshold) == 1
     rep = threshold[0] if threshold else None
-    detail = (f"{len(exp.records)} members solved, {len(exp.failures)} "
+    detail = (f"{len(records)} members solved, {len(failures)} "
               f"recorded failures; tail peak mu_2={rep.raw_last:.4f} vs "
               f"alpha/2=0.5 ({rep.note}); {elapsed:.1f}s"
               if rep else "threshold report missing")

@@ -168,8 +168,7 @@ def _family_records(k, beta, lams):
     """(records, the solution each record summarises)."""
     spec = FamilySpec(k=k, alpha=1.0, lambda_schedule=lams,
                       beta_schedule=(beta,) * len(lams))
-    exp, solutions = run_family_keeping_solutions(spec)
-    return exp.records, solutions
+    return run_family_keeping_solutions(spec)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from tmb import families, shooting
 from tmb.errors import FamilyEmptyError
 from tmb.families import (
     FamilySpec,
-    SequenceExperiment,
     classify_records,
     estimate_limit,
     run_family,
@@ -85,13 +84,17 @@ class TestEstimateLimit:
             estimate_limit([1.0, 2.0])
 
 
+CHEAP = FamilySpec(k=0, alpha=1.0,
+                   lambda_schedule=(0.5, 0.125, 0.03125, 0.0078125),
+                   beta_schedule=(1.0,) * 4)
+
+
 @pytest.fixture(scope="module")
 def cheap_family():
-    """Shallow, fast k=0 family at beta = 1.0 (targets exact arithmetic)."""
-    spec = FamilySpec(k=0, alpha=1.0,
-                      lambda_schedule=(0.5, 0.125, 0.03125, 0.0078125),
-                      beta_schedule=(1.0,) * 4)
-    return run_family(spec)
+    """The records of CHEAP, a shallow, fast k=0 family at beta = 1.0
+    (targets exact arithmetic)."""
+    records, _ = run_family(CHEAP)
+    return records
 
 
 class TestRunFamily:
@@ -101,9 +104,8 @@ class TestRunFamily:
         assert len(reference_family.records) == 5
 
     def test_determinism(self, cheap_family):
-        spec = cheap_family.spec
-        rerun = run_family(spec)
-        for a, b in zip(cheap_family.records, rerun.records):
+        rerun, _ = run_family(CHEAP)
+        for a, b in zip(cheap_family, rerun):
             assert a.amplitude == b.amplitude
             assert a.full_dirichlet == b.full_dirichlet
             assert a.peak_values == b.peak_values
@@ -113,10 +115,12 @@ class TestRunFamily:
         spec = FamilySpec(k=0, alpha=1.0,
                           lambda_schedule=(0.5, 7.0, 0.25, 0.125),
                           beta_schedule=(1.2,) * 4)
-        exp = run_family(spec)
-        assert len(exp.records) == 3
-        assert len(exp.failures) == 1
-        assert exp.failures[0].lam == 7.0
+        records, failures = run_family(spec)
+        assert len(records) == 3
+        # each failure is the row the metadata sidecar writes
+        assert [(f["n"], f["lambda"], f["beta"]) for f in failures] == [(1, 7.0, 1.2)]
+        assert list(failures[0]) == ["n", "lambda", "beta", "reason"]
+        assert failures[0]["reason"].startswith("NoSolutionInRangeError: ")
 
     def test_family_empty(self):
         spec = FamilySpec(k=0, alpha=1.0, lambda_schedule=(7.0, 8.0, 9.0, 10.0),
@@ -137,9 +141,9 @@ class TestRunFamily:
 
         monkeypatch.setattr(families, "trace", counting)
         spec = parse_config(CONFIGS / f"{preset}.cfg", "verify").family
-        exp = run_family(spec)
+        records, failures = run_family(spec)
         assert len(traces) == betas
-        assert len(exp.records) + len(exp.failures) == len(spec)
+        assert len(records) + len(failures) == len(spec)
         # each trace serves the lowest lambda_n on its branch
         assert sorted(tr.params.beta for tr in traces) == sorted(set(spec.beta_schedule))
         assert all(tr.params.lam == min(spec.lambda_schedule) for tr in traces)
@@ -164,26 +168,27 @@ def test_no_trajectory_outlives_its_member(monkeypatch):
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=(1e-2, 1e-3, 1e-4, 1e-5),
                       beta_schedule=(1.2,) * 4)
-    exp = run_family(spec)
-    assert len(exp.records) == 4
+    records, _ = run_family(spec)
+    assert len(records) == 4
     assert counts == [0, 0, 0, 0]
     assert live() - base == 0
 
 
 class TestVerifyFormulas:
     def test_k0_applicability_gating(self, reference_family):
-        reports = verify_formulas(reference_family)
+        reports = verify_formulas(reference_family.spec, reference_family.records)
         applicable = {r.formula_id for r in reports if r.applicable}
         assert applicable == {"aaa1", "aa44", "bubble_energy[1]", "f4[1]",
                               "full_energy"}
 
     def test_exact_targets_at_beta_one(self, cheap_family):
-        reports = {r.formula_id: r for r in verify_formulas(cheap_family)}
+        reports = {r.formula_id: r for r in verify_formulas(CHEAP, cheap_family)}
         assert reports["aaa1"].target == pytest.approx(0.5, abs=1e-15)
         assert reports["aa44"].target == pytest.approx(1.0, abs=1e-15)
 
     def test_reports_carry_sequences(self, reference_family):
-        reports = {r.formula_id: r for r in verify_formulas(reference_family)}
+        reports = {r.formula_id: r for r in verify_formulas(
+            reference_family.spec, reference_family.records)}
         rep = reports["aaa1"]
         assert len(rep.raw_values) == 5
         assert rep.raw_last == rep.raw_values[-1]
@@ -191,16 +196,15 @@ class TestVerifyFormulas:
         assert not rep.slow_rate
 
     def test_f4_trends_to_two(self, reference_family):
-        reports = {r.formula_id: r for r in verify_formulas(reference_family)}
+        reports = {r.formula_id: r for r in verify_formulas(
+            reference_family.spec, reference_family.records)}
         flux = reports["f4[1]"].raw_values
         assert all(b > a for a, b in zip(flux, flux[1:]))
         assert flux[-1] > 1.8
 
     def test_needs_three_records(self, reference_family):
-        exp = SequenceExperiment(reference_family.spec,
-                                 reference_family.records[:2], ())
         with pytest.raises(ValueError):
-            verify_formulas(exp)
+            verify_formulas(reference_family.spec, reference_family.records[:2])
 
 
 def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
@@ -239,8 +243,7 @@ class TestRegistryTargets:
             records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
-        exp = SequenceExperiment(spec=spec, records=tuple(records), failures=())
-        reports = {r.formula_id: r for r in verify_formulas(exp)}
+        reports = {r.formula_id: r for r in verify_formulas(spec, records)}
         assert reports["aaa1"].target == pytest.approx(0.35, abs=1e-15)
         assert reports["aa1[1]"].target == pytest.approx(0.059366717867659624)
         assert reports["aa1[2]"].target == pytest.approx(0.0894039078001457)
@@ -282,14 +285,14 @@ class TestRegistryIds:
             records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
-        return SequenceExperiment(spec=spec, records=tuple(records), failures=())
+        return spec, records
 
     def test_same_ids_in_every_regime(self):
         ids = []
         for growth, regime in self.REGIMES.items():
-            exp = self._k2_family(growth)
-            assert classify_records(exp.records, 2) == regime
-            ids.append([r.formula_id for r in verify_formulas(exp)])
+            spec, records = self._k2_family(growth)
+            assert classify_records(records, 2) == regime
+            ids.append([r.formula_id for r in verify_formulas(spec, records)])
         assert ids[1] == ids[0]
         assert ids[2] == ids[0]
         assert len(set(ids[0])) == len(ids[0])
@@ -297,8 +300,8 @@ class TestRegistryIds:
             assert fid in ids[0]
 
     def test_slope_gate_keeps_the_row(self):
-        exp = self._k2_family((1.6, 1.0, 1.0))
-        reports = {r.formula_id: r for r in verify_formulas(exp)}
+        reports = {r.formula_id: r for r in verify_formulas(
+            *self._k2_family((1.6, 1.0, 1.0)))}
         assert reports["aa5[1]"].applicable
         assert reports["weak_limit_threshold"].applicable
         assert not reports["aa7[1]"].applicable
@@ -321,8 +324,7 @@ class TestCouplingGates:
                                         (0.5, -0.5)))
         spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(beta,) * 4)
-        exp = SequenceExperiment(spec=spec, records=tuple(records), failures=())
-        return {r.formula_id: r for r in verify_formulas(exp)}
+        return {r.formula_id: r for r in verify_formulas(spec, records)}
 
     def test_no_coupling_constant_at_beta_one(self):
         reports = self._k1_reports(1.0, 0.2)
@@ -344,7 +346,7 @@ class TestClassifier:
 
     def test_slow_blowup_also_classified(self, cheap_family):
         # even the shallow beta=1 family has growing peaks as lambda drops
-        all_blow, n = classify_records(cheap_family.records, 0)
+        all_blow, n = classify_records(cheap_family, 0)
         assert all_blow and n == 1
 
     def test_compact_family(self):
@@ -352,8 +354,8 @@ class TestClassifier:
         spec = FamilySpec(k=0, alpha=1.0,
                           lambda_schedule=(5.0, 5.2, 5.4, 5.6),
                           beta_schedule=(1.2,) * 4)
-        exp = run_family(spec)
-        all_blow, n = classify_records(exp.records, 0)
+        records, _ = run_family(spec)
+        all_blow, n = classify_records(records, 0)
         assert not all_blow and n == 0
-        reports = verify_formulas(exp)
+        reports = verify_formulas(spec, records)
         assert not any(r.applicable for r in reports)

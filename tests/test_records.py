@@ -9,19 +9,12 @@ from tmb.analysis import NodalDomain
 from tmb.bessel import Eigenpair
 from tmb.bubbles import BubbleDiagnostics
 from tmb.cli import ExperimentConfig
-from tmb.families import (
-    FailedMember,
-    FamilySpec,
-    FormulaReport,
-    MemberRecord,
-    SequenceExperiment,
-)
+from tmb.families import FamilySpec, FormulaReport, MemberRecord
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings
 from tmb.shooting import RadialSolution
 
 P = ProblemParams(1.0, 1.2, 0.5)
-SPEC = FamilySpec(0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4)
 K0_RADII = dict(log_nodal_radii=(0.0,), log_peak_radii=(-math.inf,),
                 peak_values=(2.0,), boundary_ru=(-1.5,))
 
@@ -36,9 +29,6 @@ CASES = [
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
     (MemberRecord, (0, 1e-2, 1.2, (0.0,), (-math.inf,), (2.0,), (-1.5,),
                     (3.9,), 1.9, 1e-12, 1e-11, (2.0,), (None,)), 1),
-    (FailedMember, (3, 1e-5, 1.2, "NoSolutionInRangeError"), 4),
-    (SequenceExperiment, (SPEC, (), ()), FamilySpec(1, 1.0, (1.0,) * 4,
-                                                     (1.2,) * 4)),
     (FormulaReport, ("aaa1", True), "f4[1]"),
     (ExperimentConfig, ("verify",), "solve"),
     (Eigenpair, (1, 2.404825557695773), 2),
