@@ -184,7 +184,7 @@ def _build_solution(traj: Trajectory, k: int, p: ProblemParams) -> RadialSolutio
     t_z = traj.log_zeros[k][0]
     scaled = traj.shifted(t_z)
     log_radii = tuple(t for t, _ in scaled.log_zeros[:k + 1])
-    interior = [pk for pk in scaled.log_peaks if pk[0] < log_radii[-1]]
+    interior = scaled.log_peaks  # the integration ends on the (k+1)-th zero
     if len(interior) != k:
         raise ZeroNotReachedError(
             f"expected {k} interior peak(s), detected {len(interior)}")
