@@ -1,7 +1,8 @@
 """Batch front-end: config-driven experiment runner with CSV output.
 
 Configs are INI-style key-value files (sections [problem], [family],
-[tolerances], [output]).  Outputs are RFC-4180 CSVs with floats at 17
+[output]); they set no tolerance, so every solve is held to the one the
+shooting layer polishes at.  Outputs are RFC-4180 CSVs with floats at 17
 significant digits plus a JSON metadata sidecar; timestamps live only in
 the sidecar so reruns are byte-identical.  Every CSV row carries the
 config hash for provenance joins.  `solve` (one member per branch) and
@@ -11,11 +12,11 @@ profile fits its window, and, for families, formula_reports.csv;
 `bessel` writes bessel.csv.
 
 Each value is checked by the code that owns it: ProblemParams, FamilySpec,
-SolverSettings, shooting.check_nodal_class for k, and bessel.j0_zero for
-the eigenpair count (`bessel` reads it from [problem] k only, and prints 3
-without a config or a k); their ValueError is raised as a ConfigError
-naming the key.  A family lists its lambda_n in lambda_schedule.  Free-text
-notes (seed_note, coupling_note) go to the metadata sidecar, never to a CSV.
+shooting.check_nodal_class for k, and bessel.j0_zero for the eigenpair
+count (`bessel` reads it from [problem] k only, and prints 3 without a
+config or a k); their ValueError is raised as a ConfigError naming the key.
+A family lists its lambda_n in lambda_schedule.  Free-text notes
+(seed_note, coupling_note) go to the metadata sidecar, never to a CSV.
 
 Exit codes: 0 success, 1 any family-member failure (partial results are
 still written), 2 malformed config.
@@ -35,7 +36,6 @@ from . import __version__
 from .errors import ConfigError, FamilyEmptyError, TmbError
 from .families import FamilySpec, _summarize, run_family, verify_formulas
 from .nonlinearity import ProblemParams
-from .ode import SolverSettings
 from .records import record
 from .shooting import check_nodal_class, nodal_solution
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     beta: float = 1.0
     lam: float | None = None
     family: FamilySpec | None = None
-    settings: SolverSettings = SolverSettings()
     output_dir: Path = Path(".")
     seed_note: str = ""
     coupling_note: str = ""
@@ -131,7 +130,7 @@ def _floats(raw: str) -> tuple:
 # typo that would otherwise run with a default.
 CONFIG_KEYS = {"problem": ("k", "alpha", "beta", "lambda"),
                "family": ("lambda_schedule", "beta_schedule", "coupling_note"),
-               "tolerances": ("rel_tol", "abs_tol"), "output": ("seed_note",)}
+               "output": ("seed_note",)}
 
 
 def parse_config(path: Path, command: str) -> ExperimentConfig:
@@ -179,9 +178,6 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
                             beta_sched, keys={"lambda": "lambda_schedule",
                                               "beta": "beta_schedule"})
 
-    cfg.settings = _build(SolverSettings, loc, "tolerances", **{
-        key: _get(cp, "tolerances", key, float, default=getattr(SolverSettings, key),
-                  path=loc) for key in CONFIG_KEYS["tolerances"]})
     cfg.seed_note = _get(cp, "output", "seed_note", str, default="", path=loc)
     cfg.coupling_note = _get(cp, "family", "coupling_note", str, default="",
                              path=loc)
@@ -222,13 +218,12 @@ def _solve_members(cfg: ExperimentConfig, extra: dict) -> list:
     if cfg.command == "solve":
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
-        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam),
-                              settings=cfg.settings)
+        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam))
         extra["branches"] = len(sols)
         return [_summarize(n, cfg.lam, cfg.beta, sol) for n, sol in enumerate(sols)]
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
-    records, failures = run_family(cfg.family, settings=cfg.settings)
+    records, failures = run_family(cfg.family)
     if failures:
         extra["failures"] = failures
     return records

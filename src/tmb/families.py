@@ -33,7 +33,6 @@ from .errors import (
     ZeroNotReachedError,
 )
 from .nonlinearity import ProblemParams
-from .ode import SolverSettings
 from .records import record
 from .shooting import LogRadii, check_nodal_class, nodal_solution, trace
 
@@ -168,7 +167,7 @@ def _summarize(index, lam, beta, sol) -> MemberRecord:
     )
 
 
-def run_family(spec: FamilySpec, settings: SolverSettings | None = None) -> tuple:
+def run_family(spec: FamilySpec) -> tuple:
     """(records, failures): solve every member of spec.members on the trace
     of its branch, where each distinct beta_n is traced once, down to the
     lowest lambda_n it shares.  records holds a MemberRecord per solved
@@ -177,14 +176,14 @@ def run_family(spec: FamilySpec, settings: SolverSettings | None = None) -> tupl
     FamilyEmptyError only when nothing solves.  Records are summaries, so a
     run holds at most one member's trajectories; one integration gives a
     member's solution back bit for bit: solution_at(rec.amplitude, k,
-    (alpha, rec.beta, rec.lam), settings)."""
+    (alpha, rec.beta, rec.lam))."""
     records, failures = [], []
     traces = {beta: trace(spec.k, min((p for p in spec.members if p.beta == beta),
                                       key=lambda p: p.lam))
               for beta in dict.fromkeys(spec.beta_schedule)}
     for n, p in enumerate(spec.members):
         try:
-            sols = nodal_solution(spec.k, p, settings=settings, traced=traces[p.beta])
+            sols = nodal_solution(spec.k, p, traced=traces[p.beta])
         except (ZeroNotReachedError, NoSolutionInRangeError) as exc:
             failures.append({"n": n, "lambda": p.lam, "beta": p.beta,
                              "reason": f"{type(exc).__name__}: {exc}"})

@@ -206,9 +206,12 @@ _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
 # 1e-130) ln(lambda) is ln j_{0,k+1}^2 to 1e-12 at the defaults, 2e-8 at scan.
 MIN_AMPLITUDE = 1e-144
 # Runaway caps: a step whose end passes MAX_RADIUS, or whose number passes
-# MAX_STEPS, is not kept, even with the stop zero: ZeroNotReachedError.
+# MAX_STEPS, is not kept, even with the stop zero: ZeroNotReachedError.  A
+# kept step holds ~2.9 kB with the sensitivity channel, so MAX_STEPS binds
+# below 0.5 GiB, at 48x the most steps a preset, benchmark workload or test
+# takes (3,126: k = 1, beta = 1.3, s = 1e5).
 MAX_RADIUS = 1e6
-MAX_STEPS = 2_000_000
+MAX_STEPS = 150_000
 
 
 @record
@@ -217,10 +220,13 @@ class SolverSettings:
     abs_tol*min(1, s) + rel_tol*|y|, so abs_tol is relative to s below 1.
 
     At the defaults ln(lambda) = 2 t_{k+1} is off the stored 30-digit
-    reference (tests/data/reference_lambda.csv: k <= 2, alpha = 1, beta in
-    {0.5, 1, 1.3, 1.8}, s in [0.5, 24]) by at most 1.71e-11, at k = 1,
-    beta = 1.8, s = 14.070706319014791 (177x less at s(1 + 1e-13)), and by
-    at most 2.0e-13 at its other 11 points, below the 1e-10 of roots.
+    reference (tests/data/reference_lambda.csv; its first 12 points: k <= 2,
+    alpha = 1, beta in {0.5, 1, 1.3, 1.8}, s in [0.5, 24]) by at most
+    1.71e-11, at k = 1, beta = 1.8, s = 14.070706319014791 (177x less at
+    s(1 + 1e-13)), and by at most 2.0e-13 at the other 11, below the 1e-10
+    of roots.  Its 7 later points (k <= 3, s up to 1e5) read <= 2.4e-13,
+    but for the k = 0 flight's floor, ~4e-17 s^2 (beta = 1.2: 1.05e-12 at
+    s = 140, 4.27e-11 at s = 1e3).
     Below s = 1: within 1.3e-13 of rel_tol=1e-14 (beta in {0.5, 1.2, 1.3,
     1.8}, s from 1e-8 to 0.9) and, for beta >= 1.2, of ln j_{0,k+1}^2 to
     6.9e-14 at s = 1e-12, 1e-16, ..., 1e-140.

@@ -45,6 +45,9 @@ S_MAX = 1e5
 # Relaxed tolerances of the trace and Newton's first steps; abs_tol is relative
 # to s below 1, as in every solve (fixed, it put ln(lambda) 4e-5 off at s = 1e-6).
 SCAN_SETTINGS = SolverSettings(rel_tol=1e-6, abs_tol=1e-9)
+# The polish's tolerances, the integrator's defaults: the only ones the
+# stored 30-digit table certifies.
+FULL_SETTINGS = SolverSettings()
 # A polished root matches the target to this much in ln(lambda).
 POLISH_TOL = 1e-10
 # _newton's switch residual, largest step in ln(s) and integration cap.
@@ -167,15 +170,14 @@ def solve_unit_lambda(s: float, k: int, p: ProblemParams,
                             settings, sensitivity=sensitivity)
 
 
-def lambda_of_s(s: float, k: int, p: ProblemParams,
-                settings: SolverSettings | None = None) -> float:
+def lambda_of_s(s: float, k: int, p: ProblemParams) -> float:
     """The unique lambda for which u(z_{k+1} * .) lies in the k-nodal class.
 
     This is exp(2 t_{k+1}), so it underflows to 0.0 once ln(lambda) < -745:
     k=0, beta=1.2, s=1e3 gives t_1 = -802.9.  ln(lambda) itself stays
-    finite: 2 * solve_unit_lambda(s, k, p, settings).log_zeros[k][0].
+    finite: 2 * solve_unit_lambda(s, k, p).log_zeros[k][0].
     """
-    return math.exp(2.0 * solve_unit_lambda(s, k, p, settings).log_zeros[k][0])
+    return math.exp(2.0 * solve_unit_lambda(s, k, p).log_zeros[k][0])
 
 
 def _build_solution(traj: Trajectory, k: int, p: ProblemParams) -> RadialSolution:
@@ -271,12 +273,11 @@ def trace(k: int, p: ProblemParams) -> Trace:
     return Trace(k, p, tuple(nodes), tuple(folds))
 
 
-def _newton(k: int, p: ProblemParams, settings: SolverSettings,
-            x: float, lo: float, hi: float, f_lo: float):
+def _newton(k: int, p: ProblemParams, x: float, lo: float, hi: float, f_lo: float):
     """Newton on f(x) = ln lambda(exp x) - ln p.lam from x in the bracket
     [lo, hi], f(lo) = f_lo, with the sensitivity channel's slope: at scan
     tolerance, bisecting the shrinking bracket where a step would leave it,
-    until |f| <= _SWITCH_TOL; then at `settings` until |f| <= POLISH_TOL.
+    until |f| <= _SWITCH_TOL; then at FULL_SETTINGS until |f| <= POLISH_TOL.
     The bracket is two consecutive trace nodes, between which the trace
     saw no fold, so an iterate that stays in [lo, hi] is drawn to its root.
     None when an iterate leaves [lo, hi] (the bracket held scan noise, not
@@ -285,7 +286,7 @@ def _newton(k: int, p: ProblemParams, settings: SolverSettings,
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
         try:
-            traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS if scan else settings,
+            traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS if scan else FULL_SETTINGS,
                                      sensitivity=True)
         except ZeroNotReachedError:
             return None
@@ -304,7 +305,6 @@ def _newton(k: int, p: ProblemParams, settings: SolverSettings,
 
 
 def nodal_solution(k: int, p: ProblemParams,
-                   settings: SolverSettings | None = None,
                    traced: Trace | None = None) -> list[RadialSolution]:
     """All k-nodal solutions with the eigenvalue p.lam, in ascending
     amplitude, on `traced`: by default trace(k, p); a given trace must be of
@@ -317,7 +317,6 @@ def nodal_solution(k: int, p: ProblemParams,
     if traced is not None and not (traced.params.lam <= p.lam and (
             traced.k, traced.params.alpha, traced.params.beta) == (k, p.alpha, p.beta)):
         raise ValueError("the trace is of another branch or stops above the target")
-    full = settings or SolverSettings()
     traced = traced or trace(k, p)
     nodes = traced.nodes
     solutions = []
@@ -325,7 +324,7 @@ def nodal_solution(k: int, p: ProblemParams,
         fa, fb = ya - p.log_lambda, yb - p.log_lambda
         if fa * fb < 0.0 or fb == 0.0:  # a node on target ends one bracket
             x = xb - fb * (xb - xa) / (fb - fa) if fb != 0.0 else 0.5 * (xa + xb)
-            traj = _newton(k, p, full, x, xa, xb, fa)
+            traj = _newton(k, p, x, xa, xb, fa)
             if traj is not None:
                 solutions.append(_build_solution(traj, k, p))
     if not solutions:
@@ -342,10 +341,9 @@ def nodal_solution(k: int, p: ProblemParams,
     return solutions
 
 
-def solution_at(s: float, k: int, p: ProblemParams,
-                settings: SolverSettings | None = None) -> RadialSolution:
+def solution_at(s: float, k: int, p: ProblemParams) -> RadialSolution:
     """The k-nodal solution of amplitude s for p.alpha and p.beta, from one
-    integration at `settings`: at the amplitude of a solution nodal_solution
-    returned with these settings, that solution bit for bit (but with no
+    integration at FULL_SETTINGS: at the amplitude of a solution
+    nodal_solution returned, that solution bit for bit (but with no
     sensitivity channel, so its trajectory's log_slope is None)."""
-    return _build_solution(solve_unit_lambda(s, k, p, settings), k, p)
+    return _build_solution(solve_unit_lambda(s, k, p, FULL_SETTINGS), k, p)

@@ -65,6 +65,9 @@ REFUSED = (
     ("bessel_k0", "bessel", "@bessel_k0.cfg"),
     # a family lists its lambda_schedule; lambda_geometric is no key
     ("retired_lambda_geometric", "verify", "@retired_lambda_geometric.cfg"),
+    # no config sets a tolerance: at rel_tol = 1e-3 the polish turned 3 of
+    # the weak preset's 6 solutions into NoSolutionInRangeError
+    ("retired_tolerances", "verify", "@retired_tolerances.cfg"),
 )
 CONFIGS = {
     "solve.cfg": "[problem]\nk = 1\nalpha = 1.0\nbeta = 1.3\nlambda = 3\n",
@@ -78,6 +81,8 @@ CONFIGS = {
     "bessel_k0.cfg": "[problem]\nk = 0\n",
     "retired_lambda_geometric.cfg": "[problem]\nk = 0\n\n[family]\nlambda_schedule = "
                                     "1e-2 1e-3 1e-4 1e-5\nlambda_geometric = 0.5 0.5 4\n",
+    "retired_tolerances.cfg": "[problem]\nk = 0\n\n[family]\nlambda_schedule = "
+                              "1e-2 1e-3 1e-4 1e-5\n\n[tolerances]\nrel_tol = 1e-3\n",
 }
 
 

@@ -31,8 +31,8 @@ def primitive_F(t, p):
     return adaptive_quadrature(integrand, 0.0, abs(t), rel_tol=1e-10)
 
 
-def run_family_keeping_solutions(spec, **kwargs):
-    """(the records of run_family(spec, **kwargs), the solution each
+def run_family_keeping_solutions(spec):
+    """(the records of run_family(spec), the solution each
     summarises, in record order).  Records keep no solution; this catches
     each one on its way into the summary, so nothing is solved twice."""
     solutions = []
@@ -44,7 +44,7 @@ def run_family_keeping_solutions(spec, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_summarize", keep)
-        records, _ = families.run_family(spec, **kwargs)
+        records, _ = families.run_family(spec)
     return records, solutions
 
 

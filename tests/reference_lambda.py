@@ -21,14 +21,17 @@ sequence 2, 4, ..., 20, in mpmath.  A step whose end has crossed a zero of u
 is retaken with the length a secant finds, so that it ends on the zero (to
 about 1e-26 at 30 digits); a trial stage with E > 2000 rejects its step.  The table is computed at 30
 digits with a local tolerance of 1e-24, and written only if every point
-agrees with a 34-digit, 1e-28 run to 1e-20; --check recomputes the rows it
-names at 30 digits and fails unless they match the stored digits to 1e-20.
+agrees with a 34-digit, 1e-28 run to 1e-20; past s = 24.5 both runs add
+extra_digits(s) to the digits and to the tolerance's exponent.  --check
+recomputes the rows it names as the table was computed and fails unless
+they match the stored digits to 1e-20.
 The script needs only mpmath and shares no code with tmb.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,8 +46,13 @@ STEPS = tuple(range(2, 21, 2))
 AGREE = mpf("1e-20")  # the stored digits against a rerun or the 34-digit run
 DIGITS = 25           # significant digits of the stored ln lambda
 
-# (k, alpha, beta, s): k <= 2, beta in {0.5, 1, 1.3, 1.8}, s <= 24; the
-# k = 1, beta = 1.8 point is the worst case SolverSettings states
+# (k, alpha, beta, s).  The first 12 rows: k <= 2, beta in {0.5, 1, 1.3,
+# 1.8}, s <= 24; the k = 1, beta = 1.8 point is the worst case
+# SolverSettings states.  Then the points the trace to S_MAX and the
+# per-bubble frames will be graded on: k = 1, beta = 1.03 beside its
+# minimum (s ~ 24.15) and maximum (s ~ 158.9) of lambda and at the root
+# past them (s ~ 1196.77); the k = 0 flight floor at s = 140 and 1e3; k = 1,
+# beta = 1.3 at s = 1e5; and one k = 3 point.
 POINTS = (
     (0, 1.0, 0.5, 0.5),
     (0, 1.0, 1.0, 2.0),
@@ -58,6 +66,13 @@ POINTS = (
     (2, 1.0, 1.0, 1.0),
     (2, 1.0, 1.3, 5.0),
     (2, 1.0, 1.8, 20.0),
+    (1, 1.0, 1.03, 24.1518),
+    (1, 1.0, 1.03, 158.896),
+    (1, 1.0, 1.03, 1196.7673),
+    (0, 1.0, 1.2, 140.0),
+    (0, 1.0, 1.2, 1000.0),
+    (1, 1.0, 1.3, 1e5),
+    (3, 1.0, 1.3, 24.0),
 )
 
 
@@ -65,11 +80,22 @@ class _Reject(Exception):
     """A trial stage left the range where the step can be trusted."""
 
 
+def extra_digits(s: float) -> int:
+    """Digits added to both dps and tol at amplitude s: the flight puts
+    tau_{k+1} ~ s^2/2 past the bubble, along a line of slope ~2/s, so an
+    error tol*s in u moves it by about tol*s^2/2.  Up to s^2/2 = 300
+    (s = 24.5) the base tol keeps that 100x below AGREE; each decade
+    further costs a digit."""
+    return max(0, math.ceil(math.log10(s * s / 600.0)))
+
+
 def ln_lambda(k: int, alpha: float, beta: float, s: float, dps: int = 30,
               tol: str = "1e-24"):
-    """ln lambda_k(s) at dps digits and local tolerance tol."""
-    with mp.workdps(dps):
-        return _ln_lambda(k, mpf(alpha), mpf(beta), mpf(s), mpf(tol))
+    """ln lambda_k(s) at dps digits and local tolerance tol, each
+    tightened by extra_digits(s)."""
+    extra = extra_digits(s)
+    with mp.workdps(dps + extra):
+        return _ln_lambda(k, mpf(alpha), mpf(beta), mpf(s), mpf(tol) / 10 ** extra)
 
 
 def _ln_lambda(k, alpha, beta, s, tol):

@@ -229,7 +229,7 @@ def deep_reference_family():
     """configs/reference_family_deep.cfg (k=0, alpha=1, beta=1.2, lambda =
     1e-2 .. 1e-300), solved once as `tmb verify` solves it: (spec, records)."""
     cfg = parse_config(DEEP_CONFIG, "verify")
-    records, _ = run_family(cfg.family, cfg.settings)
+    records, _ = run_family(cfg.family)
     assert len(records) == len(cfg.family.lambda_schedule), \
         "deep reference family must solve completely"
     return cfg.family, records

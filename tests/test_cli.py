@@ -28,9 +28,6 @@ beta = 1.0
 [family]
 lambda_schedule = 0.5 0.125 0.03125 0.0078125
 
-[tolerances]
-rel_tol = 1e-12
-
 [output]
 seed_note = cheap verify family
 """
@@ -54,7 +51,6 @@ class TestParseConfig:
         assert cfg.family is not None
         assert cfg.family.lambda_schedule == (0.5, 0.125, 0.03125, 0.0078125)
         assert cfg.family.beta_schedule == (1.0,) * 4
-        assert cfg.settings.rel_tol == 1e-12
         # the hash bytes are part of every CSV row: SHA-256 of the text
         assert cfg.config_hash == hashlib.sha256(
             CHEAP_VERIFY.encode()).hexdigest()[:12]
@@ -68,10 +64,17 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("tolerances", ["", "[tolerances]\n"])
     def test_default_tolerances_are_the_integrators(self, tmp_path, tolerances):
-        # a config that sets no tolerance runs at SolverSettings' defaults
+        # a config sets no tolerance: every solve is polished at the
+        # integrator's defaults, the only ones the stored reference table
+        # certifies, and a [tolerances] section, even an empty one, is refused
         path = _write(tmp_path, "[problem]\nk = 0\nalpha = 1\nbeta = 1.2\n"
                                 + tolerances)
-        assert parse_config(path, "solve").settings == SolverSettings()
+        if tolerances:
+            with pytest.raises(ConfigError, match=r"unknown \[tolerances\]"):
+                parse_config(path, "solve")
+        else:
+            assert not hasattr(parse_config(path, "solve"), "settings")
+            assert shooting.FULL_SETTINGS == SolverSettings()
 
     def test_syntax_error_reports_location(self, tmp_path):
         path = _write(tmp_path, "problem]\nk = 0\n")
@@ -185,8 +188,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("old, new", [
         ("lambda_schedule = 0.5 0.125", "lambda_schedule = 0.5 nan"),
-        ("rel_tol = 1e-12", "rel_tol = nan"),
-        ("rel_tol = 1e-12", "rel_tol = inf"),
+        ("alpha = 1.0", "alpha = nan"),
+        ("alpha = 1.0", "alpha = inf"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, old, new):
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(old, new))
@@ -200,13 +203,11 @@ class TestCommands:
         ("beta = 1.0\n\n[family]", "beta = 2.0\n\n[family]", "beta"),
         ("alpha = 1.0", "alpha = 1.0\nlambda = -1", "lambda"),
         ("0.0078125\n", "0.0078125\nbeta_schedule = 1.0 1.0 2.0 1.0\n", "beta_schedule"),
-        ("rel_tol = 1e-12", "abs_tol = 0", "abs_tol"),
     ])
     def test_invalid_value_exits_2_before_integrating(self, tmp_path, capsys,
                                                       monkeypatch, old, new, key):
         # each value is checked by the code that owns it (check_nodal_class,
-        # ProblemParams, FamilySpec, SolverSettings); the config error names
-        # its key
+        # ProblemParams, FamilySpec); the config error names its key
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kwargs: calls.append(args))
@@ -220,11 +221,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("old, new, names", [
         # a misspelt key or section used to run silently on the defaults
-        ("rel_tol = 1e-12", "rel_tl = 1e-3", "[tolerances] rel_tl"),
+        ("seed_note", "seed_nte", "[output] seed_nte"),
         ("[output]", "[outptu]", "[outptu]"),
-        ("rel_tol = 1e-12", "rel_tl = 1e-3\n[outptu]", "[outptu], [tolerances] rel_tl"),
-        # scan_points is no key: the trace has no grid to size
-        ("rel_tol = 1e-12", "scan_points = 48", "[tolerances] scan_points"),
+        ("k = 0\n", "k = 0\nalpah = 1\n", "[problem] alpah"),
+        ("k = 0\n", "k = 0\nalpah = 1\n[outptu]\n", "[outptu], [problem] alpah"),
+        # no config sets a tolerance: a loose one turned solutions into
+        # NoSolutionInRangeError (rel_tol = 1e-3: 3 of the weak preset's 6)
+        ("[output]", "[tolerances]\nrel_tol = 1e-3\n\n[output]", "[tolerances]"),
+        ("alpha = 1.0", "alpha = 1.0\nrel_tol = 1e-12", "[problem] rel_tol"),
         # beta_constant is no key: a family's constant beta is [problem]
         # beta, which a second statement used to override silently
         ("0.0078125\n", "0.0078125\nbeta_constant = 1.3\n", "[family] beta_constant"),
@@ -253,16 +257,16 @@ class TestCommands:
     def test_scan_points_out_of_range_exits_2(self, tmp_path, capsys,
                                               monkeypatch, count):
         # the counts that the old [2, 10000] range refused are still refused,
-        # now because no scan_points key exists at any value
+        # now because no [tolerances] section, its old home, exists
         calls = []
         monkeypatch.setattr(shooting, "integrate_radial",
                             lambda *args, **kwargs: calls.append(args))
         cfg = _write(tmp_path, CHEAP_VERIFY.replace(
-            "rel_tol = 1e-12", f"rel_tol = 1e-12\nscan_points = {count}"))
+            "[output]", f"[tolerances]\nscan_points = {count}\n\n[output]"))
         out = tmp_path / "x"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: unknown [tolerances] scan_points | at: {cfg}" in err
+        assert f"config error: unknown [tolerances] | at: {cfg}" in err
         assert calls == []
         assert not out.exists()
 
@@ -320,8 +324,8 @@ class TestCommands:
 
     # SHA-256 of the profile files (x86-64 Linux).  They differ from those
     # `tmb profile` wrote before verify and solve took them over only in
-    # config_hash, as CHEAP_VERIFY has since dropped its beta_constant line;
-    # a change that moves a root changes them
+    # config_hash, as CHEAP_VERIFY has since dropped its beta_constant line
+    # and its [tolerances] section; a change that moves a root changes them
     def test_profile_files(self, tmp_path):
         cfg = _write(tmp_path, CHEAP_VERIFY)
         out = tmp_path / "prof"
@@ -329,10 +333,10 @@ class TestCommands:
         header = (out / "profile_n0_d1.csv").read_text().splitlines()[0]
         assert header == "r,z_n,z_exact,phi,config_hash"
         assert _profile_digests(out) == {
-            "profile_n0_d1.csv": "18b0234012cf758235763681fec45080f00dda8dd50b02705d5a2b18b6c2ac92",
-            "profile_n1_d1.csv": "97c278c06eaf791da65e63924bd6f145b04bb92f72b1ce68f8fb6690327ea2b1",
-            "profile_n2_d1.csv": "dd160243f338acdcceefbd649f71f308f91eacda6c4b8f63b75ea2ae106e8f62",
-            "profile_n3_d1.csv": "74b3ba8a10e5f321a7e6539accc9b31267a36145e235fe58e0a3f4b535a2e764",
+            "profile_n0_d1.csv": "e64315a3ce1fe69af69b50d0b08fb832c443f0f13136b37b2c3f0e3f0c89efae",
+            "profile_n1_d1.csv": "ce4c2668be8557ea7ea8c54ea7b8d21bfe27d83b0f528c283d9d7fbc73779f7a",
+            "profile_n2_d1.csv": "d12ffa03979425aa7d5cbf5e6db0a354aed1201922f63538d89057bdb0cfcdf7",
+            "profile_n3_d1.csv": "b44eac9114b52cf16eba5690dc4960f19959575ff0fd465567d81a45acab8c86",
         }
 
     def test_solve_profile_files(self, tmp_path):
@@ -343,7 +347,7 @@ class TestCommands:
         out = tmp_path / "prof"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert _profile_digests(out) == {
-            "profile_n0_d1.csv": "a2366caae1b9eab193504d468ad421a44bad359dce8e264a1e0d9dea350bb20c",
+            "profile_n0_d1.csv": "1e8e502d18854cca6dc70b4fc1b15ff3563a3bc33a99fa16c6681e9c382ebb75",
         }
 
     def test_solve_single_target(self, tmp_path):

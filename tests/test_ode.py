@@ -2,10 +2,11 @@
 output, the DOP853 kernel."""
 
 import math
+import tracemalloc
 
 import pytest
 
-from tmb import ode
+from tmb import ode, shooting
 from tmb.analysis import decompose, first_integral_residual
 from tmb.bessel import j0_zero
 from tmb.errors import NoSignChangeError, StiffnessError, TmbError, ZeroNotReachedError
@@ -77,7 +78,8 @@ class TestFirstIntegral:
         # at scan tolerance the quadrature of lambda*f(u) misses r*u' by
         # 4.5e-8 at the zero (k = 0, beta = 1.3, s = 5), while r*u' + e_src
         # stays below 1e-9: every Runge-Kutta step conserves that sum
-        sol = solution_at(5.0, 0, ProblemParams(1.0, 1.3, 1.0), SCAN_SETTINGS)
+        p = ProblemParams(1.0, 1.3, 1.0)
+        sol = shooting._build_solution(solve_unit_lambda(5.0, 0, p, SCAN_SETTINGS), 0, p)
         assert first_integral_residual(sol) > 1e-8
         assert max(abs(st.end()[1] + st.end()[5]) for st in sol.trajectory.steps) < 1e-9
 
@@ -458,6 +460,23 @@ class TestStopsAndErrors:
         with pytest.raises(ZeroNotReachedError, match="step budget") as exc:
             integrate_radial(s, p, n_zeros)
         assert exc.value.zeros_found == n_zeros - 1
+
+    def test_step_budget_binds_before_half_a_gib(self):
+        # the steps a trajectory keeps, with the sensitivity channel, cost
+        # about 2.9 kB each (CPython 3.11): the budget ends a runaway
+        # integration with ZeroNotReachedError before it holds 0.5 GiB
+        # (k = 0, alpha = 3, beta = 1.8, s = 4e4 raised MemoryError under
+        # 2.5 GB when the budget was 2e6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate_radial(2.0, P12, 1, sensitivity=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_step = kept / len(traj.steps)
+        assert 1e3 < per_step < 1e4
+        assert ode.MAX_STEPS * per_step < 0.5 * 2 ** 30
 
     def test_step_collapse_is_typed(self, monkeypatch):
         t_start = integrate_radial(2.0, P12, 1).t_start

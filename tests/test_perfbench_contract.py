@@ -51,7 +51,7 @@ def test_newton_integrations_classified(monkeypatch):
     monkeypatch.setattr(shooting, "integrate_radial", recording)
     full = SolverSettings()
     p = ProblemParams(alpha=1.0, beta=1.2, lam=1e-3)
-    shooting.nodal_solution(0, p, settings=full)
+    shooting.nodal_solution(0, p)
     assert seen and all(channel for channel, _ in seen)
     assert {attrs["rel_tol"] for _, attrs in seen} == {
         shooting.SCAN_SETTINGS.rel_tol, full.rel_tol}

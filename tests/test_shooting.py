@@ -114,7 +114,7 @@ class TestNodalSolution:
         xa, xb = math.log(2.9696293045402426e-6), math.log(4.268444644387833e-6)
         for x in (xa, xb):
             assert 2.0 * solve_unit_lambda(math.exp(x), 0, P12).log_zeros[0][0] < lt
-        full = SolverSettings()
+        full = shooting.FULL_SETTINGS
         calls, scan_calls = [], []
 
         def counting(s, p0, n_zeros, settings=None, sensitivity=False):
@@ -122,7 +122,7 @@ class TestNodalSolution:
             return ode.integrate_radial(s, p0, n_zeros, settings, sensitivity)
 
         monkeypatch.setattr(shooting, "integrate_radial", counting)
-        assert shooting._newton(0, p, full, 0.5 * (xa + xb), xa, xb, 1e-9) is None
+        assert shooting._newton(0, p, 0.5 * (xa + xb), xa, xb, 1e-9) is None
         assert len(calls) == 0
         assert len(scan_calls) <= 3
 
@@ -133,7 +133,7 @@ class TestNodalSolution:
         # the steps, clipped to the trust radius 0.5, go 0.25 -> -0.25 and
         # back to 0.25, the shrunk bracket's end; the midpoint 0 is the
         # root, which the next, full-tolerance solve accepts
-        full = SolverSettings()
+        full = shooting.FULL_SETTINGS
         calls = []
 
         def unit_lambda(s, k, p0, settings=None, sensitivity=False):
@@ -144,7 +144,7 @@ class TestNodalSolution:
             return traj
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", unit_lambda)
-        traj = shooting._newton(0, P12, full, 0.25, -1.0, 1.0, math.atan(-8.0))
+        traj = shooting._newton(0, P12, 0.25, -1.0, 1.0, math.atan(-8.0))
         assert traj is not None and traj.log_zeros[0][0] == 0.0
         xs = [x for x, _ in calls]
         assert xs == pytest.approx([0.25, -0.25, 0.0, 0.0], abs=1e-15)
@@ -158,7 +158,7 @@ class TestNodalSolution:
             raise ZeroNotReachedError("radius cap")
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", missing)
-        assert shooting._newton(0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        assert shooting._newton(0, P12, 0.25, -1.0, 1.0, 1.0) is None
         calls = []
 
         def off_target(s, k, p0, settings=None, sensitivity=False):
@@ -166,7 +166,7 @@ class TestNodalSolution:
             return SimpleNamespace(log_zeros=[(0.5e-3, -1.0)], log_slope=1e9)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", off_target)
-        assert shooting._newton(0, P12, SolverSettings(), 0.25, -1.0, 1.0, 1.0) is None
+        assert shooting._newton(0, P12, 0.25, -1.0, 1.0, 1.0) is None
         assert calls == [SCAN_SETTINGS] * shooting._MAX_NEWTON
 
     def test_missing_interior_peak_typed(self):
@@ -308,7 +308,7 @@ class TestNodalSolution:
 
     def test_resolve_from_record(self, reference_family, monkeypatch):
         # the recipe for getting a member's solution back: one integration
-        # at the record's amplitude and the run's settings gives back the
+        # at the record's amplitude and the default tolerances gives back the
         # member's trajectory bit for bit, and so its record
         calls = []
 
@@ -503,9 +503,8 @@ class TestDeepAmplitudes:
     @pytest.mark.parametrize("s", [700.0, 3e4])
     def test_lambda_stable_under_halved_tolerances(self, s):
         base = lambda_of_s(s, 1, self.P13)
-        half = lambda_of_s(s, 1, self.P13,
-                           SolverSettings(rel_tol=5e-11, abs_tol=5e-13))
-        assert half == pytest.approx(base, rel=1e-8)
+        half = solve_unit_lambda(s, 1, self.P13, SolverSettings(rel_tol=5e-11, abs_tol=5e-13))
+        assert math.exp(2.0 * half.log_zeros[1][0]) == pytest.approx(base, rel=1e-8)
 
     def test_lambda_rerun_identical(self):
         assert lambda_of_s(3e4, 1, self.P13) == lambda_of_s(3e4, 1, self.P13)
