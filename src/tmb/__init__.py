@@ -20,8 +20,8 @@ _EXPORTS = {
                  "identity_residual", "nehari_residual", "sturm_bound_check"),
     "bubbles": ("BubbleDiagnostics", "derivative_bound_check",
                 "liouville_reference", "log_gamma_scale", "rescale_profile"),
-    "families": ("FamilySpec", "FormulaReport", "estimate_limit", "run_family",
-                 "verify_formulas"),
+    "families": ("FamilySpec", "FormulaReport", "SolutionSummary", "estimate_limit",
+                 "run_family", "summarize", "verify_formulas"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

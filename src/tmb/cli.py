@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, FamilyEmptyError, TmbError
-from .families import FamilySpec, _summarize, run_family, verify_formulas
+from .families import FamilySpec, run_family, summarize, verify_formulas
 from .nonlinearity import ProblemParams
 from .records import record
 from .shooting import check_nodal_class, nodal_solution
@@ -184,9 +184,9 @@ def parse_config(path: Path, command: str) -> ExperimentConfig:
     return cfg
 
 
-def _solution_row(rec, cfg) -> dict:
-    """A solutions.csv row; its keys, in order, are the header."""
-    row = {"n": rec.index, "lambda": rec.lam, "beta": rec.beta, "k": rec.k,
+def _solution_row(n, p, rec, cfg) -> dict:
+    """Member n's solutions.csv row, solved at p; its keys, in order, are the header."""
+    row = {"n": n, "lambda": p.lam, "beta": p.beta, "k": rec.k,
            "amplitude": rec.amplitude}
     for i, cells in enumerate(zip(rec.nodal_radii, rec.peak_radii, rec.peak_values,
                                   rec.boundary_slopes, rec.dirichlet), start=1):
@@ -211,37 +211,38 @@ def _write_metadata(cfg: ExperimentConfig, out: Path, wall: float,
         fh.write("\n")
 
 
-def _solve_members(cfg: ExperimentConfig, extra: dict) -> list:
-    """The member records: for solve one per branch, n its index; for
-    verify run_family's.  The branch count or the failures go to the
-    metadata entries in extra."""
+def _solve_members(cfg: ExperimentConfig, extra: dict) -> tuple:
+    """(targets, records): records maps member n (for solve, branch n) to its
+    summary, solved at targets[n].  The branch count or the failures go to
+    the metadata entries in extra."""
     if cfg.command == "solve":
         if cfg.lam is None:
             raise ConfigError("solve needs [problem] lambda", field="lambda")
-        sols = nodal_solution(cfg.k, ProblemParams(cfg.alpha, cfg.beta, cfg.lam))
+        p = ProblemParams(cfg.alpha, cfg.beta, cfg.lam)
+        sols = nodal_solution(cfg.k, p)
         extra["branches"] = len(sols)
-        return [_summarize(n, cfg.lam, cfg.beta, sol) for n, sol in enumerate(sols)]
+        return (p,) * len(sols), {n: summarize(sol) for n, sol in enumerate(sols)}
     if cfg.family is None:
         raise ConfigError(f"{cfg.command} needs a [family] section", field="family")
     records, failures = run_family(cfg.family)
     if failures:
         extra["failures"] = failures
-    return records
+    return cfg.family.members, records
 
 
 def _emit_members(cfg: ExperimentConfig, out: Path, extra: dict) -> None:
     """Solve, then write solutions.csv, a profile_n{n}_d{i}.csv for each
     domain with bubble diagnostics, and for a family formula_reports.csv."""
-    records = _solve_members(cfg, extra)
-    rows = [_solution_row(rec, cfg) for rec in records]
-    emit_csv(rows, out / "solutions.csv")
-    for rec in records:
+    targets, records = _solve_members(cfg, extra)
+    emit_csv([_solution_row(n, targets[n], rec, cfg) for n, rec in records.items()],
+             out / "solutions.csv")
+    for n, rec in records.items():
         for i, diag in enumerate(rec.bubbles, start=1):
             if diag is not None:
                 emit_csv([{"r": r, "z_n": z_n, "z_exact": z, "phi": phi,
                            "config_hash": cfg.config_hash}
                           for r, z_n, z, phi in diag.samples],
-                         out / f"profile_n{rec.index}_d{i}.csv")
+                         out / f"profile_n{n}_d{i}.csv")
     if cfg.command == "solve":
         return
     if len(records) < 3:

@@ -1,13 +1,12 @@
 """Parameter families and numerical verification of the asymptotic laws.
 
-FamilySpec checks a schedule's shape, and turns each member into the
-ProblemParams(alpha, beta_n, lambda_n) that checks its values.
-run_family solves those members on one trace of lambda_k(s) per distinct
-beta_n, and keeps of each only what the formulas and the CSVs read (a
-MemberRecord), or of a failed member the row the metadata sidecar writes;
-verify_formulas turns the member records into one report
-per asymptotic formula: the raw sequence, its Aitken-accelerated limit,
-the predicted target, and the relative error.
+FamilySpec checks a schedule's shape, and turns each member n into the
+ProblemParams(alpha, beta_n, lambda_n) that checks its values.  run_family
+solves the members on one trace of lambda_k(s) per distinct beta_n, and
+keeps of each what the formulas and the CSVs read, summarize(sol), under n,
+or a failure's metadata row; verify_formulas turns the summaries into one
+report per asymptotic formula: the raw sequence, its Aitken-accelerated
+limit, the predicted target, and the relative error.
 
 Formulas whose convergence rate involves powers of (beta-1) are tagged
 slow_rate: at double-precision desk scale they are trend checks, not
@@ -66,8 +65,8 @@ class FamilySpec:
 
 
 @record
-class MemberRecord(LogRadii):
-    """Summary of one solved family member.
+class SolutionSummary(LogRadii):
+    """Summary of one solution, without its (alpha, beta, lambda).
 
     Radii are stored as in RadialSolution: log_nodal_radii, log_peak_radii
     (-inf for the origin) and boundary_ru = r_i*u'(r_i), finite where the
@@ -75,9 +74,6 @@ class MemberRecord(LogRadii):
     log_abs_slopes are derived from them, and full_dirichlet from dirichlet.
     """
 
-    index: int
-    lam: float
-    beta: float
     log_nodal_radii: tuple
     log_peak_radii: tuple
     peak_values: tuple
@@ -140,7 +136,9 @@ def estimate_limit(sequence) -> tuple:
     return c, c - d2 * d2 / dd
 
 
-def _summarize(index, lam, beta, sol) -> MemberRecord:
+def summarize(sol) -> SolutionSummary:
+    """The SolutionSummary of sol; a domain whose bubble window does not
+    fit the unit disk has the profile None."""
     domains = decompose(sol)
     idres = max(identity_residual(sol, i) for i in range(1, sol.k + 2))
     fluxes = tuple(boundary_flux(sol, i) for i in range(1, sol.k + 2))
@@ -150,10 +148,7 @@ def _summarize(index, lam, beta, sol) -> MemberRecord:
             bubbles.append(rescale_profile(sol, i))
         except WindowTooLargeError:
             bubbles.append(None)
-    return MemberRecord(
-        index=index,
-        lam=lam,
-        beta=beta,
+    return SolutionSummary(
         log_nodal_radii=sol.log_nodal_radii,
         log_peak_radii=sol.log_peak_radii,
         peak_values=sol.peak_values,
@@ -170,14 +165,14 @@ def _summarize(index, lam, beta, sol) -> MemberRecord:
 def run_family(spec: FamilySpec) -> tuple:
     """(records, failures): solve every member of spec.members on the trace
     of its branch, where each distinct beta_n is traced once, down to the
-    lowest lambda_n it shares.  records holds a MemberRecord per solved
-    member, in order; failures holds, per failed member, its metadata row
-    {"n", "lambda", "beta", "reason"}.  A failure is not fatal;
-    FamilyEmptyError only when nothing solves.  Records are summaries, so a
-    run holds at most one member's trajectories; one integration gives a
-    member's solution back bit for bit: solution_at(rec.amplitude, k,
-    (alpha, rec.beta, rec.lam))."""
-    records, failures = [], []
+    lowest lambda_n it shares.  records maps the index n of each solved
+    member, in order, to its SolutionSummary; failures holds, per failed
+    member, its metadata row {"n", "lambda", "beta", "reason"}.  A failure
+    is not fatal; FamilyEmptyError only when nothing solves.  A run holds at
+    most one member's trajectories; one integration gives member n's
+    solution back bit for bit: solution_at(records[n].amplitude, spec.k,
+    spec.members[n])."""
+    records, failures = {}, []
     traces = {beta: trace(spec.k, min((p for p in spec.members if p.beta == beta),
                                       key=lambda p: p.lam))
               for beta in dict.fromkeys(spec.beta_schedule)}
@@ -189,7 +184,7 @@ def run_family(spec: FamilySpec) -> tuple:
                              "reason": f"{type(exc).__name__}: {exc}"})
             continue
         # follow the largest-amplitude branch (the concentrating one)
-        records.append(_summarize(n, p.lam, p.beta, sols[-1]))
+        records[n] = summarize(sols[-1])
         del sols  # no branch stays alive while the next member is solved
     if not records:
         raise FamilyEmptyError(
@@ -210,8 +205,8 @@ def _blowing(records, i) -> bool:
 
 
 def classify_records(records, k) -> tuple:
-    """(all_domains_blow, n_blowing_prefix): n_blowing_prefix is the largest
-    N with domains 1..N all blowing."""
+    """(all_domains_blow, n_blowing_prefix) of summaries in member order:
+    n_blowing_prefix is the largest N with domains 1..N all blowing."""
     n = 0
     for i in range(1, k + 2):
         if _blowing(records, i):
@@ -229,9 +224,9 @@ def _slope_gate(records, i):
 
 
 def verify_formulas(spec: FamilySpec, records) -> list:
-    """One report per asymptotic formula on the member records of a run of
-    spec, gated on k, the beta regime, and whether the family blows up
-    everywhere or keeps a finite tail.
+    """One report per asymptotic formula on run_family(spec)'s records, read
+    with spec.members[n], gated on k, the beta regime, and whether the family
+    blows up everywhere or keeps a finite tail.
 
     The formula ids and their order depend on k alone: a formula whose
     regime the family is not in is reported inapplicable, with the reason
@@ -240,9 +235,11 @@ def verify_formulas(spec: FamilySpec, records) -> list:
         raise ValueError("formula verification needs at least 3 successful members")
     k = spec.k
     alpha = spec.alpha
-    beta_star = records[-1].beta
-    lam_seq = [rec.lam for rec in records]
-    beta_seq = [rec.beta for rec in records]
+    members = [spec.members[n] for n in records]
+    records = list(records.values())
+    beta_star = members[-1].beta
+    lam_seq = [p.lam for p in members]
+    beta_seq = [p.beta for p in members]
     log_inv_lam = [math.log(1.0 / l) for l in lam_seq]
     all_blow, n_prefix = classify_records(records, k)
     slow = abs(beta_star - 1.0) < SLOW_RATE_BAND

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from tmb import ProblemParams, families
-from tmb.families import FamilySpec
+from tmb import ProblemParams
+from tmb.families import FamilySpec, run_family
 from tmb.quadrature import adaptive_quadrature
+from tmb.shooting import solution_at
 
 SESSION_T0 = time.time()
 
@@ -32,20 +33,13 @@ def primitive_F(t, p):
 
 
 def run_family_keeping_solutions(spec):
-    """(the records of run_family(spec), the solution each
-    summarises, in record order).  Records keep no solution; this catches
-    each one on its way into the summary, so nothing is solved twice."""
-    solutions = []
-    summarize = families._summarize
-
-    def keep(index, lam, beta, sol):
-        solutions.append(sol)
-        return summarize(index, lam, beta, sol)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "_summarize", keep)
-        records, _ = families.run_family(spec)
-    return records, solutions
+    """(the records of run_family(spec), the solution each summarises,
+    under the same member index n).  Records keep no solution; each is
+    rebuilt by the documented recipe, one integration at the record's
+    amplitude, which gives the member's solution back bit for bit."""
+    records, _ = run_family(spec)
+    return records, {n: solution_at(rec.amplitude, spec.k, spec.members[n])
+                     for n, rec in records.items()}
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +51,8 @@ def p12():
 def reference_family():
     """k=0, alpha=1, beta=1.2, lambda = 1e-2..1e-6 (the blow-up family used
     by the profile/energy/concentration acceptance checks): its spec and
-    records, solutions (each record's solution) and wall_time (seconds to
-    run the family)."""
+    records and solutions (each record's solution), both keyed by member
+    index n, and wall_time (seconds to run the family)."""
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
@@ -78,7 +72,7 @@ def sol_mid(reference_family):
 @pytest.fixture(scope="session")
 def sol_deep(reference_family):
     """k=0, lambda=1e-6 member (peak ~13.4)."""
-    return reference_family.solutions[-1]
+    return reference_family.solutions[4]
 
 
 @pytest.fixture(scope="session")

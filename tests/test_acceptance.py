@@ -37,6 +37,12 @@ def _line(n, ok, detail):
     return f"criterion {n}: {detail}"
 
 
+def _members(spec, records):
+    """(ProblemParams(alpha, beta_n, lambda_n), summary) of each member of
+    a run of spec that solved, in order."""
+    return [(spec.members[n], rec) for n, rec in records.items()]
+
+
 # --------------------------------------------------------------------------
 def _series_zero_oracle(lo, hi):
     """Bisection on an independent 40-digit power series for J_0."""
@@ -146,13 +152,14 @@ def test_criterion_4_liouville_profile(reference_family):
     t0 = time.time()
     sups = []
     bounds_ok = True
-    for rec, sol in zip(reference_family.records, reference_family.solutions):
+    spec, records = reference_family.spec, reference_family.records
+    for n, rec in records.items():
         diag = rec.bubbles[0]
-        sups.append(max(abs(zv - liouville_reference(rr, rec.beta, 1.0)[0])
+        sups.append(max(abs(zv - liouville_reference(rr, spec.members[n].beta, 1.0)[0])
                         for rr, zv, *_ in diag.samples if rr <= 4.0))
-        bounds_ok &= derivative_bound_check(diag, sol, 1)
+        bounds_ok &= derivative_bound_check(diag, reference_family.solutions[n], 1)
     decreasing = all(b < a for a, b in zip(sups, sups[1:]))
-    last = reference_family.records[-1].bubbles[0]
+    last = records[max(records)].bubbles[0]
     ratio = last.coefficient_ratio
     elapsed = time.time() - t0 + reference_family.wall_time
     ok = (decreasing and 0.90 <= ratio <= 1.10 and bounds_ok
@@ -165,8 +172,9 @@ def test_criterion_4_liouville_profile(reference_family):
 
 
 def test_criterion_5_per_bubble_energy(reference_family):
-    seq = [(2.0 - rec.dirichlet[0]) * rec.peak_values[0] ** (2.0 - rec.beta)
-           / (1.0 * rec.beta) for rec in reference_family.records]
+    seq = [(2.0 - rec.dirichlet[0]) * rec.peak_values[0] ** (2.0 - p.beta)
+           / (1.0 * p.beta)
+           for p, rec in _members(reference_family.spec, reference_family.records)]
     last_in_window = 0.85 <= seq[-1] <= 1.15
     gaps = [abs(v - 1.0) for v in seq[-3:]]
     approaching = gaps[0] > gaps[1] > gaps[2]
@@ -178,12 +186,12 @@ def test_criterion_5_per_bubble_energy(reference_family):
 
 
 def test_criterion_6_concentration_and_flux(reference_family):
-    recs = reference_family.records
-    seq = [math.log(1.0 / rec.lam) / rec.peak_values[0] ** rec.beta
-           for rec in recs]
+    members = _members(reference_family.spec, reference_family.records)
+    seq = [math.log(1.0 / p.lam) / rec.peak_values[0] ** p.beta
+           for p, rec in members]
     _, extrap = estimate_limit(seq)
     rel = abs(extrap - 0.4) / 0.4
-    fluxes = [rec.boundary_fluxes[0] for rec in recs]
+    fluxes = [rec.boundary_fluxes[0] for _, rec in members]
     trending = all(b > a for a, b in zip(fluxes, fluxes[1:]))
     flux_ok = 1.9 <= fluxes[-1] <= 2.1
     ok = rel <= 0.05 and flux_ok and trending
@@ -200,13 +208,13 @@ def test_criterion_6_concentration_and_flux(reference_family):
 
 
 def test_criterion_7_full_energy_expansion(reference_family):
-    recs = reference_family.records
-    beta = recs[-1].beta
+    members = _members(reference_family.spec, reference_family.records)
+    beta = members[-1][0].beta
     target = (2.0 * math.pi * 1.0 ** (2.0 / beta) * beta
               * (1.0 - beta / 2.0) ** ((2.0 - beta) / beta))
     seq = [(4.0 * math.pi - rec.full_dirichlet)
-           * math.log(1.0 / rec.lam) ** ((2.0 - rec.beta) / rec.beta)
-           for rec in recs]
+           * math.log(1.0 / p.lam) ** ((2.0 - p.beta) / p.beta)
+           for p, rec in members]
     rel_last = abs(seq[-1] - target) / target
     _, extrap = estimate_limit(seq)
     rel_extrap = abs(extrap - target) / target
@@ -237,12 +245,12 @@ def deep_reference_family():
 
 def test_criterion_6_deep_concentration_and_flux(deep_reference_family):
     # criterion 6's laws and tolerances, where the family reaches them
-    _, recs = deep_reference_family
-    seq = [math.log(1.0 / rec.lam) / rec.peak_values[0] ** rec.beta
-           for rec in recs]
+    members = _members(*deep_reference_family)
+    seq = [math.log(1.0 / p.lam) / rec.peak_values[0] ** p.beta
+           for p, rec in members]
     _, extrap = estimate_limit(seq)
     rel = abs(extrap - 0.4) / 0.4
-    fluxes = [rec.boundary_fluxes[0] for rec in recs]
+    fluxes = [rec.boundary_fluxes[0] for _, rec in members]
     trending = all(b > a for a, b in zip(fluxes, fluxes[1:]))
     ok = rel <= 0.05 and 1.9 <= fluxes[-1] <= 2.1 and trending
     detail = (f"deep family: Aitken[log(1/lam)/mu^b] = {extrap:.4f} vs 0.4 "
@@ -255,11 +263,12 @@ def test_criterion_6_deep_concentration_and_flux(deep_reference_family):
 def test_criterion_7_deep_full_energy_expansion(deep_reference_family):
     # criterion 7's law and tolerance, where the family reaches them
     spec, recs = deep_reference_family
-    alpha, beta = spec.alpha, recs[-1].beta
+    p_last, rec_last = _members(spec, recs)[-1]
+    alpha, beta = spec.alpha, p_last.beta
     target = (2.0 * math.pi * alpha ** (2.0 / beta) * beta
               * (1.0 - beta / 2.0) ** ((2.0 - beta) / beta))
-    last = ((4.0 * math.pi - recs[-1].full_dirichlet)
-            * math.log(1.0 / recs[-1].lam) ** ((2.0 - beta) / beta))
+    last = ((4.0 * math.pi - rec_last.full_dirichlet)
+            * math.log(1.0 / p_last.lam) ** ((2.0 - beta) / beta))
     rel = abs(last - target) / target
     ok = rel <= 0.20
     detail = (f"deep family: deficit*(log 1/lam)^((2-b)/b) at largest member "
@@ -285,15 +294,17 @@ def test_criterion_8_two_bubble_structure():
                   f"solutions")
         assert ok, _line(8, ok, detail)
         return
-    dir_ok = all(abs(d - 2.0) <= 0.35 for d in recs[-1].dirichlet)
-    ratios = [rec.peak_values[1] / rec.peak_values[0] for rec in recs]
+    members = _members(spec, recs)
+    last = members[-1][1]
+    dir_ok = all(abs(d - 2.0) <= 0.35 for d in last.dirichlet)
+    ratios = [rec.peak_values[1] / rec.peak_values[0] for _, rec in members]
     ratio_decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    law = [rec.peak_values[1] / rec.peak_values[0] ** (rec.beta - 1.0)
-           for rec in recs]
+    law = [rec.peak_values[1] / rec.peak_values[0] ** (p.beta - 1.0)
+           for p, rec in members]
     gaps = [abs(v - 0.35) for v in law[-3:]]
     law_trending = gaps[0] >= gaps[1] >= gaps[2]
     ok = len(recs) == 4 and dir_ok and ratio_decreasing and law_trending
-    detail = (f"dirichlet at final member {recs[-1].dirichlet}, mu2/mu1 "
+    detail = (f"dirichlet at final member {last.dirichlet}, mu2/mu1 "
               f"decreasing {ratio_decreasing}, mu2/mu1^(b-1) trend {law}")
     assert ok, _line(8, ok, detail)
     _line(8, ok, detail)

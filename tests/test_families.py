@@ -99,13 +99,14 @@ def cheap_family():
 
 class TestRunFamily:
     def test_reference_family_blows_up(self, reference_family):
-        mus = [rec.peak_values[0] for rec in reference_family.records]
+        mus = [rec.peak_values[0] for rec in reference_family.records.values()]
         assert all(b > a for a, b in zip(mus, mus[1:]))
         assert len(reference_family.records) == 5
 
     def test_determinism(self, cheap_family):
         rerun, _ = run_family(CHEAP)
-        for a, b in zip(cheap_family, rerun):
+        assert list(rerun) == list(cheap_family) == [0, 1, 2, 3]
+        for a, b in zip(cheap_family.values(), rerun.values()):
             assert a.amplitude == b.amplitude
             assert a.full_dirichlet == b.full_dirichlet
             assert a.peak_values == b.peak_values
@@ -116,7 +117,7 @@ class TestRunFamily:
                           lambda_schedule=(0.5, 7.0, 0.25, 0.125),
                           beta_schedule=(1.2,) * 4)
         records, failures = run_family(spec)
-        assert len(records) == 3
+        assert list(records) == [0, 2, 3]
         # each failure is the row the metadata sidecar writes
         assert [(f["n"], f["lambda"], f["beta"]) for f in failures] == [(1, 7.0, 1.2)]
         assert list(failures[0]) == ["n", "lambda", "beta", "reason"]
@@ -204,16 +205,16 @@ class TestVerifyFormulas:
 
     def test_needs_three_records(self, reference_family):
         with pytest.raises(ValueError):
-            verify_formulas(reference_family.spec, reference_family.records[:2])
+            verify_formulas(reference_family.spec,
+                            {n: reference_family.records[n] for n in (0, 1)})
 
 
-def _fake_record(n, lam, beta, mus, radii, rhos, slopes):
-    """Synthetic MemberRecord for registry-arithmetic tests."""
-    from tmb.families import MemberRecord
+def _fake_summary(mus, radii, rhos, slopes):
+    """Synthetic SolutionSummary for registry-arithmetic tests."""
+    from tmb.families import SolutionSummary
 
     k1 = len(mus)
-    return MemberRecord(
-        index=n, lam=lam, beta=beta,
+    return SolutionSummary(
         log_nodal_radii=tuple(math.log(r) for r in radii),
         log_peak_radii=tuple(math.log(r) if r > 0.0 else -math.inf for r in rhos),
         peak_values=tuple(mus),
@@ -233,14 +234,14 @@ class TestRegistryTargets:
         import copy
 
         lams = (1e-2, 1e-3, 1e-4, 1e-5)
-        records = []
-        for n, lam in enumerate(lams):
+        records = {}
+        for n in range(len(lams)):
             grow = 1.6 ** n
             mus = (8.0 * grow, 4.0 * grow, 2.0 * grow)
             radii = (1e-4 / grow, 1e-2 / grow, 1.0)
             rhos = (0.0, 3e-3 / grow, 0.2 / grow)
             slopes = (-0.5, 0.5, -0.5)  # below the log regime: aa4 gated off
-            records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
+            records[n] = _fake_summary(mus, radii, rhos, slopes)
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
         reports = {r.formula_id: r for r in verify_formulas(spec, records)}
@@ -261,6 +262,18 @@ class TestRegistryTargets:
                         * (1.0 + L * 0.35 ** (2.0 / 1.3)) ** -0.65)
         assert reports["ab1"].target == pytest.approx(expected_ab1, rel=1e-12)
 
+    def test_failed_member_read_by_index(self):
+        # records are keyed by member index: with member 1 failed, each
+        # summary is read with its own lambda_n, and lambda_1 with none
+        lams = (1e-2, 7.0, 1e-4, 1e-5)
+        spec = FamilySpec(k=0, alpha=1.0, lambda_schedule=lams,
+                          beta_schedule=(1.3,) * 4)
+        records = {n: _fake_summary((8.0 * 1.6 ** n,), (1.0,), (0.0,), (-0.5,))
+                   for n in (0, 2, 3)}
+        reports = {r.formula_id: r for r in verify_formulas(spec, records)}
+        assert reports["aaa1"].raw_values == tuple(
+            math.log(1.0 / lams[n]) / (8.0 * 1.6 ** n) ** 1.3 for n in (0, 2, 3))
+
 
 class TestRegistryIds:
     """The formula ids depend on k alone: a gated formula is reported as
@@ -275,14 +288,14 @@ class TestRegistryIds:
     @staticmethod
     def _k2_family(growth):
         lams = (1e-2, 1e-3, 1e-4, 1e-5)
-        records = []
-        for n, lam in enumerate(lams):
+        records = {}
+        for n in range(len(lams)):
             grow = 1.6 ** n
             mus = tuple(m * g ** n for m, g in zip((8.0, 4.0, 2.0), growth))
             radii = (1e-4 / grow, 1e-2 / grow, 1.0)
             rhos = (0.0, 3e-3 / grow, 0.2 / grow)
             slopes = (-0.5, 0.5, -0.5)  # below the log regime
-            records.append(_fake_record(n, lam, 1.3, mus, radii, rhos, slopes))
+            records[n] = _fake_summary(mus, radii, rhos, slopes)
         spec = FamilySpec(k=2, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(1.3,) * 4)
         return spec, records
@@ -291,7 +304,7 @@ class TestRegistryIds:
         ids = []
         for growth, regime in self.REGIMES.items():
             spec, records = self._k2_family(growth)
-            assert classify_records(records, 2) == regime
+            assert classify_records(records.values(), 2) == regime
             ids.append([r.formula_id for r in verify_formulas(spec, records)])
         assert ids[1] == ids[0]
         assert ids[2] == ids[0]
@@ -316,12 +329,11 @@ class TestCouplingGates:
     @staticmethod
     def _k1_reports(beta, rho2):
         lams = (1e-2, 1e-3, 1e-4, 1e-5)
-        records = []
-        for n, lam in enumerate(lams):
+        records = {}
+        for n in range(len(lams)):
             grow = 1.6 ** n
-            records.append(_fake_record(n, lam, beta, (8.0 * grow, 4.0 * grow),
-                                        (1e-2 / grow, 1.0), (0.0, rho2 / grow),
-                                        (0.5, -0.5)))
+            records[n] = _fake_summary((8.0 * grow, 4.0 * grow), (1e-2 / grow, 1.0),
+                                       (0.0, rho2 / grow), (0.5, -0.5))
         spec = FamilySpec(k=1, alpha=1.0, lambda_schedule=lams,
                           beta_schedule=(beta,) * 4)
         return {r.formula_id: r for r in verify_formulas(spec, records)}
@@ -341,12 +353,12 @@ class TestCouplingGates:
 
 class TestClassifier:
     def test_full_blowup(self, reference_family):
-        all_blow, n = classify_records(reference_family.records, 0)
+        all_blow, n = classify_records(reference_family.records.values(), 0)
         assert all_blow and n == 1
 
     def test_slow_blowup_also_classified(self, cheap_family):
         # even the shallow beta=1 family has growing peaks as lambda drops
-        all_blow, n = classify_records(cheap_family, 0)
+        all_blow, n = classify_records(cheap_family.values(), 0)
         assert all_blow and n == 1
 
     def test_compact_family(self):
@@ -355,7 +367,7 @@ class TestClassifier:
                           lambda_schedule=(5.0, 5.2, 5.4, 5.6),
                           beta_schedule=(1.2,) * 4)
         records, _ = run_family(spec)
-        all_blow, n = classify_records(records, 0)
+        all_blow, n = classify_records(records.values(), 0)
         assert not all_blow and n == 0
         reports = verify_formulas(spec, records)
         assert not any(r.applicable for r in reports)

@@ -9,7 +9,7 @@ from tmb.analysis import NodalDomain
 from tmb.bessel import Eigenpair
 from tmb.bubbles import BubbleDiagnostics
 from tmb.cli import ExperimentConfig
-from tmb.families import FamilySpec, FormulaReport, MemberRecord
+from tmb.families import FamilySpec, FormulaReport, SolutionSummary
 from tmb.nonlinearity import ProblemParams
 from tmb.ode import SolverSettings
 from tmb.shooting import RadialSolution
@@ -27,8 +27,8 @@ CASES = [
     (NodalDomain, (3.9, 3.8, 1.9), 4.0),
     (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25), ()),
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
-    (MemberRecord, (0, 1e-2, 1.2, (0.0,), (-math.inf,), (2.0,), (-1.5,),
-                    (3.9,), 1.9, 1e-12, 1e-11, (2.0,), (None,)), 1),
+    (SolutionSummary, ((0.0,), (-math.inf,), (2.0,), (-1.5,), (3.9,), 1.9,
+                       1e-12, 1e-11, (2.0,), (None,)), (-1.0, 0.0)),
     (FormulaReport, ("aaa1", True), "f4[1]"),
     (ExperimentConfig, ("verify",), "solve"),
     (Eigenpair, (1, 2.404825557695773), 2),

@@ -7,7 +7,7 @@ import pytest
 
 from tmb.bessel import j0_zero
 from tmb.errors import NoSolutionInRangeError, ZeroNotReachedError
-from tmb.families import _summarize
+from tmb.families import summarize
 from tmb.analysis import first_integral_residual
 from tmb.nonlinearity import ProblemParams
 from tmb import ode, shooting
@@ -307,9 +307,18 @@ class TestNodalSolution:
             assert all(b - a > 1e-15 * b for a, b in zip(amps, amps[1:]))
 
     def test_resolve_from_record(self, reference_family, monkeypatch):
-        # the recipe for getting a member's solution back: one integration
-        # at the record's amplitude and the default tolerances gives back the
-        # member's trajectory bit for bit, and so its record
+        # the recipe for getting a solution back: one integration at its
+        # amplitude and the default tolerances gives back its trajectory
+        # bit for bit, and so its summary.  Inputs: each reference family
+        # member, and both branches of a two-domain solve (CI's
+        # solve_two_branches run, s ~ 12.2 and 17.4)
+        spec = reference_family.spec
+        p = ProblemParams(1.0, 1.0, 3.2245)
+        branches = nodal_solution(1, p)
+        assert len(branches) == 2
+        cases = [(rec, spec.k, spec.members[n])
+                 for n, rec in reference_family.records.items()]
+        cases += [(summarize(sol), 1, p) for sol in branches]
         calls = []
 
         def counting(*args, **kwargs):
@@ -317,11 +326,11 @@ class TestNodalSolution:
             return ode.integrate_radial(*args, **kwargs)
 
         monkeypatch.setattr(shooting, "integrate_radial", counting)
-        for rec in reference_family.records:
+        for rec, k, target in cases:
             calls.clear()
-            sol = solution_at(rec.amplitude, 0, ProblemParams(1.0, rec.beta, rec.lam))
+            sol = solution_at(rec.amplitude, k, target)
             assert calls == [rec.amplitude]
-            assert _summarize(rec.index, rec.lam, rec.beta, sol) == rec
+            assert summarize(sol) == rec
 
     def test_reach_ends_at_budget_past_a_fold(self):
         # weak_limit_preset's last member: lambda_1(s) at beta = 1.03 has
