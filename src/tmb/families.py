@@ -230,7 +230,9 @@ def verify_formulas(spec: FamilySpec, records) -> list:
 
     The formula ids and their order depend on k alone: a formula whose
     regime the family is not in is reported inapplicable, with the reason
-    as its note."""
+    as its note.  Each formula is its gate, its per-member term and its
+    target, a plain value formed whether the formula applies or not (nan
+    where it cannot be formed)."""
     if len(records) < 3:
         raise ValueError("formula verification needs at least 3 successful members")
     k = spec.k
@@ -250,8 +252,8 @@ def verify_formulas(spec: FamilySpec, records) -> list:
     def emit(fid, gate, term, target, slow=False, note="", aitken=True):
         """Report formula fid: inapplicable with the reason gate, or, when
         gate is None, the sequence term(ln(1/lambda_n), beta_n, record_n)
-        against target(); term and target are evaluated only then.
-        aitken=False reports the final term as the limit."""
+        against the value target.  aitken=False reports the final term as
+        the limit."""
         if gate is not None:
             rep = FormulaReport(formula_id=fid, applicable=False, note=gate)
         else:
@@ -259,7 +261,7 @@ def verify_formulas(spec: FamilySpec, records) -> list:
             extrap = estimate_limit(seq)[1] if aitken else seq[-1]
             rep = FormulaReport(formula_id=fid, applicable=True,
                                 raw_values=tuple(seq), extrapolated=extrap,
-                                target=target(), slow_rate=slow, note=note)
+                                target=target, slow_rate=slow, note=note)
         reports.append(rep)
         return rep
 
@@ -270,34 +272,30 @@ def verify_formulas(spec: FamilySpec, records) -> list:
     full = None if all_blow else "family does not fully concentrate"
     emit("aaa1", full,
          lambda L, b, rec: L / mu(rec, k + 1) ** b,
-         lambda: half_fac)
+         half_fac)
     emit("aa44", full,
          lambda L, b, rec: L ** (1.0 / b) * abs(rec.boundary_slopes[-1]),
-         lambda: 2.0 * half_fac ** (1.0 / beta_star))
+         2.0 * half_fac ** (1.0 / beta_star))
     for i in range(1, k + 1):
         j = k - i + 1
         emit(f"aa1[{i}]", full,
              lambda L, b, rec: L / mu(rec, i) ** (b * (b - 1.0) ** j),
-             lambda: half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
-                                  / (2.0 - beta_star)),
+             half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j) / (2.0 - beta_star)),
              slow=slow)
-        aa2 = emit(f"aa2[{i}]", full,
-                   lambda L, b, rec: L / (-rec.log_nodal_radii[i - 1])
-                   ** ((b - 1.0) ** j),
-                   lambda: 2.0 ** ((beta_star - 1.0) ** j)
-                   * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j)
-                                  / (2.0 - beta_star)),
-                   slow=slow)
-        # aa4's gate implies aa2's, whose target it shares
+        aa2_target = 2.0 ** ((beta_star - 1.0) ** j) \
+            * half_fac ** ((2.0 - 2.0 * (beta_star - 1.0) ** j) / (2.0 - beta_star))
+        emit(f"aa2[{i}]", full,
+             lambda L, b, rec: L / (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j),
+             aa2_target, slow=slow)
         emit(f"aa4[{i}]", full or _slope_gate(records, i),
              lambda L, b, rec: L / rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j),
-             lambda: aa2.target, slow=slow)
+             aa2_target, slow=slow)
     for i in range(2, k + 1):
         j = k - i + 1
         emit(f"aa3[{i}]", full,
              lambda L, b, rec: L / (-rec.log_peak_radii[i - 1])
              ** (b * (b - 1.0) ** j / 2.0),
-             lambda: 2.0 ** (beta_star * (beta_star - 1.0) ** j / 2.0)
+             2.0 ** (beta_star * (beta_star - 1.0) ** j / 2.0)
              * half_fac ** ((2.0 - beta_star * (beta_star - 1.0) ** j)
                             / (2.0 - beta_star)),
              slow=slow)
@@ -308,7 +306,7 @@ def verify_formulas(spec: FamilySpec, records) -> list:
             "ab11", full or (None if couple_ok
                              else "needs beta_n != 1 and lambda_n < 1/e"),
             lambda L, b, rec: math.log(L) / ((b - 1.0) * L ** (2.0 / b)),
-            lambda: math.nan, slow=slow,
+            math.nan, slow=slow,
             note="empirical coupling constant; user-prescribed schedules")
         L_lim = coupling.extrapolated  # nan when ab11 is inapplicable
         peak_gate = full or (None if coupling.applicable
@@ -317,17 +315,17 @@ def verify_formulas(spec: FamilySpec, records) -> list:
                 else "outermost peak at the origin")
         emit("ab1", peak_gate,
              lambda L, b, rec: L / (-rec.log_peak_radii[k]) ** (b / 2.0),
-             lambda: 2.0 ** (beta_star / 2.0) * half_fac
+             2.0 ** (beta_star / 2.0) * half_fac
              * (1.0 + L_lim * half_fac ** (2.0 / beta_star)) ** (-beta_star / 2.0),
              slow=slow, note=f"uses empirical L={L_lim:.4g}")
         emit("ab2", peak_gate or (None if abs(L_lim) > 10.0
                                   else f"empirical L={L_lim:.4g} does not diverge"),
              lambda L, b, rec: math.log(L) / ((b - 1.0) * -rec.log_peak_radii[k]),
-             lambda: 2.0, slow=slow, note="divergent-coupling branch")
+             2.0, slow=slow, note="divergent-coupling branch")
     emit("full_energy", full,
          lambda L, b, rec: (4.0 * math.pi * (k + 1) - rec.full_dirichlet)
          * L ** ((2.0 - b) / b),
-         lambda: 2.0 * math.pi * alpha ** (2.0 / beta_star) * beta_star
+         2.0 * math.pi * alpha ** (2.0 / beta_star) * beta_star
          * (1.0 - beta_star / 2.0) ** ((2.0 - beta_star) / beta_star))
 
     # ---- finite-tail (weak-limit) formulas ------------------------------
@@ -347,30 +345,31 @@ def verify_formulas(spec: FamilySpec, records) -> list:
             j = N - i + 1
             emit(f"aa5[{i}]", prefix_gate(i),
                  lambda L, b, rec: mu(rec, i) ** ((b - 1.0) ** j),
-                 lambda: target, slow=True, note=note)
+                 target, slow=True, note=note)
             emit(f"aa6[{i}]", prefix_gate(i),
                  lambda L, b, rec: (-rec.log_nodal_radii[i - 1]) ** ((b - 1.0) ** j),
-                 lambda: target, slow=True, note=note)
+                 target, slow=True, note=note)
             emit(f"aa7[{i}]", prefix_gate(i) or _slope_gate(records, i),
                  lambda L, b, rec: rec.log_abs_slopes[i - 1] ** ((b - 1.0) ** j),
-                 lambda: target, slow=True, note=note)
+                 target, slow=True, note=note)
         emit("aa9", tail,
              lambda L, b, rec: rec.peak_radii[N] ** (b - 1.0),
-             lambda: math.sqrt(alpha / (2.0 * mu_tail)), slow=True, note=note)
+             math.sqrt(alpha / (2.0 * mu_tail)), slow=True, note=note)
+        # with no tail, N = k + 1 is past the last boundary
         emit("aa10", tail,
              lambda L, b, rec: rec.boundary_slopes[N],
-             lambda: records[-1].boundary_slopes[N], slow=True,
+             math.nan if all_blow else records[-1].boundary_slopes[N], slow=True,
              note="target is the final member's first-integral value (weak-limit proxy)")
         for i in range(2, k + 1):
             j = N - i + 1
             emit(f"aa8[{i}]", prefix_gate(i),
                  lambda L, b, rec: (-rec.log_peak_radii[i - 1]) ** ((b - 1.0) ** j),
-                 lambda: target * target, slow=True, note=note)
+                 target * target, slow=True, note=note)
         # necessary amplitude condition at the concentration point
         meets = mu_tail >= alpha / 2.0
         emit("weak_limit_threshold", tail,
              lambda L, b, rec: mu(rec, N + 1),
-             lambda: alpha / 2.0, aitken=False,
+             alpha / 2.0, aitken=False,
              note=f"(-1)^N u0(0) {'>=' if meets else '<'} alpha/2 "
                   f"(qualitative report, N={N})")
 
@@ -380,9 +379,9 @@ def verify_formulas(spec: FamilySpec, records) -> list:
         emit(f"bubble_energy[{i}]", gate,
              lambda L, b, rec: (2.0 - rec.dirichlet[i - 1]) * mu(rec, i) ** (2.0 - b)
              / (alpha * b),
-             lambda: 1.0)
+             1.0)
         emit(f"f4[{i}]", gate,
              lambda L, b, rec: rec.boundary_fluxes[i - 1],
-             lambda: 2.0)
+             2.0)
 
     return reports

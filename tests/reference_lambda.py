@@ -52,7 +52,9 @@ DIGITS = 25           # significant digits of the stored ln lambda
 # per-bubble frames will be graded on: k = 1, beta = 1.03 beside its
 # minimum (s ~ 24.15) and maximum (s ~ 158.9) of lambda and at the root
 # past them (s ~ 1196.77); the k = 0 flight floor at s = 140 and 1e3; k = 1,
-# beta = 1.3 at s = 1e5; and one k = 3 point.
+# beta = 1.3 at s = 1e5; and one k = 3 point.  Then the roots the
+# benchmark's family workloads grade: reference_family (k = 0, beta = 1.2)
+# and weak_limit_preset (k = 1, beta from 1.3 down to 1.04).
 POINTS = (
     (0, 1.0, 0.5, 0.5),
     (0, 1.0, 1.0, 2.0),
@@ -73,6 +75,17 @@ POINTS = (
     (0, 1.0, 1.2, 1000.0),
     (1, 1.0, 1.3, 1e5),
     (3, 1.0, 1.3, 24.0),
+    (0, 1.0, 1.2, 4.1139777893135783),
+    (0, 1.0, 1.2, 6.2927235800105183),
+    (0, 1.0, 1.2, 8.6214071688036533),
+    (0, 1.0, 1.2, 11.01082116472411),
+    (0, 1.0, 1.2, 13.41757421152319),
+    (1, 1.0, 1.3, 8.0544467180664423),
+    (1, 1.0, 1.2, 8.2428078656506081),
+    (1, 1.0, 1.12, 9.1638270042153103),
+    (1, 1.0, 1.08, 10.521762921974233),
+    (1, 1.0, 1.05, 13.72212184788294),
+    (1, 1.0, 1.04, 17.938064641498077),
 )
 
 

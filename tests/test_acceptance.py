@@ -26,7 +26,7 @@ from tmb.bubbles import derivative_bound_check, liouville_reference
 from tmb.cli import main as cli_main, parse_config
 from tmb.errors import FamilyEmptyError, NoSolutionInRangeError
 from tmb.families import FamilySpec, estimate_limit, run_family, verify_formulas
-from tmb.shooting import lambda_of_s, nodal_solution, trace
+from tmb.shooting import lambda_of_s, nodal_solution, solution_at, trace
 
 from conftest import L1, SESSION_T0, T1, T2
 
@@ -327,6 +327,27 @@ def test_criterion_9_weak_limit_preset():
               if rep else "threshold report missing")
     assert ok, _line(9, ok, detail)
     _line(9, ok, detail)
+
+
+@pytest.mark.parametrize("alpha, lam_inf", [(1.0, 3.523923377517147),
+                                            (3.0, 0.11080192512532004)])
+def test_weak_limit_amplitude_at_beta_one(alpha, lam_inf):
+    """At beta = 1 the 1-nodal branch tends to the 0-nodal solution of
+    amplitude alpha/2: lambda_1(s) rises to lambda_0(alpha/2), and the peak
+    of domain 2 tends to alpha/2 from above (the amplitude condition of the
+    abstract, radial case).  Bounds fixed before the first run from gaps of
+    3.2e-2, 5.2e-3, 7.2e-4 (alpha = 1) and 1.6e-3, 3.0e-4, 4.5e-5
+    (alpha = 3) at s = 1e3, 1e4, 1e5, and peaks 0.5001121 and 1.5000211."""
+    p = ProblemParams(alpha, 1.0, 1.0)
+    limit = lambda_of_s(alpha / 2.0, 0, p)
+    assert limit == pytest.approx(lam_inf, rel=1e-10)
+    gaps = [limit - lambda_of_s(s, 1, p) for s in (1e3, 1e4, 1e5)]
+    assert gaps[0] > 0.0
+    # 5.2x to 7.2x per decade measured
+    assert all(0.0 < b <= a / 4.0 for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1e-3 * limit, gaps
+    peak = solution_at(1e5, 1, p).peak_values[1]
+    assert alpha / 2.0 < peak <= alpha / 2.0 * (1.0 + 1e-3), peak
 
 
 VERIFY_CONFIG = """\

@@ -228,6 +228,8 @@ class TestCommands:
         # no config sets a tolerance: a loose one turned solutions into
         # NoSolutionInRangeError (rel_tol = 1e-3: 3 of the weak preset's 6)
         ("[output]", "[tolerances]\nrel_tol = 1e-3\n\n[output]", "[tolerances]"),
+        # scan_points' old home: its counts outside [2, 10000] were refused
+        ("[output]", "[tolerances]\nscan_points = 1\n\n[output]", "[tolerances]"),
         ("alpha = 1.0", "alpha = 1.0\nrel_tol = 1e-12", "[problem] rel_tol"),
         # beta_constant is no key: a family's constant beta is [problem]
         # beta, which a second statement used to override silently
@@ -250,23 +252,6 @@ class TestCommands:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: unknown {names} | at: {cfg}" in err
-        assert calls == []
-        assert not out.exists()
-
-    @pytest.mark.parametrize("count", [1, 10001])
-    def test_scan_points_out_of_range_exits_2(self, tmp_path, capsys,
-                                              monkeypatch, count):
-        # the counts that the old [2, 10000] range refused are still refused,
-        # now because no [tolerances] section, its old home, exists
-        calls = []
-        monkeypatch.setattr(shooting, "integrate_radial",
-                            lambda *args, **kwargs: calls.append(args))
-        cfg = _write(tmp_path, CHEAP_VERIFY.replace(
-            "[output]", f"[tolerances]\nscan_points = {count}\n\n[output]"))
-        out = tmp_path / "x"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: unknown [tolerances] | at: {cfg}" in err
         assert calls == []
         assert not out.exists()
 
