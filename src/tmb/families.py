@@ -197,23 +197,13 @@ def run_family(spec: FamilySpec) -> tuple:
 # formula verification
 # ---------------------------------------------------------------------------
 
-def _blowing(records, i) -> bool:
-    """Does the i-th peak diverge along the family (trend test)?"""
-    mus = [rec.peak_values[i - 1] for rec in records]
-    increasing = all(b > a for a, b in zip(mus, mus[1:]))
-    return increasing and mus[-1] > 2.0 * mus[0]
-
-
-def classify_records(records, k) -> tuple:
-    """(all_domains_blow, n_blowing_prefix) of summaries in member order:
-    n_blowing_prefix is the largest N with domains 1..N all blowing."""
-    n = 0
-    for i in range(1, k + 2):
-        if _blowing(records, i):
-            n = i
-        else:
-            break
-    return n == k + 1, n
+def concentrating(records, k) -> tuple:
+    """For each nodal domain 1..k+1, whether its peak diverges along the
+    summaries records, in member order (trend test): it rises at every
+    member and ends above twice its first value."""
+    peaks = [rec.peak_values for rec in records]
+    return tuple(all(b[i] > a[i] for a, b in zip(peaks, peaks[1:]))
+                 and peaks[-1][i] > 2.0 * peaks[0][i] for i in range(k + 1))
 
 
 def _slope_gate(records, i):
@@ -243,7 +233,9 @@ def verify_formulas(spec: FamilySpec, records) -> list:
     lam_seq = [p.lam for p in members]
     beta_seq = [p.beta for p in members]
     log_inv_lam = [math.log(1.0 / l) for l in lam_seq]
-    all_blow, n_prefix = classify_records(records, k)
+    blowing = concentrating(records, k)
+    N = (blowing + (False,)).index(False)  # domains 1..N concentrate
+    all_blow = N == k + 1
     slow = abs(beta_star - 1.0) < SLOW_RATE_BAND
     half_fac = alpha * (1.0 - beta_star / 2.0)
 
@@ -331,7 +323,6 @@ def verify_formulas(spec: FamilySpec, records) -> list:
     # ---- finite-tail (weak-limit) formulas ------------------------------
     # domains 1..N concentrate and domain N+1 carries the weak limit
     if k >= 1:
-        N = n_prefix
         tail = ("family fully concentrates; no weak-limit tail" if all_blow
                 else None if N >= 1 else "no domain concentrates")
         mu_tail = math.nan if all_blow else mu(records[-1], N + 1)
@@ -375,7 +366,7 @@ def verify_formulas(spec: FamilySpec, records) -> list:
 
     # ---- per-domain laws (any concentrating domain) ----------------------
     for i in range(1, k + 2):
-        gate = None if _blowing(records, i) else "domain does not concentrate"
+        gate = None if blowing[i - 1] else "domain does not concentrate"
         emit(f"bubble_energy[{i}]", gate,
              lambda L, b, rec: (2.0 - rec.dirichlet[i - 1]) * mu(rec, i) ** (2.0 - b)
              / (alpha * b),

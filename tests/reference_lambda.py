@@ -1,7 +1,10 @@
 """The stored reference for ln lambda_k(s): writes tests/data/reference_lambda.csv.
 
-    python tests/reference_lambda.py             # recompute every point, write the table
+    python tests/reference_lambda.py             # compute the missing points, write the table
     python tests/reference_lambda.py --check 0 3 # recompute rows 0 and 3, compare
+
+A stored row whose point is still in POINTS is kept byte for byte; to
+recompute a row, delete it from the table and run the script.
 
 At lambda = 1 the radial equation -u'' - u'/r = u exp(u^2 + alpha |u|^beta)
 becomes, in t = ln r,  u_tt = -sign(u) exp(E) with
@@ -21,10 +24,10 @@ sequence 2, 4, ..., 20, in mpmath.  A step whose end has crossed a zero of u
 is retaken with the length a secant finds, so that it ends on the zero (to
 about 1e-26 at 30 digits); a trial stage with E > 2000 rejects its step.  The table is computed at 30
 digits with a local tolerance of 1e-24, and written only if every point
-agrees with a 34-digit, 1e-28 run to 1e-20; past s = 24.5 both runs add
-extra_digits(s) to the digits and to the tolerance's exponent.  --check
-recomputes the rows it names as the table was computed and fails unless
-they match the stored digits to 1e-20.
+it computes agrees with a 34-digit, 1e-28 run to 1e-20; past s = 24.5
+both runs add extra_digits(s) to the digits and to the tolerance's
+exponent.  --check recomputes the rows it names as the table was
+computed and fails unless they match the stored digits to 1e-20.
 The script needs only mpmath and shares no code with tmb.
 """
 
@@ -54,7 +57,8 @@ DIGITS = 25           # significant digits of the stored ln lambda
 # past them (s ~ 1196.77); the k = 0 flight floor at s = 140 and 1e3; k = 1,
 # beta = 1.3 at s = 1e5; and one k = 3 point.  Then the roots the
 # benchmark's family workloads grade: reference_family (k = 0, beta = 1.2)
-# and weak_limit_preset (k = 1, beta from 1.3 down to 1.04).
+# and weak_limit_preset (k = 1, beta from 1.3 down to 1.04).  Then the
+# beta = 1 weak limits lambda_{k-1}(alpha/2) of k = 1 and 2, alpha in {1, 3}.
 POINTS = (
     (0, 1.0, 0.5, 0.5),
     (0, 1.0, 1.0, 2.0),
@@ -86,6 +90,10 @@ POINTS = (
     (1, 1.0, 1.08, 10.521762921974233),
     (1, 1.0, 1.05, 13.72212184788294),
     (1, 1.0, 1.04, 17.938064641498077),
+    (0, 1.0, 1.0, 0.5),
+    (0, 3.0, 1.0, 1.5),
+    (1, 1.0, 1.0, 0.5),
+    (1, 3.0, 1.0, 1.5),
 )
 
 
@@ -237,9 +245,15 @@ def check(rows) -> int:
 
 
 def generate() -> int:
-    """Compute every point, check it at 34 digits, write TABLE; 1 on a miss."""
+    """Write TABLE in POINTS order: a stored row as it stands, any other
+    point computed and checked at 34 digits; 1, writing nothing, on a miss."""
+    stored = {_point(row): [row[h] for h in HEADER]
+              for row in (_read_table() if TABLE.exists() else ())}
     rows, status = [], 0
     for point in POINTS:
+        if point in stored:
+            rows.append(stored[point])
+            continue
         t = time.perf_counter()
         value = ln_lambda(*point)
         fine = ln_lambda(*point, dps=34, tol="1e-28")

@@ -329,24 +329,29 @@ def test_criterion_9_weak_limit_preset():
     _line(9, ok, detail)
 
 
-@pytest.mark.parametrize("alpha, lam_inf", [(1.0, 3.523923377517147),
-                                            (3.0, 0.11080192512532004)])
-def test_weak_limit_amplitude_at_beta_one(alpha, lam_inf):
-    """At beta = 1 the 1-nodal branch tends to the 0-nodal solution of
-    amplitude alpha/2: lambda_1(s) rises to lambda_0(alpha/2), and the peak
-    of domain 2 tends to alpha/2 from above (the amplitude condition of the
-    abstract, radial case).  Bounds fixed before the first run from gaps of
-    3.2e-2, 5.2e-3, 7.2e-4 (alpha = 1) and 1.6e-3, 3.0e-4, 4.5e-5
-    (alpha = 3) at s = 1e3, 1e4, 1e5, and peaks 0.5001121 and 1.5000211."""
+# lam_inf is lambda_{k-1}(alpha/2); the stored reference (rows 30-33 of
+# tests/data/reference_lambda.csv) holds each within 1e-12 in ln lambda
+@pytest.mark.parametrize("k, alpha, lam_inf", [(1, 1.0, 3.523923377517147),
+                                               (1, 3.0, 0.11080192512532004),
+                                               (2, 1.0, 22.04951273703981),
+                                               (2, 3.0, 3.1102680594702314)])
+def test_weak_limit_amplitude_at_beta_one(k, alpha, lam_inf):
+    """At beta = 1 the k-nodal branch tends to the (k-1)-nodal solution of
+    amplitude alpha/2: lambda_k(s) rises to lambda_{k-1}(alpha/2), and the
+    peak of domain 2 tends to alpha/2 from above (the amplitude condition
+    of the abstract, radial case).  Bounds fixed before the first run, for
+    k = 1 from gaps of 3.2e-2, 5.2e-3, 7.2e-4 (alpha = 1) and 1.6e-3,
+    3.0e-4, 4.5e-5 (alpha = 3) at s = 1e3, 1e4, 1e5, and peaks 0.5001121
+    and 1.5000211; k = 2 keeps them."""
     p = ProblemParams(alpha, 1.0, 1.0)
-    limit = lambda_of_s(alpha / 2.0, 0, p)
+    limit = lambda_of_s(alpha / 2.0, k - 1, p)
     assert limit == pytest.approx(lam_inf, rel=1e-10)
-    gaps = [limit - lambda_of_s(s, 1, p) for s in (1e3, 1e4, 1e5)]
+    gaps = [limit - lambda_of_s(s, k, p) for s in (1e3, 1e4, 1e5)]
     assert gaps[0] > 0.0
-    # 5.2x to 7.2x per decade measured
+    # 5.2x to 7.2x per decade measured at k = 1, 6.2x to 7.5x at k = 2
     assert all(0.0 < b <= a / 4.0 for a, b in zip(gaps, gaps[1:])), gaps
     assert gaps[-1] <= 1e-3 * limit, gaps
-    peak = solution_at(1e5, 1, p).peak_values[1]
+    peak = solution_at(1e5, k, p).peak_values[1]
     assert alpha / 2.0 < peak <= alpha / 2.0 * (1.0 + 1e-3), peak
 
 

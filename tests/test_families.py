@@ -10,7 +10,7 @@ from tmb import families, shooting
 from tmb.errors import FamilyEmptyError
 from tmb.families import (
     FamilySpec,
-    classify_records,
+    concentrating,
     estimate_limit,
     run_family,
     verify_formulas,
@@ -279,10 +279,11 @@ class TestRegistryIds:
     """The formula ids depend on k alone: a gated formula is reported as
     an inapplicable row, never left out."""
 
-    REGIMES = {  # per-peak growth factor per member -> (all_blow, N)
-        (1.6, 1.6, 1.6): (True, 3),
-        (1.6, 1.0, 1.0): (False, 1),
-        (1.0, 1.0, 1.0): (False, 0),
+    REGIMES = {  # per-peak growth factor per member -> concentrating domains
+        (1.6, 1.6, 1.6): (True, True, True),
+        (1.6, 1.0, 1.0): (True, False, False),
+        (1.0, 1.6, 1.0): (False, True, False),
+        (1.0, 1.0, 1.0): (False, False, False),
     }
 
     @staticmethod
@@ -304,10 +305,9 @@ class TestRegistryIds:
         ids = []
         for growth, regime in self.REGIMES.items():
             spec, records = self._k2_family(growth)
-            assert classify_records(records.values(), 2) == regime
+            assert concentrating(records.values(), 2) == regime
             ids.append([r.formula_id for r in verify_formulas(spec, records)])
-        assert ids[1] == ids[0]
-        assert ids[2] == ids[0]
+        assert all(regime_ids == ids[0] for regime_ids in ids[1:])
         assert len(set(ids[0])) == len(ids[0])
         for fid in ("aa5[2]", "aa7[1]", "aa8[2]", "weak_limit_threshold", "f4[3]"):
             assert fid in ids[0]
@@ -353,13 +353,11 @@ class TestCouplingGates:
 
 class TestClassifier:
     def test_full_blowup(self, reference_family):
-        all_blow, n = classify_records(reference_family.records.values(), 0)
-        assert all_blow and n == 1
+        assert concentrating(reference_family.records.values(), 0) == (True,)
 
     def test_slow_blowup_also_classified(self, cheap_family):
         # even the shallow beta=1 family has growing peaks as lambda drops
-        all_blow, n = classify_records(cheap_family.values(), 0)
-        assert all_blow and n == 1
+        assert concentrating(cheap_family.values(), 0) == (True,)
 
     def test_compact_family(self):
         # amplitudes shrink toward the eigenvalue: nothing concentrates
@@ -367,7 +365,24 @@ class TestClassifier:
                           lambda_schedule=(5.0, 5.2, 5.4, 5.6),
                           beta_schedule=(1.2,) * 4)
         records, _ = run_family(spec)
-        all_blow, n = classify_records(records.values(), 0)
-        assert not all_blow and n == 0
+        assert concentrating(records.values(), 0) == (False,)
         reports = verify_formulas(spec, records)
         assert not any(r.applicable for r in reports)
+
+    def test_one_verdict_per_call(self, monkeypatch):
+        # domain 2 concentrates past domain 1, which does not: N = 0, and of
+        # all the laws only domain 2's own apply
+        verdicts = []
+
+        def counted(records, k):
+            verdicts.append(concentrating(records, k))
+            return verdicts[-1]
+
+        monkeypatch.setattr(families, "concentrating", counted)
+        reports = verify_formulas(*TestRegistryIds._k2_family((1.0, 1.6, 1.0)))
+        assert verdicts == [(False, True, False)]
+        assert [r.formula_id for r in reports if r.applicable] == [
+            "bubble_energy[2]", "f4[2]"]
+        notes = {r.formula_id: r.note for r in reports}
+        assert notes["weak_limit_threshold"] == "no domain concentrates"
+        assert notes["aa5[1]"] == "domain 1 does not concentrate"

@@ -1,10 +1,14 @@
 """tmb's ln lambda_k(s) at the default settings against the stored
 reference (tests/data/reference_lambda.csv, written by
-tests/reference_lambda.py at 30 digits and checked there at 34)."""
+tests/reference_lambda.py at 30 digits and checked there at 34), and the
+generator's append-only write."""
 
 import csv
 from pathlib import Path
 
+from mpmath import mpf
+
+import reference_lambda
 from tmb.nonlinearity import ProblemParams
 from tmb.shooting import solve_unit_lambda
 
@@ -46,7 +50,7 @@ BOUND = 1e-12
 def test_default_ln_lambda_meets_the_reference():
     with open(TABLE, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) >= 30
+    assert len(rows) >= 34
     diffs = []
     for row in rows:
         k, s = int(row["k"]), float.fromhex(row["s"])
@@ -58,3 +62,37 @@ def test_default_ln_lambda_meets_the_reference():
     misses = [f"{point}: {diff:.3g}" for diff, point in diffs
               if not diff <= BOUNDS.get(point, BOUND)]
     assert not misses, "|d ln lambda| above its row's bound: " + "; ".join(misses)
+
+
+def test_generate_computes_only_missing_points(tmp_path, monkeypatch):
+    table = tmp_path / "reference.csv"
+    stored = ("k,alpha,beta,s,ln_lambda\r\n"
+              "0,1.0,1.0,0x1.0000000000000p+1,-1.5\r\n"
+              "2,1.0,1.3,0x1.4000000000000p+2,3.25\r\n"
+              "1,1.0,0.5,0x1.8000000000000p+1,7.0\r\n")  # its point left POINTS
+    table.write_bytes(stored.encode())
+    calls = []
+
+    def ln_lambda(k, alpha, beta, s, dps=30, tol="1e-24"):
+        calls.append(((k, alpha, beta, s), dps))
+        # the 34-digit run of s = 3 misses the 30-digit one
+        return mpf(s) / 8 + (mpf("1e-15") if dps == 34 and s == 3.0 else 0)
+
+    monkeypatch.setattr(reference_lambda, "TABLE", table)
+    monkeypatch.setattr(reference_lambda, "ln_lambda", ln_lambda)
+    monkeypatch.setattr(reference_lambda, "POINTS", (
+        (0, 1.0, 1.0, 2.0), (1, 1.0, 1.0, 0.5), (2, 1.0, 1.3, 5.0)))
+    assert reference_lambda.generate() == 0
+    assert calls == [((1, 1.0, 1.0, 0.5), 30), ((1, 1.0, 1.0, 0.5), 34)]
+    lines = table.read_bytes().decode().splitlines(keepends=True)
+    assert lines == [*stored.splitlines(keepends=True)[:2],
+                     "1,1.0,1.0,0x1.0000000000000p-1,0.0625\r\n",
+                     stored.splitlines(keepends=True)[2]]
+
+    written = table.read_bytes()
+    calls.clear()
+    monkeypatch.setattr(reference_lambda, "POINTS", (
+        *reference_lambda.POINTS, (0, 1.0, 1.0, 3.0)))
+    assert reference_lambda.generate() == 1
+    assert calls == [((0, 1.0, 1.0, 3.0), 30), ((0, 1.0, 1.0, 3.0), 34)]
+    assert table.read_bytes() == written
