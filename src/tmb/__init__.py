@@ -18,8 +18,8 @@ _EXPORTS = {
                  "solution_at", "solve_unit_lambda", "trace"),
     "analysis": ("NodalDomain", "boundary_flux", "decompose", "energy_report",
                  "identity_residual", "nehari_residual", "sturm_bound_check"),
-    "bubbles": ("BubbleDiagnostics", "derivative_bound_check",
-                "liouville_reference", "log_gamma_scale", "rescale_profile"),
+    "bubbles": ("BubbleDiagnostics", "liouville_reference", "log_gamma_scale",
+                "rescale_profile"),
     "families": ("FamilySpec", "FormulaReport", "SolutionSummary", "estimate_limit",
                  "run_family", "summarize", "verify_formulas"),
 }

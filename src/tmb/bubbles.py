@@ -9,10 +9,11 @@ with first-order correction phi/mu^(2-beta),
 
     phi(r) = alpha*beta_lim*(ln(8 + r^2) + 8/(8 + r^2) - 1 - ln 8).
 
-This module builds the rescaled samples z_n on PROFILE_GRID, measures
-the deviation from z, fits the correction coefficient to the samples
-inside FIT_WINDOW, and verifies the two-sided monotone derivative bounds
-that hold for every rescaled solution.
+rescale_profile reads u and r*u' once at each PROFILE_GRID point of a
+domain's window: it builds the rescaled samples z_n, measures their
+deviation from z, fits the correction coefficient to the samples inside
+FIT_WINDOW, and checks the two-sided monotone derivative bound that holds
+for every rescaled solution.
 
 The scale gamma and the peak radius rho underflow binary64 once mu is
 past ~38, so both are carried as logarithms: the window point
@@ -34,7 +35,7 @@ PROFILE_WINDOW = 6.0
 # 61 uniform samples on [0, PROFILE_WINDOW]: the profile CSVs' r column
 PROFILE_GRID = tuple(j * (PROFILE_WINDOW / 60) for j in range(61))
 FIT_WINDOW = (0.5, 6.0)  # the samples the correction coefficient is fitted on
-BOUND_SLACK = 1e-6  # absorbs interpolation roundoff in derivative_bound_check
+BOUND_SLACK = 1e-6  # absorbs interpolation roundoff in the derivative bound
 _LN64 = math.log(64.0)
 _LN8 = math.log(8.0)
 
@@ -47,6 +48,7 @@ class BubbleDiagnostics:
     sup_deviation: float       # max over the window of |z_n - z|
     corr_coefficient: float    # least-squares c in z_n - z ~ c*phi
     predicted_coefficient: float  # 1/mu^(2-beta)
+    derivative_bound_holds: bool  # the two-sided bound on z_n' at every sample
 
     @property
     def coefficient_ratio(self) -> float:
@@ -59,15 +61,6 @@ def log_gamma_scale(mu: float, p: ProblemParams) -> float:
         raise ValueError(f"peak value must be positive, got {mu!r}")
     return -0.5 * (math.log(2.0) + p.log_lambda + 2.0 * math.log(mu)
                    + mu * mu + p.alpha * mu ** p.beta)
-
-
-def _window(sol: RadialSolution, i: int) -> tuple:
-    """(mu, sign, ln gamma, ln rho) of domain i's bubble window; ValueError
-    unless i indexes a nodal domain."""
-    sol.check_domain(i)
-    mu = sol.peak_values[i - 1]
-    return (mu, sol.domain_sign(i), log_gamma_scale(mu, sol.params),
-            sol.log_peak_radii[i - 1])
 
 
 def _window_point(log_gamma: float, log_rho: float, rr: float) -> float:
@@ -87,13 +80,22 @@ def liouville_reference(r: float, beta_star: float, alpha: float) -> tuple:
 
 
 def rescale_profile(sol: RadialSolution, i: int) -> BubbleDiagnostics:
-    """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on PROFILE_GRID.
+    """Sample z_n(r) = 2*mu_i*(|u|(gamma_i r + rho_i) - mu_i) on PROFILE_GRID
+    and check the two-sided monotone bound on the rescaled derivative,
+
+        0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
+
+    z_n' read as 2*mu*sign*(r*u')/(r + rho/gamma) at the same window point,
+    and 0 at the origin peak; each side is relaxed by BOUND_SLACK.
 
     Every radius is handled as a log radius, so the window is placed at
-    any depth.  The window must stay inside the nodal domain, else
-    WindowTooLargeError.
+    any depth.  ValueError unless i indexes a nodal domain; the window
+    must stay inside the nodal domain, else WindowTooLargeError.
     """
-    mu, sign, log_gamma, log_rho = _window(sol, i)
+    sol.check_domain(i)
+    mu, sign = sol.peak_values[i - 1], sol.domain_sign(i)
+    log_gamma = log_gamma_scale(mu, sol.params)
+    log_rho = sol.log_peak_radii[i - 1]
     t_hi = _window_point(log_gamma, log_rho, PROFILE_GRID[-1])
     log_outer = sol.log_nodal_radii[i - 1]
     if t_hi >= log_outer:
@@ -101,15 +103,19 @@ def rescale_profile(sol: RadialSolution, i: int) -> BubbleDiagnostics:
             f"window reaches log radius {t_hi!r}, outside domain "
             f"(..., {log_outer!r})")
     traj = sol.trajectory
-
-    def z_n(rr):
-        if rr == 0.0:
-            return 0.0  # definition evaluated at the peak
-        return 2.0 * mu * (sign * traj.u_log(_window_point(log_gamma, log_rho, rr)) - mu)
-
+    m = math.exp(log_rho - log_gamma)  # rho/gamma
     beta, alpha = sol.params.beta, sol.params.alpha
-    samples = tuple((rr, z_n(rr), *liouville_reference(rr, beta, alpha))
-                    for rr in PROFILE_GRID)
+    samples = []
+    bound_holds = True
+    for rr in PROFILE_GRID:
+        u, ru = traj.eval_log(_window_point(log_gamma, log_rho, rr))[:2]
+        # z_n is 0 by definition at the peak
+        zv = 2.0 * mu * (sign * u - mu) if rr > 0.0 else 0.0
+        samples.append((rr, zv, *liouville_reference(rr, beta, alpha)))
+        denom = rr + m
+        zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
+        bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
+        bound_holds = bound_holds and -BOUND_SLACK <= -zp <= bound + BOUND_SLACK
     sup_dev = max(abs(zv - zr) for _, zv, zr, _ in samples)
     # least-squares c on the samples inside FIT_WINDOW
     flo, fhi = FIT_WINDOW
@@ -121,31 +127,9 @@ def rescale_profile(sol: RadialSolution, i: int) -> BubbleDiagnostics:
             den += ph * ph
     corr = num / den if den > 0.0 else math.nan
     return BubbleDiagnostics(
-        samples=samples,
+        samples=tuple(samples),
         sup_deviation=sup_dev,
         corr_coefficient=corr,
         predicted_coefficient=mu ** (sol.params.beta - 2.0),
+        derivative_bound_holds=bound_holds,
     )
-
-
-def derivative_bound_check(diag: BubbleDiagnostics, sol: RadialSolution,
-                           i: int) -> bool:
-    """Two-sided monotone bound on the rescaled derivative,
-
-        0 <= -z_n'(r) <= (r^2/2 + (rho/gamma)*r) / (r + rho/gamma),
-
-    z_n' read as 2*mu*sign*(r*u')/(r + rho/gamma) at the window point, and
-    0 at the origin peak.  Each side is relaxed by BOUND_SLACK.  ValueError
-    unless i indexes a nodal domain.
-    """
-    mu, sign, log_gamma, log_rho = _window(sol, i)
-    m = math.exp(log_rho - log_gamma)
-    traj = sol.trajectory
-    for rr, *_ in diag.samples:
-        denom = rr + m
-        ru = traj.ru_log(_window_point(log_gamma, log_rho, rr))
-        zp = 2.0 * mu * sign * ru / denom if denom > 0.0 else 0.0
-        bound = (0.5 * rr * rr + m * rr) / denom if denom > 0.0 else 0.0
-        if not (-BOUND_SLACK <= -zp <= bound + BOUND_SLACK):
-            return False
-    return True

@@ -32,16 +32,6 @@ def primitive_F(t, p):
     return adaptive_quadrature(integrand, 0.0, abs(t), rel_tol=1e-10)
 
 
-def run_family_keeping_solutions(spec):
-    """(the records of run_family(spec), the solution each summarises,
-    under the same member index n).  Records keep no solution; each is
-    rebuilt by the documented recipe, one integration at the record's
-    amplitude, which gives the member's solution back bit for bit."""
-    records, _ = run_family(spec)
-    return records, {n: solution_at(rec.amplitude, spec.k, spec.members[n])
-                     for n, rec in records.items()}
-
-
 @pytest.fixture(scope="session")
 def p12():
     return ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
@@ -52,12 +42,17 @@ def reference_family():
     """k=0, alpha=1, beta=1.2, lambda = 1e-2..1e-6 (the blow-up family used
     by the profile/energy/concentration acceptance checks): its spec and
     records and solutions (each record's solution), both keyed by member
-    index n, and wall_time (seconds to run the family)."""
+    index n, and wall_time (seconds to run the family).  Records keep no
+    solution; each is rebuilt by the documented recipe, one integration at
+    the record's amplitude, which gives the member's solution back bit for
+    bit."""
     spec = FamilySpec(k=0, alpha=1.0,
                       lambda_schedule=tuple(10.0 ** -n for n in range(2, 7)),
                       beta_schedule=(1.2,) * 5)
     t0 = time.time()
-    records, solutions = run_family_keeping_solutions(spec)
+    records, _ = run_family(spec)
+    solutions = {n: solution_at(rec.amplitude, spec.k, spec.members[n])
+                 for n, rec in records.items()}
     assert len(records) == 5, "reference family must solve completely"
     return SimpleNamespace(spec=spec, records=records, solutions=solutions,
                            wall_time=time.time() - t0)

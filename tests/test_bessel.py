@@ -1,6 +1,5 @@
 """J_0, its zeros, and the disk eigenpairs, against independent oracles."""
 
-import math
 import os
 import subprocess
 import sys

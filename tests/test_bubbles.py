@@ -7,18 +7,15 @@ import pytest
 
 from tmb.bubbles import (
     PROFILE_GRID,
-    derivative_bound_check,
     liouville_reference,
     log_gamma_scale,
     rescale_profile,
 )
 from tmb.errors import WindowTooLargeError
-from tmb.families import FamilySpec
+from tmb.families import FamilySpec, run_family
 from tmb.nonlinearity import ProblemParams
 from tmb.quadrature import adaptive_quadrature
 from tmb.shooting import RadialSolution
-
-from conftest import run_family_keeping_solutions
 
 GAMMA_5_1E3 = 1.3680367662340201e-06  # exp(-(ln2 + ln 1e-3 + 2 ln 5 + 30)/2)
 
@@ -126,38 +123,54 @@ class TestRescaleProfile:
         assert abs(last.coefficient_ratio - 1.0) < abs(first.coefficient_ratio - 1.0)
 
     def test_bad_domain_index(self, sol_mid):
-        with pytest.raises(ValueError):
-            rescale_profile(sol_mid, 2)
+        for i in (0, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                rescale_profile(sol_mid, i)
 
 
 class TestDerivativeBound:
     def test_every_bubble(self, reference_family):
-        for n, rec in reference_family.records.items():
-            assert derivative_bound_check(rec.bubbles[0], reference_family.solutions[n], 1)
+        assert all(rec.bubbles[0].derivative_bound_holds
+                   for rec in reference_family.records.values())
 
     def test_inner_window_second_domain(self, two_bubble_deep):
         # the outer bubble of the lambda = 1e-4 member, whose peak sits off
         # the origin (rho/gamma = 0.042)
-        recs, sols = two_bubble_deep
-        assert derivative_bound_check(recs[3].bubbles[1], sols[3], 2)
+        assert two_bubble_deep[3].bubbles[1].derivative_bound_holds
 
     def test_bad_domain_index(self, sol_mid):
-        diag = rescale_profile(sol_mid, 1)
+        # a bad index is refused before any r*u' is read for the bound
+        reads = []
+
+        def eval_log(t):
+            reads.append(t)
+            return sol_mid.trajectory.eval_log(t)
+
+        sol = RadialSolution(sol_mid.params, SimpleNamespace(eval_log=eval_log),
+                             sol_mid.log_nodal_radii, sol_mid.log_peak_radii,
+                             sol_mid.peak_values, sol_mid.boundary_ru)
         for i in (0, 2):
             with pytest.raises(ValueError, match="out of range"):
-                derivative_bound_check(diag, sol_mid, i)
+                rescale_profile(sol, i)
+        assert reads == []
 
     def test_wrong_sign_fails(self, sol_mid):
         # a fake trajectory whose r*u' has the wrong sign: z_n would rise
-        # from the peak, below the bound's lower side
+        # from the peak, below the bound's lower side; u, and so the
+        # samples, stay as they are
         traj = sol_mid.trajectory
-        flipped = SimpleNamespace(ru_log=lambda t: -traj.ru_log(t))
-        sol = RadialSolution(sol_mid.params, flipped, sol_mid.log_nodal_radii,
-                             sol_mid.log_peak_radii, sol_mid.peak_values,
-                             sol_mid.boundary_ru)
-        diag = rescale_profile(sol_mid, 1)
-        assert derivative_bound_check(diag, sol_mid, 1)
-        assert not derivative_bound_check(diag, sol, 1)
+
+        def eval_log(t):
+            u, ru, *rest = traj.eval_log(t)
+            return (u, -ru, *rest)
+
+        sol = RadialSolution(sol_mid.params, SimpleNamespace(eval_log=eval_log),
+                             sol_mid.log_nodal_radii, sol_mid.log_peak_radii,
+                             sol_mid.peak_values, sol_mid.boundary_ru)
+        diag, wrong = rescale_profile(sol_mid, 1), rescale_profile(sol, 1)
+        assert diag.derivative_bound_holds
+        assert not wrong.derivative_bound_holds
+        assert wrong.samples == diag.samples
 
     def test_exact_profile_satisfies_bound(self):
         # -z'(r) = 4r/(8+r^2) <= r/2 for the limit profile itself
@@ -166,10 +179,10 @@ class TestDerivativeBound:
 
 
 def _family_records(k, beta, lams):
-    """(records, the solution each record summarises), keyed by member n."""
+    """The records of the family, keyed by member n."""
     spec = FamilySpec(k=k, alpha=1.0, lambda_schedule=lams,
                       beta_schedule=(beta,) * len(lams))
-    return run_family_keeping_solutions(spec)
+    return run_family(spec)[0]
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +197,7 @@ class TestDeepRegime:
 
     def test_k0_profile_converges(self):
         # peaks from ~45 to ~490
-        recs, sols = _family_records(0, 1.2, (1e-20, 1e-50, 1e-100, 1e-200, 1e-300))
+        recs = _family_records(0, 1.2, (1e-20, 1e-50, 1e-100, 1e-200, 1e-300))
         assert len(recs) == 5
         diags = [rec.bubbles[0] for rec in recs.values()]
         assert all(d is not None for d in diags)
@@ -193,17 +206,15 @@ class TestDeepRegime:
         devs = [abs(d.coefficient_ratio - 1.0) for d in diags]
         assert max(devs) <= 0.10
         assert devs[-1] < devs[0]
-        for sol, d in zip(sols.values(), diags):
-            assert derivative_bound_check(d, sol, 1)
+        assert all(d.derivative_bound_holds for d in diags)
 
     def test_two_bubble_inner_profile_converges(self, two_bubble_deep):
         # inner peaks from ~7e2 to ~4e4
-        recs, sols = two_bubble_deep
+        recs = two_bubble_deep
         assert len(recs) == 4
         diags = [rec.bubbles[0] for rec in recs.values()]
         assert all(d is not None for d in diags)
         sups = [d.sup_deviation for d in diags]
         assert all(b < a for a, b in zip(sups, sups[1:]))
         assert all(abs(d.coefficient_ratio - 1.0) <= 0.10 for d in diags)
-        for sol, d in zip(sols.values(), diags):
-            assert derivative_bound_check(d, sol, 1)
+        assert all(d.derivative_bound_holds for d in diags)

@@ -534,6 +534,21 @@ class TestStopsAndErrors:
         assert abs(ode._dense_root(Jump(), 0, 0.0, 1.0) - 0.25) <= ode._EPS
         assert len(calls) == 2 + 200 + 54
 
+    def test_dense_root_at_the_far_end(self):
+        # a falling step whose end lands exactly on u = 0, as y0 + (0 - y0)
+        # does: the far end is the root, returned after the two end reads
+        calls = []
+
+        class Landing:
+            x0, h = 0.0, 1.0
+
+            def value(self, x, comp):
+                calls.append(x)
+                return 1.0 - x
+
+        assert ode._dense_root(Landing(), 0, 0.0, 1.0) == 1.0
+        assert calls == [0.0, 1.0]
+
     def test_needs_a_zero_to_stop_on(self):
         with pytest.raises(ValueError):
             integrate_radial(1.0, P12, 0)

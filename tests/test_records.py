@@ -25,7 +25,7 @@ CASES = [
     (SolverSettings, (1e-8,), 1e-9),
     (RadialSolution, (P, None, *K0_RADII.values()), ProblemParams(2.0, 1.2, 0.5)),
     (NodalDomain, (3.9, 3.8, 1.9), 4.0),
-    (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25), ()),
+    (BubbleDiagnostics, (((0.5, -0.1),), 1e-3, 0.2, 0.25, True), ()),
     (FamilySpec, (0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5), (1.2,) * 4), 1),
     (SolutionSummary, ((0.0,), (-math.inf,), (2.0,), (-1.5,), (3.9,), 1.9,
                        1e-12, 1e-11, (2.0,), (None,)), (-1.0, 0.0)),

@@ -1,6 +1,7 @@
-"""No module of the package binds an imported name it never reads.
+"""No module of the package or of its tests binds an imported name it never
+reads.
 
-No linter runs on the package, so this is its unused-import check, on the
+No linter runs on the repository, so this is its unused-import check, on the
 standard library alone.  Module-level imports count, those inside `try`
 and `if` blocks too (cli's SHA-256 fallbacks); `from __future__` does not.
 """
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tmb"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tmb"
 
 
 def _module_imports(body):
@@ -37,7 +39,9 @@ def _unread_imports(source):
                    if name not in read})
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
 
