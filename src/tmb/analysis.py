@@ -7,13 +7,14 @@ nodal radii, and a Sturm-type bound on the zero count after a Liouville
 change of variables.  solutions.csv carries the whole-disk Nehari and the
 largest peak-identity residual; only the tests run the others.
 
-decompose yields each nodal domain's energy integrals only; the domain's
-sign, peak and radii are read from the RadialSolution that owns them.
-The domain energies int(... r dr) are read from the augmented trajectory
-channels at the refined zeros, the potential as -q_flux/2; the other
-integrals run adaptive quadrature on the dense interpolant, in log
-radius, where the concentrated mass is spread out.  Radii are read as log
-radii throughout: the inner radii of a deep solution underflow binary64.
+All four certificates read the trajectory's own forcing or channels, and
+no formula for f is restated here.  decompose and the Nehari identity read
+the augmented channels at the refined zeros (the potential as -q_flux/2);
+the peak identity, the first integral and the Sturm bound integrate the
+forcing source_log by one adaptive quadrature in log radius, where the
+concentrated mass is spread out.  A domain's sign, peak and radii are read
+from the RadialSolution that owns them.  Radii are read as log radii
+throughout: the inner radii of a deep solution underflow binary64.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def _thinned(bounds) -> list:
 def _log_weighted_integral(sol: RadialSolution, t_lo: float, t_hi: float,
                            weight) -> float:
     """int lambda*f(u(r)) * weight * r dr over ln r in (t_lo, t_hi), i.e.
-    int sign(u) exp(E(t)) * weight(t) dt; weight is affine in t.
+    int sign(u) exp(E(t)) * weight(t) dt.  weight must be affine in t only
+    when t_lo lies below the first step, where the analytic head is added.
 
     The partition is seeded from the accepted steps: a concentrated bubble
     is O(1) wide in t but may sit ~s^2/2 away from the far end, where a
@@ -144,7 +146,8 @@ def sturm_bound_check(sol: RadialSolution) -> tuple:
     With v(r) = r*u(t), t = exp(1 - 1/r), the transformed equation is
     v'' + q v = 0 with q(r) = t^2 (ln(e/t))^4 lambda f(u(t))/u(t) >= 0.
     If v has m zeros in (a, b], then m < ((b-a) int_a^b q)^(1/2)/2 + 1.
-    Returns (bound_rhs, holds).  Requires k >= 1.
+    int_a^1 q dr is taken in log radius, where q dr = lambda f(u)/u *
+    r^2 (1 - ln r)^2 d(ln r).  Returns (bound_rhs, holds).  Requires k >= 1.
     """
     if sol.k < 1:
         raise ValueError("the zero-count bound needs a nodal solution (k >= 1)")
@@ -152,22 +155,8 @@ def sturm_bound_check(sol: RadialSolution) -> tuple:
     ln_lo = sol.log_nodal_radii[1] if sol.k >= 2 else sol.log_nodal_radii[0]
     # zeros of v in (a, 1], including the boundary zero r_{k+1} = 1
     zero_count = sum(1 for t in sol.log_nodal_radii if t > ln_lo)
-    a = 1.0 / (1.0 - ln_lo)
-    b = 1.0
-    traj = sol.trajectory
-    p = sol.params
-
-    def q(rr):
-        t = 1.0 - 1.0 / rr  # ln of the radius; ln(e/t) = 1/rr
-        u = traj.u_log(t)
-        # t^2 * lambda * f(u)/u, combined in one exponent
-        e = 2.0 * t + p.log_lambda + u * u + p.alpha * abs(u) ** p.beta
-        return math.exp(min(e, 700.0)) / rr ** 4
-
-    # seed the partition with 8 equal parts and the accepted steps, mapped
-    # to rr = 1/(1 - t)
-    bounds = [1.0 / (1.0 - t) for t in traj.log_step_bounds() if ln_lo < t < 0.0]
-    seeds = sorted(set(_thinned(bounds) + [a + j * (b - a) / 8 for j in range(1, 8)]))
-    integral = adaptive_quadrature(q, a, b, rel_tol=1e-8, breakpoints=seeds)
-    bound = 0.5 * math.sqrt((b - a) * integral) + 1.0
+    u_log = sol.trajectory.u_log
+    integral = _log_weighted_integral(sol, ln_lo, 0.0,
+                                      lambda t: (1.0 - t) ** 2 / u_log(t))
+    bound = 0.5 * math.sqrt((1.0 - 1.0 / (1.0 - ln_lo)) * integral) + 1.0
     return bound, zero_count < bound

@@ -8,8 +8,9 @@ reruns fails unless each row's two runs exit with its code and write the same
 CSV bytes and metadata ENTRIES, and each REFUSED run exits 2 and leaves no
 output directory.  report prints BASE's exit codes and ENTRIES that differ,
 each CSV's verdict (same, differs, new or gone) with its moved cells, and
-src/tmb's line count at BASE and here.  junit fails on a JUnit report with no
-test case, or with a failure or error of a test not named ALLOWED.
+each src/tmb module's line count and their total at BASE and here.  junit
+fails on a JUnit report with no test case, or with a failure or error of a
+test not named ALLOWED.
 """
 
 import csv
@@ -165,10 +166,19 @@ def report(out: Path, base: Path) -> int:
             print(verdict, name.replace("/1/", "/", 1))
             if verdict == "differs":
                 moved_cells(old, new)
-    lines = [sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "tmb").glob("*.py"))
-             for checkout in (base, ROOT)]
-    print(f"src/tmb lines: base {lines[0]}, head {lines[1]}")
+    line_counts(base, ROOT)
     return 0
+
+
+def line_counts(base: Path, head: Path) -> None:
+    """Print each src/tmb module's line count at base and head ("-" where it
+    is missing), then their totals."""
+    counts = [{p.name: p.read_bytes().count(b"\n") for p in (checkout / "src" / "tmb").glob("*.py")}
+              for checkout in (base, head)]
+    for name in sorted(counts[0].keys() | counts[1].keys()):
+        base_n, head_n = (lines.get(name, "-") for lines in counts)
+        print(f"src/tmb/{name} lines: base {base_n}, head {head_n}")
+    print(f"src/tmb lines: base {sum(counts[0].values())}, head {sum(counts[1].values())}")
 
 
 def junit(report: str, allowed: set) -> int:

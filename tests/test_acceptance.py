@@ -15,6 +15,7 @@ import pytest
 
 from tmb import ProblemParams
 from tmb.analysis import (
+    decompose,
     first_integral_residual,
     identity_residual,
     nehari_residual,
@@ -369,6 +370,58 @@ def test_weak_limit_third_domain_at_beta_one(alpha):
     assert gaps[0] > 0.0
     assert all(0.0 < b <= a / 4.0 for a, b in zip(gaps, gaps[1:])), gaps
     assert gaps[-1] <= 1e-3 * limit, gaps
+
+
+def _domain_dirichlet(sol):
+    """int u'^2 r dr over each nodal domain, innermost first (4 pi reads 2)."""
+    return [d.dirichlet for d in decompose(sol)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+def test_weak_limit_energy_at_beta_one(alpha, k):
+    """At beta = 1 the k-nodal branch's full Dirichlet energy tends to
+    4 pi + |grad u0|^2, u0 the (k-1)-nodal solution of amplitude alpha/2:
+    one bubble over the weak limit.  Bounds fixed before the first run: at
+    s = 1e3, 1e4, 1e5 the energy stays above that limit, the gap shrinks at
+    least 4x per decade and ends within 1e-3 of the limit (relative), and
+    at s = 1e5 only domain 1's int u'^2 r dr lies within 1e-3 of 2."""
+    p = ProblemParams(alpha, 1.0, 1.0)
+    u0 = solution_at(alpha / 2.0, k - 1, p)
+    limit = 4.0 * math.pi + 2.0 * math.pi * sum(_domain_dirichlet(u0))
+    domains = [_domain_dirichlet(solution_at(s, k, p)) for s in (1e3, 1e4, 1e5)]
+    gaps = [2.0 * math.pi * sum(d) - limit for d in domains]
+    assert gaps[0] > 0.0, gaps
+    assert all(0.0 < b <= a / 4.0 for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1e-3 * limit, gaps
+    assert [abs(d - 2.0) <= 1e-3 for d in domains[-1]] == [True] + [False] * k, domains[-1]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+def test_one_bubble_below_beta_one(alpha, k, beta):
+    """For beta < 1 the k-nodal branch carries one bubble over a vanishing
+    weak limit: domain 1 carries 4 pi, the other domains fade, and
+    lambda_k(s) rises toward j_{0,k}^2.  Bounds fixed before the first run,
+    at s = 1e3, 1e4, 1e5: domain 1's int u'^2 r dr ends within 1e-3 of 2;
+    every other domain's peak and energy fall each decade; the full
+    energy's distance from 4 pi shrinks each decade; lambda_k(s) rises each
+    decade and stays below j_{0,k}^2."""
+    p = ProblemParams(alpha, beta, 1.0)
+    sols = [solution_at(s, k, p) for s in (1e3, 1e4, 1e5)]
+    domains = [_domain_dirichlet(sol) for sol in sols]
+    assert abs(domains[-1][0] - 2.0) <= 1e-3, domains[-1]
+    for i in range(1, k + 1):
+        peaks = [sol.peak_values[i] for sol in sols]
+        energies = [d[i] for d in domains]
+        assert all(b < a for a, b in zip(peaks, peaks[1:])), (i, peaks)
+        assert all(b < a for a, b in zip(energies, energies[1:])), (i, energies)
+    excess = [abs(2.0 * math.pi * sum(d) - 4.0 * math.pi) for d in domains]
+    assert all(b < a for a, b in zip(excess, excess[1:])), excess
+    lams = [sol.params.lam for sol in sols]
+    assert all(a < b for a, b in zip(lams, lams[1:])), lams
+    assert lams[-1] < j0_zero(k).lambda_k, lams
 
 
 VERIFY_CONFIG = """\

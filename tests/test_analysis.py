@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath as mp
 import pytest
 
 from tmb.analysis import (
@@ -15,7 +16,7 @@ from tmb.analysis import (
 )
 from tmb.bessel import _j01, j0_zero
 from tmb.nonlinearity import ProblemParams
-from tmb.shooting import RadialSolution, nodal_solution
+from tmb.shooting import RadialSolution, nodal_solution, solution_at
 
 
 P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
@@ -161,6 +162,31 @@ class TestSturmBound:
     def test_requires_nodal(self, sol_mid):
         with pytest.raises(ValueError):
             sturm_bound_check(sol_mid)
+
+    @pytest.mark.parametrize("k, s, beta", [(1, 4.0, 1.2), (2, 5.0, 1.0), (2, 1e4, 0.5),
+                                            (3, 6.0, 1.3), (3, 1e5, 1.3)])
+    def test_integral_matches_liouville_form(self, k, s, beta):
+        """The integral behind the bound, read back from it, against
+        mpmath.quad of int_a^1 q(r) dr in the Liouville variable r itself:
+        q(r) = rho^2 (ln(e/rho))^4 lambda f(u)/u at the radius
+        rho = exp(1 - 1/r), with u from the dense trajectory."""
+        sol = solution_at(s, k, ProblemParams(1.0, beta, 1.0))
+        p, traj = sol.params, sol.trajectory
+        ln_lo = sol.log_nodal_radii[1] if k >= 2 else sol.log_nodal_radii[0]
+        a = 1.0 / (1.0 - ln_lo)
+
+        def q(r):
+            r = float(r)
+            t = 1.0 - 1.0 / r
+            u = traj.u_log(t)
+            return math.exp(2.0 * t + p.log_lambda + u * u + p.alpha * abs(u) ** p.beta) / r ** 4
+
+        steps = [1.0 / (1.0 - t) for t in traj.log_step_bounds() if ln_lo < t < 0.0]
+        expected = float(mp.quad(q, [a, *steps, 1.0]))
+        bound, holds = sturm_bound_check(sol)
+        assert (2.0 * (bound - 1.0)) ** 2 / (1.0 - a) == pytest.approx(expected, rel=1e-8)
+        zero_count = sum(1 for t in sol.log_nodal_radii if t > ln_lo)
+        assert holds == (zero_count < 0.5 * math.sqrt((1.0 - a) * expected) + 1.0)
 
     def test_transform_endpoint(self):
         # t = 1 maps to r = 1/(1 - ln 1) = 1: the outer endpoint is fixed

@@ -50,3 +50,19 @@ def test_junit_skip_passes(tmp_path):
 
 def test_junit_fails_without_test_cases(tmp_path):
     assert ci.junit(_report(tmp_path), ALLOWED) == 1
+
+
+def test_line_counts_per_module_and_total(tmp_path, capsys):
+    for checkout, modules in (("base", {"a.py": 3, "gone.py": 1}),
+                              ("head", {"a.py": 2, "new.py": 4})):
+        package = tmp_path / checkout / "src" / "tmb"
+        package.mkdir(parents=True)
+        for name, lines in modules.items():
+            (package / name).write_text("x = 1\n" * lines)
+    ci.line_counts(tmp_path / "base", tmp_path / "head")
+    assert capsys.readouterr().out.splitlines() == [
+        "src/tmb/a.py lines: base 3, head 2",
+        "src/tmb/gone.py lines: base 1, head -",
+        "src/tmb/new.py lines: base -, head 4",
+        "src/tmb lines: base 4, head 6",
+    ]
