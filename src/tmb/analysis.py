@@ -11,8 +11,9 @@ All four certificates read the trajectory's own forcing or channels, and
 no formula for f is restated here.  decompose and the Nehari identity read
 the augmented channels at the refined zeros (the potential as -q_flux/2);
 the peak identity, the first integral and the Sturm bound integrate the
-forcing source_log by one adaptive quadrature in log radius, where the
-concentrated mass is spread out.  A domain's sign, peak and radii are read
+forcing in log radius, where the concentrated mass is spread out: each
+covering step in its own frame-local x, one tolerance over all pieces
+(source_pieces, adaptive_quadrature).  A domain's sign, peak and radii are read
 from the RadialSolution that owns them.  Radii are read as log radii
 throughout: the inner radii of a deep solution underflow binary64.
 """
@@ -66,30 +67,21 @@ def energy_report(domains) -> float:
     return 0.5 * full - potential
 
 
-# cap on the initial partition taken from the accepted steps
-_MAX_SEED_INTERVALS = 256
-
-
-def _thinned(bounds) -> list:
-    """Every n-th step bound, n the least that keeps at most
-    _MAX_SEED_INTERVALS of them."""
-    return bounds[::-(-len(bounds) // _MAX_SEED_INTERVALS) or 1]
-
-
 def _log_weighted_integral(sol: RadialSolution, t_lo: float, t_hi: float,
                            weight) -> float:
     """int lambda*f(u(r)) * weight * r dr over ln r in (t_lo, t_hi), i.e.
     int sign(u) exp(E(t)) * weight(t) dt.  weight must be affine in t only
     when t_lo lies below the first step, where the analytic head is added.
 
-    The partition is seeded from the accepted steps: a concentrated bubble
-    is O(1) wide in t but may sit ~s^2/2 away from the far end, where a
-    uniform start would step over it.
+    Each covering step is one piece in its own frame-local x, one tolerance
+    over all pieces: a bubble O(1) wide in t may sit ~s^2/2 from the far
+    end, where t is rounded to ulp(s^2/2).  weight reads t = x + dt, to a
+    relative ulp(t)/|t|.
     """
     traj = sol.trajectory
-    lo = max(t_lo, traj.t_start)
-    val = adaptive_quadrature(lambda t: traj.source_log(t) * weight(t), lo, t_hi,
-                              rel_tol=1e-9, breakpoints=_thinned(traj.log_step_bounds()))
+    pieces = [(lambda x, g=g, dt=dt: g(x) * weight(x + dt), a, b)
+              for g, a, b, dt in traj.source_pieces(max(t_lo, traj.t_start), t_hi)]
+    val = adaptive_quadrature(pieces, rel_tol=1e-9)
     if t_lo < traj.t_start:
         # analytic head before the first step, where the source is
         # exp(E_start + 2(t - t_start)):  int_-inf^ts e^(2(t-ts)) w(t) dt

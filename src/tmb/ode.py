@@ -33,7 +33,9 @@ values it already holds, and the error test never weighs them.
 
 Three stretches, each in the variables that keep it accurate.  Every step
 is read through its own frame's map to the log-radius state, and keeps
-the right-hand side it stands for, which source_log asks for the forcing:
+the right-hand side it stands for, which its source asks for the forcing;
+the certificates integrate each covering step in its own frame-local x,
+one tolerance over all pieces (source_pieces):
 
 1. The first bubble.  The start t0 is where E = -40 (never later than
    r = 1e-6); there u = s to machine precision, so no series is needed.
@@ -87,7 +89,7 @@ is not smooth there (ibid., sec. II.6).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .errors import NoSignChangeError, StiffnessError, ZeroNotReachedError
 from .nonlinearity import ProblemParams
@@ -291,6 +293,11 @@ class _Step:
         return self.y0[i] + th * (r0[i] + om * (r1[i] + th * (r2[i] + om * (
             r3[i] + th * (r4[i] + om * (r5[i] + th * r6[i]))))))
 
+    def source(self, x) -> float:
+        """rhs's forcing sign(u)*exp(E) at x, on the interpolated u (or D)
+        alone; 0.0 on the flight, whose forcing the integrator drops."""
+        return self.rhs(x, (self.value(x, 0), 0.0, 0.0, 0.0, 0.0, 0.0))[5]
+
     def at(self, t):
         """Log-radius state (_NCOMP components) at internal log radius t."""
         x = t - self.frame.t0
@@ -443,6 +450,8 @@ class Trajectory:
       u_log, ru_log, eval_log, source_log: dense evaluation, by log radius
         only, up to the last step's end (ValueError past it); source_log
         asks each step's own right-hand side;
+      source_pieces: that forcing as each covering step in its own
+        frame-local x, for one tolerance over all pieces;
       log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel;
         kept by shifted).
     """
@@ -459,11 +468,12 @@ class Trajectory:
         self._end = steps[-1].t1 - shift
         self.log_slope = log_slope
 
-    def _step_for(self, t):
+    def _index(self, t) -> int:
+        """Index of the step covering log radius t."""
         if t > self._end:  # no step covers it: the interpolant would extrapolate
             raise ValueError(f"log radius {t!r} lies past the last step, {self._end!r}")
         # searched from the second start: the first step also answers below t_start
-        return self.steps[bisect_right(self._starts, t, 1) - 1]
+        return bisect_right(self._starts, t, 1) - 1
 
     def eval_log(self, t: float):
         """(u, r*u', e_dir, e_neh, q_flux, e_src) at log radius t."""
@@ -471,7 +481,7 @@ class Trajectory:
             frame = self.steps[0].frame
             tau = t + self._shift - frame.t0
             return frame.state(tau, frame.head(tau))
-        return self._step_for(t).at(t + self._shift)
+        return self.steps[self._index(t)].at(t + self._shift)
 
     def u_log(self, t: float) -> float:
         return self.eval_log(t)[0]
@@ -482,16 +492,19 @@ class Trajectory:
 
     def source_log(self, t: float) -> float:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start: the
-        forcing of the covering step's own right-hand side, on its u (or D)
-        alone; 0.0 on the flight, whose forcing the integrator drops."""
-        st = self._step_for(t)
-        # E is read in the log radius it was integrated in, in the step's frame
-        x = t + self._shift - st.frame.t0
-        return st.rhs(x, (st.value(x, 0), 0.0, 0.0, 0.0, 0.0, 0.0))[5]
+        covering step's source, in the step's frame."""
+        st = self.steps[self._index(t)]
+        return st.source(t + self._shift - st.frame.t0)
 
-    def log_step_bounds(self) -> list:
-        """Log radii of the accepted step boundaries, increasing."""
-        return self._starts + [self._end]
+    def source_pieces(self, t_lo: float, t_hi: float) -> list:
+        """Each step covering [t_lo, t_hi] (t_lo >= t_start) in its own
+        frame-local x, as a piece (g, x_lo, x_hi, dt): its source g on
+        [x_lo, x_hi], at log radius t = x + dt.  Read in t, a node near the
+        first bubble (t ~ -s^2/2) would be rounded to ulp(t)."""
+        self._index(t_hi)  # raises past the last step; one starting on t_hi is left out
+        return [(st.source, max(st.x0, t_lo - dt), min(st.x1, t_hi - dt), dt)
+                for st in self.steps[self._index(t_lo):bisect_left(self._starts, t_hi, 1)]
+                for dt in (st.frame.t0 - self._shift,)]
 
     def shifted(self, dt: float) -> "Trajectory":
         """Dilated trajectory x -> u(exp(dt)*x), which solves the equation

@@ -29,7 +29,7 @@ def primitive_F(t, p):
     def integrand(s):
         return s * math.exp(s * s + alpha * s ** beta)
 
-    return adaptive_quadrature(integrand, 0.0, abs(t), rel_tol=1e-10)
+    return adaptive_quadrature([(integrand, 0.0, abs(t))], rel_tol=1e-10)
 
 
 @pytest.fixture(scope="session")

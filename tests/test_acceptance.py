@@ -126,7 +126,7 @@ def test_criterion_3_exact_identities():
     for sol in accepted:
         if nehari_residual(sol) > 1e-8:
             failures.append(("nehari", sol.params))
-        if max(identity_residual(sol, i) for i in range(1, sol.k + 2)) > 1e-6:
+        if max(identity_residual(sol, i) for i in range(1, sol.k + 2)) > 1e-12:
             failures.append(("identity", sol.params))
         if first_integral_residual(sol) > 1e-8:
             failures.append(("first-integral", sol.params))

@@ -1,6 +1,7 @@
 """Nodal decomposition, energies, and the exact-identity residuals."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -10,16 +11,20 @@ from tmb.analysis import (
     boundary_flux,
     decompose,
     energy_report,
+    first_integral_residual,
     identity_residual,
     nehari_residual,
     sturm_bound_check,
 )
 from tmb.bessel import _j01, j0_zero
+from tmb.cli import parse_config
+from tmb.families import run_family
 from tmb.nonlinearity import ProblemParams
 from tmb.shooting import RadialSolution, nodal_solution, solution_at
 
 
 P12 = ProblemParams(alpha=1.0, beta=1.2, lam=1.0)
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 class TestDecompose:
@@ -67,12 +72,20 @@ class TestPeakIdentity:
     def test_accepted_solutions(self, sol_mid, sol_deep, sol_k1):
         for sol in (sol_mid, sol_deep, sol_k1):
             for i in range(1, sol.k + 2):
-                assert identity_residual(sol, i) <= 1e-6
+                assert identity_residual(sol, i) <= 1e-12
 
     def test_outer_only_for_first_domain(self, sol_mid):
         # i=1 evaluates just the outer identity; the call must succeed with
         # rho_1 = 0 as the lower endpoint
-        assert identity_residual(sol_mid, 1) <= 1e-6
+        assert identity_residual(sol_mid, 1) <= 1e-12
+
+    def test_deep_two_bubble_member(self):
+        # two_bubble_deep's lambda = 1e-4 member: its first bubble sits near
+        # t = -s^2/2 = -6.7e8, where ulp(t) is 1.2e-7; read in each step's
+        # frame-local x, the quadrature does not round its nodes to that
+        sol = solution_at(36549.716006567985, 1, ProblemParams(1.0, 1.3, 1e-4))
+        assert max(identity_residual(sol, i) for i in (1, 2)) <= 1e-11
+        assert first_integral_residual(sol) <= 1e-11
 
     def test_perturbation_sensitivity(self, sol_mid):
         # scaling u by 1.01 breaks the identity well past 1e-3; evaluated
@@ -181,13 +194,49 @@ class TestSturmBound:
             u = traj.u_log(t)
             return math.exp(2.0 * t + p.log_lambda + u * u + p.alpha * abs(u) ** p.beta) / r ** 4
 
-        steps = [1.0 / (1.0 - t) for t in traj.log_step_bounds() if ln_lo < t < 0.0]
+        ends = [b + dt for _, _, b, dt in traj.source_pieces(ln_lo, 0.0)][:-1]
+        steps = [1.0 / (1.0 - t) for t in ends]
         expected = float(mp.quad(q, [a, *steps, 1.0]))
         bound, holds = sturm_bound_check(sol)
         assert (2.0 * (bound - 1.0)) ** 2 / (1.0 - a) == pytest.approx(expected, rel=1e-8)
         zero_count = sum(1 for t in sol.log_nodal_radii if t > ln_lo)
         assert holds == (zero_count < 0.5 * math.sqrt((1.0 - a) * expected) + 1.0)
 
+    @pytest.mark.parametrize("s", [6.0, 1e5])
+    def test_integral_to_rounding_in_log_radius(self, s):
+        """The integral behind the bound at k = 3, alpha = 1, beta = 1.3,
+        read back from it, against mpmath.quad of lambda f(u)/u *
+        r^2 (1 - ln r)^2 in log radius, split at every step end."""
+        sol = solution_at(s, 3, ProblemParams(1.0, 1.3, 1.0))
+        p, traj = sol.params, sol.trajectory
+        ln_lo = sol.log_nodal_radii[1]
+
+        def g(t):
+            t = float(t)
+            u = traj.u_log(t)
+            return math.exp(2.0 * t + p.log_lambda + u * u
+                            + p.alpha * abs(u) ** p.beta) * (1.0 - t) ** 2
+
+        ends = [b + dt for _, _, b, dt in traj.source_pieces(ln_lo, 0.0)][:-1]
+        expected = float(mp.quad(g, [ln_lo, *ends, 0.0]))
+        bound, _ = sturm_bound_check(sol)
+        integral = (2.0 * (bound - 1.0)) ** 2 / (1.0 - 1.0 / (1.0 - ln_lo))
+        assert integral == pytest.approx(expected, rel=1e-12)
+
     def test_transform_endpoint(self):
         # t = 1 maps to r = 1/(1 - ln 1) = 1: the outer endpoint is fixed
         assert 1.0 / (1.0 - math.log(1.0)) == 1.0
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda path: path.stem)
+def test_pohozaev_identity_at_every_zero(preset):
+    """Multiplying (r u')' = -lambda r f(u) by r u' gives d/dr (r u')^2/2 =
+    -lambda r^2 f(u) u', so at every nodal radius (r u')^2/2 = -q_flux: the
+    channel energy_report's potential reads, on every member of a preset."""
+    spec = parse_config(preset, "verify").family
+    records, _ = run_family(spec)
+    for n, rec in records.items():
+        sol = solution_at(rec.amplitude, spec.k, spec.members[n])
+        for t in sol.log_nodal_radii:
+            _, ru, _, _, q_flux, _ = sol.trajectory.eval_log(t)
+            assert abs(0.5 * ru * ru + q_flux) <= 1e-12 * 0.5 * ru * ru

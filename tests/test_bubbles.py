@@ -61,8 +61,8 @@ class TestLiouvilleReference:
 
     def test_mass_is_four(self):
         val = adaptive_quadrature(
-            lambda r: math.exp(liouville_reference(r, 1.0, 1.0)[0]) * r,
-            0.0, 1e5, rel_tol=1e-10)
+            [(lambda r: math.exp(liouville_reference(r, 1.0, 1.0)[0]) * r, 0.0, 1e5)],
+            rel_tol=1e-10)
         # tail beyond R: 32/(8+R^2)
         assert val == pytest.approx(4.0, abs=1e-8)
 

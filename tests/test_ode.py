@@ -95,8 +95,7 @@ class TestFirstIntegral:
             assert t < traj.log_zeros[0][0]
             ts = traj.t_start
             quad = adaptive_quadrature(
-                traj.source_log, ts, t, rel_tol=1e-12,
-                breakpoints=[b for b in traj.log_step_bounds() if b < t])
+                [(g, a, b) for g, a, b, _ in traj.source_pieces(ts, t)], rel_tol=1e-12)
             quad += 0.5 * traj.source_log(ts)
             ru = traj.ru_log(t)
             assert (abs(quad + ru) > 1e-8 * abs(ru)) == fails
@@ -291,7 +290,7 @@ class TestForcing:
         # is polished to a log radius where u reads exactly 0.0
         traj = integrate_radial(30.0, ProblemParams(1.0, 1.3, 1.0), 2)
         t = traj.log_zeros[0][0]
-        assert traj._step_for(t).frame is ode._IDENTITY and traj.u_log(t) == 0.0
+        assert traj.steps[traj._index(t)].frame is ode._IDENTITY and traj.u_log(t) == 0.0
         assert traj.source_log(t) == 0.0
 
     def test_source_log_is_each_steps_own_forcing(self):
@@ -362,7 +361,8 @@ class TestAugmentedChannels:
         lo = traj.t_start
         pot = 0.5 * g(lo)  # analytic head before the first step: u = s there
         for dom, hi in zip(decompose(sol), sol.log_nodal_radii):
-            pot += adaptive_quadrature(g, lo, hi, breakpoints=traj.log_step_bounds())
+            pot += adaptive_quadrature([(lambda x, dt=dt: g(x + dt), a, b)
+                                        for _, a, b, dt in traj.source_pieces(lo, hi)])
             assert dom.potential > 0.0
             assert abs(pot - dom.potential) <= 1e-10 * dom.potential
             lo, pot = hi, 0.0
@@ -502,8 +502,9 @@ class TestStopsAndErrors:
         # family (last step ending at r = 1.00245), r*u' at r = 2 read +0.594
         # where a longer integration gives -0.285
         traj = integrate_radial(2.0, P12, 1)
-        for tr in (traj, traj.shifted(traj.log_zeros[0][0])):
-            end = tr.log_step_bounds()[-1]
+        dt = traj.log_zeros[0][0]
+        for tr, shift in ((traj, 0.0), (traj.shifted(dt), dt)):
+            end = tr.steps[-1].t1 - shift
             assert math.isfinite(tr.u_log(end))
             for read in (tr.u_log, tr.ru_log, tr.source_log):
                 with pytest.raises(ValueError, match="past the last step"):

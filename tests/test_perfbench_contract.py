@@ -21,7 +21,7 @@ def test_entry_points_bound():
     # The reference primitive F and its quadrature left the package for the
     # tests, so the tracer's two entries for them bind nothing; their layers
     # read 0 calls, as they did before.  The benchmark change that drops
-    # these two entries (ROADMAP item 1) returns this list to [].
+    # these two entries (ROADMAP item 14) returns this list to [].
     assert unbound == ["tmb.ode.primitive_F", "tmb.nonlinearity.adaptive_quadrature"]
 
 
