@@ -2,10 +2,11 @@
 
 Every check here is an exact identity or bound for exact solutions: the
 per-domain Nehari identity (dirichlet == nehari), the log-weighted peak
-identity, the first integral r*u'(r) = -int_0^r lambda f(u) s ds at the
-nodal radii, and a Sturm-type bound on the zero count after a Liouville
-change of variables.  solutions.csv carries the whole-disk Nehari and the
-largest peak-identity residual; only the tests run the others.
+identity, the first integral r*u'(r) = -int_rho^r lambda f(u) s ds from
+each domain's peak rho, where r u' vanishes, and a Sturm-type bound on the
+zero count after a Liouville change of variables.  solutions.csv carries
+the whole-disk Nehari and the largest peak-identity residual; only the
+tests run the others.
 
 All four certificates read the trajectory's own forcing or channels, and
 no formula for f is restated here.  decompose and the Nehari identity read
@@ -112,10 +113,12 @@ def identity_residual(sol: RadialSolution, i: int) -> float:
 
 
 def first_integral_residual(sol: RadialSolution) -> float:
-    """max over the nodal radii of |int_0^{r_i} lambda f(u) s ds + r_i u'(r_i)|
-    / |r_i u'(r_i)|, by quadrature: every step conserves r*u' + e_src exactly."""
-    return max(abs(_log_weighted_integral(sol, -math.inf, t, lambda _: 1.0) + ru)
-               / abs(ru) for t, ru in zip(sol.log_nodal_radii, sol.boundary_ru))
+    """max over the domains of |int_{rho_i}^{r_i} lambda f(u) s ds + r_i u'(r_i)|
+    / |r_i u'(r_i)|, by quadrature from each peak rho_i (rho_1 = 0), where r u'
+    vanishes; the inner halves (r_{i-1}, rho_i) are left to the peak identity."""
+    return max(abs(_log_weighted_integral(sol, t_rho, t, lambda _: 1.0) + ru) / abs(ru)
+               for t_rho, t, ru in zip(sol.log_peak_radii, sol.log_nodal_radii,
+                                       sol.boundary_ru))
 
 
 def boundary_flux(sol: RadialSolution, i: int) -> float:

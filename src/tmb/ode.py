@@ -60,16 +60,16 @@ one tolerance over all pieces (source_pieces):
    on; it is formed in closed form with the s^2/2 terms cancelled exactly,
    where stepping across the flight would cost about s^2*2^-53 in its log
    radius.  Dropping the forcing moves that zero by about s^3*exp(-60)/4
-   (2e-12 at s = 1e5).
+   (2e-12 at s = 1e5), this drop alone: ln(lambda)'s error grows ~s^2 (S_MAX).
 3. The rest, in absolute t (the identity frame), from the landing (or
    from u < s/2 when E is never quiet).  Where it is awake the error test
    weighs u by dE/du, so that later bubbles keep E, not just u, to rel_tol.
 
 After a large amplitude the radii underflow: the first bubble sits near
 r ~ exp(-s^2/2).  Radii are therefore stored as log radii everywhere, and
-Trajectory answers only by log radius (u_log, ru_log, eval_log,
-source_log).  Radii and slopes are formed only where they are printed,
-by the records' properties (shooting.LogRadii).
+Trajectory answers only by log radius (u_log, eval_log, source_log).
+Radii and slopes are formed only where they are printed, by the records'
+properties (shooting.LogRadii).
 
 Integrator: DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and
 Prince (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10), with its
@@ -447,7 +447,7 @@ class Trajectory:
       steps: the accepted _Steps, in the log radius they were integrated
         in (before any dilation by shifted); each carries frame-local x
         and y, so read it through t0, t1, at() and end();
-      u_log, ru_log, eval_log, source_log: dense evaluation, by log radius
+      u_log, eval_log, source_log: dense evaluation, by log radius
         only, up to the last step's end (ValueError past it); source_log
         asks each step's own right-hand side;
       source_pieces: that forcing as each covering step in its own
@@ -485,10 +485,6 @@ class Trajectory:
 
     def u_log(self, t: float) -> float:
         return self.eval_log(t)[0]
-
-    def ru_log(self, t: float) -> float:
-        """r*u'(r) at r = exp(t)."""
-        return self.eval_log(t)[1]
 
     def source_log(self, t: float) -> float:
         """lambda*f(u)*r^2 = sign(u)*exp(E) at log radius t >= t_start: the

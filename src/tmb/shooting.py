@@ -35,11 +35,11 @@ DEFAULT_S_MIN = 1e-6
 # amplitude_budget is its one reader, and keeps a further _BUDGET_MARGIN.
 OVERFLOW_BUDGET = 700.0
 _BUDGET_MARGIN = 0.5
-# Amplitude ceiling of every search.  After the first bubble the
-# integrator drops a forcing below exp(-60) over a flight of length ~s^2/2,
-# which moves the next zero by about s^3*exp(-60)/4 in log radius: 2e-12
-# at s = 1e5, but 2e-9 at s = 1e6, past the 1e-10 tolerance the brackets
-# are polished to.
+# Amplitude ceiling of every search.  The flight drops a forcing below
+# exp(-60) over ~s^2/2 in log radius, moving the next zero by about
+# s^3*exp(-60)/4: 2e-12 at s = 1e5.  That bounds the dropped forcing only;
+# ln(lambda)'s measured error grows like s^2: 4.27e-11 at s = 1e3 (k = 0,
+# beta = 1.2) and 9.25e-9 at s = 1e4 (k = 1, beta = 1.8), past 1e-10.
 S_MAX = 1e5
 
 # Relaxed tolerances of the trace and Newton's first steps; abs_tol is relative

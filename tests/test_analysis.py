@@ -20,6 +20,7 @@ from tmb.bessel import _j01, j0_zero
 from tmb.cli import parse_config
 from tmb.families import run_family
 from tmb.nonlinearity import ProblemParams
+from tmb.quadrature import adaptive_quadrature
 from tmb.shooting import RadialSolution, nodal_solution, solution_at
 
 
@@ -138,6 +139,31 @@ class TestBoundaryFlux:
         t1 = j0_zero(1).t_k
         expected = mu * mu * t1 * abs(_j01(t1)[1])
         assert boundary_flux(sol, 1) == pytest.approx(expected, rel=1e-2)
+
+
+class TestFirstIntegral:
+    def test_each_step_read_at_most_once(self, monkeypatch):
+        """One call hands each step to the quadrature at most once, give or
+        take one piece per domain: read from the origin to every zero, the
+        k = 3 member's first domain was read four times."""
+        k = 3
+        sol = solution_at(6.0, k, ProblemParams(1.0, 1.3, 1.0))
+        handed = []
+
+        def counting(pieces, **kwargs):
+            handed.append(len(pieces))
+            return adaptive_quadrature(pieces, **kwargs)
+
+        monkeypatch.setattr("tmb.analysis.adaptive_quadrature", counting)
+        first_integral_residual(sol)
+        assert sum(handed) <= len(sol.trajectory.steps) + k + 1
+
+    @pytest.mark.parametrize("k, beta, s", [(3, 1.3, 1e5), (3, 1.3, 6.0), (2, 1.0, 1e5)])
+    def test_residual_to_rounding(self, k, beta, s):
+        # bound written before the first run; they read 3.9e-13, 2.7e-13
+        # and 1.6e-14
+        sol = solution_at(s, k, ProblemParams(1.0, beta, 1.0))
+        assert first_integral_residual(sol) <= 1e-12
 
 
 class TestNehariResidual:

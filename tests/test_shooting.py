@@ -447,7 +447,7 @@ class TestNodalSolution:
         p = sol_mid.params
 
         def du(r):
-            return traj.ru_log(math.log(r)) / r
+            return traj.eval_log(math.log(r))[1] / r
 
         h = 1e-4
         for r in (0.3, 0.55, 0.8):
