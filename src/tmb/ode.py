@@ -27,9 +27,11 @@ State vector (6 components, log-radius form):
              no certificate reads it (each step conserves r*u' + e_src), but
              the error test weighs it, and dropping it would move every root
 
-A sensitivity channel, two more states that carry d/ds, may follow these
-six: each stepped stretch's right-hand side appends their derivatives from the
-values it already holds, and the error test never weighs them.
+A sensitivity channel, two more states that carry d/ds, follows these six
+in every integration: each stepped stretch's right-hand side appends their
+derivatives from the values it already holds, and the error test never
+weighs them.  No right-hand side reads the four energy channels (they are
+quadratures), so stages are formed only for the components _DYN names.
 
 Three stretches, each in the variables that keep it accurate.  Every step
 is read through its own frame's map to the log-radius state, and keeps
@@ -172,6 +174,7 @@ _D = (
 
 _NCOMP = 6
 _RANGE = tuple(range(_NCOMP))
+_DYN = (0, 1, _NCOMP, _NCOMP + 1)  # what a right-hand side reads: u, u_t, channel
 _EPS = 2.220446049250313e-16
 _MIN_STEP = 4.0 * _EPS  # relative to max(1, |x|)
 _ULP64 = 64.0 * _EPS    # finest relative error scale the error test asks for
@@ -209,9 +212,9 @@ _LAND_MARGIN = 0.1    # the step with the stop zero ends this far past it
 MIN_AMPLITUDE = 1e-144
 # Runaway caps: a step whose end passes MAX_RADIUS, or whose number passes
 # MAX_STEPS, is not kept, even with the stop zero: ZeroNotReachedError.  A
-# kept step holds ~2.9 kB with the sensitivity channel, so MAX_STEPS binds
-# below 0.5 GiB, at 48x the most steps a preset, benchmark workload or test
-# takes (3,126: k = 1, beta = 1.3, s = 1e5).
+# kept step holds ~2.9 kB, so MAX_STEPS binds below 0.5 GiB, at 48x the most
+# steps a preset, benchmark workload or test takes (3,126: k = 1, beta = 1.3,
+# s = 1e5).
 MAX_RADIUS = 1e6
 MAX_STEPS = 150_000
 
@@ -296,7 +299,7 @@ class _Step:
     def source(self, x) -> float:
         """rhs's forcing sign(u)*exp(E) at x, on the interpolated u (or D)
         alone; 0.0 on the flight, whose forcing the integrator drops."""
-        return self.rhs(x, (self.value(x, 0), 0.0, 0.0, 0.0, 0.0, 0.0))[5]
+        return self.rhs(x, (self.value(x, 0), 0.0))[5]
 
     def at(self, t):
         """Log-radius state (_NCOMP components) at internal log radius t."""
@@ -315,15 +318,15 @@ def _dense_rows(rhs, x, h, y, y1, ks):
     k14 = rhs(x + _C14 * h, [
         y[j] + h * (_A141 * k1[j] + _A147 * k7[j] + _A148 * k8[j]
                     + _A149 * k9[j] + _A1410 * k10[j] + _A1411 * k11[j]
-                    + _A1412 * k12[j] + _A1413 * k13[j]) for j in rng])
+                    + _A1412 * k12[j] + _A1413 * k13[j]) for j in _DYN])
     k15 = rhs(x + _C15 * h, [
         y[j] + h * (_A151 * k1[j] + _A156 * k6[j] + _A157 * k7[j]
                     + _A158 * k8[j] + _A1511 * k11[j] + _A1512 * k12[j]
-                    + _A1513 * k13[j] + _A1514 * k14[j]) for j in rng])
+                    + _A1513 * k13[j] + _A1514 * k14[j]) for j in _DYN])
     k16 = rhs(x + _C16 * h, [
         y[j] + h * (_A161 * k1[j] + _A166 * k6[j] + _A167 * k7[j]
                     + _A168 * k8[j] + _A169 * k9[j] + _A1613 * k13[j]
-                    + _A1614 * k14[j] + _A1615 * k15[j]) for j in rng])
+                    + _A1614 * k14[j] + _A1615 * k15[j]) for j in _DYN])
     dy = tuple(y1[j] - y[j] for j in rng)
     bspl = tuple(h * k1[j] - dy[j] for j in rng)
     return (dy, bspl, tuple(dy[j] - h * k13[j] - bspl[j] for j in rng)) + tuple(
@@ -452,12 +455,12 @@ class Trajectory:
         asks each step's own right-hand side;
       source_pieces: that forcing as each covering step in its own
         frame-local x, for one tolerance over all pieces;
-      log_slope: d ln(lambda)/d ln(s) at the stop zero (sensitivity channel;
-        kept by shifted).
+      log_slope: d ln(lambda)/d ln(s) at the stop zero (the channel; kept
+        by shifted).
     """
 
     def __init__(self, steps: list, log_zeros: list, log_peaks: list,
-                 shift: float = 0.0, log_slope: float | None = None):
+                 log_slope: float, shift: float = 0.0):
         self.initial_amplitude = steps[0].frame.s
         self.t_start = steps[0].frame.t0 - shift
         self.steps = steps  # internal log radius = external + shift
@@ -510,8 +513,8 @@ class Trajectory:
         and d ln(lambda)/d ln(s) are dilation invariants.
         """
         return Trajectory(self.steps, [(t - dt, ru) for t, ru in self.log_zeros],
-                          [(t - dt, a) for t, a in self.log_peaks],
-                          shift=self._shift + dt, log_slope=self.log_slope)
+                          [(t - dt, a) for t, a in self.log_peaks], self.log_slope,
+                          shift=self._shift + dt)
 
 
 def _two_sum(a, b):
@@ -550,6 +553,9 @@ def _line_search(f, lo, hi):
 def _march(rhs, frame, x, y, h, scale, on_step):
     """DOP853 steps from (x, y), in frame's x, until on_step(step) returns True.
 
+    y carries the channel after _NCOMP components; rhs(x, v) reads only v,
+    the components _DYN names, and returns the derivatives of all of y, so
+    each step is bit-identical to one that forms its stages in full.
     scale(x, y, x1, y1) gives the error scale of the first _NCOMP components
     (no others are tested) for a trial step.  Each component's error is
     Hairer's combined estimate err5^2/sqrt(err5^2 + 0.01 err3^2) from the
@@ -562,7 +568,7 @@ def _march(rhs, frame, x, y, h, scale, on_step):
     Returns (last accepted step, next step size).
     """
     rng = tuple(range(len(y)))
-    k1 = rhs(x, y)
+    k1 = rhs(x, [y[j] for j in _DYN])
     x_land = None
     while True:
         if x_land is not None:
@@ -571,38 +577,38 @@ def _march(rhs, frame, x, y, h, scale, on_step):
             raise StiffnessError(math.exp(frame.t0 + x), h)
 
         # stages (unrolled linear combinations; this is the hot loop)
-        k2 = rhs(x + _C2 * h, [y[j] + h * _A21 * k1[j] for j in rng])
+        k2 = rhs(x + _C2 * h, [y[j] + h * _A21 * k1[j] for j in _DYN])
         k3 = rhs(x + _C3 * h, [
-            y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in rng])
+            y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in _DYN])
         k4 = rhs(x + _C4 * h, [
-            y[j] + h * (_A41 * k1[j] + _A43 * k3[j]) for j in rng])
+            y[j] + h * (_A41 * k1[j] + _A43 * k3[j]) for j in _DYN])
         k5 = rhs(x + _C5 * h, [
-            y[j] + h * (_A51 * k1[j] + _A53 * k3[j] + _A54 * k4[j]) for j in rng])
+            y[j] + h * (_A51 * k1[j] + _A53 * k3[j] + _A54 * k4[j]) for j in _DYN])
         k6 = rhs(x + _C6 * h, [
-            y[j] + h * (_A61 * k1[j] + _A64 * k4[j] + _A65 * k5[j]) for j in rng])
+            y[j] + h * (_A61 * k1[j] + _A64 * k4[j] + _A65 * k5[j]) for j in _DYN])
         k7 = rhs(x + _C7 * h, [
             y[j] + h * (_A71 * k1[j] + _A74 * k4[j] + _A75 * k5[j] + _A76 * k6[j])
-            for j in rng])
+            for j in _DYN])
         k8 = rhs(x + _C8 * h, [
             y[j] + h * (_A81 * k1[j] + _A84 * k4[j] + _A85 * k5[j] + _A86 * k6[j]
-                        + _A87 * k7[j]) for j in rng])
+                        + _A87 * k7[j]) for j in _DYN])
         k9 = rhs(x + _C9 * h, [
             y[j] + h * (_A91 * k1[j] + _A94 * k4[j] + _A95 * k5[j] + _A96 * k6[j]
-                        + _A97 * k7[j] + _A98 * k8[j]) for j in rng])
+                        + _A97 * k7[j] + _A98 * k8[j]) for j in _DYN])
         k10 = rhs(x + _C10 * h, [
             y[j] + h * (_A101 * k1[j] + _A104 * k4[j] + _A105 * k5[j]
                         + _A106 * k6[j] + _A107 * k7[j] + _A108 * k8[j]
-                        + _A109 * k9[j]) for j in rng])
+                        + _A109 * k9[j]) for j in _DYN])
         k11 = rhs(x + _C11 * h, [
             y[j] + h * (_A111 * k1[j] + _A114 * k4[j] + _A115 * k5[j]
                         + _A116 * k6[j] + _A117 * k7[j] + _A118 * k8[j]
-                        + _A119 * k9[j] + _A1110 * k10[j]) for j in rng])
+                        + _A119 * k9[j] + _A1110 * k10[j]) for j in _DYN])
         x1 = x_land if x_land is not None else x + h
         k12 = rhs(x1, [
             y[j] + h * (_A121 * k1[j] + _A124 * k4[j] + _A125 * k5[j]
                         + _A126 * k6[j] + _A127 * k7[j] + _A128 * k8[j]
                         + _A129 * k9[j] + _A1210 * k10[j] + _A1211 * k11[j])
-            for j in rng])
+            for j in _DYN])
         bk = [_B1 * k1[j] + _B6 * k6[j] + _B7 * k7[j] + _B8 * k8[j]
               + _B9 * k9[j] + _B10 * k10[j] + _B11 * k11[j] + _B12 * k12[j]
               for j in rng]
@@ -622,7 +628,7 @@ def _march(rhs, frame, x, y, h, scale, on_step):
             if not q <= err:  # also catches NaN from a wild trial stage
                 err = q if q == q else math.inf
         if err <= 1.0:
-            k13 = rhs(x1, y1)  # FSAL stage
+            k13 = rhs(x1, [y1[j] for j in _DYN])  # FSAL stage
             step = _Step(frame, x, h, x1, y, y1, rhs,
                          (k1, k6, k7, k8, k9, k10, k11, k12, k13))
             stop = on_step(step)
@@ -645,15 +651,13 @@ def _march(rhs, frame, x, y, h, scale, on_step):
 
 
 def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
-                     settings: SolverSettings | None = None,
-                     sensitivity: bool = False) -> Trajectory:
+                     settings: SolverSettings | None = None) -> Trajectory:
     """Integrate at lambda = 1 from u(0) = s > 0 to the n_zeros-th zero of u.
 
-    sensitivity=True adds a channel of two states, never error tested (steps
-    and zeros stay bit-identical), that carries d/ds: (V, V') = d(D, D')/ds
-    at fixed tau in the frame, the closed-form t_z' across the flight and
-    (w, w_t) in t; at the stop zero t_n it sets log_slope = -2s w/u_t.
-    Each stretch's one right-hand side appends the channel's derivatives.
+    The channel, two states never error tested, carries d/ds: (V, V') =
+    d(D, D')/ds at fixed tau in the frame, the closed-form t_z' across the
+    flight and (w, w_t) in t; at the stop zero t_n it gives log_slope =
+    -2s w/u_t.  Each stretch's one right-hand side appends its derivatives.
     The error test's absolute tolerance is abs_tol*min(1, s) (SolverSettings).
     Raises ValueError unless MIN_AMPLITUDE <= s < inf, or for p.lam != 1;
     ZeroNotReachedError when a step's end passes MAX_RADIUS or the step
@@ -733,16 +737,16 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         g = exp(e if e < _E_CLIP else _E_CLIP)
         ut = (y[1] - 4.0 * q) * inv_k
         dpp = -8.0 * q * omq * expm1(dr if dr < _E_CLIP else _E_CLIP)
-        if len(y) == _NCOMP:
+        if len(y) == 2:  # (D, D') alone: source's forcing read
             return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g)
         # the channel: V'' = d/ds (Z_L'' expm1(D + R)) at fixed tau, where
         # d/ds Z_L'' = Z_L'' (1 - 2q) phi_s and Z_L'' expm1(D + R) = D''
-        d_s = (y[6] - 2.0 * q * phi_s) * inv_k - d * kp
+        d_s = (y[2] - 2.0 * q * phi_s) * inv_k - d * kp
         x_s = (d_s - x) * inv_s
-        v_r = (y[6] + 2.0 * d * d_s  # V + R_s
+        v_r = (y[2] + 2.0 * d * d_s  # V + R_s
                + (beta * asb * expm1((beta - 1.0) * lx) - x / (1.0 + x)) * x_s
                + beta * asb * inv_s * rb)
-        return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g, y[7],
+        return (y[1], dpp, ut * ut, (s + d) * g, g * ut, g, y[3],
                 dpp * ((omq - q) * phi_s + v_r) - 8.0 * q * omq * v_r)
 
     # D and D' enter u = s + Z/K through 1/K; past the bubble D' also sets
@@ -773,18 +777,16 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         return tuple(a_bubble[j] + rel * max(abs(y[j]), abs(y1[j]))
                      for j in _RANGE)
 
-    step, h = _march(rhs_bubble, frame, 0.0,
-                     frame.head(0.0) + ((0.0, 0.0) if sensitivity else ()), 0.1,
+    step, h = _march(rhs_bubble, frame, 0.0, frame.head(0.0) + (0.0, 0.0), 0.1,
                      scale_bubble, on_bubble_step)
     t_hand, h, yf = step.t1, min(h, 1.0), step.y1
-    y = step.end()
     z_l, q, omq = _liouville(ln_a + 2.0 * step.x1)
-    if sensitivity:  # (w, w_t) from u = s + (Z_L + D)/K; D'' is the FSAL stage's
-        zh_s, c_s = yf[6] - 2.0 * q * phi_s, yf[7] - 4.0 * q * omq * phi_s
-        kut = yf[1] - 4.0 * q  # K u_t
-        y += (1.0 + (zh_s - t0_s * kut - (z_l + yf[0]) * kp) * inv_k,
-              (c_s - kut * kp - t0_s * (step._ks[8][1] - 8.0 * q * omq))
-              * inv_k)
+    # (w, w_t) from u = s + (Z_L + D)/K; D'' is the FSAL stage's
+    zh_s, c_s = yf[6] - 2.0 * q * phi_s, yf[7] - 4.0 * q * omq * phi_s
+    kut = yf[1] - 4.0 * q  # K u_t
+    y = step.end() + (1.0 + (zh_s - t0_s * kut - (z_l + yf[0]) * kp) * inv_k,
+                      (c_s - kut * kp - t0_s * (step._ks[8][1] - 8.0 * q * omq))
+                      * inv_k)
 
     # ---- stretch 2: free flight while E < E_QUIET ---------------------------
     if step._ks[8][5] < g_quiet:
@@ -798,10 +800,9 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         t_z = head + (head_lo + 0.25 * sk_lo + step.x1 + 0.25 * z_h
                       + (z_h + sk) * c / (4.0 * (4.0 - c)))
         u_h, e_dir_h = y[0], y[2]
-        if sensitivity:  # t_z'
-            tz_s = (tk_s + 0.25 * zh_s + (zh_s + sk_s) * c / (4.0 * (4.0 - c))
-                    + (z_h + sk) * c_s / ((4.0 - c) * (4.0 - c)))
-            sigma_s = -(c_s * inv_k + sigma * kp)
+        tz_s = (tk_s + 0.25 * zh_s + (zh_s + sk_s) * c / (4.0 * (4.0 - c))
+                + (z_h + sk) * c_s / ((4.0 - c) * (4.0 - c)))  # t_z'
+        sigma_s = -(c_s * inv_k + sigma * kp)
 
         def line(t):
             u = sigma * (t_z - t)
@@ -828,8 +829,7 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         crossed = t_z < t_b
         if crossed and len(zeros) + 1 >= n_zeros:  # the stop zero
             t_b = t_z
-        y_b = line(t_b) + ((sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
-                           if sensitivity else ())
+        y_b = line(t_b) + (sigma * tz_s + sigma_s * (t_z - t_b), -sigma_s)
 
         def rhs_flight(t, y):  # the forcing dropped: u is linear in t
             return (y[1], 0.0, y[1] * y[1], 0.0, 0.0, 0.0)
@@ -837,19 +837,18 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
         flight = _Step(_IDENTITY, t_hand, t_b - t_hand, t_b, y, y_b, rhs_flight, None,
                        (tuple(b - a for a, b in zip(y, y_b)),) + ((0.0,) * len(y_b),) * 6)
         if keep(flight, [(t_z, 0, -sigma)] if crossed else ()):
-            return Trajectory(steps, zeros, peaks,
-                              log_slope=2.0 * s * tz_s if sensitivity else None)
+            return Trajectory(steps, zeros, peaks, 2.0 * s * tz_s)
         t_hand, y = t_b, y_b
 
     # ---- stretch 3: absolute t -----------------------------------------------
     def rhs_plain(t, y):
         u, ut = y[0], y[1]
         g = _source(t, u, alpha, beta)
-        if len(y) == _NCOMP:
+        if len(y) == 2:  # (u, u_t) alone: source's forcing read
             return (ut, -g, ut * ut, u * g, g * ut, g)
         # the channel: w_tt = -w d/du(sign(u) e^E) = -w (g/u) |u| dE/du
         dg = g / u * _u_de_du(abs(u), alpha, beta) if u != 0.0 else exp(2.0 * t)
-        return (ut, -g, ut * ut, u * g, g * ut, g, y[7], -dg * y[6])
+        return (ut, -g, ut * ut, u * g, g * ut, g, y[3], -dg * y[2])
 
     landed = [None]
 
@@ -895,9 +894,6 @@ def integrate_radial(s: float, p: ProblemParams, n_zeros: int,
                 atol + rel * max(abs(y[5]), abs(y1[5])))
 
     step, _ = _march(rhs_plain, _IDENTITY, t_hand, y, h, scale_plain, on_plain_step)
-    if not sensitivity:
-        return Trajectory(steps, zeros, peaks)
     t_n, ru_n = zeros[-1]  # w(t_n) on the dense output
-    w = step.value(t_n, _NCOMP)
-    return Trajectory(steps, zeros, peaks, log_slope=-2.0 * s * w / ru_n)
+    return Trajectory(steps, zeros, peaks, -2.0 * s * step.value(t_n, _NCOMP) / ru_n)
 

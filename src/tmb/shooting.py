@@ -11,7 +11,7 @@ and a nodal solution with the eigenvalue p.lam of its ProblemParams p is a
 scalar root-find in s.  Only solve_unit_lambda builds the lambda = 1
 parameters, and only _build_solution applies a lambda: the dilation's.
 lambda_of_s may be non-monotone, so trace follows ln lambda against ln s
-once, with slopes from the sensitivity channel, inserts each fold it finds
+once, with the slope every integration carries, inserts each fold it finds
 as a node and rejects a step that hides a fold pair; Newton polishes every
 node pair that straddles the target (all branches are returned).
 
@@ -155,19 +155,17 @@ class RadialSolution(LogRadii):
 
 
 def solve_unit_lambda(s: float, k: int, p: ProblemParams,
-                      settings: SolverSettings | None = None,
-                      sensitivity: bool = False) -> Trajectory:
+                      settings: SolverSettings | None = None) -> Trajectory:
     """Integrate at lambda = 1, with p.alpha and p.beta (p.lam is not
     read), from amplitude s to the (k+1)-th zero.
 
     Returns the trajectory; its log_zeros holds the first k+1 zeros by log
-    radius, and with sensitivity its log_slope = d ln(lambda)/d ln(s).
+    radius, and its log_slope = d ln(lambda)/d ln(s).
     Every integration of the shooting layer passes here, k checked first.
     Raises ZeroNotReachedError if the radius cap or the step budget interferes.
     """
     check_nodal_class(k)
-    return integrate_radial(s, ProblemParams(p.alpha, p.beta, 1.0), k + 1,
-                            settings, sensitivity=sensitivity)
+    return integrate_radial(s, ProblemParams(p.alpha, p.beta, 1.0), k + 1, settings)
 
 
 def lambda_of_s(s: float, k: int, p: ProblemParams) -> float:
@@ -203,7 +201,7 @@ def _build_solution(traj: Trajectory, k: int, p: ProblemParams) -> RadialSolutio
 def _node(k: int, p: ProblemParams, x: float) -> tuple:
     """(x, ln lambda, d ln lambda/d ln s) at s = exp(x), at scan tolerance."""
     s = math.exp(x)
-    traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS, sensitivity=True)
+    traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS)
     return x, 2.0 * traj.log_zeros[k][0], traj.log_slope
 
 
@@ -233,8 +231,8 @@ def _fold(k: int, p: ProblemParams, a: tuple, b: tuple) -> tuple:
 
 
 def trace(k: int, p: ProblemParams) -> Trace:
-    """lambda_k(s) for p.alpha and p.beta at scan tolerance, with the
-    sensitivity channel, in adaptive steps of x = ln s: a step is accepted
+    """lambda_k(s) for p.alpha and p.beta at scan tolerance, with each
+    integration's slope, in adaptive steps of x = ln s: a step is accepted
     when the cubic coefficient of the Hermite interpolant of its two nodes
     is below _DEFECT * (1 + |ln lambda|), which also sizes the next step.
     A fold where the slope changes sign across a step is located and
@@ -275,7 +273,7 @@ def trace(k: int, p: ProblemParams) -> Trace:
 
 def _newton(k: int, p: ProblemParams, x: float, lo: float, hi: float, f_lo: float):
     """Newton on f(x) = ln lambda(exp x) - ln p.lam from x in the bracket
-    [lo, hi], f(lo) = f_lo, with the sensitivity channel's slope: at scan
+    [lo, hi], f(lo) = f_lo, with each integration's slope: at scan
     tolerance, bisecting the shrinking bracket where a step would leave it,
     until |f| <= _SWITCH_TOL; then at FULL_SETTINGS until |f| <= POLISH_TOL.
     The bracket is two consecutive trace nodes, between which the trace
@@ -286,8 +284,7 @@ def _newton(k: int, p: ProblemParams, x: float, lo: float, hi: float, f_lo: floa
     for _ in range(_MAX_NEWTON):
         s = math.exp(x)
         try:
-            traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS if scan else FULL_SETTINGS,
-                                     sensitivity=True)
+            traj = solve_unit_lambda(s, k, p, SCAN_SETTINGS if scan else FULL_SETTINGS)
         except ZeroNotReachedError:
             return None
         f, slope = 2.0 * traj.log_zeros[k][0] - p.log_lambda, traj.log_slope
@@ -344,6 +341,5 @@ def nodal_solution(k: int, p: ProblemParams,
 def solution_at(s: float, k: int, p: ProblemParams) -> RadialSolution:
     """The k-nodal solution of amplitude s for p.alpha and p.beta, from one
     integration at FULL_SETTINGS: at the amplitude of a solution
-    nodal_solution returned, that solution bit for bit (but with no
-    sensitivity channel, so its trajectory's log_slope is None)."""
+    nodal_solution returned, that solution bit for bit, slope included."""
     return _build_solution(solve_unit_lambda(s, k, p, FULL_SETTINGS), k, p)

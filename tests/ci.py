@@ -1,16 +1,20 @@
-"""The programs of .github/workflows/tier1.yml; standard library only.
+"""The programs of .github/workflows/tier1.yml, and grade; standard library
+only, but for the benchmark oracle that grade loads.
 
     python tests/ci.py reruns OUT        # RERUNS twice each, into a new or empty OUT
     python tests/ci.py report OUT BASE   # RERUNS at the checkout BASE against OUT
+    python tests/ci.py grade OUT         # the family workloads' lambda_err on OUT
     python tests/ci.py junit REPORT [ALLOWED_TEST_NAME ...]
 
 reruns fails unless each row's two runs exit with its code and write the same
 CSV bytes and metadata ENTRIES, and each REFUSED run exits 2 and leaves no
 output directory.  report prints BASE's exit codes and ENTRIES that differ,
 each CSV's verdict (same, differs, new or gone) with its moved cells, and
-each src/tmb module's line count and their total at BASE and here.  junit
-fails on a JUnit report with no test case, or with a failure or error of a
-test not named ALLOWED.
+each src/tmb module's line count and their total at BASE and here.  grade
+prints the benchmark's family lambda_err, graded as perfbench/run.py grades
+it, from the reruns of the two family presets in OUT; it needs scipy (the
+bench extra) and exits 2 without it.  junit fails on a JUnit report with no
+test case, or with a failure or error of a test not named ALLOWED.
 """
 
 import csv
@@ -181,6 +185,37 @@ def line_counts(base: Path, head: Path) -> None:
     print(f"src/tmb lines: base {sum(counts[0].values())}, head {sum(counts[1].values())}")
 
 
+def grade(out: Path) -> int:
+    """Print each family workload's lambda_err: the largest |lambda(s) -
+    lambda| / lambda over its rerun's solutions.csv rows that match the
+    preset's schedule, lambda(s) the oracle's at rtol 1e-13."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    graded = []
+    for name in ("family_k0", "family_k1_weak"):
+        config = WORKLOADS[name].config
+        path = out / Path(config).stem / "1" / "solutions.csv"
+        if not path.is_file():
+            print(f"{name}: no {path}; run `reruns OUT` first")
+            return 1
+        graded.append((name, WORKLOADS[name].schedule(ROOT), path))
+    try:
+        from oracle import lambda_reference
+    except ImportError as exc:
+        print(f"grade needs scipy and numpy (the bench extra): {exc}")
+        return 2
+    for name, (k, alpha, schedule), path in graded:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if int(r["n"]) < len(schedule) and (
+                float(r["lambda"]), float(r["beta"]), int(r["k"])) == (*schedule[int(r["n"])], k)]
+        errs = [abs(lambda_reference(float(r["amplitude"]), k, alpha, float(r["beta"]),
+                                     rtol=1e-13) - float(r["lambda"])) / float(r["lambda"])
+                for r in rows]
+        print(f"{name}: lambda_err {max(errs, default=0.0):.4e} over {len(errs)} member(s)")
+    return 0
+
+
 def junit(report: str, allowed: set) -> int:
     cases = list(ET.parse(report).iter("testcase"))
     failed = [case for case in cases if any(c.tag in ("failure", "error") for c in case)]
@@ -197,6 +232,7 @@ if __name__ == "__main__":
     if command == "junit" and args:
         sys.exit(junit(args[0], set(args[1:])))
     paths = [Path(arg).resolve() for arg in args]
-    if (command, len(paths)) in {("reruns", 1), ("report", 2)}:
-        sys.exit(reruns(*paths) if command == "reruns" else report(*paths))
+    programs = {("reruns", 1): reruns, ("report", 2): report, ("grade", 1): grade}
+    if (command, len(paths)) in programs:
+        sys.exit(programs[command, len(paths)](*paths))
     sys.exit(__doc__)

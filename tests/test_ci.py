@@ -1,6 +1,8 @@
 """tests/ci.py, the programs of the CI workflow: its rerun table covers every
-preset, and its JUnit verdict fails exactly where it should."""
+preset, its JUnit verdict fails exactly where it should, and grade names a
+missing family rerun."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,14 @@ def test_line_counts_per_module_and_total(tmp_path, capsys):
         "src/tmb/new.py lines: base -, head 4",
         "src/tmb lines: base 4, head 6",
     ]
+
+
+def test_grade_needs_the_family_reruns(tmp_path, capsys, monkeypatch):
+    # OUT without reference_family's rerun: grade says so before it loads
+    # the oracle (an import of it would fail here, with exit code 2)
+    monkeypatch.setitem(sys.modules, "oracle", None)
+    (tmp_path / "weak_limit_preset" / "1").mkdir(parents=True)
+    (tmp_path / "weak_limit_preset" / "1" / "solutions.csv").write_text("n\n")
+    assert ci.grade(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("family_k0: no ") and "reference_family" in out

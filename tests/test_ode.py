@@ -268,8 +268,8 @@ class TestKernel:
             assert step.y1 == step.y0
             return len(hs) == 3
 
-        y = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        _, h = ode._march(lambda x, y: (0.0,) * 6, ode._IDENTITY, 0.0, y, 0.1,
+        y = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        _, h = ode._march(lambda x, y: (0.0,) * 8, ode._IDENTITY, 0.0, y, 0.1,
                           lambda x, y, x1, y1: (1.0,) * 6, on_step)
         assert hs == [0.1, 0.1 * 6.0, 0.1 * 6.0 * 6.0] and h == hs[-1] * 6.0
 
@@ -314,7 +314,8 @@ class TestForcing:
         exact = [st for st in bubble[:-1] if st.t1 - st.frame.t0 == st.x1]
         assert len(exact) >= 5
         for st in exact:
-            assert traj.source_log(st.t1) == st.rhs(st.x1, st.y1)[5] > 0.0
+            fsal = st.rhs(st.x1, [st.y1[j] for j in ode._DYN])
+            assert traj.source_log(st.t1) == fsal[5] > 0.0
         flight = traj.steps[len(bubble)]
         assert flight.frame is ode._IDENTITY
         # the flight's one step is a line in t: its slope is its own
@@ -401,25 +402,41 @@ class TestAugmentedChannels:
 
 
 class TestSensitivityChannel:
-    """The channel behind Newton shooting: it moves no step, and its
-    d ln(lambda)/d ln(s) at the stop zero matches a centred difference."""
+    """The channel every integration carries: the kernel lets it move no
+    step, and its d ln(lambda)/d ln(s) at the stop zero matches a centred
+    difference."""
 
     FINE = SolverSettings(rel_tol=1e-12, abs_tol=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    # the channel rides the retake that lands a step on each interior zero,
-    # where u*|u|^beta is not smooth
     @pytest.mark.parametrize("beta", [0.5, 1.3])
     def test_channel_moves_no_step(self, beta, k):
-        p = ProblemParams(alpha=1.0, beta=beta, lam=1.0)
-        for s in (0.3, 5.0, 24.0, 700.0, 3e4):
-            plain = integrate_radial(s, p, k + 1)
-            carried = integrate_radial(s, p, k + 1, sensitivity=True)
-            assert carried.log_zeros == plain.log_zeros
-            assert carried.log_peaks == plain.log_peaks
-            assert len(carried.steps) == len(plain.steps)
-            assert plain.log_slope is None
-            assert math.isfinite(carried.log_slope)
+        # _march from a first-bubble and a plain step of a trajectory, with
+        # that step's own right-hand side but the channel's derivatives
+        # (components 6 and 7) set to NaN, then to 0.0: x, h and the first
+        # six components agree at every step, so neither a stage nor the
+        # error test of another component reads the channel
+        traj = integrate_radial(5.0, ProblemParams(1.0, beta, 1.0), k + 1)
+        plain = next(st for st in traj.steps if st.rhs.__name__ == "rhs_plain")
+
+        def scale(x, y, x1, y1):
+            return tuple(1e-12 + 1e-10 * max(abs(y[j]), abs(y1[j])) for j in range(6))
+
+        for first in (traj.steps[0], plain):
+            runs = []
+            for v in (math.nan, 0.0):
+                seen = []
+
+                def on_step(step):
+                    seen.append((step.x1, step.h, step.y1[:6]))
+                    return len(seen) == 20
+
+                last, h = ode._march(lambda x, y: first.rhs(x, y)[:6] + (v, v),
+                                     first.frame, first.x0, first.y0, first.h,
+                                     scale, on_step)
+                assert all(c != c for c in last.y1[6:]) == (v != v)
+                runs.append((seen, h))
+            assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("k, beta, s, rel", [
         (0, 1.0, 5.0, 1e-6),
@@ -440,7 +457,7 @@ class TestSensitivityChannel:
         x, h = math.log(s), 1e-3
         cd = [(log_lambda(x + d) - log_lambda(x - d)) / (2.0 * d) for d in (h, h / 2)]
         ref = (4.0 * cd[1] - cd[0]) / 3.0  # Richardson: O(h^4)
-        slope = integrate_radial(s, p, k + 1, self.FINE, sensitivity=True).log_slope
+        slope = integrate_radial(s, p, k + 1, self.FINE).log_slope
         assert slope == pytest.approx(ref, rel=rel)
 
 
@@ -478,7 +495,7 @@ class TestStopsAndErrors:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            traj = integrate_radial(2.0, P12, 1, sensitivity=True)
+            traj = integrate_radial(2.0, P12, 1)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

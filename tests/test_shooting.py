@@ -52,8 +52,8 @@ class TestUnitShooting:
         # entry point is the same, bit for bit, at lambda = 1 and 0.37
         other = ProblemParams(1.0, 1.2, 0.37)
         for k in (0, 1):
-            a = solve_unit_lambda(3.0, k, P12, sensitivity=True)
-            b = solve_unit_lambda(3.0, k, other, sensitivity=True)
+            a = solve_unit_lambda(3.0, k, P12)
+            b = solve_unit_lambda(3.0, k, other)
             assert (a.log_zeros, a.log_peaks, a.log_slope) == (
                 b.log_zeros, b.log_peaks, b.log_slope)
             assert lambda_of_s(3.0, k, P12) == lambda_of_s(3.0, k, other)
@@ -65,6 +65,16 @@ class TestUnitShooting:
                 sb.params, sb.log_nodal_radii, sb.log_peak_radii,
                 sb.peak_values, sb.boundary_ru, sb.trajectory.eval_log(t),
                 sb.trajectory.source_log(t))
+
+    @pytest.mark.parametrize("beta", [0.3, 1.8])
+    @pytest.mark.parametrize("alpha", [0.2, 3.0])
+    @pytest.mark.parametrize("k", [0, 3])
+    # from the amplitude floor, through the first bubble's flight, to deep
+    # amplitudes: every integration ends with a finite slope
+    @pytest.mark.parametrize("s", [1e-144, 1e-6, 24.0, 1e3])
+    def test_every_integration_carries_a_slope(self, s, k, alpha, beta):
+        slope = solve_unit_lambda(s, k, ProblemParams(alpha, beta, 1.0)).log_slope
+        assert isinstance(slope, float) and math.isfinite(slope)
 
 
 class TestLambdaOfS:
@@ -117,9 +127,9 @@ class TestNodalSolution:
         full = shooting.FULL_SETTINGS
         calls, scan_calls = [], []
 
-        def counting(s, p0, n_zeros, settings=None, sensitivity=False):
+        def counting(s, p0, n_zeros, settings=None):
             (calls if settings is full else scan_calls).append(s)
-            return ode.integrate_radial(s, p0, n_zeros, settings, sensitivity)
+            return ode.integrate_radial(s, p0, n_zeros, settings)
 
         monkeypatch.setattr(shooting, "integrate_radial", counting)
         assert shooting._newton(0, p, 0.5 * (xa + xb), xa, xb, 1e-9) is None
@@ -136,7 +146,7 @@ class TestNodalSolution:
         full = shooting.FULL_SETTINGS
         calls = []
 
-        def unit_lambda(s, k, p0, settings=None, sensitivity=False):
+        def unit_lambda(s, k, p0, settings=None):
             x = math.log(s)
             calls.append((x, settings))
             traj = SimpleNamespace(log_zeros=[(0.5 * math.atan(8.0 * x), -1.0)],
@@ -154,14 +164,14 @@ class TestNodalSolution:
         # None when a solve misses its zero, and after _MAX_NEWTON scan
         # solves that all stay 1e-3 off the target (each 1e-12 step leaves
         # the shrunk bracket and is replaced by its midpoint)
-        def missing(s, k, p0, settings=None, sensitivity=False):
+        def missing(s, k, p0, settings=None):
             raise ZeroNotReachedError("radius cap")
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", missing)
         assert shooting._newton(0, P12, 0.25, -1.0, 1.0, 1.0) is None
         calls = []
 
-        def off_target(s, k, p0, settings=None, sensitivity=False):
+        def off_target(s, k, p0, settings=None):
             calls.append(settings)
             return SimpleNamespace(log_zeros=[(0.5e-3, -1.0)], log_slope=1e9)
 
@@ -281,13 +291,14 @@ class TestNodalSolution:
 
     def test_solutions_carry_the_slope(self):
         # d ln(lambda)/d ln(s) is a dilation invariant: shifted used to drop
-        # it, and both solutions beside this fold read None
+        # it, and both solutions beside this fold read None.  Every
+        # integration carries it, so solution_at returns it bit for bit
         p = ProblemParams(1.0, 1.0, 3.2245)
         sols = nodal_solution(1, p)
         assert len(sols) == 2
         for sol in sols:
-            slope = solve_unit_lambda(sol.amplitude, 1, p, sensitivity=True).log_slope
-            assert sol.trajectory.log_slope == slope
+            slope = solution_at(sol.amplitude, 1, p).trajectory.log_slope
+            assert math.isfinite(slope) and sol.trajectory.log_slope == slope
 
     def test_each_amplitude_integrated_once(self, monkeypatch):
         # the trace hands Newton the secant point of the nodes it measured,
@@ -295,9 +306,9 @@ class TestNodalSolution:
         # nodes and Newton's iterates all pass solve_unit_lambda
         seen = {}
 
-        def recording(s, k, p0, settings=None, sensitivity=False):
+        def recording(s, k, p0, settings=None):
             seen.setdefault(settings.rel_tol, []).append(s)
-            return solve_unit_lambda(s, k, p0, settings, sensitivity)
+            return solve_unit_lambda(s, k, p0, settings)
 
         monkeypatch.setattr(shooting, "solve_unit_lambda", recording)
         nodal_solution(1, ProblemParams(1.0, 1.0, 3.2245))
